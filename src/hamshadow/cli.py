@@ -45,8 +45,7 @@ from .variance import (
     variance_approx_linear,
     variance_approx_nonlinear,
     variance_exact,
-    second_moment_exact,
-    shadow_norm_sq,
+    variance_report,
 )
 
 EXIT_CONFIG = 2
@@ -202,8 +201,7 @@ def _fail(code: int, msg: str):
 @click.option("--seed", type=int, default=None, help="Override config seed.")
 @click.option("--shots", type=int, default=None, help="Override config shots.")
 @click.option("--allow-incomplete", is_flag=True)
-@click.option("--threads", type=int, default=1, help="Speed only; never results.")
-def simulate(config_path, seed, shots, allow_incomplete, threads):
+def simulate(config_path, seed, shots, allow_incomplete):
     """Run a simulated experiment and write snapshots plus a manifest."""
     try:
         cfg = load_config(config_path)
@@ -298,19 +296,9 @@ def variance(config_path, out_path):
               "Hamiltonian is not tomography-complete:\n" + diag.summary())
     inv = build_inverter(h)
     fp = hamiltonian_fingerprint(h)
-    rows = []
-    for o in obs:
-        if o.copies == 2:
-            approx = variance_approx_nonlinear(inv, o)
-            exact = norm = None
-        else:
-            approx = variance_approx_linear(inv, o)
-            exact = second_moment_exact(inv, o, rho) if rho is not None else None
-            norm = shadow_norm_sq(inv, o)
-        def fmt(x):
-            return "" if x is None else repr(x)
-        rows.append(f"{o.name},{fmt(exact)},{fmt(norm)},{approx!r},,"
-                    f"d={h.dim};mode=ideal,{cfg.get('seed', 0)},{fp}")
+    seed = cfg.get("seed", 0)
+    rows = [variance_report(inv, o, rho=rho).csv_row(o.name, seed, fp)
+            for o in obs]
     text = (f"# config_digest={config_digest(cfg)}\n"
             + VARIANCE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     if out_path:

@@ -8,8 +8,15 @@ sums over the twice-repeated class, plus a one-index correction. The
 counting identity (all factors set to 1) reproduces 6d^3 - 9d^2 + 4d,
 the third frame potential, which pins the coefficients.
 
-Closed-form approximations for linear and two-copy observables and the
-shadow-norm style worst-case bound are also provided.
+The sum is linear in the state, so the class sums are evaluated once with
+the state factor left out: each gives the coefficients of the state
+entries it picks, and together they form a d x d kernel G with
+E o-hat^2 = sum_mn G[m, n] rho_h[m, n] in the eigenframe. The exact
+second moment of a state and the shadow norm (the worst case over all
+states, the top eigenvalue of G^T) are both read off that one kernel.
+
+Closed-form approximations for linear and two-copy observables are also
+provided.
 """
 
 from __future__ import annotations
@@ -73,38 +80,50 @@ def _pair_factor(mats: np.ndarray, row_is_b: bool, col_is_b: bool) -> np.ndarray
     return mats.transpose(0, 2, 1)                            # M[b, a]
 
 
-def _second_moment_eigenframe(inv: ShadowInverter, o_t: np.ndarray,
-                              rho_h: np.ndarray) -> float:
-    """E o-hat^2 for an eigenframe state, ideal random phases.
+def _pair_scatter(coef: np.ndarray, row_is_b: bool, col_is_b: bool) -> np.ndarray:
+    """Place the (a, b) coefficients of the state factor _pair_factor picks."""
+    if not row_is_b and not col_is_b:
+        return np.diag(coef.sum(axis=1))                      # rho_h[a, a]
+    if row_is_b and col_is_b:
+        return np.diag(coef.sum(axis=0))                      # rho_h[b, b]
+    if not row_is_b and col_is_b:
+        return coef                                           # rho_h[a, b]
+    return coef.T                                             # rho_h[b, a]
 
-    o_t is the transformed observable, rho_h the state in the eigenframe
-    (any matrix; the result is linear in it).
+
+def _second_moment_kernel(inv: ShadowInverter, o_t: np.ndarray) -> np.ndarray:
+    """Kernel G with E o-hat^2 = sum_mn G[m, n] rho_h[m, n], ideal random phases.
+
+    o_t is the transformed observable and rho_h the state in the eigenframe.
+    The state enters every term through r[b, m, n] = rho_h[m, n] u[b, m, n],
+    so each term contributes its remaining factors, summed over outcomes,
+    as the coefficient of the rho_h entry it picks. The identity holds for
+    any matrix rho_h, so G is the kernel of the complex linear functional.
     """
     d = inv.dim
     _check_guard(d)
     v = inv.hamiltonian.eigenbasis
-    # factor stacks over outcomes: W[b, m, n] = o_t[m, n] V[b, m] conj(V[b, n])
-    w = o_t[None, :, :] * v[:, :, None] * v.conj()[:, None, :]
-    r = rho_h[None, :, :] * v[:, :, None] * v.conj()[:, None, :]
+    # factor stacks over outcomes: u[b, m, n] = V[b, m] conj(V[b, n]), w = o_t u
+    u = v[:, :, None] * v.conj()[:, None, :]
+    w = o_t[None, :, :] * u
+    v_sq = np.abs(v) ** 2                                     # u[b, m, m]
     tr_w = np.einsum("bmm->b", w)
-    tr_r = np.einsum("bmm->b", r)
     tr_ww = np.einsum("bmn,bnm->b", w, w)
-    tr_wr = np.einsum("bmn,bnm->b", w, r)
-    tr_wwr = np.einsum("bmn,bnp,bpm->b", w, w, r)
-    perm_total = np.sum(tr_w * tr_w * tr_r + tr_ww * tr_r
-                        + 2 * tr_wr * tr_w + 2 * tr_wwr)
+    # permutation terms tr_w^2 tr_r + tr_ww tr_r + 2 tr_wr tr_w + 2 tr_wwr
+    kern = np.diag((tr_w * tr_w + tr_ww) @ v_sq)
+    kern += 2 * np.einsum("b,bmn,bnm->nm", tr_w, w, u)
+    kern += 2 * np.einsum("bmp,bpm->pm", w @ w, u)
     # twice-repeated class: positions of the distinct index in rows/columns
-    pair_total = 0.0 + 0.0j
     for i_pos in range(3):
         for j_pos in range(3):
-            factors = []
-            for slot, m in ((0, w), (1, w), (2, r)):
-                factors.append(_pair_factor(m, slot == i_pos, slot == j_pos))
-            pair_total += np.einsum("bxy,bxy,bxy->", *factors)
+            coef = np.einsum("bxy,bxy,bxy->xy",
+                             _pair_factor(w, i_pos == 0, j_pos == 0),
+                             _pair_factor(w, i_pos == 1, j_pos == 1),
+                             _pair_factor(u, i_pos == 2, j_pos == 2))
+            kern -= _pair_scatter(coef, i_pos == 2, j_pos == 2)
     dw = w[:, np.arange(d), np.arange(d)]
-    dr = r[:, np.arange(d), np.arange(d)]
-    all_equal = np.einsum("ba,ba,ba->", dw, dw, dr)
-    return float((perm_total - pair_total + 4 * all_equal).real)
+    kern += np.diag(4 * np.einsum("ba,ba,ba->a", dw, dw, v_sq))
+    return kern
 
 
 def second_moment_exact(inv: ShadowInverter, o: Observable, rho) -> float:
@@ -113,7 +132,7 @@ def second_moment_exact(inv: ShadowInverter, o: Observable, rho) -> float:
     v = inv.hamiltonian.eigenbasis
     o_t = transformed_observable(inv, o)
     rho_h = v.conj().T @ rho @ v
-    return _second_moment_eigenframe(inv, o_t, rho_h)
+    return float(np.sum(_second_moment_kernel(inv, o_t) * rho_h).real)
 
 
 def variance_exact(inv: ShadowInverter, o: Observable, rho) -> float:
@@ -124,24 +143,15 @@ def variance_exact(inv: ShadowInverter, o: Observable, rho) -> float:
 
 
 def shadow_norm_sq(inv: ShadowInverter, o: Observable) -> float:
-    """Worst-case second moment over states.
+    """Worst-case second moment over states, max_rho E o-hat^2.
 
-    E o-hat^2 is linear in the state, so the maximum over states is the
-    largest eigenvalue of the d x d operator representing that linear
-    functional, assembled column by column from unit matrices.
+    E o-hat^2 = Tr(G^T rho_h) is linear in the state, so the maximum over
+    all states, complex ones included, is the largest eigenvalue of G^T,
+    read off the one kernel of _second_moment_kernel. G^T is Hermitian up
+    to rounding; its Hermitian part is what a Hermitian state sees.
     """
-    d = inv.dim
-    _check_guard(d)
-    o_t = transformed_observable(inv, o)
-    kmat = np.empty((d, d), dtype=complex)
-    basis = np.zeros((d, d), dtype=complex)
-    for p in range(d):
-        for q in range(d):
-            basis[p, q] = 1.0
-            kmat[q, p] = _second_moment_eigenframe(inv, o_t, basis)
-            basis[p, q] = 0.0
-    kmat = (kmat + kmat.conj().T) / 2
-    return float(np.linalg.eigvalsh(kmat)[-1])
+    kmat = _second_moment_kernel(inv, transformed_observable(inv, o)).T
+    return float(np.linalg.eigvalsh((kmat + kmat.conj().T) / 2)[-1])
 
 
 def variance_approx_linear(inv: ShadowInverter, o: Observable,

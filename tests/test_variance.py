@@ -36,25 +36,42 @@ def random_density(d, seed=0):
     return m / np.trace(m)
 
 
-def brute_second_moment(inv, o, rho):
+def brute_moment_functional(inv, o, x):
     """Direct sum over all surviving index patterns of the phase average.
 
     The squared per-snapshot value times the outcome probability expands
     into a six-index sum; a term survives iid uniform phases iff the row
-    triple and column triple agree as multisets.
+    triple and column triple agree as multisets. The sum is linear in the
+    state, so any matrix ``x`` may stand in for it; the complex value is
+    returned.
     """
     v = inv.hamiltonian.eigenbasis
     d = v.shape[0]
     o_t = transformed_observable(inv, o)
-    rho_h = v.conj().T @ rho @ v
+    x_h = v.conj().T @ x @ v
     w = o_t[None, :, :] * v[:, :, None] * v.conj()[:, None, :]
-    r = rho_h[None, :, :] * v[:, :, None] * v.conj()[:, None, :]
+    r = x_h[None, :, :] * v[:, :, None] * v.conj()[:, None, :]
     total = 0.0 + 0.0j
     for m, p, rr, n, q, s in itertools.product(range(d), repeat=6):
         if sorted((m, p, rr)) != sorted((n, q, s)):
             continue
         total += np.sum(w[:, m, n] * w[:, p, q] * r[:, rr, s])
-    return float(total.real)
+    return complex(total)
+
+
+def brute_second_moment(inv, o, rho):
+    return brute_moment_functional(inv, o, rho).real
+
+
+def brute_kernel(inv, o):
+    """K with brute_moment_functional(x) = Tr(K x), from unit matrices |p><q|."""
+    d = inv.dim
+    kmat = np.empty((d, d), dtype=complex)
+    for p, q in itertools.product(range(d), repeat=2):
+        unit = np.zeros((d, d), dtype=complex)
+        unit[p, q] = 1.0
+        kmat[q, p] = brute_moment_functional(inv, o, unit)
+    return kmat
 
 
 def design_second_moment(inv, o, rho):
@@ -125,22 +142,29 @@ class TestShadowNorm:
         d = 4
         inv = build_inverter(gue_hamiltonian(d, 13))
         o = Observable(random_hermitian(d, 14))
-        o_t = transformed_observable(inv, o)
-        from hamshadow.variance import _second_moment_eigenframe
+        from hamshadow.variance import _second_moment_kernel
 
-        kmat = np.empty((d, d), dtype=complex)
-        basis = np.zeros((d, d), dtype=complex)
-        for p in range(d):
-            for q in range(d):
-                basis[p, q] = 1.0
-                kmat[q, p] = _second_moment_eigenframe(inv, o_t, basis)
-                basis[p, q] = 0.0
+        kmat = _second_moment_kernel(inv, transformed_observable(inv, o)).T
         kmat = (kmat + kmat.conj().T) / 2
         vals, vecs = np.linalg.eigh(kmat)
         psi = inv.hamiltonian.eigenbasis @ vecs[:, -1]
         rho = np.outer(psi, psi.conj())
         assert second_moment_exact(inv, o, rho) == pytest.approx(
             shadow_norm_sq(inv, o), rel=1e-8)
+
+    @pytest.mark.parametrize("d,seed", [(2, 0), (2, 1), (3, 1), (3, 2), (3, 5)])
+    def test_equals_top_eigenvalue_of_complex_kernel(self, d, seed):
+        # the kernel's imaginary part counts: gue(3, 2) with random_hermitian(3, 12)
+        # has lambda_max 10.104, while its real part alone gives 8.348
+        inv = build_inverter(gue_hamiltonian(d, seed))
+        o = Observable(random_hermitian(d, seed + 10))
+        kmat = brute_kernel(inv, o)
+        assert np.allclose(kmat, kmat.conj().T, atol=1e-9)
+        vals, vecs = np.linalg.eigh(kmat)
+        bound = shadow_norm_sq(inv, o)
+        assert bound == pytest.approx(vals[-1], abs=1e-9)
+        rho = np.outer(vecs[:, -1], vecs[:, -1].conj())
+        assert second_moment_exact(inv, o, rho) == pytest.approx(bound, abs=1e-9)
 
     def test_sqrt_norm_subadditive(self):
         inv = build_inverter(gue_hamiltonian(4, 15))
