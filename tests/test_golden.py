@@ -1,0 +1,105 @@
+"""Byte-for-byte comparison of sampler output with committed golden files.
+
+The files under ``tests/data/golden/`` pin the exact snapshot bytes,
+manifest and ``estimate`` CSV that fixed seeds produce, so a change to the
+sampling code that alters a single draw or outcome shows here.
+Regenerate them (only when a format change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+from click.testing import CliRunner
+
+from hamshadow.cli import main
+from hamshadow.models import gue_hamiltonian
+from hamshadow.sampler import TimeModel, run_batch, run_local_batch, save_snapshots
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+SHOTS = 300
+
+
+def mixed_state(d, seed):
+    """Full-rank density matrix with off-diagonal coherences."""
+    g = np.random.default_rng(seed)
+    a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+    m = a @ a.conj().T
+    return m / np.trace(m)
+
+
+TIME_MODELS = {
+    "ideal": TimeModel("ideal-rdu"),
+    "window": TimeModel("uniform-window", t_min=0.5, t_max=3.0),
+    "design2": TimeModel("design", k=2),
+}
+
+
+def write_batches(out_dir: Path) -> list:
+    """Write every sampler golden file into out_dir; return their names."""
+    names = []
+    h = gue_hamiltonian(8, 41)
+    rho = mixed_state(8, 42)
+    for key, tm in TIME_MODELS.items():
+        name = f"gue8_mixed_{key}.txt"
+        save_snapshots(out_dir / name, run_batch(h, rho, tm, SHOTS, seed=43))
+        names.append(name)
+    patches = [gue_hamiltonian(2, 44), gue_hamiltonian(4, 45)]
+    for key in ("ideal", "window"):
+        sets = run_local_batch(patches, rho, TIME_MODELS[key], SHOTS, seed=46)
+        for i, s in enumerate(sets):
+            name = f"local2x4_mixed_{key}_patch{i}.txt"
+            save_snapshots(out_dir / name, s)
+            names.append(name)
+    return names
+
+
+CLI_CONFIG = {
+    "model": {"kind": "gue", "dim": 8, "seed": 41},
+    "state": {"kind": "random-pure", "n": 3, "seed": 2},
+    "time_model": {"kind": "ideal-rdu"},
+    "shots": SHOTS,
+    "seed": 47,
+    "estimators": {
+        "method": "median-of-means",
+        "batches": 3,
+        "observables": [{"kind": "pauli", "labels": "XZY", "name": "XZY"},
+                        {"kind": "fidelity", "name": "fidelity"},
+                        {"kind": "purity", "name": "purity"}],
+    },
+    "output": {"snapshots": "cli_snaps.txt", "manifest": "cli_manifest.txt"},
+}
+CLI_FILES = ["cli_snaps.txt", "cli_manifest.txt", "cli_estimate.csv"]
+
+
+def write_cli(out_dir: Path) -> list:
+    """Run simulate then estimate with relative output paths; copy to out_dir."""
+    runner = CliRunner()
+    with runner.isolated_filesystem() as cwd:
+        with open("cfg.yaml", "w") as f:
+            yaml.safe_dump(CLI_CONFIG, f)
+        res = runner.invoke(main, ["simulate", "--config", "cfg.yaml"])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["estimate", "--config", "cfg.yaml",
+                                   "--snapshots", "cli_snaps.txt",
+                                   "--out", "cli_estimate.csv"])
+        assert res.exit_code == 0, res.output
+        for name in CLI_FILES:
+            (out_dir / name).write_bytes((Path(cwd) / name).read_bytes())
+    return CLI_FILES
+
+
+@pytest.mark.parametrize("writer", [write_batches, write_cli])
+def test_matches_golden_bytes(tmp_path, writer):
+    names = writer(tmp_path)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name in write_batches(GOLDEN) + write_cli(GOLDEN):
+        print(GOLDEN / name)
