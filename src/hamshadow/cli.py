@@ -38,7 +38,12 @@ from .sampler import (
     save_snapshots,
     write_manifest,
 )
-from .shadowmap import build_inverter, diagnose_detection, hamiltonian_fingerprint
+from .shadowmap import (
+    IncompleteInverterError,
+    build_inverter,
+    diagnose_detection,
+    hamiltonian_fingerprint,
+)
 from .variance import (
     VARIANCE_CSV_HEADER,
     empirical_variance,
@@ -186,6 +191,22 @@ def _estimator_settings(cfg: dict) -> tuple[str, int]:
     return method, batches
 
 
+def _snapshot_window(cfg: dict, recorded: TimeModel) -> TimeModel:
+    """The window the snapshots were drawn on, if the config declares it too.
+
+    The finite-time inverse is unbiased only for the window that produced
+    the data, so any other recorded ensemble is refused.
+    """
+    if recorded.kind != "uniform-window":
+        raise ConfigError("--finite-time needs uniform-window snapshots; the "
+                          f"file declares {recorded.describe()!r}")
+    declared = build_time_model(cfg)
+    if declared.describe() != recorded.describe():
+        raise ConfigError(f"snapshots were drawn with {recorded.describe()!r} "
+                          f"but the config declares {declared.describe()!r}")
+    return recorded
+
+
 @click.group()
 def main():
     """Quench-dynamics shadow estimation toolkit."""
@@ -246,29 +267,40 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
         obs = build_observables(cfg, rho, h.dim)
     except ConfigError as e:
         _fail(EXIT_CONFIG, f"config error: {e}")
-    snaps = load_snapshots(snap_path)
+    try:
+        snaps = load_snapshots(snap_path)
+    except (OSError, ValueError) as e:
+        _fail(EXIT_CONFIG, f"snapshot error: {e}")
     if snaps.hamiltonian_fingerprint != hamiltonian_fingerprint(h):
         _fail(EXIT_FINGERPRINT,
               "snapshot fingerprint does not match the configured Hamiltonian")
     if finite_time:
-        tm = build_time_model(cfg)
+        try:
+            tm = _snapshot_window(cfg, snaps.time_model)
+        except ConfigError as e:
+            _fail(EXIT_CONFIG, f"config error: {e}")
         inv = build_inverter(h, mode="finite-time", t_min=tm.t_min, t_max=tm.t_max)
     else:
         inv = build_inverter(h)
     rows = []
-    for o in obs:
-        if wrong_postprocessing and o.copies == 1:
-            vals = wrong_postprocessing_values(inv, snaps, o)
-            from .estimators import median_of_means
-            rep = median_of_means(vals, batches)
-            name = o.name + "(wrong-postprocessing)"
-        elif o.copies == 2:
-            rep = estimate_nonlinear(inv, snaps, o)
-            name = o.name
-        else:
-            rep = estimate_linear(inv, snaps, o, num_batches=batches)
-            name = o.name
-        rows.append(rep.csv_row(name, snaps.seed, snaps.hamiltonian_fingerprint))
+    try:
+        for o in obs:
+            if wrong_postprocessing and o.copies == 1:
+                vals = wrong_postprocessing_values(inv, snaps, o)
+                from .estimators import median_of_means
+                rep = median_of_means(vals, batches)
+                name = o.name + "(wrong-postprocessing)"
+            elif o.copies == 2:
+                rep = estimate_nonlinear(inv, snaps, o)
+                name = o.name
+            else:
+                rep = estimate_linear(inv, snaps, o, num_batches=batches)
+                name = o.name
+            rows.append(rep.csv_row(name, snaps.seed, snaps.hamiltonian_fingerprint))
+    except IncompleteInverterError as e:
+        _fail(EXIT_INCOMPLETE, str(e))
+    except ValueError as e:
+        _fail(EXIT_CONFIG, f"snapshot error: {e}")
     text = (f"# seed={snaps.seed} config_digest={config_digest(cfg)}\n"
             + CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     if out_path:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.stats import unitary_group
 
 from .qmatrix import as_complex, check_density, is_hermitian, swap_operator
+from .sampler import _born_rows, _factor_state, born_probabilities, substream
 from .shadowmap import (
     ShadowInverter,
     Snapshot,
@@ -242,9 +243,9 @@ def exact_average_state(inv: ShadowInverter, rho, phase_vectors) -> np.ndarray:
     d = h.dim
     acc = np.zeros((d, d), dtype=complex)
     phase_vectors = np.atleast_2d(np.asarray(phase_vectors, dtype=float))
-    for phi in phase_vectors:
+    probs = born_probabilities(h, rho_h, phase_vectors)
+    for phi, p in zip(phase_vectors, probs):
         z = v * np.exp(1j * phi)[None, :]  # rows b
-        p = np.einsum("bm,mn,bn->b", z, rho_h, z.conj()).real
         n = _inverted_sigmas(inv, z)
         acc += np.einsum("b,bmn->mn", p, n)
     acc /= len(phase_vectors)
@@ -262,18 +263,16 @@ def global_shadow_values(rho, o: Observable, num_shots: int, seed: int) -> np.nd
     rho-hat = (d+1) U^dag |b><b| U - I, so the per-shot estimate is
     (d+1) (U O U^dag)_bb - Tr(O).
     """
-    from .sampler import substream
-
     rho = check_density(rho)
     d = rho.shape[0]
+    w, l = _factor_state(rho)
+    no_phases = np.zeros((1, d))
     tr_o = float(np.trace(o.matrix).real)
     vals = np.empty(num_shots)
     for i in range(num_shots):
         rng = substream(seed, i)
         u = haar_unitary(d, rng)
-        p = np.clip(np.einsum("bm,mn,bn->b", u, rho, u.conj()).real, 0.0, None)
-        p /= p.sum()
-        b = int(rng.choice(d, p=p))
+        b = int(rng.choice(d, p=_born_rows(u, w, l, no_phases)[0]))
         row = u[b, :]
         vals[i] = ((row @ o.matrix @ row.conj()).real) * (d + 1) - tr_o
     return vals

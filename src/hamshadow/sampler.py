@@ -5,18 +5,25 @@ time (or with ideal random phases), samples a bitstring from the Born
 distribution, and records a snapshot. All randomness flows through
 counter-based Philox substreams keyed by (seed, shot index), so a batch
 is a pure function of its arguments regardless of evaluation order.
+Shots are evaluated in chunks: each shot still draws its evolution and
+one uniform outcome variate from its own substream, and one matrix
+product gives the Born distributions of the whole chunk.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import SpectralHamiltonian, as_complex
+from .qmatrix import SpectralHamiltonian, as_complex, is_hermitian
 from .shadowmap import Snapshot, hamiltonian_fingerprint
 
 BORN_TOL = 1e-9
+# Complex entries of the (d, shots x rank) matrix that one chunk of shots
+# multiplies by V: 256 KiB per work array, whatever d and the state's rank.
+CHUNK_ENTRIES = 2**14
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -87,30 +94,105 @@ def _draw_evolution(dim: int, tm: TimeModel, rng: np.random.Generator):
     return None, rng.uniform(0, 2 * np.pi, size=dim)
 
 
+def _eigenframe(v: np.ndarray, rho) -> np.ndarray:
+    return v.conj().T @ as_complex(rho) @ v
+
+
+def _factor_state(rho_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, l) with rho_H = sum_r w_r l_r l_r^dag, rounding-level pairs dropped.
+
+    A pure state keeps rank 1. eigh reads one triangle only, so a
+    non-Hermitian input is refused rather than silently symmetrised.
+    """
+    rho_h = as_complex(rho_h)
+    if not is_hermitian(rho_h):
+        raise ValueError("state is not Hermitian; Born probabilities need rho = rho^dag")
+    w, l = np.linalg.eigh(rho_h)
+    keep = np.abs(w) > len(w) * np.finfo(float).eps * max(1.0, np.abs(w).max())
+    return w[keep], l[:, keep]
+
+
+def _born_rows(v: np.ndarray, w: np.ndarray, l: np.ndarray,
+               phases: np.ndarray) -> np.ndarray:
+    """Checked Born distributions, one row per phase vector of (K, d) phases.
+
+    p[k, b] = sum_r w_r |(V diag(e^{i phi_k}) l_r)_b|^2, all K rows from one
+    (d, d) @ (d, K r) product.
+    """
+    k, d = phases.shape
+    r = len(w)
+    m = np.exp(1j * phases).T[:, :, None] * l[:, None, :]
+    a = (v @ m.reshape(d, k * r)).reshape(d, k, r)
+    p = np.ascontiguousarray(((a.real ** 2 + a.imag ** 2) @ w).T)
+    total = p.sum(axis=1)
+    bad = ~(np.abs(total - 1.0) < BORN_TOL)
+    if bad.any():
+        raise ValueError(f"Born distribution sums to {float(total[bad][0])!r}; "
+                         "input is corrupted")
+    p = np.clip(p, 0.0, None)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _choose(p: np.ndarray, u) -> np.ndarray:
+    """Outcome of each row, as Generator.choice(d, p=row) picks it from u.
+
+    choice draws one random() and returns cdf.searchsorted(u, "right") on
+    cdf = cumsum(p) / cdf[-1]; the count of cdf entries <= u is that index.
+    """
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= np.asarray(u)[:, None], axis=1)
+
+
+def _sample(v: np.ndarray, rho_h: np.ndarray, rngs, draw) -> list:
+    """(record, outcome) for each generator of rngs, in order.
+
+    ``draw(rng)`` makes a shot's evolution draws and returns (record, phase
+    vector); one ``rng.random()`` then picks the outcome, the draw that
+    ``rng.choice(d, p=p)`` would make. Shots are evaluated in chunks that
+    bound the (d, shots x rank) product at CHUNK_ENTRIES entries, so the
+    draws, and hence the outcomes, do not depend on the chunking.
+    """
+    w, l = _factor_state(rho_h)
+    chunk = max(1, CHUNK_ENTRIES // (v.shape[0] * max(1, len(w))))
+
+    def shots():
+        for rng in rngs:
+            record, phases = draw(rng)
+            yield record, phases, rng.random()
+
+    out = []
+    it = shots()
+    while batch := list(itertools.islice(it, chunk)):
+        records, phases, u = zip(*batch)
+        out += zip(records, _choose(_born_rows(v, w, l, np.array(phases)), u))
+    return out
+
+
 def born_probabilities(h: SpectralHamiltonian, rho_h: np.ndarray,
                        phases: np.ndarray) -> np.ndarray:
-    """p(b) = <b| V Lam rho_H conj(Lam) V^dag |b> for all outcomes b."""
-    v = h.eigenbasis
-    lam = np.exp(1j * phases)
-    amps = v * lam  # rows b, columns m: V[b,m] e^{i phi_m}
-    p = np.einsum("bm,mn,bn->b", amps, rho_h, amps.conj()).real
-    total = p.sum()
-    if abs(total - 1.0) >= BORN_TOL:
-        raise ValueError(f"Born distribution sums to {total!r}; input is corrupted")
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    """p(b) = <b| V Lam rho_H conj(Lam) V^dag |b> for all outcomes b.
+
+    ``phases`` is one phase vector (d,) or a batch (K, d); the result has
+    the same shape, one distribution per phase vector.
+    """
+    phases = np.asarray(phases, dtype=float)
+    p = _born_rows(h.eigenbasis, *_factor_state(rho_h), np.atleast_2d(phases))
+    return p[0] if phases.ndim == 1 else p
+
+
+def _snapshots(h: SpectralHamiltonian, rho, tm: TimeModel, rngs) -> list:
+    def draw(rng):
+        t, phases = _draw_evolution(h.dim, tm, rng)
+        return (t, phases), (-h.energies * t if t is not None else phases)
+
+    shots = _sample(h.eigenbasis, _eigenframe(h.eigenbasis, rho), rngs, draw)
+    return [Snapshot(bitstring=int(b), time=t, phases=ph) for (t, ph), b in shots]
 
 
 def sample_snapshot(h: SpectralHamiltonian, rho, tm: TimeModel,
                     rng: np.random.Generator) -> Snapshot:
-    rho = as_complex(rho)
-    v = h.eigenbasis
-    rho_h = v.conj().T @ rho @ v
-    t, phases = _draw_evolution(h.dim, tm, rng)
-    phi = -h.energies * t if t is not None else phases
-    p = born_probabilities(h, rho_h, phi)
-    b = int(rng.choice(h.dim, p=p))
-    return Snapshot(bitstring=b, time=t, phases=phases)
+    return _snapshots(h, rho, tm, [rng])[0]
 
 
 def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
@@ -118,17 +200,7 @@ def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
     """Deterministic batch: shot i uses substream (seed, i)."""
     if num_shots < 1:
         raise ValueError("num_shots must be at least 1")
-    rho = as_complex(rho)
-    v = h.eigenbasis
-    rho_h = v.conj().T @ rho @ v
-    snaps = []
-    for i in range(num_shots):
-        rng = substream(seed, i)
-        t, phases = _draw_evolution(h.dim, tm, rng)
-        phi = -h.energies * t if t is not None else phases
-        p = born_probabilities(h, rho_h, phi)
-        b = int(rng.choice(h.dim, p=p))
-        snaps.append(Snapshot(bitstring=b, time=t, phases=phases))
+    snaps = _snapshots(h, rho, tm, (substream(seed, i) for i in range(num_shots)))
     return SnapshotSet(snaps, hamiltonian_fingerprint(h), int(seed), tm)
 
 
@@ -148,7 +220,8 @@ def run_local_batch(patch_hs, rho, tm: TimeModel, num_shots: int, seed: int,
     d = int(np.prod(dims))
     if rho.shape != (d, d):
         raise ValueError("patch dimensions do not multiply to the state dimension")
-    if tm.kind == "uniform-window" and not per_patch_times:
+    shared_time = tm.kind == "uniform-window" and not per_patch_times
+    if shared_time:
         for i in range(len(patch_hs)):
             for j in range(i + 1, len(patch_hs)):
                 ei, ej = patch_hs[i].energies, patch_hs[j].energies
@@ -160,25 +233,24 @@ def run_local_batch(patch_hs, rho, tm: TimeModel, num_shots: int, seed: int,
     v_full = np.array([[1.0 + 0j]])
     for h in patch_hs:
         v_full = np.kron(v_full, h.eigenbasis)
-    rho_h = v_full.conj().T @ rho @ v_full
-    per_patch = [[] for _ in patch_hs]
-    fps = [hamiltonian_fingerprint(h) for h in patch_hs]
-    for i in range(num_shots):
-        rng = substream(seed, i)
-        patch_draws = []
-        if tm.kind == "uniform-window" and not per_patch_times:
+
+    def draw(rng):
+        if shared_time:
             t, _ = _draw_evolution(1, tm, rng)
             patch_draws = [(t, None) for _ in patch_hs]
         else:
             patch_draws = [_draw_evolution(h.dim, tm, rng) for h in patch_hs]
-        phi = _joint_phases(patch_hs, patch_draws)
-        p = _joint_born(v_full, rho_h, phi)
-        b = int(rng.choice(d, p=p))
-        bits = _split_index(b, dims)
+        return patch_draws, _joint_phases(patch_hs, patch_draws)
+
+    shots = _sample(v_full, _eigenframe(v_full, rho),
+                    (substream(seed, i) for i in range(num_shots)), draw)
+    per_patch = [[] for _ in patch_hs]
+    for patch_draws, b in shots:
+        bits = _split_index(int(b), dims)
         for pi, ((t, ph), bp) in enumerate(zip(patch_draws, bits)):
             per_patch[pi].append(Snapshot(bitstring=bp, time=t, phases=ph))
-    return [SnapshotSet(per_patch[i], fps[i], int(seed), tm)
-            for i in range(len(patch_hs))]
+    return [SnapshotSet(per_patch[i], hamiltonian_fingerprint(h), int(seed), tm)
+            for i, h in enumerate(patch_hs)]
 
 
 def _joint_phases(patch_hs, patch_draws) -> np.ndarray:
@@ -189,16 +261,6 @@ def _joint_phases(patch_hs, patch_draws) -> np.ndarray:
     for nxt in parts[1:]:
         out = (out[:, None] + nxt[None, :]).reshape(-1)
     return out
-
-
-def _joint_born(v_full, rho_h, phases) -> np.ndarray:
-    amps = v_full * np.exp(1j * phases)
-    p = np.einsum("bm,mn,bn->b", amps, rho_h, amps.conj()).real
-    total = p.sum()
-    if abs(total - 1.0) >= BORN_TOL:
-        raise ValueError(f"Born distribution sums to {total!r}; input is corrupted")
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
 
 
 def _split_index(b: int, dims) -> list:
@@ -235,11 +297,21 @@ def save_snapshots(path, snaps: SnapshotSet) -> None:
                 f.write(f"phases={ph} b={s.bitstring}\n")
 
 
+def _parse_row(line: str) -> Snapshot:
+    fields = dict(p.split("=", 1) for p in line.split())
+    b = int(fields["b"])
+    if "t_us" in fields:
+        return Snapshot(bitstring=b, time=float(fields["t_us"]))
+    ph = np.array([float(x) for x in fields["phases"].split(",")])
+    return Snapshot(bitstring=b, phases=ph)
+
+
 def load_snapshots(path) -> SnapshotSet:
+    """Read a snapshot file; ValueError on a malformed row or a short file."""
     meta = {}
     snaps = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -249,18 +321,24 @@ def load_snapshots(path) -> SnapshotSet:
                     k, v = body.split("=", 1)
                     meta[k.strip()] = v.strip()
                 continue
-            fields = dict(p.split("=", 1) for p in line.split())
-            b = int(fields["b"])
-            if "t_us" in fields:
-                snaps.append(Snapshot(bitstring=b, time=float(fields["t_us"])))
-            else:
-                ph = np.array([float(x) for x in fields["phases"].split(",")])
-                snaps.append(Snapshot(bitstring=b, phases=ph))
+            try:
+                snaps.append(_parse_row(line))
+            except (KeyError, ValueError) as e:
+                raise ValueError(f"{path}: line {lineno}: malformed snapshot row "
+                                 f"{line[:60]!r}") from e
+    if meta.get("shots") != str(len(snaps)):
+        raise ValueError(f"{path}: header declares shots={meta.get('shots')} "
+                         f"but the file holds {len(snaps)} rows")
+    try:
+        tm = TimeModel.parse(meta.get("time_model", "ideal-rdu"))
+    except (IndexError, KeyError, ValueError) as e:
+        raise ValueError(f"{path}: bad time_model header "
+                         f"{meta.get('time_model')!r}") from e
     return SnapshotSet(
         snapshots=snaps,
         hamiltonian_fingerprint=meta.get("fingerprint", ""),
         seed=int(meta.get("seed", 0)),
-        time_model=TimeModel.parse(meta.get("time_model", "ideal-rdu")),
+        time_model=tm,
     )
 
 

@@ -138,6 +138,106 @@ class TestEstimate:
         assert "u-statistic" in res.output
 
 
+def rydberg_window_cfg(tmp_path, t_max):
+    return base_cfg(
+        tmp_path, shots=2000,
+        model={"kind": "rydberg", "num_atoms": 4, "seed": 3},
+        state={"kind": "ghz", "n": 4},
+        time_model={"kind": "uniform-window", "t_min": 2.0, "t_max": t_max},
+        estimators={"observables": [{"kind": "fidelity", "name": "ghz"}]})
+
+
+def simulated(tmp_path, cfg):
+    """Config path after simulating cfg's snapshots to tmp_path/snaps.txt."""
+    p = write_cfg(tmp_path / "cfg.yaml", cfg)
+    res = CliRunner().invoke(main, ["simulate", "--config", p])
+    assert res.exit_code == 0, res.output
+    return p
+
+
+def estimate_from(cfg_path, snap_path, *flags):
+    res = CliRunner().invoke(main, ["estimate", "--config", cfg_path,
+                                    "--snapshots", str(snap_path), *flags])
+    # no traceback: either a clean return or a deliberate exit code
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        res.exception
+    return res
+
+
+def rewrite_rows(snap_path, keep_rows, extra_rows=()):
+    lines = Path(snap_path).read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    rows = [line for line in lines if not line.startswith("#")]
+    Path(snap_path).write_text(
+        "\n".join(header + rows[:keep_rows] + list(extra_rows)) + "\n")
+
+
+class TestEstimateInputChecks:
+    def test_finite_time_window_mismatch_code_2(self, tmp_path):
+        # data on [2, 22] us inverted with a [2, 4] us map gave a GHZ
+        # fidelity of order 1e7 and exit 0
+        simulated(tmp_path, rydberg_window_cfg(tmp_path, 22.0))
+        narrow = write_cfg(tmp_path / "narrow.yaml",
+                           rydberg_window_cfg(tmp_path, 4.0))
+        res = estimate_from(narrow, tmp_path / "snaps.txt", "--finite-time")
+        assert res.exit_code == 2
+        assert "t_max=22.0" in res.output and "t_max=4.0" in res.output
+
+    def test_finite_time_matching_window_succeeds(self, tmp_path):
+        p = simulated(tmp_path, rydberg_window_cfg(tmp_path, 22.0))
+        res = estimate_from(p, tmp_path / "snaps.txt", "--finite-time")
+        assert res.exit_code == 0, res.output
+        fidelity, err = (float(x) for x in
+                         res.output.splitlines()[2].split(",")[1:3])
+        assert abs(fidelity - 1.0) < 6 * err
+
+    def test_finite_time_on_phase_data_code_2(self, tmp_path):
+        p = simulated(tmp_path, base_cfg(tmp_path))
+        res = estimate_from(p, tmp_path / "snaps.txt", "--finite-time")
+        assert res.exit_code == 2
+        assert "uniform-window" in res.output
+
+    def test_incomplete_model_code_3(self, tmp_path):
+        cfg = base_cfg(tmp_path, model={"kind": "single-qubit-theta",
+                                        "theta": 0.0},
+                       state={"kind": "random-pure", "n": 1, "seed": 1},
+                       estimators={"observables": [{"kind": "pauli",
+                                                    "labels": "X"}]})
+        p = write_cfg(tmp_path / "cfg.yaml", cfg)
+        res = CliRunner().invoke(main, ["simulate", "--config", p,
+                                        "--allow-incomplete"])
+        assert res.exit_code == 0, res.output
+        res = estimate_from(p, tmp_path / "snaps.txt")
+        assert res.exit_code == 3
+        assert "not invertible" in res.output
+
+    def test_truncated_file_code_2(self, tmp_path):
+        p = simulated(tmp_path, base_cfg(tmp_path, shots=2000))
+        rewrite_rows(tmp_path / "snaps.txt", 15)
+        res = estimate_from(p, tmp_path / "snaps.txt")
+        assert res.exit_code == 2
+        assert "shots=2000" in res.output and "15 rows" in res.output
+        assert len(res.output.strip().splitlines()) == 1
+
+    def test_out_of_range_bitstring_code_2(self, tmp_path):
+        cfg = rydberg_window_cfg(tmp_path, 22.0)
+        p = simulated(tmp_path, dict(cfg, shots=20))
+        rewrite_rows(tmp_path / "snaps.txt", 19, ["t_us=3.0 b=99"])
+        res = estimate_from(p, tmp_path / "snaps.txt")
+        assert res.exit_code == 2
+        assert "exceeds Hilbert-space dimension" in res.output
+        assert len(res.output.strip().splitlines()) == 1
+
+    def test_row_without_outcome_code_2(self, tmp_path):
+        p = simulated(tmp_path, base_cfg(tmp_path, shots=20))
+        rewrite_rows(tmp_path / "snaps.txt", 19, ["t_us=3.0"])
+        res = estimate_from(p, tmp_path / "snaps.txt")
+        assert res.exit_code == 2
+        # five header lines, then the 20th row
+        assert "line 25" in res.output
+        assert len(res.output.strip().splitlines()) == 1
+
+
 class TestVarianceCommand:
     def test_reports_columns(self, tmp_path):
         cfg = base_cfg(tmp_path)

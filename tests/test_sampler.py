@@ -5,8 +5,10 @@ from scipy.stats import chisquare
 from hamshadow.models import gue_hamiltonian
 from hamshadow.qmatrix import hermitian_spectral, tensor_product
 from hamshadow.sampler import (
+    CHUNK_ENTRIES,
     SnapshotSet,
     TimeModel,
+    _factor_state,
     born_probabilities,
     load_snapshots,
     run_batch,
@@ -19,11 +21,24 @@ from hamshadow.sampler import (
 from hamshadow.shadowmap import hamiltonian_fingerprint
 
 
-def random_density(d, seed=0):
+def random_density(d, seed=0, rank=None):
     g = np.random.default_rng(seed)
-    a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+    a = g.normal(size=(d, rank or d)) + 1j * g.normal(size=(d, rank or d))
     m = a @ a.conj().T
     return m / np.trace(m)
+
+
+def einsum_born(h, rho_h, phases):
+    """Per-row reference: the quadratic form of rho_H, clipped and normalised."""
+    amps = h.eigenbasis * np.exp(1j * phases)
+    p = np.einsum("bm,mn,bn->b", amps, rho_h, amps.conj()).real
+    p = np.clip(p, 0.0, None)
+    return p / p.sum()
+
+
+def shots(snaps):
+    return [(s.bitstring, s.time, None if s.phases is None else tuple(s.phases))
+            for s in snaps.snapshots]
 
 
 class TestSubstream:
@@ -134,6 +149,58 @@ class TestSampling:
         with pytest.raises(ValueError, match="corrupted"):
             born_probabilities(h, np.diag([0.7, 0.7]).astype(complex),
                                np.zeros(2))
+        with pytest.raises(ValueError, match="corrupted"):
+            # rank 0 after factoring: no eigenpair survives
+            born_probabilities(h, np.zeros((2, 2)), np.zeros(2))
+
+    def test_non_hermitian_state_rejected(self):
+        h = gue_hamiltonian(2, 18)
+        rho = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            born_probabilities(h, rho, np.zeros(2))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            run_batch(h, rho, TimeModel("ideal-rdu"), 3, seed=1)
+
+    @pytest.mark.parametrize("rank", [1, 2, 8])
+    def test_batched_born_matches_einsum(self, rank):
+        h = gue_hamiltonian(8, 50)
+        v = h.eigenbasis
+        rho_h = v.conj().T @ random_density(8, 51, rank) @ v
+        assert len(_factor_state(rho_h)[0]) == rank
+        phases = np.random.default_rng(52).uniform(0, 2 * np.pi, size=(40, 8))
+        batch = born_probabilities(h, rho_h, phases)
+        assert batch.shape == (40, 8)
+        for phi, p in zip(phases, batch):
+            np.testing.assert_allclose(p, einsum_born(h, rho_h, phi),
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(born_probabilities(h, rho_h, phases[3]),
+                                      born_probabilities(h, rho_h, phases[3:4])[0])
+
+    def test_prefix_property_across_chunks(self):
+        # a full-rank d = 16 state puts 64 shots in each chunk, so 100 and
+        # 150 shots end in different chunks
+        assert CHUNK_ENTRIES // (16 * 16) == 64
+        h = gue_hamiltonian(16, 53)
+        rho = random_density(16, 54)
+        for tm in (TimeModel("ideal-rdu"),
+                   TimeModel("uniform-window", t_min=0.0, t_max=4.0)):
+            long = run_batch(h, rho, tm, 150, seed=55)
+            short = run_batch(h, rho, tm, 100, seed=55)
+            assert shots(long)[:100] == shots(short)
+
+    def test_sample_snapshot_is_batch_shot(self):
+        h = gue_hamiltonian(8, 56)
+        rho = random_density(8, 57, 3)
+        for tm in (TimeModel("design", k=2),
+                   TimeModel("uniform-window", t_min=1.0, t_max=2.0)):
+            batch = run_batch(h, rho, tm, 70, seed=58)
+            for i in (0, 33, 69):
+                s = sample_snapshot(h, rho, tm, substream(58, i))
+                assert s.bitstring == batch.snapshots[i].bitstring
+                assert s.time == batch.snapshots[i].time
+                if s.phases is not None:
+                    np.testing.assert_array_equal(s.phases,
+                                                  batch.snapshots[i].phases)
 
 
 class TestLocalSampling:
@@ -203,6 +270,21 @@ class TestSerialization:
         loaded = load_snapshots(p)
         for a, b in zip(loaded.snapshots, snaps.snapshots):
             np.testing.assert_allclose(a.phases, b.phases)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("# shots=10", "# shots=11", "shots=11 but the file holds 10 rows"),
+        ("b=", "c=", "line 6: malformed snapshot row"),
+        ("# time_model=ideal-rdu", "# time_model=uniform-window t_min=1.0",
+         "bad time_model header"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, old, new, message):
+        h = gue_hamiltonian(2, 33)
+        snaps = run_batch(h, np.eye(2) / 2, TimeModel("ideal-rdu"), 10, seed=34)
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, snaps)
+        p.write_text(p.read_text().replace(old, new, 1))
+        with pytest.raises(ValueError, match=message):
+            load_snapshots(p)
 
     def test_manifest_contents(self, tmp_path):
         h = gue_hamiltonian(2, 35)
