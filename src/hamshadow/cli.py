@@ -1,7 +1,8 @@
 """Config-driven experiment runner and figure-reproduction harness.
 
 All commands are deterministic under a fixed seed and config. Exit codes:
-0 success, 2 config error, 3 completeness abort, 4 fingerprint mismatch.
+0 success, 2 config error, 3 completeness abort (an incomplete model or a
+singular finite-time window), 4 fingerprint mismatch.
 """
 
 from __future__ import annotations
@@ -277,9 +278,11 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
     if finite_time:
         try:
             tm = _snapshot_window(cfg, snaps.time_model)
+            inv = build_inverter(h, mode="finite-time", t_min=tm.t_min, t_max=tm.t_max)
         except ConfigError as e:
             _fail(EXIT_CONFIG, f"config error: {e}")
-        inv = build_inverter(h, mode="finite-time", t_min=tm.t_min, t_max=tm.t_max)
+        except np.linalg.LinAlgError as e:
+            _fail(EXIT_INCOMPLETE, str(e))
     else:
         inv = build_inverter(h)
     rows = []
@@ -458,36 +461,34 @@ def _rydberg_setup(n, seed):
     return models.rydberg_hamiltonian(models.RydbergParams(pos))
 
 
-@_figure("fig4b")
-def _repro_fig4b(seed):
-    """Rydberg GHZ fidelity vs time-window length, corrected inversion."""
+def _window_sweep(seed, rho, o, header):
+    """Estimate vs time-window length on a 4-atom chain, corrected inversion."""
     h = _rydberg_setup(4, seed)
-    rho = models.ghz_state(4)
-    o = Observable(rho, name="fidelity")
     rows = []
     for dt in [2.0, 5.0, 10.0, 20.0]:
         tm = TimeModel("uniform-window", t_min=2.0, t_max=2.0 + dt)
-        snaps = run_batch(h, rho, tm, 4000, seed)
-        inv = build_inverter(h, mode="finite-time", t_min=tm.t_min, t_max=tm.t_max)
-        rep = estimate_linear(inv, snaps, o)
+        try:
+            inv = build_inverter(h, mode="finite-time", t_min=2.0, t_max=2.0 + dt)
+        except np.linalg.LinAlgError:  # numerically singular window
+            rows.append((dt, float("nan"), float("nan")))
+            continue
+        rep = estimate_linear(inv, run_batch(h, rho, tm, 4000, seed), o)
         rows.append((dt, rep.value, rep.std_error))
-    return "window_dt_us,fidelity,std_error", rows
+    return f"window_dt_us,{header},std_error", rows
+
+
+@_figure("fig4b")
+def _repro_fig4b(seed):
+    """Rydberg GHZ fidelity vs time-window length, corrected inversion."""
+    rho = models.ghz_state(4)
+    return _window_sweep(seed, rho, Observable(rho, name="fidelity"), "fidelity")
 
 
 @_figure("fig4c")
 def _repro_fig4c(seed):
     """Rydberg cluster-state stabilizer expectation vs window length."""
-    h = _rydberg_setup(4, seed)
-    rho = models.cluster_state(4)
     o = Observable(models.pauli_tensor("ZXZI"), name="ZXZI")
-    rows = []
-    for dt in [2.0, 5.0, 10.0, 20.0]:
-        tm = TimeModel("uniform-window", t_min=2.0, t_max=2.0 + dt)
-        snaps = run_batch(h, rho, tm, 4000, seed)
-        inv = build_inverter(h, mode="finite-time", t_min=tm.t_min, t_max=tm.t_max)
-        rep = estimate_linear(inv, snaps, o)
-        rows.append((dt, rep.value, rep.std_error))
-    return "window_dt_us,stabilizer,std_error", rows
+    return _window_sweep(seed, models.cluster_state(4), o, "stabilizer")
 
 
 @_figure("fig4d")
@@ -617,10 +618,9 @@ def _repro_fig13(seed):
 @main.command()
 @click.option("--figure", "figure_key", required=True,
               type=click.Choice(sorted(FIGURES)))
-@click.option("--scale", type=click.Choice(["desk"]), default="desk")
 @click.option("--seed", type=int, default=7)
 @click.option("--out", "out_path", default=None, type=click.Path())
-def reproduce(figure_key, scale, seed, out_path):
+def reproduce(figure_key, seed, out_path):
     """Emit the desk-scale data series behind a benchmark figure."""
     header, rows = FIGURES[figure_key](seed)
     _write_series(out_path, figure_key, seed, header, rows)

@@ -20,8 +20,8 @@ from .sampler import _born_rows, _factor_state, born_probabilities, substream
 from .shadowmap import (
     ShadowInverter,
     Snapshot,
-    ZERO_OFFDIAG_TOL,
     apply_n_inverse,
+    apply_n_inverse_adjoint,
     snapshot_phases,
 )
 
@@ -77,24 +77,10 @@ def transformed_observable(inv: ShadowInverter, o: Observable) -> np.ndarray:
     """O-tilde with Tr(O-tilde sigma-hat) equal to the per-snapshot estimate.
 
     Applies the adjoint of the inverse map to the eigenframe observable.
-    The ideal and pseudo-inverse maps are self-adjoint, so this is a
-    direct application; the finite-time map uses its explicit adjoint.
     """
     if o.copies != 1:
         raise ValueError("transformed_observable expects a one-copy observable")
-    a = _eigenframe_observable(inv, o)
-    if inv.mode == "pseudo-inverse":
-        if np.max(np.abs(np.diag(a))) > HERMITIAN_TOL:
-            raise ValueError(
-                "pseudo-inverse mode supports only observables with zero "
-                "diagonal in the eigenbasis frame")
-        return apply_n_inverse(inv, a)
-    if inv.mode == "finite-time":
-        d = inv.dim
-        b = (a.T.reshape(-1) @ inv.finite.inverse_superoperator).reshape(d, d)
-        return b.T
-    inv.require_complete()
-    return apply_n_inverse(inv, a)
+    return apply_n_inverse_adjoint(inv, _eigenframe_observable(inv, o))
 
 
 def snapshot_amplitudes(inv: ShadowInverter, snapshots) -> np.ndarray:
@@ -125,18 +111,10 @@ def _inverted_sigmas(inv: ShadowInverter, z: np.ndarray) -> np.ndarray:
     """Stack of inverse-mapped single-snapshot matrices, eigenframe."""
     d = inv.dim
     sig = z.conj()[:, :, None] * z[:, None, :]
-    if inv.mode == "finite-time":
-        flat = sig.reshape(len(z), d * d) @ inv.finite.inverse_superoperator.T
-        return flat.reshape(len(z), d, d)
-    if inv.mode == "pseudo-inverse":
-        safe = np.where(np.abs(inv.x_h) >= ZERO_OFFDIAG_TOL, inv.x_h, np.inf)
-        out = sig / safe[None, :, :]
-        out[:, np.arange(d), np.arange(d)] = 0.0
-        return out
-    inv.require_complete()
-    out = sig / inv.x_h[None, :, :]
-    out[:, np.arange(d), np.arange(d)] = (np.abs(z) ** 2) @ inv.x_h_inverse.T
-    return out
+    # |z|^2, not Re(conj(z) z), which differs in the last bit: the golden
+    # files pin the ideal-mode estimates computed from |z|^2
+    sig[:, np.arange(d), np.arange(d)] = np.abs(z) ** 2
+    return apply_n_inverse(inv, sig)
 
 
 def snapshot_states(inv: ShadowInverter, snapshots) -> np.ndarray:

@@ -20,6 +20,7 @@ from .rdu import DegeneracySpec
 
 SINGULAR_CONDITION = 1e12
 ZERO_OFFDIAG_TOL = 1e-12
+ZERO_DIAG_TOL = 1e-10
 ENERGY_RESOLUTION = 1e-9
 
 
@@ -185,16 +186,41 @@ def build_inverter(h: SpectralHamiltonian, mode: str = "ideal",
     return ShadowInverter(h, v_sq, x_h, x_inv, diagnosis, mode, window, finite)
 
 
+def _apply_to_diagonal(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Real x applied to the diagonal of sigma or of each matrix of a stack."""
+    diag = np.diagonal(sigma, axis1=-2, axis2=-1)
+    if diag.ndim == 1:
+        return x @ diag
+    # real and imaginary parts in separate real products: a real diagonal
+    # then gives the bits of one real GEMM
+    flat = diag.reshape(-1, diag.shape[-1])
+    return (flat.real @ x.T + 1j * (flat.imag @ x.T)).reshape(diag.shape)
+
+
+def _apply_superoperator(g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """g acting on vec(sigma) for one matrix or for each matrix of a stack."""
+    if sigma.ndim == 2:
+        return (g @ sigma.reshape(-1)).reshape(sigma.shape)
+    return (sigma.reshape(-1, len(g)) @ g.T).reshape(sigma.shape)
+
+
 def apply_n(inv: ShadowInverter, sigma) -> np.ndarray:
-    """Forward rotated-frame map N (ideal-phase closed form)."""
+    """Forward rotated-frame map N on one d x d matrix or a (..., d, d) stack.
+
+    The window-corrected superoperator in finite-time mode, otherwise the
+    ideal-phase closed form.
+    """
     sigma = as_complex(sigma)
+    if inv.mode == "finite-time":
+        return _apply_superoperator(inv.finite.superoperator, sigma)
+    i = np.arange(inv.dim)
     out = inv.x_h * sigma
-    np.fill_diagonal(out, inv.x_h @ np.diag(sigma))
+    out[..., i, i] = _apply_to_diagonal(inv.x_h, sigma)
     return out
 
 
 def apply_n_inverse(inv: ShadowInverter, sigma) -> np.ndarray:
-    """Inverse rotated-frame map according to the inverter mode.
+    """Inverse rotated-frame map on one d x d matrix or a (..., d, d) stack.
 
     Ideal mode: diagonal output (X_H^-1 applied to the input diagonal),
     off-diagonal elements divided by the matching X_H entry. Pseudo-inverse
@@ -203,47 +229,46 @@ def apply_n_inverse(inv: ShadowInverter, sigma) -> np.ndarray:
     """
     sigma = as_complex(sigma)
     if inv.mode == "finite-time":
-        d = inv.dim
-        return (inv.finite.inverse_superoperator @ sigma.reshape(-1)).reshape(d, d)
+        return _apply_superoperator(inv.finite.inverse_superoperator, sigma)
+    i = np.arange(inv.dim)
     if inv.mode == "pseudo-inverse":
         safe = np.where(np.abs(inv.x_h) >= ZERO_OFFDIAG_TOL, inv.x_h, np.inf)
         out = sigma / safe
-        np.fill_diagonal(out, 0.0)
+        out[..., i, i] = 0.0
         return out
     inv.require_complete()
     out = sigma / inv.x_h
-    np.fill_diagonal(out, inv.x_h_inverse @ np.diag(sigma))
+    out[..., i, i] = _apply_to_diagonal(inv.x_h_inverse, sigma)
     return out
 
 
-def forward_superoperator(inv: ShadowInverter) -> np.ndarray:
-    """Dense d^2 x d^2 matrix of the forward map N on vec(sigma)."""
+def apply_n_inverse_adjoint(inv: ShadowInverter, a) -> np.ndarray:
+    """A-tilde with Tr(A-tilde sigma) = Tr(A N^-1(sigma)) for every sigma.
+
+    The ideal and pseudo-inverse maps are self-adjoint under this pairing;
+    the finite-time map uses its explicit adjoint. The pseudo-inverse drops
+    the diagonal, so there A must have a zero diagonal.
+    """
+    a = as_complex(a)
     if inv.mode == "finite-time":
-        return inv.finite.superoperator
-    d = inv.dim
-    g = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            row = m * d + n
-            if m == n:
-                for p in range(d):
-                    g[row, p * d + p] = inv.x_h[m, p]
-            else:
-                g[row, row] = inv.x_h[m, n]
-    return g
+        return (a.T.reshape(-1) @ inv.finite.inverse_superoperator).reshape(a.shape).T
+    if inv.mode == "pseudo-inverse" and np.max(np.abs(np.diag(a))) > ZERO_DIAG_TOL:
+        raise ValueError(
+            "pseudo-inverse mode supports only observables with zero "
+            "diagonal in the eigenbasis frame")
+    return apply_n_inverse(inv, a)
+
+
+def forward_superoperator(inv: ShadowInverter) -> np.ndarray:
+    """Dense d^2 x d^2 matrix of apply_n on vec(sigma)."""
+    units = np.eye(inv.dim**2, dtype=complex).reshape(-1, inv.dim, inv.dim)
+    return apply_n(inv, units).reshape(len(units), -1).T
 
 
 def inverse_superoperator(inv: ShadowInverter) -> np.ndarray:
-    """Dense matrix of apply_n_inverse on vec(sigma)."""
-    d = inv.dim
-    g = np.zeros((d * d, d * d), dtype=complex)
-    eye = np.eye(d)
-    for p in range(d):
-        for q in range(d):
-            col = p * d + q
-            basis = np.outer(eye[:, p], eye[q, :]).astype(complex)
-            g[:, col] = apply_n_inverse(inv, basis).reshape(-1)
-    return g
+    """Dense d^2 x d^2 matrix of apply_n_inverse on vec(sigma)."""
+    units = np.eye(inv.dim**2, dtype=complex).reshape(-1, inv.dim, inv.dim)
+    return apply_n_inverse(inv, units).reshape(len(units), -1).T
 
 
 def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
@@ -341,9 +366,4 @@ def shadow_map_forward(inv: ShadowInverter, rho) -> np.ndarray:
     rho = as_complex(rho)
     v = inv.hamiltonian.eigenbasis
     rho_h = v.conj().T @ rho @ v
-    if inv.mode == "finite-time":
-        d = inv.dim
-        n_rho = (inv.finite.superoperator @ rho_h.reshape(-1)).reshape(d, d)
-    else:
-        n_rho = apply_n(inv, rho_h)
-    return v @ n_rho @ v.conj().T
+    return v @ apply_n(inv, rho_h) @ v.conj().T

@@ -191,6 +191,17 @@ class TestEstimateInputChecks:
                          res.output.splitlines()[2].split(",")[1:3])
         assert abs(fidelity - 1.0) < 6 * err
 
+    def test_singular_window_code_3(self, tmp_path):
+        # the [2, 4] us map of the seed-7 chain has cond ~ 1e16; inverting
+        # it ended in a LinAlgError traceback
+        cfg = rydberg_window_cfg(tmp_path, 4.0)
+        p = simulated(tmp_path, dict(cfg, shots=200,
+                                     model=dict(cfg["model"], seed=7)))
+        res = estimate_from(p, tmp_path / "snaps.txt", "--finite-time")
+        assert res.exit_code == 3
+        assert "numerically singular (cond=" in res.output
+        assert len(res.output.strip().splitlines()) == 1
+
     def test_finite_time_on_phase_data_code_2(self, tmp_path):
         p = simulated(tmp_path, base_cfg(tmp_path))
         res = estimate_from(p, tmp_path / "snaps.txt", "--finite-time")
@@ -330,6 +341,19 @@ class TestReproduce:
         # finite variances next to an incomplete angle dwarf the mid-sweep ones
         mid = var[complete == 1]
         assert np.nanmax(mid) > 10 * np.nanmin(mid)
+
+    @pytest.mark.parametrize("figure", ["fig4b", "fig4c"])
+    def test_singular_window_gives_nan_row(self, tmp_path, figure):
+        # the first window of the seed-7 chain is singular; the sweep used
+        # to end in a LinAlgError traceback
+        out = tmp_path / f"{figure}.csv"
+        res = CliRunner().invoke(main, ["reproduce", "--figure", figure,
+                                        "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert rows[0] == ["2.0", "nan", "nan"]
+        assert [r[0] for r in rows] == ["2.0", "5.0", "10.0", "20.0"]
+        assert all(np.isfinite(float(x)) for r in rows[1:] for x in r)
 
     @pytest.mark.parametrize("figure", ["fig3a", "fig3b", "fig10"])
     def test_variance_series_match_reference(self, tmp_path, figure):

@@ -71,6 +71,27 @@ class TestLinear:
         slow = np.einsum("kmn,nm->k", rhos, o.matrix).real
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
+    @pytest.mark.parametrize("mode", ["finite-time", "pseudo-inverse"])
+    def test_fast_path_equals_explicit_states_in_mode(self, mode):
+        from hamshadow.shadowmap import build_inverter
+        if mode == "finite-time":
+            h = gue_hamiltonian(4, 1)
+            inv = build_inverter(h, mode=mode, t_min=0.0, t_max=5.0)
+            tm = TimeModel("uniform-window", t_min=0.0, t_max=5.0)
+            o = Observable(random_hermitian(4, 9))
+        else:
+            v = hadamard_basis(2)
+            h = hamiltonian_from_unitary(v)
+            inv = build_inverter(h, mode=mode)
+            tm = TimeModel("ideal-rdu")
+            # zero diagonal in the eigenframe, as the pseudo-inverse needs
+            o = Observable(v @ pauli_tensor("XY") @ v.conj().T)
+        snaps = run_batch(h, random_pure_state(4, 2), tm, 400, 3)
+        fast = snapshot_values(inv, snaps.snapshots, o)
+        rhos = snapshot_states(inv, snaps.snapshots)
+        slow = np.einsum("kmn,nm->k", rhos, o.matrix).real
+        np.testing.assert_allclose(fast, slow, atol=1e-10)
+
     def test_linearity_per_snapshot(self):
         _, inv, _, snaps = make_setup()
         o1 = Observable(random_hermitian(4, 10))

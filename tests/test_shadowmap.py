@@ -165,6 +165,55 @@ class TestFiniteTimeMap:
             finite_time_choi(h, 0.0, 10.0)
 
 
+MODES = ["ideal", "finite-time", "pseudo-inverse"]
+
+
+def inverter_in_mode(mode):
+    """A d = 4 inverter; the pseudo-inverse on the flat Hadamard basis."""
+    if mode == "pseudo-inverse":
+        return build_inverter(hamiltonian_from_unitary(hadamard_basis(2)),
+                              mode=mode)
+    if mode == "finite-time":
+        return build_inverter(gue_hamiltonian(4, 11), mode=mode,
+                              t_min=0.0, t_max=5.0)
+    return build_inverter(gue_hamiltonian(4, 11))
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("apply", [apply_n, apply_n_inverse])
+    def test_stack_equals_per_matrix(self, mode, apply):
+        inv = inverter_in_mode(mode)
+        g = np.random.default_rng(31)
+        stack = g.normal(size=(2, 3, 4, 4)) + 1j * g.normal(size=(2, 3, 4, 4))
+        before = stack.copy()
+        out = apply(inv, stack)
+        per = np.array([[apply(inv, s) for s in row] for row in stack])
+        np.testing.assert_array_equal(stack, before)
+        assert out.shape == stack.shape
+        # summed entries (the ideal diagonal, all of the finite-time map)
+        # take one GEMM for a stack and GEMV for one matrix, so they may
+        # differ in the last bits; elementwise entries agree exactly
+        np.testing.assert_allclose(out, per, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(per)))
+        if mode != "finite-time":
+            off = ~np.eye(4, dtype=bool)
+            np.testing.assert_array_equal(out[..., off], per[..., off])
+
+    @pytest.mark.parametrize("mode", ["finite-time", "pseudo-inverse"])
+    def test_inverse_superoperator_undoes_forward(self, mode):
+        inv = inverter_in_mode(mode)
+        # the pseudo-inverse recovers the off-diagonal elements only
+        keep = np.ones((4, 4)) if mode == "finite-time" else 1 - np.eye(4)
+        sup = inverse_superoperator(inv) @ forward_superoperator(inv)
+        np.testing.assert_allclose(sup, np.diag(keep.reshape(-1)), atol=1e-9)
+
+    def test_finite_time_forward_is_the_window_superoperator(self):
+        inv = inverter_in_mode("finite-time")
+        np.testing.assert_array_equal(forward_superoperator(inv),
+                                      inv.finite.superoperator)
+
+
 class TestPseudoInverse:
     def test_offdiagonals_recovered_diagonal_dropped(self):
         inv = build_inverter(hamiltonian_from_unitary(hadamard_basis(2)),
