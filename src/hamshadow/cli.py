@@ -20,6 +20,10 @@ from .estimators import (
     Observable,
     estimate_linear,
     estimate_nonlinear,
+    estimate_purity,
+    median_of_means,
+    snapshot_states,
+    snapshot_values,
     wrong_postprocessing_values,
 )
 from .qmatrix import SpectralHamiltonian, evolve, partial_trace, swap_operator
@@ -89,7 +93,9 @@ def load_config(path) -> dict:
 
 
 def config_digest(cfg: dict) -> str:
-    blob = yaml.safe_dump(cfg, sort_keys=True).encode()
+    """Digest of the experiment a config describes; output paths left out."""
+    exp = {key: val for key, val in cfg.items() if key != "output"}
+    blob = yaml.safe_dump(exp, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -290,7 +296,6 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
         for o in obs:
             if wrong_postprocessing and o.copies == 1:
                 vals = wrong_postprocessing_values(inv, snaps, o)
-                from .estimators import median_of_means
                 rep = median_of_means(vals, batches)
                 name = o.name + "(wrong-postprocessing)"
             elif o.copies == 2:
@@ -304,7 +309,8 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
         _fail(EXIT_INCOMPLETE, str(e))
     except ValueError as e:
         _fail(EXIT_CONFIG, f"snapshot error: {e}")
-    text = (f"# seed={snaps.seed} config_digest={config_digest(cfg)}\n"
+    text = (f"# hamshadow estimates v2 seed={snaps.seed} "
+            f"config_digest={config_digest(cfg)}\n"
             + CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     if out_path:
         with open(out_path, "w") as f:
@@ -515,8 +521,7 @@ def _repro_fig4d(seed):
         true_purity = float(np.trace(reduced @ reduced).real)
         tm = TimeModel("ideal-rdu")
         snaps = run_batch(h3, reduced, tm, 20000, seed + i)
-        rep = estimate_nonlinear(
-            inv3, snaps, Observable(swap_operator(8), copies=2, name="SWAP"))
+        rep = estimate_purity(inv3, snaps)
         rows.append((t, rep.value, rep.std_error, true_purity))
     return "t_us,purity,std_error,purity_true", rows
 
@@ -530,7 +535,6 @@ def _repro_fig6(seed):
     tm = TimeModel("ideal-rdu")
     snaps = run_batch(h, rho, tm, 10000, seed)
     inv = build_inverter(h)
-    from .estimators import snapshot_values
     good = snapshot_values(inv, snaps.snapshots, o)
     bad = wrong_postprocessing_values(inv, snaps, o)
     rows = []
@@ -587,7 +591,6 @@ def _repro_fig12(seed):
         o_rot = Observable(v @ o @ v.conj().T, name="X" * n)
         tm = TimeModel("ideal-rdu")
         snaps = run_batch(h, rho_rot, tm, 5000, seed + n)
-        from .estimators import snapshot_values
         vals = snapshot_values(inv, snaps.snapshots, o_rot)
         bound = 3 * float(np.trace(o @ o).real)
         rows.append((n, empirical_variance(vals), bound))
@@ -607,7 +610,6 @@ def _repro_fig13(seed):
         rho = models.random_pure_state(d, seed + n)
         tm = TimeModel("ideal-rdu")
         snaps = run_batch(h, rho, tm, 2000, seed + n)
-        from .estimators import snapshot_states
         rhos = snapshot_states(inv, snaps.snapshots)
         half = len(rhos) // 2
         pair_vals = np.einsum("kmn,knm->k", rhos[:half], rhos[half:2 * half]).real

@@ -2,14 +2,15 @@
 
 Linear functionals use the fast path: per snapshot, the estimate is a
 quadratic form of the measured eigenbasis row, with the observable
-pre-transformed once through the inverse map. Nonlinear (two-copy)
-functionals use symmetric U-statistics with delete-one jackknife errors.
+pre-transformed once through the inverse map. Purity, the one two-copy
+functional, uses the pair U-statistic with a delete-one jackknife error.
 A Haar-unitary global-shadow baseline and the biased wrong-inversion
 variant are provided for comparison runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,27 +27,35 @@ from .shadowmap import (
 )
 
 HERMITIAN_TOL = 1e-10
+BLOCK_ENTRIES = 2**16  # complex entries per rho-hat block in estimate_nonlinear
+
+
+def _is_swap(m: np.ndarray) -> bool:
+    """m is exactly the SWAP of two copies, checked without a second d^4 array."""
+    d = math.isqrt(m.shape[0])
+    i, j = np.indices((d, d))
+    return (m.shape == (d * d, d * d) and np.count_nonzero(m) == d * d
+            and bool(np.all(m.reshape(d, d, d, d)[i, j, j, i] == 1)))
 
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian observable on one or two copies of the system."""
+    """Hermitian observable on one copy, or SWAP on two (the purity)."""
 
     matrix: np.ndarray
     copies: int = 1
     name: str = "O"
-    patch_support: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_complex(self.matrix))
         if self.copies not in (1, 2):
             raise ValueError("copies must be 1 or 2")
-        if not is_hermitian(self.matrix, HERMITIAN_TOL):
+        if self.copies == 2:
+            if not _is_swap(self.matrix):
+                raise ValueError(f"two-copy observable {self.name} is not the "
+                                 "SWAP of two copies, the only one supported")
+        elif not is_hermitian(self.matrix, HERMITIAN_TOL):
             raise ValueError(f"observable {self.name} is not Hermitian within 1e-10")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -156,11 +165,12 @@ def estimate_linear(inv: ShadowInverter, snaps, o: Observable,
 
 
 def estimate_nonlinear(inv: ShadowInverter, snaps, o: Observable) -> EstimateReport:
-    """Unbiased two-copy estimate via the symmetric pair U-statistic.
+    """Unbiased purity estimate via the symmetric pair U-statistic.
 
-    For O = SWAP the pair term reduces to Tr(rho-hat_i rho-hat_j) and the
-    whole sum is evaluated from running totals in O(K d^2). Standard error
-    is the delete-one jackknife.
+    o is SWAP, so the pair term is Tr(rho-hat_i rho-hat_j), and the sum
+    follows from S = sum_k rho-hat_k, Tr(rho-hat_k^2) and Tr(rho-hat_k S),
+    the last by the linear fast path. rho-hat is built in blocks of
+    BLOCK_ENTRIES entries. Standard error is the delete-one jackknife.
     """
     snapshots = _as_snapshot_list(snaps)
     k = len(snapshots)
@@ -173,29 +183,21 @@ def estimate_nonlinear(inv: ShadowInverter, snaps, o: Observable) -> EstimateRep
     if o.matrix.shape != (d * d, d * d):
         raise ValueError("two-copy observable dimension mismatch")
     z = snapshot_amplitudes(inv, snapshots)
-    rhos = _inverted_sigmas(inv, z)  # eigenframe copies of rho-hat
-    s = rhos.sum(axis=0)
-    if np.allclose(o.matrix, swap_operator(d), atol=1e-12):
-        diag = np.einsum("kmn,knm->k", rhos, rhos)
-        cross = np.einsum("kmn,nm->k", rhos, s)
-        full = np.trace(s @ s)
-        cross2 = cross
-    else:
-        v = inv.hamiltonian.eigenbasis
-        w2 = np.kron(v, v)
-        o4 = (w2.conj().T @ o.matrix @ w2).reshape(d, d, d, d)
-        full = np.einsum("mpnq,nm,qp->", o4, s, s)
-        diag = np.einsum("mpnq,knm,kqp->k", o4, rhos, rhos)
-        t1 = np.einsum("mpnq,qp->mn", o4, s)
-        t2 = np.einsum("mpnq,nm->pq", o4, s)
-        cross = np.einsum("mn,knm->k", t1, rhos)
-        cross2 = np.einsum("pq,kqp->k", t2, rhos)
+    s = np.zeros((d, d), dtype=complex)  # eigenframe sum of rho-hat
+    diag = np.empty(k, dtype=complex)
+    rows = max(1, BLOCK_ENTRIES // d**2)
+    for start in range(0, k, rows):
+        rhos = _inverted_sigmas(inv, z[start:start + rows])
+        s += rhos.sum(axis=0)
+        diag[start:start + rows] = np.einsum("kmn,knm->k", rhos, rhos)
+    cross = _quadratic_values(z, apply_n_inverse_adjoint(inv, s))
+    full = np.trace(s @ s)
     dsum = diag.sum()
     value = float(((full - dsum) / (k * (k - 1))).real)
     if k == 2:
         return EstimateReport(value, 0.0, k, "u-statistic")
     # delete-one totals recombine from the running sums
-    loo_full = full - cross - cross2 + diag
+    loo_full = full - 2 * cross + diag
     loo = ((loo_full - (dsum - diag)) / ((k - 1) * (k - 2))).real
     se = float(np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2)))
     return EstimateReport(value, se, k, "u-statistic")

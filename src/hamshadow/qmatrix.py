@@ -82,8 +82,10 @@ def partial_trace(m, subsystem_dims, keep) -> np.ndarray:
 
 def swap_operator(d: int) -> np.ndarray:
     """SWAP on two d-dimensional copies: S|ij> = |ji>."""
-    s = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
-    return s.transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    s = np.zeros((d, d, d, d), dtype=complex)
+    i, j = np.indices((d, d))
+    s[i, j, j, i] = 1.0
+    return s.reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import Observable, transformed_observable
-from .qmatrix import as_complex, check_density, swap_operator
+from .qmatrix import check_density
 from .shadowmap import ShadowInverter, ZERO_OFFDIAG_TOL
 
 CONTRACTION_GUARD = 2**24  # limit on d^3 for the dense third-moment pass
@@ -175,10 +175,10 @@ def variance_approx_linear(inv: ShadowInverter, o: Observable,
 
 
 def variance_approx_nonlinear(inv: ShadowInverter, o: Observable) -> float:
-    """Closed-form proxy for two-copy observables.
+    """Closed-form variance proxy for the purity, the one two-copy observable.
 
-    (1/d^2) sum over off-diagonal pairs of |two-copy eigenframe element|^2
-    divided by the product of weights; for O = SWAP this collapses to
+    For O = SWAP the sum over off-diagonal pairs of |two-copy eigenframe
+    element|^2 divided by the product of weights collapses to
     (1/d^2) sum_{i != j} X_ij^{-2}.
     """
     inv.require_complete()
@@ -188,18 +188,7 @@ def variance_approx_nonlinear(inv: ShadowInverter, o: Observable) -> float:
     off = ~np.eye(d, dtype=bool)
     if np.any(np.abs(inv.x_h[off]) < ZERO_OFFDIAG_TOL):
         raise ValueError("zero off-diagonal weight encountered")
-    if np.allclose(o.matrix, swap_operator(d), atol=1e-12):
-        return float(np.sum(1.0 / inv.x_h[off] ** 2)) / d**2
-    v = inv.hamiltonian.eigenbasis
-    w2 = np.kron(v, v)
-    a4 = (w2.conj().T @ o.matrix @ w2).reshape(d, d, d, d)
-    # element <j j'| A |i i'> = a4[j, jp, i, ip]
-    amp = np.abs(a4) ** 2
-    weight = 1.0 / (inv.x_h[:, :, None, None] * inv.x_h[None, None, :, :])
-    # weight indexed [i, j, i', j'], amplitude indexed [j, j', i, i']
-    amp = amp.transpose(2, 0, 3, 1)  # -> [i, j, i', j']
-    mask = off[:, :, None, None] & off[None, None, :, :]
-    return float(np.sum(amp[mask] * weight[mask])) / d**2
+    return float(np.sum(1.0 / inv.x_h[off] ** 2)) / d**2
 
 
 def empirical_variance(per_snapshot_values) -> float:

@@ -67,6 +67,18 @@ class TestSimulate:
         runner.invoke(main, ["simulate", "--config", p, "--seed", "99"])
         assert (tmp_path / "snaps.txt").read_text() != first
 
+    def test_config_digest_ignores_output_directory(self, tmp_path):
+        digests = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            cfg = base_cfg(tmp_path / sub)
+            p = write_cfg(tmp_path / sub / "cfg.yaml", cfg)
+            res = CliRunner().invoke(main, ["simulate", "--config", p])
+            assert res.exit_code == 0, res.output
+            lines = (tmp_path / sub / "manifest.txt").read_text().splitlines()
+            digests += [ln for ln in lines if ln.startswith("config_digest=")]
+        assert len(digests) == 2 and digests[0] == digests[1]
+
     def test_incomplete_model_aborts_with_code_3(self, tmp_path):
         cfg = base_cfg(tmp_path, model={"kind": "single-qubit-theta",
                                         "theta": 0.0},
@@ -99,6 +111,7 @@ class TestEstimate:
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
         lines = out.read_text().splitlines()
+        assert lines[0].startswith("# hamshadow estimates v2 seed=5 config_digest=")
         assert lines[1] == CSV_HEADER
         fields = lines[2].split(",")
         assert fields[0] == "XZ"

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hamshadow import estimators
 from hamshadow.estimators import (
     EstimateReport,
     Observable,
@@ -40,6 +43,27 @@ def make_setup(d=4, hseed=1, rseed=2, shots=400, sseed=3):
     return h, inv, rho, snaps
 
 
+def mode_setup(mode, shots):
+    """Inverter and snapshots of a d = 4 system in one inverter mode."""
+    from hamshadow.shadowmap import build_inverter
+    if mode == "ideal":
+        h = gue_hamiltonian(4, 1)
+        inv = build_inverter(h)
+        tm = TimeModel("ideal-rdu")
+    elif mode == "finite-time":
+        h = gue_hamiltonian(4, 1)
+        inv = build_inverter(h, mode=mode, t_min=0.0, t_max=5.0)
+        tm = TimeModel("uniform-window", t_min=0.0, t_max=5.0)
+    else:
+        h = hamiltonian_from_unitary(hadamard_basis(2))
+        inv = build_inverter(h, mode=mode)
+        tm = TimeModel("ideal-rdu")
+    return inv, run_batch(h, random_pure_state(4, 2), tm, shots, 3)
+
+
+MODES = ["ideal", "finite-time", "pseudo-inverse"]
+
+
 class TestObservableType:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -48,6 +72,15 @@ class TestObservableType:
     def test_rejects_bad_copies(self):
         with pytest.raises(ValueError):
             Observable(np.eye(2), copies=3)
+
+    def test_only_exact_swap_accepted(self):
+        assert Observable(swap_operator(3), copies=2).copies == 2
+        near = swap_operator(3)
+        near[0, 1] = 1e-13
+        with pytest.raises(ValueError):
+            Observable(near, copies=2)
+        with pytest.raises(ValueError):
+            Observable(swap_operator(3)[:8, :8], copies=2)
 
     def test_report_rejects_negative_error(self):
         with pytest.raises(ValueError):
@@ -73,20 +106,13 @@ class TestLinear:
 
     @pytest.mark.parametrize("mode", ["finite-time", "pseudo-inverse"])
     def test_fast_path_equals_explicit_states_in_mode(self, mode):
-        from hamshadow.shadowmap import build_inverter
+        inv, snaps = mode_setup(mode, 400)
         if mode == "finite-time":
-            h = gue_hamiltonian(4, 1)
-            inv = build_inverter(h, mode=mode, t_min=0.0, t_max=5.0)
-            tm = TimeModel("uniform-window", t_min=0.0, t_max=5.0)
             o = Observable(random_hermitian(4, 9))
         else:
             v = hadamard_basis(2)
-            h = hamiltonian_from_unitary(v)
-            inv = build_inverter(h, mode=mode)
-            tm = TimeModel("ideal-rdu")
             # zero diagonal in the eigenframe, as the pseudo-inverse needs
             o = Observable(v @ pauli_tensor("XY") @ v.conj().T)
-        snaps = run_batch(h, random_pure_state(4, 2), tm, 400, 3)
         fast = snapshot_values(inv, snaps.snapshots, o)
         rhos = snapshot_states(inv, snaps.snapshots)
         slow = np.einsum("kmn,nm->k", rhos, o.matrix).real
@@ -195,13 +221,13 @@ class TestMedianOfMeans:
 
 
 class TestNonlinear:
-    def test_identity_two_copy_is_one(self):
-        _, inv, _, snaps = make_setup(shots=50)
-        rep = estimate_nonlinear(inv, snaps, Observable(np.eye(16), copies=2))
-        assert rep.value == pytest.approx(1.0, abs=1e-10)
+    def test_identity_two_copy_refused(self):
+        with pytest.raises(ValueError, match="SWAP"):
+            Observable(np.eye(16), copies=2)
 
-    def test_fast_swap_matches_slow_pair_loop(self):
-        _, inv, _, snaps = make_setup(shots=60)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fast_swap_matches_slow_pair_loop(self, mode):
+        inv, snaps = mode_setup(mode, 60)
         rep = estimate_nonlinear(inv, snaps,
                                  Observable(swap_operator(4), copies=2))
         rhos = snapshot_states(inv, snaps.snapshots)
@@ -210,18 +236,9 @@ class TestNonlinear:
                   for i in range(k) for j in range(k) if i != j)
         assert rep.value == pytest.approx(tot / (k * (k - 1)), abs=1e-10)
 
-    def test_general_two_copy_matches_slow_pair_loop(self):
-        _, inv, _, snaps = make_setup(shots=40)
-        om = random_hermitian(16, 12)
-        rep = estimate_nonlinear(inv, snaps, Observable(om, copies=2))
-        rhos = snapshot_states(inv, snaps.snapshots)
-        k = len(rhos)
-        tot = sum(np.trace(om @ np.kron(rhos[i], rhos[j])).real
-                  for i in range(k) for j in range(k) if i != j)
-        assert rep.value == pytest.approx(tot / (k * (k - 1)), abs=1e-8)
-
-    def test_jackknife_matches_direct_loo(self):
-        _, inv, _, snaps = make_setup(shots=40)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_jackknife_matches_direct_loo(self, mode):
+        inv, snaps = mode_setup(mode, 40)
         rep = estimate_nonlinear(inv, snaps,
                                  Observable(swap_operator(4), copies=2))
         rhos = snapshot_states(inv, snaps.snapshots)
@@ -235,6 +252,30 @@ class TestNonlinear:
         loo = np.array(loo)
         se = np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2))
         assert rep.std_error == pytest.approx(se, rel=1e-8)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_blocks_match_one_block(self, monkeypatch, mode):
+        inv, snaps = mode_setup(mode, 100)
+        o = Observable(swap_operator(4), copies=2)
+        one = estimate_nonlinear(inv, snaps, o)
+        # 16 entries per d = 4 row: 3 rows per block, 34 blocks
+        monkeypatch.setattr(estimators, "BLOCK_ENTRIES", 48)
+        many = estimate_nonlinear(inv, snaps, o)
+        assert many.value == pytest.approx(one.value, rel=1e-12)
+        assert many.std_error == pytest.approx(one.std_error, rel=1e-12)
+
+    def test_memory_bounded_by_block(self):
+        h, inv, rho, _ = make_setup(d=16)
+        snaps = run_batch(h, rho, TimeModel("ideal-rdu"), 8000, 5)
+        o = Observable(swap_operator(16), copies=2)
+        tracemalloc.start()
+        try:
+            estimate_nonlinear(inv, snaps, o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one K x d^2 stack alone would be 8000 * 256 * 16 B = 32.8 MB
+        assert peak < 16e6
 
     def test_order_invariance(self):
         h, inv, rho, snaps = make_setup(shots=30)

@@ -92,6 +92,15 @@ class TestTensorAndTrace:
         assert abs(lhs - rhs) < 1e-12
         np.testing.assert_allclose(s @ s, np.eye(d * d), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_swap_operator_exact_entries(self, d):
+        ref = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                ref[j * d + i, i * d + j] = 1.0  # |ij> -> |ji>
+        s = swap_operator(d)
+        assert s.dtype == ref.dtype and np.array_equal(s, ref)
+
 
 class TestSpectral:
     def test_roundtrip(self):
