@@ -29,14 +29,13 @@ from .shadowmap import (
     CompletenessDiagnosis,
     IncompleteInverterError,
     ShadowInverter,
-    Snapshot,
-    build_estimator,
     build_inverter,
     diagnose_detection,
     hamiltonian_fingerprint,
     shadow_map_forward,
 )
 from .sampler import (
+    Snapshot,
     SnapshotSet,
     TimeModel,
     load_snapshots,
@@ -50,6 +49,7 @@ from .estimators import (
     EstimateReport,
     Observable,
     baseline_global_shadow,
+    build_estimator,
     estimate_linear,
     estimate_nonlinear,
     estimate_purity,

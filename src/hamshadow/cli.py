@@ -535,7 +535,7 @@ def _repro_fig6(seed):
     tm = TimeModel("ideal-rdu")
     snaps = run_batch(h, rho, tm, 10000, seed)
     inv = build_inverter(h)
-    good = snapshot_values(inv, snaps.snapshots, o)
+    good = snapshot_values(inv, snaps, o)
     bad = wrong_postprocessing_values(inv, snaps, o)
     rows = []
     for k in [100, 300, 1000, 3000, 10000]:
@@ -591,7 +591,7 @@ def _repro_fig12(seed):
         o_rot = Observable(v @ o @ v.conj().T, name="X" * n)
         tm = TimeModel("ideal-rdu")
         snaps = run_batch(h, rho_rot, tm, 5000, seed + n)
-        vals = snapshot_values(inv, snaps.snapshots, o_rot)
+        vals = snapshot_values(inv, snaps, o_rot)
         bound = 3 * float(np.trace(o @ o).real)
         rows.append((n, empirical_variance(vals), bound))
     return "n,empirical_variance,bound_3_tr_o2", rows
@@ -610,7 +610,7 @@ def _repro_fig13(seed):
         rho = models.random_pure_state(d, seed + n)
         tm = TimeModel("ideal-rdu")
         snaps = run_batch(h, rho, tm, 2000, seed + n)
-        rhos = snapshot_states(inv, snaps.snapshots)
+        rhos = snapshot_states(inv, snaps)
         half = len(rhos) // 2
         pair_vals = np.einsum("kmn,knm->k", rhos[:half], rhos[half:2 * half]).real
         rows.append((n, approx, empirical_variance(pair_vals)))

@@ -16,18 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import unitary_group
 
-from .qmatrix import as_complex, check_density, is_hermitian, swap_operator
-from .sampler import _born_rows, _factor_state, born_probabilities, substream
-from .shadowmap import (
-    ShadowInverter,
-    Snapshot,
-    apply_n_inverse,
-    apply_n_inverse_adjoint,
-    snapshot_phases,
+from .qmatrix import as_complex, check_density, is_hermitian
+from .sampler import (
+    _born_rows,
+    _factor_state,
+    _snapshot_columns,
+    born_probabilities,
+    substream,
 )
+from .shadowmap import ShadowInverter, apply_n_inverse, apply_n_inverse_adjoint
 
 HERMITIAN_TOL = 1e-10
-BLOCK_ENTRIES = 2**16  # complex entries per rho-hat block in estimate_nonlinear
+BLOCK_ENTRIES = 2**16  # complex entries per rho-hat block of the purity U-statistic
 
 
 def _is_swap(m: np.ndarray) -> bool:
@@ -92,16 +92,20 @@ def transformed_observable(inv: ShadowInverter, o: Observable) -> np.ndarray:
     return apply_n_inverse_adjoint(inv, _eigenframe_observable(inv, o))
 
 
-def snapshot_amplitudes(inv: ShadowInverter, snapshots) -> np.ndarray:
-    """Matrix Z with row k = V[b_k, :] * exp(i phi_k), shape (K, d)."""
+def snapshot_amplitudes(inv: ShadowInverter, snaps) -> np.ndarray:
+    """Matrix Z with row k = V[b_k, :] * exp(i phi_k), shape (K, d), of a
+    SnapshotSet or a sequence of Snapshot rows; a time t gives phi = -E t."""
     h = inv.hamiltonian
-    v = h.eigenbasis
-    z = np.empty((len(snapshots), h.dim), dtype=complex)
-    for k, s in enumerate(snapshots):
-        if s.bitstring >= h.dim:
-            raise ValueError("bitstring exceeds Hilbert-space dimension")
-        z[k] = v[s.bitstring, :] * np.exp(1j * snapshot_phases(h, s))
-    return z
+    bits, times, phases = _snapshot_columns(snaps)
+    if bits.size and bits.max() >= h.dim:
+        raise ValueError("bitstring exceeds Hilbert-space dimension")
+    if times is not None:
+        phases = -np.outer(times, h.energies)
+    elif phases.shape[1] != h.dim:
+        raise ValueError("phase vector length does not match dimension")
+    z = np.exp(1j * phases)
+    # V[b] stays the first operand: the complex product is not bitwise symmetric
+    return np.multiply(h.eigenbasis[bits], z, out=z)
 
 
 def _quadratic_values(z: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,10 +113,10 @@ def _quadratic_values(z: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("km,mn,kn->k", z, b, z.conj())
 
 
-def snapshot_values(inv: ShadowInverter, snapshots, o: Observable) -> np.ndarray:
+def snapshot_values(inv: ShadowInverter, snaps, o: Observable) -> np.ndarray:
     """Per-snapshot estimates of Tr(O rho), cost O(d^2) per snapshot."""
     o_t = transformed_observable(inv, o)
-    z = snapshot_amplitudes(inv, snapshots)
+    z = snapshot_amplitudes(inv, snaps)
     return _quadratic_values(z, o_t).real
 
 
@@ -126,16 +130,18 @@ def _inverted_sigmas(inv: ShadowInverter, z: np.ndarray) -> np.ndarray:
     return apply_n_inverse(inv, sig)
 
 
-def snapshot_states(inv: ShadowInverter, snapshots) -> np.ndarray:
+def snapshot_states(inv: ShadowInverter, snaps) -> np.ndarray:
     """Stack of per-snapshot state estimators, computational basis."""
-    z = snapshot_amplitudes(inv, snapshots)
+    z = snapshot_amplitudes(inv, snaps)
     n = _inverted_sigmas(inv, z)
     v = inv.hamiltonian.eigenbasis
     return np.einsum("am,kmn,bn->kab", v, n, v.conj())
 
 
-def _as_snapshot_list(snaps):
-    return snaps.snapshots if hasattr(snaps, "snapshots") else list(snaps)
+def build_estimator(inv: ShadowInverter, snap) -> np.ndarray:
+    """State estimator rho-hat = V N^-1(sigma-hat) V^dag of one Snapshot row."""
+    inv.require_complete()
+    return snapshot_states(inv, [snap])[0]
 
 
 def median_of_means(per_snapshot_values, num_batches: int) -> EstimateReport:
@@ -160,29 +166,36 @@ def median_of_means(per_snapshot_values, num_batches: int) -> EstimateReport:
 
 def estimate_linear(inv: ShadowInverter, snaps, o: Observable,
                     num_batches: int = 1) -> EstimateReport:
-    vals = snapshot_values(inv, _as_snapshot_list(snaps), o)
+    vals = snapshot_values(inv, snaps, o)
     return median_of_means(vals, num_batches)
 
 
 def estimate_nonlinear(inv: ShadowInverter, snaps, o: Observable) -> EstimateReport:
-    """Unbiased purity estimate via the symmetric pair U-statistic.
-
-    o is SWAP, so the pair term is Tr(rho-hat_i rho-hat_j), and the sum
-    follows from S = sum_k rho-hat_k, Tr(rho-hat_k^2) and Tr(rho-hat_k S),
-    the last by the linear fast path. rho-hat is built in blocks of
-    BLOCK_ENTRIES entries. Standard error is the delete-one jackknife.
-    """
-    snapshots = _as_snapshot_list(snaps)
-    k = len(snapshots)
-    if k < 2:
-        raise ValueError("nonlinear estimation needs at least 2 snapshots")
+    """Unbiased purity estimate; o must be the SWAP of two copies."""
     if o.copies != 2:
         raise ValueError("estimate_nonlinear expects a two-copy observable")
-    inv.require_complete()
-    d = inv.dim
-    if o.matrix.shape != (d * d, d * d):
+    if o.matrix.shape != (inv.dim ** 2, inv.dim ** 2):
         raise ValueError("two-copy observable dimension mismatch")
-    z = snapshot_amplitudes(inv, snapshots)
+    return _purity_u_statistic(inv, snaps)
+
+
+def estimate_purity(inv: ShadowInverter, snaps) -> EstimateReport:
+    return _purity_u_statistic(inv, snaps)
+
+
+def _purity_u_statistic(inv: ShadowInverter, snaps) -> EstimateReport:
+    """Tr(rho^2) by the symmetric pair U-statistic.
+
+    The pair term is Tr(rho-hat_i rho-hat_j), and the sum follows from
+    S = sum_k rho-hat_k, Tr(rho-hat_k^2) and Tr(rho-hat_k S), the last by
+    the linear fast path. rho-hat is built in blocks of BLOCK_ENTRIES
+    entries. Standard error is the delete-one jackknife.
+    """
+    inv.require_complete()
+    z = snapshot_amplitudes(inv, snaps)
+    k, d = z.shape
+    if k < 2:
+        raise ValueError("nonlinear estimation needs at least 2 snapshots")
     s = np.zeros((d, d), dtype=complex)  # eigenframe sum of rho-hat
     diag = np.empty(k, dtype=complex)
     rows = max(1, BLOCK_ENTRIES // d**2)
@@ -201,12 +214,6 @@ def estimate_nonlinear(inv: ShadowInverter, snaps, o: Observable) -> EstimateRep
     loo = ((loo_full - (dsum - diag)) / ((k - 1) * (k - 2))).real
     se = float(np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2)))
     return EstimateReport(value, se, k, "u-statistic")
-
-
-def estimate_purity(inv: ShadowInverter, snaps) -> EstimateReport:
-    d = inv.dim
-    return estimate_nonlinear(
-        inv, snaps, Observable(swap_operator(d), copies=2, name="SWAP"))
 
 
 def exact_average_state(inv: ShadowInverter, rho, phase_vectors) -> np.ndarray:
@@ -272,9 +279,8 @@ def wrong_postprocessing_values(inv: ShadowInverter, snaps,
     is far from Haar, so this estimator is biased; it exists as the
     comparison baseline and is labeled as such.
     """
-    snapshots = _as_snapshot_list(snaps)
     a = _eigenframe_observable(inv, o)
-    z = snapshot_amplitudes(inv, snapshots)
+    z = snapshot_amplitudes(inv, snaps)
     d = inv.dim
     tr_o = float(np.trace(o.matrix).real)
     return (d + 1) * _quadratic_values(z, a).real - tr_o

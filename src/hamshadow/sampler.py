@@ -12,13 +12,14 @@ product gives the Born distributions of the whole chunk.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qmatrix import SpectralHamiltonian, as_complex, is_hermitian
-from .shadowmap import Snapshot, hamiltonian_fingerprint
+from .shadowmap import hamiltonian_fingerprint
 
 BORN_TOL = 1e-9
 # Complex entries of the (d, shots x rank) matrix that one chunk of shots
@@ -74,28 +75,84 @@ class TimeModel:
 
 
 @dataclass(frozen=True)
+class Snapshot:
+    """One experiment record: evolution time or phase vector, plus outcome."""
+
+    bitstring: int
+    time: float | None = None
+    phases: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.time is None) == (self.phases is None):
+            raise ValueError("exactly one of time/phases must be set")
+        if self.phases is not None:
+            object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
+        if self.bitstring < 0:
+            raise ValueError("bitstring must be a non-negative basis index")
+
+
+@dataclass(frozen=True, eq=False)
 class SnapshotSet:
-    snapshots: list
+    """K snapshots as columns: outcome indices ``bits`` (K,) and exactly one
+    of the evolution ``times`` (K,), in us, or ``phases`` (K, d)."""
+
+    bits: np.ndarray
     hamiltonian_fingerprint: str
     seed: int
     time_model: TimeModel
+    times: np.ndarray | None = None
+    phases: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.times is None) == (self.phases is None):
+            raise ValueError("exactly one of times/phases must be set")
+        timed = self.phases is None
+        bits = np.asarray(self.bits, dtype=np.int64)
+        evolution = np.asarray(self.times if timed else self.phases, dtype=float)
+        if (bits.ndim != 1 or evolution.ndim != (1 if timed else 2)
+                or len(evolution) != len(bits)):
+            raise ValueError(f"outcomes of shape {bits.shape} do not match "
+                             f"evolutions of shape {evolution.shape}")
+        if bits.size and bits.min() < 0:
+            raise ValueError("bitstring must be a non-negative basis index")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "times" if timed else "phases", evolution)
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.bits)
+
+    @property
+    def snapshots(self) -> list:
+        """The rows as Snapshot records, built from the columns on each access."""
+        bits = self.bits.tolist()
+        if self.times is not None:
+            return [Snapshot(b, time=t) for b, t in zip(bits, self.times.tolist())]
+        return [Snapshot(b, phases=ph) for b, ph in zip(bits, self.phases)]
+
+
+def _snapshot_columns(snaps) -> tuple:
+    """(bits, times, phases) of a SnapshotSet or a sequence of Snapshot rows.
+
+    Rows are stacked into columns; ValueError unless they all hold times or
+    all hold phase vectors of one length.
+    """
+    if isinstance(snaps, SnapshotSet):
+        return snaps.bits, snaps.times, snaps.phases
+    rows = list(snaps)
+    bits = np.array([s.bitstring for s in rows], dtype=np.int64)
+    if all(s.time is not None for s in rows):
+        return bits, np.array([s.time for s in rows], dtype=float), None
+    return bits, None, np.array([s.phases for s in rows], dtype=float)
 
 
 def _draw_evolution(dim: int, tm: TimeModel, rng: np.random.Generator):
-    """Returns (time, phases) with exactly one of them set."""
+    """A shot's time (uniform-window) or phase vector (otherwise)."""
     if tm.kind == "uniform-window":
-        return float(rng.uniform(tm.t_min, tm.t_max)), None
+        return float(rng.uniform(tm.t_min, tm.t_max))
     if tm.kind == "design":
         m = rng.integers(0, tm.k + 1, size=dim)
-        return None, 2 * np.pi * m / (tm.k + 1)
-    return None, rng.uniform(0, 2 * np.pi, size=dim)
-
-
-def _eigenframe(v: np.ndarray, rho) -> np.ndarray:
-    return v.conj().T @ as_complex(rho) @ v
+        return 2 * np.pi * m / (tm.k + 1)
+    return rng.uniform(0, 2 * np.pi, size=dim)
 
 
 def _factor_state(rho_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +201,8 @@ def _choose(p: np.ndarray, u) -> np.ndarray:
     return np.count_nonzero(cdf <= np.asarray(u)[:, None], axis=1)
 
 
-def _sample(v: np.ndarray, rho_h: np.ndarray, rngs, draw) -> list:
-    """(record, outcome) for each generator of rngs, in order.
+def _sample(v: np.ndarray, rho, rngs, draw) -> tuple:
+    """(records, outcomes) of rho measured in the eigenbasis v, one shot per rng.
 
     ``draw(rng)`` makes a shot's evolution draws and returns (record, phase
     vector); one ``rng.random()`` then picks the outcome, the draw that
@@ -153,7 +210,7 @@ def _sample(v: np.ndarray, rho_h: np.ndarray, rngs, draw) -> list:
     bound the (d, shots x rank) product at CHUNK_ENTRIES entries, so the
     draws, and hence the outcomes, do not depend on the chunking.
     """
-    w, l = _factor_state(rho_h)
+    w, l = _factor_state(v.conj().T @ as_complex(rho) @ v)
     chunk = max(1, CHUNK_ENTRIES // (v.shape[0] * max(1, len(w))))
 
     def shots():
@@ -161,12 +218,13 @@ def _sample(v: np.ndarray, rho_h: np.ndarray, rngs, draw) -> list:
             record, phases = draw(rng)
             yield record, phases, rng.random()
 
-    out = []
+    records, outcomes = [], []
     it = shots()
     while batch := list(itertools.islice(it, chunk)):
-        records, phases, u = zip(*batch)
-        out += zip(records, _choose(_born_rows(v, w, l, np.array(phases)), u))
-    return out
+        rec, phases, u = zip(*batch)
+        records += rec
+        outcomes.append(_choose(_born_rows(v, w, l, np.array(phases)), u))
+    return records, np.concatenate(outcomes)
 
 
 def born_probabilities(h: SpectralHamiltonian, rho_h: np.ndarray,
@@ -181,18 +239,27 @@ def born_probabilities(h: SpectralHamiltonian, rho_h: np.ndarray,
     return p[0] if phases.ndim == 1 else p
 
 
-def _snapshots(h: SpectralHamiltonian, rho, tm: TimeModel, rngs) -> list:
-    def draw(rng):
-        t, phases = _draw_evolution(h.dim, tm, rng)
-        return (t, phases), (-h.energies * t if t is not None else phases)
+def _evolution_columns(tm: TimeModel, records) -> dict:
+    """The times (K,) or phases (K, d) keyword of SnapshotSet for tm."""
+    key = "times" if tm.kind == "uniform-window" else "phases"
+    return {key: np.asarray(records, dtype=float)}
 
-    shots = _sample(h.eigenbasis, _eigenframe(h.eigenbasis, rho), rngs, draw)
-    return [Snapshot(bitstring=int(b), time=t, phases=ph) for (t, ph), b in shots]
+
+def _shots(h: SpectralHamiltonian, rho, tm: TimeModel, rngs) -> tuple:
+    """(evolution draws, outcomes), one shot per generator of rngs."""
+    def draw(rng):
+        x = _draw_evolution(h.dim, tm, rng)
+        return x, (-h.energies * x if tm.kind == "uniform-window" else x)
+
+    return _sample(h.eigenbasis, rho, rngs, draw)
 
 
 def sample_snapshot(h: SpectralHamiltonian, rho, tm: TimeModel,
                     rng: np.random.Generator) -> Snapshot:
-    return _snapshots(h, rho, tm, [rng])[0]
+    (x,), (b,) = _shots(h, rho, tm, [rng])
+    if tm.kind == "uniform-window":
+        return Snapshot(int(b), time=x)
+    return Snapshot(int(b), phases=x)
 
 
 def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
@@ -200,18 +267,20 @@ def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
     """Deterministic batch: shot i uses substream (seed, i)."""
     if num_shots < 1:
         raise ValueError("num_shots must be at least 1")
-    snaps = _snapshots(h, rho, tm, (substream(seed, i) for i in range(num_shots)))
-    return SnapshotSet(snaps, hamiltonian_fingerprint(h), int(seed), tm)
+    records, bits = _shots(h, rho, tm, (substream(seed, i) for i in range(num_shots)))
+    return SnapshotSet(bits, hamiltonian_fingerprint(h), int(seed), tm,
+                       **_evolution_columns(tm, records))
 
 
 def run_local_batch(patch_hs, rho, tm: TimeModel, num_shots: int, seed: int,
                     per_patch_times: bool = False) -> list:
-    """Joint Born sampling on the full state with per-patch records.
+    """Joint Born sampling on the full state with per-patch columns.
 
     The evolution is the tensor product of the patch evolutions with a
     shared random time (or independent ideal phases per patch). With
     ``per_patch_times`` each patch draws its own time, which removes the
-    induced degeneracy when patch Hamiltonians coincide.
+    induced degeneracy when patch Hamiltonians coincide. Returns one
+    SnapshotSet per patch, patch 0 the most significant factor.
     """
     import warnings
 
@@ -220,7 +289,8 @@ def run_local_batch(patch_hs, rho, tm: TimeModel, num_shots: int, seed: int,
     d = int(np.prod(dims))
     if rho.shape != (d, d):
         raise ValueError("patch dimensions do not multiply to the state dimension")
-    shared_time = tm.kind == "uniform-window" and not per_patch_times
+    window = tm.kind == "uniform-window"
+    shared_time = window and not per_patch_times
     if shared_time:
         for i in range(len(patch_hs)):
             for j in range(i + 1, len(patch_hs)):
@@ -230,45 +300,24 @@ def run_local_batch(patch_hs, rho, tm: TimeModel, num_shots: int, seed: int,
                         f"patches {i} and {j} share eigen-energies under a shared "
                         "evolution time; consider per_patch_times=True",
                         stacklevel=2)
-    v_full = np.array([[1.0 + 0j]])
-    for h in patch_hs:
-        v_full = np.kron(v_full, h.eigenbasis)
+    v_full = functools.reduce(np.kron, [h.eigenbasis for h in patch_hs])
 
     def draw(rng):
         if shared_time:
-            t, _ = _draw_evolution(1, tm, rng)
-            patch_draws = [(t, None) for _ in patch_hs]
+            xs = [_draw_evolution(1, tm, rng)] * len(patch_hs)
         else:
-            patch_draws = [_draw_evolution(h.dim, tm, rng) for h in patch_hs]
-        return patch_draws, _joint_phases(patch_hs, patch_draws)
+            xs = [_draw_evolution(h.dim, tm, rng) for h in patch_hs]
+        # phases of the tensor product of the patch evolutions
+        return xs, functools.reduce(
+            lambda a, b: np.add.outer(a, b).reshape(-1),
+            [-h.energies * x if window else x for h, x in zip(patch_hs, xs)])
 
-    shots = _sample(v_full, _eigenframe(v_full, rho),
-                    (substream(seed, i) for i in range(num_shots)), draw)
-    per_patch = [[] for _ in patch_hs]
-    for patch_draws, b in shots:
-        bits = _split_index(int(b), dims)
-        for pi, ((t, ph), bp) in enumerate(zip(patch_draws, bits)):
-            per_patch[pi].append(Snapshot(bitstring=bp, time=t, phases=ph))
-    return [SnapshotSet(per_patch[i], hamiltonian_fingerprint(h), int(seed), tm)
+    records, bits = _sample(v_full, rho,
+                            (substream(seed, i) for i in range(num_shots)), draw)
+    patch_bits = np.unravel_index(bits, dims)
+    return [SnapshotSet(patch_bits[i], hamiltonian_fingerprint(h), int(seed), tm,
+                        **_evolution_columns(tm, [r[i] for r in records]))
             for i, h in enumerate(patch_hs)]
-
-
-def _joint_phases(patch_hs, patch_draws) -> np.ndarray:
-    parts = []
-    for h, (t, ph) in zip(patch_hs, patch_draws):
-        parts.append(-h.energies * t if t is not None else np.asarray(ph))
-    out = parts[0]
-    for nxt in parts[1:]:
-        out = (out[:, None] + nxt[None, :]).reshape(-1)
-    return out
-
-
-def _split_index(b: int, dims) -> list:
-    out = []
-    for d in reversed(dims):
-        out.append(b % d)
-        b //= d
-    return list(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +332,43 @@ def _split_index(b: int, dims) -> list:
 # ---------------------------------------------------------------------------
 
 def save_snapshots(path, snaps: SnapshotSet) -> None:
+    bits = snaps.bits.tolist()
     with open(path, "w") as f:
         f.write("# hamshadow snapshots v1\n")
         f.write(f"# fingerprint={snaps.hamiltonian_fingerprint}\n")
         f.write(f"# seed={snaps.seed}\n")
         f.write(f"# time_model={snaps.time_model.describe()}\n")
         f.write(f"# shots={len(snaps)}\n")
-        for s in snaps.snapshots:
-            if s.time is not None:
-                f.write(f"t_us={float(s.time)!r} b={s.bitstring}\n")
-            else:
-                ph = ",".join(repr(float(x)) for x in s.phases)
-                f.write(f"phases={ph} b={s.bitstring}\n")
+        if snaps.times is not None:
+            f.writelines(f"t_us={t!r} b={b}\n"
+                         for t, b in zip(snaps.times.tolist(), bits))
+        else:
+            # row by row, so that K*d float objects never exist at once
+            f.writelines(f"phases={','.join(map(repr, ph.tolist()))} b={b}\n"
+                         for ph, b in zip(snaps.phases, bits))
 
 
-def _parse_row(line: str) -> Snapshot:
+def _parse_row(line: str) -> tuple:
+    """(bitstring, field, value): "t_us" with a float or "phases" with an array."""
     fields = dict(p.split("=", 1) for p in line.split())
     b = int(fields["b"])
+    if b < 0:
+        raise ValueError("bitstring must be a non-negative basis index")
     if "t_us" in fields:
-        return Snapshot(bitstring=b, time=float(fields["t_us"]))
-    ph = np.array([float(x) for x in fields["phases"].split(",")])
-    return Snapshot(bitstring=b, phases=ph)
+        return b, "t_us", float(fields["t_us"])
+    return b, "phases", np.array([float(x) for x in fields["phases"].split(",")])
 
 
 def load_snapshots(path) -> SnapshotSet:
-    """Read a snapshot file; ValueError on a malformed row or a short file."""
+    """Read a snapshot file into columns.
+
+    ValueError on a short file, and, naming the line, on a malformed row, a
+    row of the kind the time_model header does not record (t_us= for
+    uniform-window, phases= otherwise) or a phase vector whose length
+    differs from the first row's.
+    """
     meta = {}
-    snaps = []
+    rows = []  # (line number, bitstring, field, value)
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -322,24 +381,31 @@ def load_snapshots(path) -> SnapshotSet:
                     meta[k.strip()] = v.strip()
                 continue
             try:
-                snaps.append(_parse_row(line))
+                rows.append((lineno, *_parse_row(line)))
             except (KeyError, ValueError) as e:
                 raise ValueError(f"{path}: line {lineno}: malformed snapshot row "
                                  f"{line[:60]!r}") from e
-    if meta.get("shots") != str(len(snaps)):
+    if meta.get("shots") != str(len(rows)):
         raise ValueError(f"{path}: header declares shots={meta.get('shots')} "
-                         f"but the file holds {len(snaps)} rows")
+                         f"but the file holds {len(rows)} rows")
     try:
         tm = TimeModel.parse(meta.get("time_model", "ideal-rdu"))
     except (IndexError, KeyError, ValueError) as e:
         raise ValueError(f"{path}: bad time_model header "
                          f"{meta.get('time_model')!r}") from e
-    return SnapshotSet(
-        snapshots=snaps,
-        hamiltonian_fingerprint=meta.get("fingerprint", ""),
-        seed=int(meta.get("seed", 0)),
-        time_model=tm,
-    )
+    want = "t_us" if tm.kind == "uniform-window" else "phases"
+    for lineno, _, field, value in rows:
+        if field != want:
+            raise ValueError(f"{path}: line {lineno}: {field}= row, but "
+                             f"time_model={tm.describe()} records {want}=")
+        if field == "phases" and len(value) != len(rows[0][3]):
+            raise ValueError(f"{path}: line {lineno}: {len(value)} phases, but "
+                             f"line {rows[0][0]} holds {len(rows[0][3])}")
+    col = np.array([r[3] for r in rows], dtype=float)
+    if want == "phases":
+        col = col.reshape(len(rows), len(rows[0][3]) if rows else 0)
+    return SnapshotSet([r[1] for r in rows], meta.get("fingerprint", ""),
+                       int(meta.get("seed", 0)), tm, **_evolution_columns(tm, col))
 
 
 def write_manifest(path, snaps: SnapshotSet, extra: dict | None = None) -> None:

@@ -4,8 +4,8 @@ Given a Hamiltonian with eigenbasis V and eigen-energies E, a round of the
 protocol evolves the state by U = V diag(e^{i phi}) V^dag (phi = -E t for a
 time snapshot) and measures in the computational basis. The average
 post-measurement record is a linear map of the state; this module builds
-that map, decides whether it is invertible, and applies the inverse to
-single snapshots to produce unbiased per-shot state estimators.
+that map, decides whether it is invertible, and applies it or its inverse
+to one matrix or a stack of them.
 """
 
 from __future__ import annotations
@@ -64,23 +64,6 @@ class CompletenessDiagnosis:
         if self.resonances:
             lines.append(f"  note: second-order resonances (harmless): {self.resonances[:8]}")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """One experiment record: evolution time or phase vector, plus outcome."""
-
-    bitstring: int
-    time: float | None = None
-    phases: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.time is None) == (self.phases is None):
-            raise ValueError("exactly one of time/phases must be set")
-        if self.phases is not None:
-            object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
-        if self.bitstring < 0:
-            raise ValueError("bitstring must be a non-negative basis index")
 
 
 @dataclass(frozen=True)
@@ -302,63 +285,6 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
             f"finite-time superoperator is numerically singular (cond={cond:.3e})")
     g_inv = np.linalg.inv(g)
     return FiniteTimeChoi(g, g_inv, cond)
-
-
-def snapshot_phases(h: SpectralHamiltonian, snap: Snapshot) -> np.ndarray:
-    """Diagonal phases phi of the evolution U = V diag(e^{i phi}) V^dag."""
-    if snap.time is not None:
-        return -h.energies * snap.time
-    if len(snap.phases) != h.dim:
-        raise ValueError("phase vector length does not match dimension")
-    return snap.phases
-
-
-def rotated_snapshot(h: SpectralHamiltonian, snap: Snapshot) -> np.ndarray:
-    """sigma-hat = conj(Lam) V^dag |b><b| V Lam for one snapshot."""
-    if snap.bitstring >= h.dim:
-        raise ValueError("bitstring exceeds Hilbert-space dimension")
-    phi = snapshot_phases(h, snap)
-    v = h.eigenbasis
-    z = v[snap.bitstring, :] * np.exp(1j * phi)
-    return np.outer(z.conj(), z)
-
-
-def build_estimator(inv: ShadowInverter, snap: Snapshot) -> np.ndarray:
-    """Per-snapshot state estimator rho-hat = V N^-1(sigma-hat) V^dag."""
-    inv.require_complete()
-    sigma = rotated_snapshot(inv.hamiltonian, snap)
-    v = inv.hamiltonian.eigenbasis
-    return v @ apply_n_inverse(inv, sigma) @ v.conj().T
-
-
-def build_local_estimator(invs, snaps) -> np.ndarray:
-    """Tensor product of per-patch estimators (patch 0 most significant)."""
-    if len(invs) != len(snaps):
-        raise ValueError("one snapshot per patch is required")
-    for a in invs:
-        a.require_complete()
-    _warn_shared_patch_energies(invs, snaps)
-    out = np.array([[1.0 + 0j]])
-    for a, s in zip(invs, snaps):
-        out = np.kron(out, build_estimator(a, s))
-    return out
-
-
-def _warn_shared_patch_energies(invs, snaps) -> None:
-    import warnings
-    shared_time = all(s.time is not None for s in snaps) and \
-        len({s.time for s in snaps}) == 1 and len(snaps) > 1
-    if not shared_time:
-        return
-    for i in range(len(invs)):
-        for j in range(i + 1, len(invs)):
-            ei = invs[i].hamiltonian.energies
-            ej = invs[j].hamiltonian.energies
-            if np.any(np.abs(ei[:, None] - ej[None, :]) <= ENERGY_RESOLUTION):
-                warnings.warn(
-                    f"patches {i} and {j} share eigen-energies under a common "
-                    "evolution time; the joint phase ensemble is degenerate",
-                    stacklevel=3)
 
 
 def shadow_map_forward(inv: ShadowInverter, rho) -> np.ndarray:

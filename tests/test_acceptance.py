@@ -139,7 +139,7 @@ def test_05_flat_basis_case():
     rho_rot = v @ ghz_state(n) @ v.conj().T
     o_rot = Observable(v @ o @ v.conj().T, name="XXX")
     snaps = run_batch(h, rho_rot, TimeModel("ideal-rdu"), 20000, seed=3)
-    vals = snapshot_values(inv, snaps.snapshots, o_rot)
+    vals = snapshot_values(inv, snaps, o_rot)
     var = vals.var(ddof=1)
     var_se = np.std((vals - vals.mean()) ** 2, ddof=1) / np.sqrt(len(vals))
     bound = 3 * float(np.trace(o @ o).real)
@@ -162,7 +162,7 @@ def test_06_single_qubit_sweep():
     h = single_qubit_theta(0.8)
     inv = build_inverter(h)
     snaps = run_batch(h, rho, TimeModel("ideal-rdu"), 20000, seed=21)
-    ham_var = snapshot_values(inv, snaps.snapshots, o).var(ddof=1)
+    ham_var = snapshot_values(inv, snaps, o).var(ddof=1)
     haar_var = global_shadow_values(rho, o, 20000, seed=22).var(ddof=1)
     ratio = ham_var / haar_var
     report(6, flags_ok and 0.2 <= ratio <= 5.0,
@@ -283,7 +283,7 @@ def test_12_identity_observable_exact():
     inv = build_inverter(h)
     rho = random_pure_state(4, 1)
     snaps = run_batch(h, rho, TimeModel("ideal-rdu"), 1000, seed=2)
-    vals = snapshot_values(inv, snaps.snapshots, Observable(np.eye(4)))
+    vals = snapshot_values(inv, snaps, Observable(np.eye(4)))
     worst = np.max(np.abs(vals - 1.0))
     report(12, worst < 1e-12,
            f"per-snapshot identity estimate off by {worst:.1e} across "

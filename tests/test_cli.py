@@ -252,6 +252,15 @@ class TestEstimateInputChecks:
         assert "exceeds Hilbert-space dimension" in res.output
         assert len(res.output.strip().splitlines()) == 1
 
+    def test_phase_row_in_window_file_code_2(self, tmp_path):
+        cfg = rydberg_window_cfg(tmp_path, 22.0)
+        p = simulated(tmp_path, dict(cfg, shots=20))
+        rewrite_rows(tmp_path / "snaps.txt", 19, ["phases=0.1,0.2 b=0"])
+        res = estimate_from(p, tmp_path / "snaps.txt")
+        assert res.exit_code == 2
+        assert "line 25: phases= row" in res.output
+        assert len(res.output.strip().splitlines()) == 1
+
     def test_row_without_outcome_code_2(self, tmp_path):
         p = simulated(tmp_path, base_cfg(tmp_path, shots=20))
         rewrite_rows(tmp_path / "snaps.txt", 19, ["t_us=3.0"])

@@ -14,6 +14,7 @@ from hamshadow.estimators import (
     exact_average_state,
     global_shadow_values,
     median_of_means,
+    snapshot_amplitudes,
     snapshot_states,
     snapshot_values,
     transformed_observable,
@@ -90,7 +91,7 @@ class TestObservableType:
 class TestLinear:
     def test_identity_always_one(self):
         _, inv, _, snaps = make_setup()
-        vals = snapshot_values(inv, snaps.snapshots, Observable(np.eye(4)))
+        vals = snapshot_values(inv, snaps, Observable(np.eye(4)))
         assert np.max(np.abs(vals - 1)) < 1e-12
         rep = estimate_linear(inv, snaps, Observable(np.eye(4)))
         assert rep.value == pytest.approx(1.0, abs=1e-12)
@@ -99,8 +100,8 @@ class TestLinear:
     def test_fast_path_equals_explicit_states(self):
         _, inv, _, snaps = make_setup()
         o = Observable(random_hermitian(4, 9))
-        fast = snapshot_values(inv, snaps.snapshots, o)
-        rhos = snapshot_states(inv, snaps.snapshots)
+        fast = snapshot_values(inv, snaps, o)
+        rhos = snapshot_states(inv, snaps)
         slow = np.einsum("kmn,nm->k", rhos, o.matrix).real
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
@@ -113,19 +114,35 @@ class TestLinear:
             v = hadamard_basis(2)
             # zero diagonal in the eigenframe, as the pseudo-inverse needs
             o = Observable(v @ pauli_tensor("XY") @ v.conj().T)
-        fast = snapshot_values(inv, snaps.snapshots, o)
-        rhos = snapshot_states(inv, snaps.snapshots)
+        fast = snapshot_values(inv, snaps, o)
+        rhos = snapshot_states(inv, snaps)
         slow = np.einsum("kmn,nm->k", rhos, o.matrix).real
         np.testing.assert_allclose(fast, slow, atol=1e-10)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_set_and_row_list_agree(self, mode):
+        # ideal and pseudo-inverse data carry phase columns, finite-time a
+        # time column; the row view must give the same arrays as the set
+        inv, snaps = mode_setup(mode, 50)
+        rows = snaps.snapshots
+        v = hadamard_basis(2)
+        # zero diagonal in the eigenframe, as the pseudo-inverse needs
+        o = Observable(v @ pauli_tensor("XY") @ v.conj().T)
+        np.testing.assert_array_equal(snapshot_amplitudes(inv, snaps),
+                                      snapshot_amplitudes(inv, rows))
+        np.testing.assert_array_equal(snapshot_values(inv, snaps, o),
+                                      snapshot_values(inv, rows, o))
+        np.testing.assert_array_equal(snapshot_states(inv, snaps),
+                                      snapshot_states(inv, rows))
 
     def test_linearity_per_snapshot(self):
         _, inv, _, snaps = make_setup()
         o1 = Observable(random_hermitian(4, 10))
         o2 = Observable(random_hermitian(4, 11))
         combo = Observable(0.7 * o1.matrix + 1.3 * o2.matrix)
-        v1 = snapshot_values(inv, snaps.snapshots, o1)
-        v2 = snapshot_values(inv, snaps.snapshots, o2)
-        vc = snapshot_values(inv, snaps.snapshots, combo)
+        v1 = snapshot_values(inv, snaps, o1)
+        v2 = snapshot_values(inv, snaps, o2)
+        vc = snapshot_values(inv, snaps, combo)
         np.testing.assert_allclose(vc, 0.7 * v1 + 1.3 * v2, atol=1e-10)
 
     def test_design_exact_expectation_matches_truth(self):
@@ -230,7 +247,7 @@ class TestNonlinear:
         inv, snaps = mode_setup(mode, 60)
         rep = estimate_nonlinear(inv, snaps,
                                  Observable(swap_operator(4), copies=2))
-        rhos = snapshot_states(inv, snaps.snapshots)
+        rhos = snapshot_states(inv, snaps)
         k = len(rhos)
         tot = sum(np.trace(rhos[i] @ rhos[j]).real
                   for i in range(k) for j in range(k) if i != j)
@@ -241,7 +258,7 @@ class TestNonlinear:
         inv, snaps = mode_setup(mode, 40)
         rep = estimate_nonlinear(inv, snaps,
                                  Observable(swap_operator(4), copies=2))
-        rhos = snapshot_states(inv, snaps.snapshots)
+        rhos = snapshot_states(inv, snaps)
         k = len(rhos)
         loo = []
         for i in range(k):
@@ -276,6 +293,18 @@ class TestNonlinear:
             tracemalloc.stop()
         # one K x d^2 stack alone would be 8000 * 256 * 16 B = 32.8 MB
         assert peak < 16e6
+
+    def test_purity_builds_no_swap(self):
+        h, inv, rho, _ = make_setup(d=32)
+        snaps = run_batch(h, rho, TimeModel("ideal-rdu"), 200, 6)
+        tracemalloc.start()
+        try:
+            estimate_purity(inv, snaps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense d^2 x d^2 SWAP alone would be 32**4 * 16 B = 16.8 MB
+        assert peak < 8e6
 
     def test_order_invariance(self):
         h, inv, rho, snaps = make_setup(shots=30)

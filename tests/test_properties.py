@@ -1,13 +1,18 @@
-"""Property tests over random small Hamiltonians that pass the diagnosis."""
+"""Property tests over random small Hamiltonians and snapshot columns."""
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hamshadow.estimators import exact_average_state
+from hamshadow.estimators import exact_average_state, snapshot_amplitudes
+from hamshadow.models import gue_hamiltonian
 from hamshadow.qmatrix import hermitian_spectral
 from hamshadow.rdu import diagonal_design
+from hamshadow.sampler import SnapshotSet, TimeModel, load_snapshots, save_snapshots
 from hamshadow.shadowmap import (
     apply_n,
     apply_n_inverse,
@@ -64,3 +69,50 @@ def test_finite_time_inverse_undoes_forward(h, t_min, dt, data):
     back = apply_n_inverse(inv, apply_n(inv, sigma))
     tol = 1e-13 * inv.finite.condition_number * np.max(np.abs(sigma))
     np.testing.assert_allclose(back, sigma, rtol=0, atol=tol)
+
+
+@st.composite
+def snapshot_sets(draw, elements):
+    """(d, SnapshotSet) of K in [1, 30] outcomes below d in [2, 6], with a
+    time column or a (K, d) phase column of the given float elements."""
+    d = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 30))
+    bits = draw(hnp.arrays(np.int64, k, elements=st.integers(0, d - 1)))
+    seed = draw(st.integers(0, 2**31))
+    if draw(st.booleans()):
+        times = draw(hnp.arrays(np.float64, k, elements=elements))
+        return d, SnapshotSet(bits, "0123456789abcdef", seed,
+                              TimeModel("uniform-window", t_min=0.5, t_max=3.0),
+                              times=times)
+    phases = draw(hnp.arrays(np.float64, (k, d), elements=elements))
+    return d, SnapshotSet(bits, "0123456789abcdef", seed, TimeModel("ideal-rdu"),
+                          phases=phases)
+
+
+@settings(max_examples=50, deadline=None)
+@given(snapshot_sets(st.floats(allow_nan=False, allow_infinity=False)))
+def test_save_load_save_is_exact(d_snaps):
+    _, snaps = d_snaps
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
+        save_snapshots(a, snaps)
+        loaded = load_snapshots(a)
+        save_snapshots(b, loaded)
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+    assert np.array_equal(loaded.bits, snaps.bits)
+    for name in ("times", "phases"):
+        col = getattr(snaps, name)
+        assert (col is None) == (getattr(loaded, name) is None)
+        assert col is None or np.array_equal(getattr(loaded, name), col)
+    assert (loaded.hamiltonian_fingerprint, loaded.seed, loaded.time_model) == \
+        (snaps.hamiltonian_fingerprint, snaps.seed, snaps.time_model)
+
+
+@settings(max_examples=50, deadline=None)
+@given(snapshot_sets(st.floats(-1e3, 1e3)), st.integers(0, 10))
+def test_amplitudes_of_set_equal_row_list(d_snaps, hseed):
+    d, snaps = d_snaps
+    inv = build_inverter(gue_hamiltonian(d, hseed))
+    np.testing.assert_array_equal(snapshot_amplitudes(inv, snaps),
+                                  snapshot_amplitudes(inv, snaps.snapshots))

@@ -245,6 +245,35 @@ class TestLocalSampling:
             run_local_batch([h, h], np.eye(8) / 8, TimeModel("ideal-rdu"), 3, 28)
 
 
+class TestSnapshotSet:
+    @pytest.mark.parametrize("bits, columns", [
+        ([0, 1, 2], {}),
+        ([0, 1, 2], {"times": np.zeros(3), "phases": np.zeros((3, 2))}),
+        ([0, 1, 2], {"times": np.zeros(2)}),
+        ([0, 1, 2], {"phases": np.zeros(3)}),
+        ([0, 1, 2], {"phases": np.zeros((2, 2))}),
+        ([0, -1, 2], {"times": np.zeros(3)}),
+    ])
+    def test_refuses_bad_columns(self, bits, columns):
+        with pytest.raises(ValueError):
+            SnapshotSet(bits, "", 0, TimeModel("ideal-rdu"), **columns)
+
+    def test_rows_view_the_columns(self):
+        h = gue_hamiltonian(4, 37)
+        for tm in (TimeModel("ideal-rdu"),
+                   TimeModel("uniform-window", t_min=0.0, t_max=3.0)):
+            snaps = run_batch(h, np.eye(4) / 4, tm, 12, seed=38)
+            rows = snaps.snapshots
+            assert [s.bitstring for s in rows] == snaps.bits.tolist()
+            assert all(type(s.bitstring) is int for s in rows)
+            if snaps.times is not None:
+                assert [s.time for s in rows] == snaps.times.tolist()
+                assert all(type(s.time) is float and s.phases is None for s in rows)
+            else:
+                assert all(s.time is None for s in rows)
+                np.testing.assert_array_equal([s.phases for s in rows], snaps.phases)
+
+
 class TestSerialization:
     def test_roundtrip_time_snapshots(self, tmp_path):
         h = gue_hamiltonian(4, 30)
@@ -276,6 +305,14 @@ class TestSerialization:
         ("b=", "c=", "line 6: malformed snapshot row"),
         ("# time_model=ideal-rdu", "# time_model=uniform-window t_min=1.0",
          "bad time_model header"),
+        # a t_us= row among phases= rows
+        ("phases=", "t_us=1.0 x=",
+         "line 6: t_us= row, but time_model=ideal-rdu records phases="),
+        # three phases on the first row, two on the others
+        ("phases=", "phases=0.5,", "line 7: 2 phases, but line 6 holds 3"),
+        ("# time_model=ideal-rdu",
+         "# time_model=uniform-window t_min=1.0 t_max=2.0",
+         "line 6: phases= row, but time_model=uniform-window"),
     ])
     def test_malformed_file_rejected(self, tmp_path, old, new, message):
         h = gue_hamiltonian(2, 33)

@@ -6,23 +6,20 @@ from hamshadow.models import (
     hadamard_basis,
     hamiltonian_from_unitary,
 )
+from hamshadow.estimators import build_estimator, snapshot_amplitudes
 from hamshadow.qmatrix import hermitian_spectral
+from hamshadow.sampler import Snapshot
 from hamshadow.shadowmap import (
     IncompleteInverterError,
-    Snapshot,
     apply_n,
     apply_n_inverse,
-    build_estimator,
     build_inverter,
-    build_local_estimator,
     diagnose_detection,
     finite_time_choi,
     forward_superoperator,
     hamiltonian_fingerprint,
     inverse_superoperator,
-    rotated_snapshot,
     shadow_map_forward,
-    snapshot_phases,
 )
 
 
@@ -229,13 +226,14 @@ class TestPseudoInverse:
 class TestSnapshots:
     def test_time_and_phase_forms_agree(self):
         h = gue_hamiltonian(4, 16)
+        inv = build_inverter(h)
         t = 1.37
-        s_time = Snapshot(bitstring=2, time=t)
-        s_phase = Snapshot(bitstring=2, phases=-h.energies * t)
-        np.testing.assert_allclose(rotated_snapshot(h, s_time),
-                                   rotated_snapshot(h, s_phase), atol=1e-14)
-        np.testing.assert_allclose(snapshot_phases(h, s_time),
-                                   -h.energies * t)
+        z_time = snapshot_amplitudes(inv, [Snapshot(bitstring=2, time=t)])
+        z_phase = snapshot_amplitudes(
+            inv, [Snapshot(bitstring=2, phases=-h.energies * t)])
+        np.testing.assert_array_equal(z_time, z_phase)
+        np.testing.assert_allclose(
+            z_time[0], h.eigenbasis[2] * np.exp(-1j * h.energies * t), atol=1e-15)
 
     def test_exactly_one_of_time_phases(self):
         with pytest.raises(ValueError):
@@ -244,8 +242,11 @@ class TestSnapshots:
             Snapshot(bitstring=0, time=1.0, phases=np.zeros(2))
 
     def test_rotated_snapshot_is_rank_one_projector_like(self):
+        # sigma-hat = conj(z) z^T from the snapshot's amplitude row z
         h = gue_hamiltonian(4, 17)
-        s = rotated_snapshot(h, Snapshot(bitstring=1, time=0.7))
+        (z,) = snapshot_amplitudes(build_inverter(h),
+                                   [Snapshot(bitstring=1, time=0.7)])
+        s = np.outer(z.conj(), z)
         assert abs(np.trace(s) - 1) < 1e-12
         assert np.linalg.matrix_rank(s, tol=1e-10) == 1
 
@@ -255,35 +256,6 @@ class TestSnapshots:
         rho_hat = build_estimator(inv, Snapshot(bitstring=3, time=2.2))
         assert abs(np.trace(rho_hat) - 1) < 1e-10
         np.testing.assert_allclose(rho_hat, rho_hat.conj().T, atol=1e-10)
-
-
-class TestLocalEstimator:
-    def test_tensor_structure(self):
-        h1, h2 = gue_hamiltonian(2, 19), gue_hamiltonian(2, 20)
-        i1, i2 = build_inverter(h1), build_inverter(h2)
-        s1 = Snapshot(bitstring=0, time=0.5)
-        s2 = Snapshot(bitstring=1, time=0.9)
-        joint = build_local_estimator([i1, i2], [s1, s2])
-        expect = np.kron(build_estimator(i1, s1), build_estimator(i2, s2))
-        np.testing.assert_allclose(joint, expect, atol=1e-12)
-
-    def test_shared_energy_warning(self):
-        h = gue_hamiltonian(2, 21)
-        inv = build_inverter(h)
-        s = Snapshot(bitstring=0, time=0.5)
-        with pytest.warns(UserWarning, match="share eigen-energies"):
-            build_local_estimator([inv, inv], [s, s])
-
-    def test_different_times_no_warning(self):
-        import warnings
-
-        h = gue_hamiltonian(2, 21)
-        inv = build_inverter(h)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            build_local_estimator([inv, inv],
-                                  [Snapshot(bitstring=0, time=0.5),
-                                   Snapshot(bitstring=0, time=0.9)])
 
 
 class TestFingerprint:

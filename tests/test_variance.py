@@ -122,7 +122,7 @@ class TestSecondMomentExact:
         o = Observable(random_hermitian(4, 9))
         exact = second_moment_exact(inv, o, rho)
         snaps = run_batch(h, rho, TimeModel("ideal-rdu"), 30000, seed=10)
-        sq = snapshot_values(inv, snaps.snapshots, o) ** 2
+        sq = snapshot_values(inv, snaps, o) ** 2
         se = sq.std(ddof=1) / np.sqrt(len(sq))
         assert abs(sq.mean() - exact) <= 5 * se
 
