@@ -198,6 +198,12 @@ def _estimator_settings(cfg: dict) -> tuple[str, int]:
     return method, batches
 
 
+def _shot_count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"shots must be a positive integer, got {value!r}")
+    return value
+
+
 def _snapshot_window(cfg: dict, recorded: TimeModel) -> TimeModel:
     """The window the snapshots were drawn on, if the config declares it too.
 
@@ -236,7 +242,7 @@ def simulate(config_path, seed, shots, allow_incomplete):
         h = build_model(cfg)
         rho = build_state(cfg, h)
         tm = build_time_model(cfg)
-        num_shots = int(shots if shots is not None else cfg.get("shots", 1000))
+        num_shots = _shot_count(shots if shots is not None else cfg.get("shots", 1000))
         the_seed = int(seed if seed is not None else cfg.get("seed", 0))
         out = cfg.get("output", {})
         _require_keys(out, {"snapshots", "manifest", "reports"}, {"snapshots"},

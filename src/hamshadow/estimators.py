@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from .qmatrix import as_complex, check_density, is_hermitian
 from .sampler import (
@@ -240,6 +239,9 @@ def exact_average_state(inv: ShadowInverter, rho, phase_vectors) -> np.ndarray:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    # scipy.stats takes most of a package import; only this baseline needs it
+    from scipy.stats import unitary_group
+
     return unitary_group.rvs(d, random_state=rng)
 
 

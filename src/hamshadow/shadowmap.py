@@ -36,7 +36,8 @@ class CompletenessDiagnosis:
     zero_offdiagonal: list
     energy_degeneracy: list
     basis_aligned: list
-    condition_number: float
+    condition_number: float      # cond(X_H), 2-norm
+    map_condition_number: float  # cond(N), 2-norm: the amplification of N^-1
     resonances: list = field(default_factory=list)  # informational only
 
     @property
@@ -49,16 +50,16 @@ class CompletenessDiagnosis:
         return "complete" if self.complete else "incomplete"
 
     def summary(self) -> str:
-        if self.complete:
-            lines = ["complete"]
-        else:
-            lines = ["incomplete"]
+        lines = [self.verdict,
+                 f"  cond(X_H)={self.condition_number:.3e}, "
+                 f"cond(N)={self.map_condition_number:.3e}"]
+        if not self.complete:
             if self.energy_degeneracy:
                 lines.append(f"  degenerate energy pairs: {self.energy_degeneracy}")
             if self.basis_aligned:
                 lines.append(f"  basis-aligned eigenstates: {self.basis_aligned}")
             if self.x_h_singular:
-                lines.append(f"  X_H singular (cond={self.condition_number:.3e})")
+                lines.append("  X_H singular")
             if self.zero_offdiagonal:
                 lines.append(f"  zero off-diagonals of X_H: {self.zero_offdiagonal[:8]}")
         if self.resonances:
@@ -72,7 +73,7 @@ class FiniteTimeChoi:
 
     superoperator: np.ndarray          # d^2 x d^2, acts on vec(sigma)
     inverse_superoperator: np.ndarray
-    condition_number: float
+    condition_number: float            # 1-norm: ||G||_1 ||G^-1||_1
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,23 @@ def _basis_aligned_eigenstates(v_sq: np.ndarray, tol: float = 1e-10) -> list:
     return out
 
 
+def _ratio(hi: float, lo: float) -> float:
+    """hi / lo as a condition number: inf where lo is zero."""
+    return float(hi / lo) if lo > 0 else np.inf
+
+
 def diagnose_detection(h: SpectralHamiltonian,
                        resolution: float = ENERGY_RESOLUTION) -> CompletenessDiagnosis:
     """Full tomography-completeness diagnosis for a Hamiltonian."""
     v_sq = np.abs(h.eigenbasis) ** 2
     x_h = v_sq.T @ v_sq
-    cond = float(np.linalg.cond(x_h))
+    # N applies X_H to the diagonal and scales each off-diagonal (m, n) by
+    # X_mn, so its singular values are those of X_H and the |X_mn|
+    sv = np.linalg.svd(x_h, compute_uv=False)
+    x_off = np.abs(x_h[~np.eye(h.dim, dtype=bool)])
+    cond = _ratio(sv[0], sv[-1])
+    map_cond = _ratio(max(sv[0], x_off.max(initial=0.0)),
+                      min(sv[-1], x_off.min(initial=np.inf)))
     singular = not np.isfinite(cond) or cond > SINGULAR_CONDITION
     off = [(i, j) for i in range(h.dim) for j in range(i + 1, h.dim)
            if abs(x_h[i, j]) < ZERO_OFFDIAG_TOL]
@@ -144,6 +156,7 @@ def diagnose_detection(h: SpectralHamiltonian,
         energy_degeneracy=degen,
         basis_aligned=aligned,
         condition_number=cond,
+        map_condition_number=map_cond,
         resonances=resonances,
     )
 
@@ -267,9 +280,10 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
     d = h.dim
     e = h.energies
     v = h.eigenbasis
-    # P_b = V^dag |b><b| V stacked over outcomes: P[b, m, n]
-    p = v.conj()[:, :, None] * v[:, None, :]
-    a = np.einsum("bqp,bmn->mnpq", p, p)
+    # P_b = V^dag |b><b| V stacked over outcomes, one row vec(P_b) per b;
+    # P_b[q, p] = conj(P_b[p, q]), so sum_b P_b[m, n] P_b[q, p] is one GEMM
+    p = (v.conj()[:, :, None] * v[:, None, :]).reshape(d, d * d)
+    a = (p.T @ p.conj()).reshape(d, d, d, d)
     omega = (e[None, None, :, None] + e[None, :, None, None]
              - e[None, None, None, :] - e[:, None, None, None])  # E_p+E_n-E_q-E_m
     dt = t_max - t_min
@@ -279,11 +293,17 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
         small, 1.0,
         (np.exp(-1j * om * t_max) - np.exp(-1j * om * t_min)) / (-1j * om * dt))
     g = (a * weight).reshape(d * d, d * d)
-    cond = float(np.linalg.cond(g))
+    # exact 1-norm condition number from the inverse the apply path needs
+    # anyway; a full SVD for the 2-norm value cost more than the inverse
+    try:
+        g_inv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    else:
+        cond = float(np.linalg.norm(g, 1) * np.linalg.norm(g_inv, 1))
     if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
-        raise np.linalg.LinAlgError(
-            f"finite-time superoperator is numerically singular (cond={cond:.3e})")
-    g_inv = np.linalg.inv(g)
+        raise np.linalg.LinAlgError("finite-time superoperator is numerically "
+                                    f"singular (cond={cond:.3e}, 1-norm)")
     return FiniteTimeChoi(g, g_inv, cond)
 
 

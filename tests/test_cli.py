@@ -98,6 +98,21 @@ class TestSimulate:
         assert res.exit_code == 2
         assert "bogus" in res.output + str(res.stderr_bytes or "")
 
+    @pytest.mark.parametrize("shots", [0, -3, "abc", 2.5])
+    def test_bad_shot_count_code_2(self, tmp_path, shots):
+        # a zero or non-integer count ended in a ValueError traceback, exit 1
+        p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path, shots=shots))
+        res = CliRunner().invoke(main, ["simulate", "--config", p])
+        assert res.exit_code == 2
+        assert res.output.startswith("config error: shots must be a positive")
+        assert not (tmp_path / "snaps.txt").exists()
+
+    def test_zero_shots_override_code_2(self, tmp_path):
+        p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path))
+        res = CliRunner().invoke(main, ["simulate", "--config", p, "--shots", "0"])
+        assert res.exit_code == 2
+        assert "config error: shots must be a positive integer, got 0" in res.output
+
 
 class TestEstimate:
     def test_pipeline_and_csv(self, tmp_path):

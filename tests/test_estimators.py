@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -351,6 +354,24 @@ class TestGlobalShadowBaseline:
         var_se = np.std((vals - vals.mean()) ** 2, ddof=1) / np.sqrt(len(vals))
         bound = 3 * np.trace(o_traceless.matrix @ o_traceless.matrix).real
         assert var <= bound + 5 * var_se
+
+    def test_values_pinned(self):
+        # Haar draws are unchanged by importing scipy.stats on first use
+        rho = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
+        vals = global_shadow_values(rho, Observable(pauli_tensor("ZZ")), 6, seed=22)
+        np.testing.assert_allclose(
+            vals, [1.8176162403965521, 0.5046948303559549, 3.19677707664596,
+                   -0.48322606067885954, -0.45113598222401785,
+                   -1.3507752615066733], rtol=1e-12)
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        src = os.path.dirname(os.path.dirname(estimators.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, hamshadow.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_report_wrapper(self):
         rho = random_pure_state(2, 55)

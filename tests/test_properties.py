@@ -67,7 +67,9 @@ def test_finite_time_inverse_undoes_forward(h, t_min, dt, data):
         assume(False)
     sigma = complex_matrix(data.draw, h.dim)
     back = apply_n_inverse(inv, apply_n(inv, sigma))
-    tol = 1e-13 * inv.finite.condition_number * np.max(np.abs(sigma))
+    # 2-norm cond; the stored 1-norm value is 2-3 times larger
+    cond = np.linalg.cond(inv.finite.superoperator)
+    tol = 1e-13 * cond * np.max(np.abs(sigma))
     np.testing.assert_allclose(back, sigma, rtol=0, atol=tol)
 
 

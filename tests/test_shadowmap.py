@@ -7,7 +7,7 @@ from hamshadow.models import (
     hamiltonian_from_unitary,
 )
 from hamshadow.estimators import build_estimator, snapshot_amplitudes
-from hamshadow.qmatrix import hermitian_spectral
+from hamshadow.qmatrix import SpectralHamiltonian, hermitian_spectral
 from hamshadow.sampler import Snapshot
 from hamshadow.shadowmap import (
     IncompleteInverterError,
@@ -54,6 +54,19 @@ class TestDiagnosis:
         assert not diag.complete
         assert diag.basis_aligned == [0, 1, 2, 3]
         assert "incomplete" in diag.summary()
+
+    def test_map_condition_number_of_nearly_aligned_basis(self):
+        # X_H is within 1e-9 of the identity, but the ideal inverse divides
+        # the off-diagonal element by X_01 = 8.0e-10
+        a = 2.0054e-5
+        v = np.array([[a, 1.0], [1.0, -a]]) / np.hypot(1.0, a)
+        h = SpectralHamiltonian(np.array([-5.97e-11, 0.148]), v)
+        diag = diagnose_detection(h)
+        expected = np.linalg.cond(forward_superoperator(build_inverter(h)))
+        assert expected == pytest.approx(1.2433e9, rel=1e-4)
+        assert diag.map_condition_number == pytest.approx(expected, rel=1e-6)
+        assert diag.condition_number == pytest.approx(1.0, abs=1e-8)
+        assert "cond(N)=1.243e+09" in diag.summary()
 
     def test_flat_basis_singular(self):
         diag = diagnose_detection(hamiltonian_from_unitary(hadamard_basis(2)))
@@ -159,6 +172,37 @@ class TestFiniteTimeMap:
         h = hamiltonian_from_unitary(gue_hamiltonian(4, 14).eigenbasis,
                                      [0.0, 0.0, 1.0, 2.0])
         with pytest.raises(np.linalg.LinAlgError):
+            finite_time_choi(h, 0.0, 10.0)
+
+    def test_superoperator_matches_einsum_definition(self):
+        d, t_min, t_max = 8, 2.0, 22.0
+        h = gue_hamiltonian(d, 5)
+        e, v = h.energies, h.eigenbasis
+        p = v.conj()[:, :, None] * v[:, None, :]
+        a = np.einsum("bqp,bmn->mnpq", p, p)
+        omega = (e[None, None, :, None] + e[None, :, None, None]
+                 - e[None, None, None, :] - e[:, None, None, None])
+        small = np.abs(omega) < 1e-9
+        om = np.where(small, 1.0, omega)
+        weight = np.where(small, 1.0,
+                          (np.exp(-1j * om * t_max) - np.exp(-1j * om * t_min))
+                          / (-1j * om * (t_max - t_min)))
+        choi = finite_time_choi(h, t_min, t_max)
+        np.testing.assert_allclose(choi.superoperator,
+                                   (a * weight).reshape(d * d, d * d),
+                                   rtol=0, atol=1e-15)
+
+    def test_condition_number_is_the_one_norm_value(self):
+        choi = finite_time_choi(gue_hamiltonian(8, 5), 2.0, 22.0)
+        assert choi.condition_number == pytest.approx(
+            np.linalg.cond(choi.superoperator, 1), rel=1e-10)
+
+    def test_exactly_singular_map_refused(self):
+        # a Hamiltonian diagonal in the computational basis: every P_b is a
+        # basis projector, so the superoperator has rank d
+        h = hermitian_spectral(np.diag([0.0, 1.0, 2.5, 4.1]))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"numerically singular \(cond=inf, 1-norm\)"):
             finite_time_choi(h, 0.0, 10.0)
 
 
