@@ -194,13 +194,16 @@ def _estimator_settings(cfg: dict) -> tuple[str, int]:
     method = e.get("method", "mean")
     if method not in ("mean", "median-of-means"):
         raise ConfigError(f"unknown estimator method {method!r}")
-    batches = int(e.get("batches", 1)) if method == "median-of-means" else 1
+    batches = (_config_int("batches", e.get("batches", 1), 1)
+               if method == "median-of-means" else 1)
     return method, batches
 
 
-def _shot_count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"shots must be a positive integer, got {value!r}")
+def _config_int(name: str, value, minimum: int) -> int:
+    """value if it is an integer of at least minimum (0 or 1), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
     return value
 
 
@@ -242,8 +245,10 @@ def simulate(config_path, seed, shots, allow_incomplete):
         h = build_model(cfg)
         rho = build_state(cfg, h)
         tm = build_time_model(cfg)
-        num_shots = _shot_count(shots if shots is not None else cfg.get("shots", 1000))
-        the_seed = int(seed if seed is not None else cfg.get("seed", 0))
+        num_shots = _config_int(
+            "shots", shots if shots is not None else cfg.get("shots", 1000), 1)
+        the_seed = _config_int(
+            "seed", seed if seed is not None else cfg.get("seed", 0), 0)
         out = cfg.get("output", {})
         _require_keys(out, {"snapshots", "manifest", "reports"}, {"snapshots"},
                       "config.output")

@@ -23,10 +23,16 @@ from .sampler import (
     born_probabilities,
     substream,
 )
-from .shadowmap import ShadowInverter, apply_n_inverse, apply_n_inverse_adjoint
+from .shadowmap import (
+    ShadowInverter,
+    apply_n_inverse,
+    apply_n_inverse_adjoint,
+    inverted_snapshot_moments,
+    snapshot_sigmas,
+)
 
 HERMITIAN_TOL = 1e-10
-BLOCK_ENTRIES = 2**16  # complex entries per rho-hat block of the purity U-statistic
+BLOCK_ENTRIES = 2**16  # rho-hat entries per block of the purity U-statistic
 
 
 def _is_swap(m: np.ndarray) -> bool:
@@ -121,12 +127,7 @@ def snapshot_values(inv: ShadowInverter, snaps, o: Observable) -> np.ndarray:
 
 def _inverted_sigmas(inv: ShadowInverter, z: np.ndarray) -> np.ndarray:
     """Stack of inverse-mapped single-snapshot matrices, eigenframe."""
-    d = inv.dim
-    sig = z.conj()[:, :, None] * z[:, None, :]
-    # |z|^2, not Re(conj(z) z), which differs in the last bit: the golden
-    # files pin the ideal-mode estimates computed from |z|^2
-    sig[:, np.arange(d), np.arange(d)] = np.abs(z) ** 2
-    return apply_n_inverse(inv, sig)
+    return apply_n_inverse(inv, snapshot_sigmas(z))
 
 
 def snapshot_states(inv: ShadowInverter, snaps) -> np.ndarray:
@@ -187,8 +188,9 @@ def _purity_u_statistic(inv: ShadowInverter, snaps) -> EstimateReport:
 
     The pair term is Tr(rho-hat_i rho-hat_j), and the sum follows from
     S = sum_k rho-hat_k, Tr(rho-hat_k^2) and Tr(rho-hat_k S), the last by
-    the linear fast path. rho-hat is built in blocks of BLOCK_ENTRIES
-    entries. Standard error is the delete-one jackknife.
+    the linear fast path. The snapshots are inverted in blocks of
+    BLOCK_ENTRIES rho-hat entries. Standard error is the delete-one
+    jackknife.
     """
     inv.require_complete()
     z = snapshot_amplitudes(inv, snaps)
@@ -199,9 +201,9 @@ def _purity_u_statistic(inv: ShadowInverter, snaps) -> EstimateReport:
     diag = np.empty(k, dtype=complex)
     rows = max(1, BLOCK_ENTRIES // d**2)
     for start in range(0, k, rows):
-        rhos = _inverted_sigmas(inv, z[start:start + rows])
-        s += rhos.sum(axis=0)
-        diag[start:start + rows] = np.einsum("kmn,knm->k", rhos, rhos)
+        block_sum, diag[start:start + rows] = inverted_snapshot_moments(
+            inv, z[start:start + rows])
+        s += block_sum
     cross = _quadratic_values(z, apply_n_inverse_adjoint(inv, s))
     full = np.trace(s @ s)
     dsum = diag.sum()

@@ -11,6 +11,7 @@ to one matrix or a stack of them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .qmatrix import SpectralHamiltonian, as_complex
 from .rdu import DegeneracySpec
 
 SINGULAR_CONDITION = 1e12
+BLOCK_ENTRIES = 2**14  # entries per block of the d^4 passes of finite_time_choi
 ZERO_OFFDIAG_TOL = 1e-12
 ZERO_DIAG_TOL = 1e-10
 ENERGY_RESOLUTION = 1e-9
@@ -69,11 +71,17 @@ class CompletenessDiagnosis:
 
 @dataclass(frozen=True)
 class FiniteTimeChoi:
-    """Window-corrected forward superoperator of the rotated-frame map N."""
+    """Window-corrected forward superoperator G of the rotated-frame map N.
 
-    superoperator: np.ndarray          # d^2 x d^2, acts on vec(sigma)
-    inverse_superoperator: np.ndarray
-    condition_number: float            # 1-norm: ||G||_1 ||G^-1||_1
+    G maps Hermitian matrices to Hermitian matrices, so on the packed real
+    coordinates of _pack it is a real d^2 x d^2 matrix R; the inverse is
+    stored as R^-1 and applied to the Hermitian and anti-Hermitian halves
+    of a complex input.
+    """
+
+    superoperator: np.ndarray          # complex d^2 x d^2 G, acts on vec(sigma)
+    packed_inverse: np.ndarray         # real d^2 x d^2 R^-1, acts on _pack(sigma)
+    condition_number: float            # 1-norm of G: ||G||_1 ||G^-1||_1
 
 
 @dataclass(frozen=True)
@@ -200,6 +208,65 @@ def _apply_superoperator(g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return (sigma.reshape(-1, len(g)) @ g.T).reshape(sigma.shape)
 
 
+def _packing(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat-index tables of the packed real coordinates of d x d matrices.
+
+    For the row-major flat index j of (m, n): t[j] is the index of (n, m),
+    upper[j] marks m <= n, and sign[j] is +1 above the diagonal, -1 below
+    it and 0 on it.
+    """
+    m, n = np.divmod(np.arange(d * d), d)
+    return n * d + m, m <= n, np.sign(n - m)
+
+
+def _pack(sigma: np.ndarray) -> np.ndarray:
+    """Packed real coordinates of Hermitian vec(sigma) rows, shape (..., d^2).
+
+    r[m, n] is Re sigma_mn for m <= n and Im sigma_nm = -Im sigma_mn for
+    m > n, so that Tr(A B) = sum w a b with the weights w of _packed_weights.
+    """
+    _, upper, _ = _packing(math.isqrt(sigma.shape[-1]))
+    return np.where(upper, sigma.real, -sigma.imag)
+
+
+def _unpack(r: np.ndarray) -> np.ndarray:
+    """Hermitian vec(sigma) rows of packed coordinates r, the inverse of _pack."""
+    t, upper, sign = _packing(math.isqrt(r.shape[-1]))
+    r_t = r[..., t]
+    out = np.empty(r.shape, dtype=complex)
+    out.real = np.where(upper, r, r_t)
+    out.imag = sign * np.where(upper, r_t, r)
+    return out
+
+
+def _packed_weights(d: int) -> np.ndarray:
+    """w with Tr(A B) = sum w a b on packed Hermitian A, B: 1 on the
+    diagonal, 2 off it."""
+    _, _, sign = _packing(d)
+    return np.where(sign == 0, 1.0, 2.0)
+
+
+def _apply_packed(m: np.ndarray, sigma: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Packed real map m on one complex d x d matrix or a (..., d, d) stack.
+
+    sigma = H + iK with Hermitian halves H = (sigma + sigma^dag)/2 and
+    K = (sigma - sigma^dag)/2i; both go through one real GEMM with m, or
+    with W^-1 m^T W, the adjoint of m under Tr(A B), and are unpacked.
+    """
+    d = sigma.shape[-1]
+    t, _, _ = _packing(d)
+    flat = sigma.reshape(-1, d * d)
+    dag = flat.conj()[:, t]
+    halves = _pack(np.stack([(flat + dag) / 2, (flat - dag) / 2j]))
+    if adjoint:
+        w = _packed_weights(d)
+        out = (halves * w) @ m / w
+    else:
+        out = halves @ m.T
+    h, k = _unpack(out)
+    return (h + 1j * k).reshape(sigma.shape)
+
+
 def apply_n(inv: ShadowInverter, sigma) -> np.ndarray:
     """Forward rotated-frame map N on one d x d matrix or a (..., d, d) stack.
 
@@ -221,11 +288,11 @@ def apply_n_inverse(inv: ShadowInverter, sigma) -> np.ndarray:
     Ideal mode: diagonal output (X_H^-1 applied to the input diagonal),
     off-diagonal elements divided by the matching X_H entry. Pseudo-inverse
     mode: diagonal zeroed, only off-diagonals with nonzero X_H recovered.
-    Finite-time mode: dense inverse superoperator applied to vec(sigma).
+    Finite-time mode: the packed real inverse on the two Hermitian halves.
     """
     sigma = as_complex(sigma)
     if inv.mode == "finite-time":
-        return _apply_superoperator(inv.finite.inverse_superoperator, sigma)
+        return _apply_packed(inv.finite.packed_inverse, sigma, adjoint=False)
     i = np.arange(inv.dim)
     if inv.mode == "pseudo-inverse":
         safe = np.where(np.abs(inv.x_h) >= ZERO_OFFDIAG_TOL, inv.x_h, np.inf)
@@ -247,12 +314,41 @@ def apply_n_inverse_adjoint(inv: ShadowInverter, a) -> np.ndarray:
     """
     a = as_complex(a)
     if inv.mode == "finite-time":
-        return (a.T.reshape(-1) @ inv.finite.inverse_superoperator).reshape(a.shape).T
+        return _apply_packed(inv.finite.packed_inverse, a, adjoint=True)
     if inv.mode == "pseudo-inverse" and np.max(np.abs(np.diag(a))) > ZERO_DIAG_TOL:
         raise ValueError(
             "pseudo-inverse mode supports only observables with zero "
             "diagonal in the eigenbasis frame")
     return apply_n_inverse(inv, a)
+
+
+def snapshot_sigmas(z: np.ndarray) -> np.ndarray:
+    """Stack of sigma-hat_k = conj(z_k) z_k^T of amplitude rows z, eigenframe."""
+    d = z.shape[-1]
+    sig = z.conj()[:, :, None] * z[:, None, :]
+    # |z|^2, not Re(conj(z) z), which differs in the last bit: the golden
+    # files pin the ideal-mode estimates computed from |z|^2
+    sig[:, np.arange(d), np.arange(d)] = np.abs(z) ** 2
+    return sig
+
+
+def inverted_snapshot_moments(inv: ShadowInverter,
+                              z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of rho-hat_k = N^-1(sigma-hat_k) over the amplitude rows z_k, in
+    the eigenframe, and Tr(rho-hat_k^2) of each row.
+
+    In finite-time mode one real GEMM gives every packed rho-hat_k, and
+    Tr(rho-hat_k^2) is a w-weighted squared row norm: no complex rho-hat
+    is formed.
+    """
+    sig = snapshot_sigmas(z)
+    if inv.mode != "finite-time":
+        rhos = apply_n_inverse(inv, sig)
+        return rhos.sum(axis=0), np.einsum("kmn,knm->k", rhos, rhos)
+    d = inv.dim
+    rhos = _pack(sig.reshape(len(z), d * d)) @ inv.finite.packed_inverse.T
+    return (_unpack(rhos.sum(axis=0)).reshape(d, d),
+            (rhos * rhos) @ _packed_weights(d))
 
 
 def forward_superoperator(inv: ShadowInverter) -> np.ndarray:
@@ -267,13 +363,58 @@ def inverse_superoperator(inv: ShadowInverter) -> np.ndarray:
     return apply_n_inverse(inv, units).reshape(len(units), -1).T
 
 
+def _pack_superoperator(g: np.ndarray) -> np.ndarray:
+    """Real R with _pack(g vec(sigma)) = R _pack(sigma) for Hermitian sigma.
+
+    Packed input coordinate j of (m, n) stands for |m><n| + |n><m| (m < n),
+    i|n><m| - i|m><n| (m > n) or |m><m|, so column j of R combines columns
+    j and t[j] of g; output row k takes the real part of row k (m <= n) or
+    the imaginary part of row t[k]. Built in blocks of rows.
+    """
+    size = len(g)
+    t, upper, sign = _packing(math.isqrt(size))
+    r = np.empty(g.shape)
+    rows = max(1, BLOCK_ENTRIES // size)
+    for start in range(0, size, rows):
+        k = np.arange(start, min(start + rows, size))
+        gk = g[np.where(upper[k], k, t[k])]
+        gt = gk[:, t]
+        cols = np.where(upper, gk + gt, 1j * (gt - gk))
+        cols[:, sign == 0] *= 0.5
+        r[k] = np.where(upper[k, None], cols.real, cols.imag)
+    return r
+
+
+def _inverse_one_norm(r_inv: np.ndarray) -> float:
+    """||G^-1||_1 of the complex map whose packed real inverse is r_inv.
+
+    With Y_j the unpacked column j of r_inv and p < q, column (p, q) of
+    G^-1 is (Y_pq - i Y_qp)/2, column (q, p) is (Y_pq + i Y_qp)/2 and
+    column (p, p) is Y_pp. Built in blocks of columns.
+    """
+    size = len(r_inv)
+    t, upper, sign = _packing(math.isqrt(size))
+    j = np.arange(size)
+    re_col, im_col = np.where(upper, j, t), np.where(upper, t, j)
+    scale = np.where(sign == 0, 1.0, 0.5)
+    norm = 0.0
+    rows = max(1, BLOCK_ENTRIES // size)
+    for start in range(0, size, rows):
+        c = j[start:start + rows]
+        cols = (scale[c, None] * _unpack(r_inv[:, re_col[c]].T)
+                - 0.5j * sign[c, None] * _unpack(r_inv[:, im_col[c]].T))
+        norm = max(norm, float(np.abs(cols).sum(axis=1).max()))
+    return norm
+
+
 def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
                      resolution: float = ENERGY_RESOLUTION) -> FiniteTimeChoi:
-    """Window-corrected superoperator of N and its numerical inverse.
+    """Window-corrected superoperator of N and its packed real inverse.
 
     Each element carries the uniform-window average of the residual phase
     e^{-i w t} with w = E_p + E_n - E_q - E_m; resonant elements (|w| below
-    resolution) keep weight 1 and match the ideal map exactly.
+    resolution) keep weight 1 and match the ideal map exactly. The d^4
+    passes run in blocks of BLOCK_ENTRIES entries.
     """
     if not t_max > t_min:
         raise ValueError("t_max must exceed t_min")
@@ -283,28 +424,37 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
     # P_b = V^dag |b><b| V stacked over outcomes, one row vec(P_b) per b;
     # P_b[q, p] = conj(P_b[p, q]), so sum_b P_b[m, n] P_b[q, p] is one GEMM
     p = (v.conj()[:, :, None] * v[:, None, :]).reshape(d, d * d)
-    a = (p.T @ p.conj()).reshape(d, d, d, d)
-    omega = (e[None, None, :, None] + e[None, :, None, None]
-             - e[None, None, None, :] - e[:, None, None, None])  # E_p+E_n-E_q-E_m
+    g = p.T @ p.conj()
+    # w = gap(m, n) - gap(p, q) with gap(m, n) = E_n - E_m, so e^{-i w t}
+    # is the outer product of e^{-i gap t} and its conjugate
+    gap = (e[None, :] - e[:, None]).reshape(-1)
+    ph_min, ph_max = np.exp(-1j * np.multiply.outer((t_min, t_max), gap))
+    conj_min, conj_max = ph_min.conj(), ph_max.conj()
     dt = t_max - t_min
-    small = np.abs(omega) < resolution
-    om = np.where(small, 1.0, omega)
-    weight = np.where(
-        small, 1.0,
-        (np.exp(-1j * om * t_max) - np.exp(-1j * om * t_min)) / (-1j * om * dt))
-    g = (a * weight).reshape(d * d, d * d)
+    col_sums = np.zeros(d * d)
+    rows = max(1, BLOCK_ENTRIES // (d * d))
+    for start in range(0, d * d, rows):
+        blk = slice(start, start + rows)
+        omega = gap[blk, None] - gap
+        small = np.abs(omega) < resolution
+        weight = np.outer(ph_max[blk], conj_max)
+        weight -= np.outer(ph_min[blk], conj_min)
+        weight /= -1j * np.where(small, 1.0, omega) * dt
+        weight[small] = 1.0
+        g[blk] *= weight
+        col_sums += np.abs(g[blk]).sum(axis=0)
     # exact 1-norm condition number from the inverse the apply path needs
     # anyway; a full SVD for the 2-norm value cost more than the inverse
     try:
-        g_inv = np.linalg.inv(g)
+        r_inv = np.linalg.inv(_pack_superoperator(g))
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
-        cond = float(np.linalg.norm(g, 1) * np.linalg.norm(g_inv, 1))
+        cond = float(col_sums.max() * _inverse_one_norm(r_inv))
     if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
         raise np.linalg.LinAlgError("finite-time superoperator is numerically "
                                     f"singular (cond={cond:.3e}, 1-norm)")
-    return FiniteTimeChoi(g, g_inv, cond)
+    return FiniteTimeChoi(g, r_inv, cond)
 
 
 def shadow_map_forward(inv: ShadowInverter, rho) -> np.ndarray:

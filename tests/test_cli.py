@@ -113,6 +113,16 @@ class TestSimulate:
         assert res.exit_code == 2
         assert "config error: shots must be a positive integer, got 0" in res.output
 
+    @pytest.mark.parametrize("seed", ["abc", -1, 2.5])
+    def test_bad_seed_code_2(self, tmp_path, seed):
+        # int() on the config value ended in a ValueError traceback, exit 1
+        p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path, seed=seed))
+        res = CliRunner().invoke(main, ["simulate", "--config", p])
+        assert res.exit_code == 2
+        assert res.output.startswith(
+            f"config error: seed must be a non-negative integer, got {seed!r}")
+        assert not (tmp_path / "snaps.txt").exists()
+
 
 class TestEstimate:
     def test_pipeline_and_csv(self, tmp_path):
@@ -190,6 +200,28 @@ def estimate_from(cfg_path, snap_path, *flags):
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         res.exception
     return res
+
+
+class TestEstimateSettings:
+    @pytest.mark.parametrize("batches", ["x", 0, 1.5])
+    def test_bad_batches_code_2(self, tmp_path, batches):
+        simulated(tmp_path, base_cfg(tmp_path))
+        cfg = base_cfg(tmp_path)
+        cfg["estimators"].update(method="median-of-means", batches=batches)
+        res = estimate_from(write_cfg(tmp_path / "mom.yaml", cfg),
+                            tmp_path / "snaps.txt")
+        assert res.exit_code == 2
+        assert res.output.startswith(
+            f"config error: batches must be a positive integer, got {batches!r}")
+
+    def test_batches_used(self, tmp_path):
+        simulated(tmp_path, base_cfg(tmp_path))
+        cfg = base_cfg(tmp_path)
+        cfg["estimators"].update(method="median-of-means", batches=4)
+        res = estimate_from(write_cfg(tmp_path / "mom.yaml", cfg),
+                            tmp_path / "snaps.txt")
+        assert res.exit_code == 0, res.output
+        assert "median-of-means(4)" in res.output
 
 
 def rewrite_rows(snap_path, keep_rows, extra_rows=()):

@@ -284,6 +284,29 @@ class TestNonlinear:
         assert many.value == pytest.approx(one.value, rel=1e-12)
         assert many.std_error == pytest.approx(one.std_error, rel=1e-12)
 
+    def test_finite_time_purity_matches_complex_inverse(self):
+        from hamshadow.shadowmap import build_inverter
+        h = gue_hamiltonian(8, 3)
+        inv = build_inverter(h, mode="finite-time", t_min=2.0, t_max=22.0)
+        snaps = run_batch(h, random_pure_state(8, 4),
+                          TimeModel("uniform-window", t_min=2.0, t_max=22.0),
+                          500, 7)
+        rep = estimate_purity(inv, snaps)
+        # U-statistic from the complex rho-hat_k of the complex inverse
+        z = snapshot_amplitudes(inv, snaps)
+        k = len(z)
+        sig = (z.conj()[:, :, None] * z[:, None, :]).reshape(k, 64)
+        rhos = (sig @ np.linalg.inv(inv.finite.superoperator).T).reshape(k, 8, 8)
+        s = rhos.sum(axis=0)
+        full = np.trace(s @ s).real
+        diag = np.einsum("kmn,knm->k", rhos, rhos).real
+        cross = np.einsum("kmn,nm->k", rhos, s).real
+        value = (full - diag.sum()) / (k * (k - 1))
+        loo = (full - 2 * cross + diag - (diag.sum() - diag)) / ((k - 1) * (k - 2))
+        se = np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2))
+        assert rep.value == pytest.approx(value, rel=1e-10)
+        assert rep.std_error == pytest.approx(se, rel=1e-10)
+
     def test_memory_bounded_by_block(self):
         h, inv, rho, _ = make_setup(d=16)
         snaps = run_batch(h, rho, TimeModel("ideal-rdu"), 8000, 5)

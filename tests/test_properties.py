@@ -19,6 +19,7 @@ from hamshadow.shadowmap import (
     build_inverter,
     diagnose_detection,
     forward_superoperator,
+    shadow_map_forward,
 )
 
 # a grid in [-1, 1]: no subnormal entries, whose products underflow
@@ -71,6 +72,52 @@ def test_finite_time_inverse_undoes_forward(h, t_min, dt, data):
     cond = np.linalg.cond(inv.finite.superoperator)
     tol = 1e-13 * cond * np.max(np.abs(sigma))
     np.testing.assert_allclose(back, sigma, rtol=0, atol=tol)
+
+
+def window_record(h, rho, t_min, dt):
+    """Midpoint-rule average over t in the window of the measured record
+    sum_b p_b(t) U(t)^dag |b><b| U(t), and the step times the largest
+    frequency of the record, omega_max = 2 (E_max - E_min)."""
+    e, v = h.energies, h.eigenbasis
+    omega_max = 2 * (e.max() - e.min())
+    num = int(np.ceil(omega_max * dt / 2e-3)) + 1
+    ts = t_min + (np.arange(num) + 0.5) * dt / num
+    acc = np.zeros((h.dim, h.dim), dtype=complex)
+    for chunk in np.array_split(ts, -(-num // 4096)):
+        u = (v * np.exp(-1j * np.outer(chunk, e))[:, None, :]) @ v.conj().T
+        p = np.einsum("tbm,mn,tbn->tb", u, rho, u.conj()).real
+        acc += np.einsum("tb,tbm,tbn->mn", p, u.conj(), u)
+    return acc / num, omega_max * dt / num
+
+
+@settings(max_examples=20, deadline=None)
+@given(complete_hamiltonians(), st.floats(0.0, 4.0), st.floats(0.5, 8.0),
+       st.data())
+def test_finite_time_map_is_the_window_average(h, t_min, dt, data):
+    # an oracle that uses neither the window formula nor the inverse
+    try:
+        inv = build_inverter(h, mode="finite-time", t_min=t_min,
+                             t_max=t_min + dt)
+    except np.linalg.LinAlgError:
+        assume(False)
+    a = complex_matrix(data.draw, h.dim)
+    rho = a @ a.conj().T + 1e-3 * np.eye(h.dim)
+    rho /= np.trace(rho)
+    record, x = window_record(h, rho, t_min, dt)
+    # the midpoint average of each frequency is off by at most x^2/24 of its
+    # amplitude, and the amplitudes of one element of the record sum to <= d
+    d = h.dim
+    np.testing.assert_allclose(shadow_map_forward(inv, rho), record, rtol=0,
+                               atol=d**2 * x**2 / 24 + 1e-10)
+    v = h.eigenbasis
+    rho_h = v.conj().T @ rho @ v
+    record_h = v.conj().T @ record @ v
+    # N^-1(record) - rho_h = N^-1(record - N(rho_h)), bounded through the
+    # smallest singular value of the forward superoperator
+    sv = np.linalg.svd(inv.finite.superoperator, compute_uv=False)
+    err = np.linalg.norm(record_h - apply_n(inv, rho_h))
+    back = apply_n_inverse(inv, record_h)
+    assert np.linalg.norm(back - rho_h) <= err / sv[-1] + 1e-12 * sv[0] / sv[-1]
 
 
 @st.composite

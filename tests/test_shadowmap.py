@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,14 @@ from hamshadow.qmatrix import SpectralHamiltonian, hermitian_spectral
 from hamshadow.sampler import Snapshot
 from hamshadow.shadowmap import (
     IncompleteInverterError,
+    _apply_packed,
+    _inverse_one_norm,
+    _pack,
+    _packed_weights,
+    _unpack,
     apply_n,
     apply_n_inverse,
+    apply_n_inverse_adjoint,
     build_inverter,
     diagnose_detection,
     finite_time_choi,
@@ -204,6 +212,71 @@ class TestFiniteTimeMap:
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
             finite_time_choi(h, 0.0, 10.0)
+
+
+def hermitian_stack(shape, d, seed):
+    g = np.random.default_rng(seed)
+    a = g.normal(size=(*shape, d, d)) + 1j * g.normal(size=(*shape, d, d))
+    return a + np.swapaxes(a, -1, -2).conj()
+
+
+class TestPackedCoordinates:
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_unpack_inverts_pack(self, d):
+        h = hermitian_stack((3, 2), d, 40 + d).reshape(3, 2, d * d)
+        np.testing.assert_array_equal(_unpack(_pack(h)), h)
+
+    def test_trace_pairing_is_weighted_dot(self):
+        d = 6
+        a, b = hermitian_stack((2,), d, 41)
+        w = _packed_weights(d)
+        assert np.sum(w * _pack(a.reshape(-1)) * _pack(b.reshape(-1))) == \
+            pytest.approx(np.trace(a @ b).real, abs=1e-12)
+        assert np.sum(w * _pack(a.reshape(-1)) ** 2) == \
+            pytest.approx(np.linalg.norm(a) ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_inverse_and_adjoint_match_complex_inverse(self, shape):
+        inv = build_inverter(gue_hamiltonian(5, 5), mode="finite-time",
+                             t_min=2.0, t_max=22.0)
+        g_inv = np.linalg.inv(inv.finite.superoperator)
+        rng = np.random.default_rng(42)
+        sigma = (rng.normal(size=(*shape, 5, 5))
+                 + 1j * rng.normal(size=(*shape, 5, 5)))
+        flat = sigma.reshape(-1, 25)
+        ref = (flat @ g_inv.T).reshape(sigma.shape)
+        # Tr(A-tilde sigma) = Tr(A G^-1 sigma): vec(A-tilde^T) = G^-T vec(A^T)
+        ref_adj = np.swapaxes((np.swapaxes(sigma, -1, -2).reshape(-1, 25)
+                               @ g_inv).reshape(sigma.shape), -1, -2)
+        tol = 1e-12 * inv.finite.condition_number * np.max(np.abs(sigma))
+        np.testing.assert_allclose(apply_n_inverse(inv, sigma), ref,
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(apply_n_inverse_adjoint(inv, sigma), ref_adj,
+                                   rtol=0, atol=tol)
+
+    def test_inverse_one_norm_is_the_complex_one_norm(self):
+        # a random real map on packed coordinates, with small columns on
+        # the diagonal ones so that the largest complex column is one of
+        # the (Y_pq -+ i Y_qp)/2
+        d = 4
+        m = np.random.default_rng(43).normal(size=(d * d, d * d))
+        m[:, np.eye(d, dtype=bool).reshape(-1)] *= 0.1
+        units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
+        dense = _apply_packed(m, units, adjoint=False).reshape(d * d, -1).T
+        assert _inverse_one_norm(m) == pytest.approx(np.linalg.norm(dense, 1),
+                                                     rel=1e-12)
+
+    def test_build_memory_bounded(self):
+        h = gue_hamiltonian(16, 5)
+        tracemalloc.start()
+        try:
+            finite_time_choi(h, 2.0, 22.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the complex-inverse build peaked at 5.9 MB; G alone is
+        # 16**4 * 16 B = 1.0 MB, and R and R^-1 0.5 MB each
+        assert peak < 4.5e6
 
 
 MODES = ["ideal", "finite-time", "pseudo-inverse"]
