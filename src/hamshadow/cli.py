@@ -374,6 +374,10 @@ def variance(config_path, out_path):
 @click.option("--seed", type=int, default=0)
 def frame_potential(dim, order, mode, config_path, t_min, t_max, samples, seed):
     """Frame potential of the phase ensemble, closed-form or Monte-Carlo."""
+    try:
+        _config_int("dim", dim, 1)
+    except ConfigError as e:
+        _fail(EXIT_CONFIG, f"invalid frame-potential request: {e}")
     energies = np.arange(dim, dtype=float)
     if config_path is not None:
         try:

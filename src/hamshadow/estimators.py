@@ -32,7 +32,6 @@ from .shadowmap import (
 )
 
 HERMITIAN_TOL = 1e-10
-BLOCK_ENTRIES = 2**16  # rho-hat entries per block of the purity U-statistic
 
 
 def _is_swap(m: np.ndarray) -> bool:
@@ -188,22 +187,16 @@ def _purity_u_statistic(inv: ShadowInverter, snaps) -> EstimateReport:
 
     The pair term is Tr(rho-hat_i rho-hat_j), and the sum follows from
     S = sum_k rho-hat_k, Tr(rho-hat_k^2) and Tr(rho-hat_k S), the last by
-    the linear fast path. The snapshots are inverted in blocks of
-    BLOCK_ENTRIES rho-hat entries. Standard error is the delete-one
+    the linear fast path. The snapshots are inverted in bounded blocks
+    (`inverted_snapshot_moments`). Standard error is the delete-one
     jackknife.
     """
     inv.require_complete()
     z = snapshot_amplitudes(inv, snaps)
-    k, d = z.shape
+    k = len(z)
     if k < 2:
         raise ValueError("nonlinear estimation needs at least 2 snapshots")
-    s = np.zeros((d, d), dtype=complex)  # eigenframe sum of rho-hat
-    diag = np.empty(k, dtype=complex)
-    rows = max(1, BLOCK_ENTRIES // d**2)
-    for start in range(0, k, rows):
-        block_sum, diag[start:start + rows] = inverted_snapshot_moments(
-            inv, z[start:start + rows])
-        s += block_sum
+    s, diag = inverted_snapshot_moments(inv, z)  # s: eigenframe sum of rho-hat
     cross = _quadratic_values(z, apply_n_inverse_adjoint(inv, s))
     full = np.trace(s @ s)
     dsum = diag.sum()

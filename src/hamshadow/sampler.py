@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmatrix import SpectralHamiltonian, as_complex, is_hermitian
+from .rdu import check_window
 from .shadowmap import hamiltonian_fingerprint
 
 BORN_TOL = 1e-9
@@ -50,8 +51,10 @@ class TimeModel:
     def __post_init__(self):
         if self.kind not in ("uniform-window", "ideal-rdu", "design"):
             raise ValueError(f"unknown time model {self.kind!r}")
-        if self.kind == "uniform-window" and not (self.t_max > self.t_min >= 0):
-            raise ValueError("uniform-window requires t_max > t_min >= 0")
+        if self.kind == "uniform-window":
+            check_window(self.t_min, self.t_max)
+            if not self.t_max > self.t_min >= 0:
+                raise ValueError("uniform-window requires t_max > t_min >= 0")
         if self.kind == "design" and self.k not in (1, 2, 3):
             raise ValueError("design order must be 1, 2, or 3")
 

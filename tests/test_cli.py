@@ -113,6 +113,19 @@ class TestSimulate:
         assert res.exit_code == 2
         assert "config error: shots must be a positive integer, got 0" in res.output
 
+    @pytest.mark.parametrize("t_max", ["1e400", ".inf", ".nan"])
+    def test_non_finite_window_code_2(self, tmp_path, t_max):
+        # t_max 1e400 (inf) ended in an OverflowError traceback, exit 1
+        cfg = base_cfg(tmp_path, time_model={"kind": "uniform-window",
+                                             "t_min": 2.0, "t_max": 0.0})
+        text = yaml.safe_dump(cfg).replace("t_max: 0.0", f"t_max: {t_max}")
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text)
+        res = CliRunner().invoke(main, ["simulate", "--config", str(p)])
+        assert res.exit_code == 2
+        assert res.output.startswith("config error: bad time_model section")
+        assert not (tmp_path / "snaps.txt").exists()
+
     @pytest.mark.parametrize("seed", ["abc", -1, 2.5])
     def test_bad_seed_code_2(self, tmp_path, seed):
         # int() on the config value ended in a ValueError traceback, exit 1
@@ -371,6 +384,26 @@ class TestFramePotential:
                                         "-k", "9"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("mode", ["rdu-exact", "finite-time", "mc",
+                                      "mc-window"])
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_bad_dim_code_2(self, dim, mode):
+        # --mode mc printed "F(2) mc d=0: 0.0 +- 0.0" with exit 0
+        res = CliRunner().invoke(main, ["frame-potential", "--dim", dim,
+                                        "--mode", mode, "--t-max", "2"])
+        assert res.exit_code == 2
+        assert "dim must be a positive integer" in res.output
+
+    @pytest.mark.parametrize("mode", ["finite-time", "mc-window"])
+    @pytest.mark.parametrize("t_max", ["inf", "nan"])
+    def test_non_finite_window_code_2(self, mode, t_max):
+        # finite-time printed nan with exit 0; mc-window raised OverflowError
+        res = CliRunner().invoke(main, ["frame-potential", "--dim", "4",
+                                        "--mode", mode, "--t-max", t_max,
+                                        "--samples", "10"])
+        assert res.exit_code == 2
+        assert "window bounds must be finite" in res.output
+
 
 class TestDiagnose:
     def test_complete_model(self, tmp_path):
@@ -424,10 +457,11 @@ class TestReproduce:
         assert [r[0] for r in rows] == ["2.0", "5.0", "10.0", "20.0"]
         assert all(np.isfinite(float(x)) for r in rows[1:] for x in r)
 
-    @pytest.mark.parametrize("figure", ["fig3a", "fig3b", "fig10"])
+    @pytest.mark.parametrize("figure", ["fig3a", "fig3b", "fig10", "fig8"])
     def test_variance_series_match_reference(self, tmp_path, figure):
-        # reference series are committed seed-7 outputs; regrouping the
-        # second-moment sum may move only trailing digits
+        # reference series are committed seed-7 outputs; regrouping a sum
+        # (the second moment, the window frame potential's quadrature) may
+        # move only trailing digits
         out = tmp_path / f"{figure}.csv"
         res = CliRunner().invoke(main, ["reproduce", "--figure", figure,
                                         "--seed", "7", "--out", str(out)])

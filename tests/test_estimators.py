@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hamshadow import estimators
+from hamshadow import estimators, shadowmap
 from hamshadow.estimators import (
     EstimateReport,
     Observable,
@@ -279,7 +279,8 @@ class TestNonlinear:
         o = Observable(swap_operator(4), copies=2)
         one = estimate_nonlinear(inv, snaps, o)
         # 16 entries per d = 4 row: 3 rows per block, 34 blocks
-        monkeypatch.setattr(estimators, "BLOCK_ENTRIES", 48)
+        monkeypatch.setattr(shadowmap, "MOMENT_BLOCK_ENTRIES", 48)
+        monkeypatch.setattr(shadowmap, "PACKED_BLOCK_ENTRIES", 48)
         many = estimate_nonlinear(inv, snaps, o)
         assert many.value == pytest.approx(one.value, rel=1e-12)
         assert many.std_error == pytest.approx(one.std_error, rel=1e-12)

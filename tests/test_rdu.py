@@ -1,11 +1,16 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
 
+from hamshadow.models import RydbergParams, random_positions, rydberg_hamiltonian
 from hamshadow.rdu import (
     DegeneracySpec,
     DiagonalDesign,
+    _compositions,
+    _multinomial,
     diagonal_design,
     frame_potential_finite_time,
     frame_potential_mc,
@@ -15,6 +20,30 @@ from hamshadow.rdu import (
     rdu_sampler,
     window_sampler,
 )
+
+
+def closed_form_window_fp(spec, k, t_min, t_max):
+    """Double multinomial sum with squared sinc weights, the oracle for the
+    window frame potential.
+
+    F_k = sum_{a,b} c_a c_b sinc^2((f_a - f_b) D / 2) over compositions a, b
+    of k into d parts, c the multinomial coefficients, f_a = a . E and
+    D = t_max - t_min.
+    """
+    comp = _compositions(k, spec.dim)
+    coefs = _multinomial(k, comp)
+    freq = comp @ spec.energies
+    omega = freq[:, None] - freq[None, :]
+    w = np.sinc(omega * (t_max - t_min) / (2 * np.pi)) ** 2
+    return float(np.sum(coefs[:, None] * coefs[None, :] * w))
+
+
+def oracle_spectra():
+    g = np.random.default_rng(21)
+    for d in (2, 3, 4, 7, 8):
+        yield f"generic-{d}", g.normal(size=d)
+        yield f"degenerate-{d}", np.round(g.uniform(0, 3, size=d))
+        yield f"flat-{d}", np.full(d, 0.7)
 
 
 def mc_phase_average(m, k, d, num=20000, seed=0):
@@ -178,3 +207,50 @@ class TestFramePotentials:
         exact = frame_potential_finite_time(spec, 2, 0.0, 4.0)
         est, err = frame_potential_mc(window_sampler(e, 0.0, 4.0), 2, 4000, seed=2)
         assert abs(est - exact) <= 4 * err
+
+
+class TestWindowQuadrature:
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.5, 2.5), (0.0, 4.0),
+                                        (0.0, 20.0), (2.0, 22.0), (0.0, 3000.0)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_closed_form(self, k, window):
+        for name, e in oracle_spectra():
+            spec = DegeneracySpec(e)
+            ref = closed_form_window_fp(spec, k, *window)
+            val = frame_potential_finite_time(spec, k, *window)
+            assert val == pytest.approx(ref, rel=1e-12, abs=0), name
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_flat_spectrum_gives_d_to_2k(self, d, k):
+        spec = DegeneracySpec(np.full(d, -1.25))
+        assert frame_potential_finite_time(spec, k, 2.0, 22.0) == d ** (2 * k)
+
+    def test_six_atom_chain_at_k3(self):
+        # C(66, 3)^2 = 2.1e9 composition pairs in the closed form
+        h = rydberg_hamiltonian(RydbergParams(random_positions(6, seed=3)))
+        d = h.dim
+        start = time.perf_counter()
+        val = frame_potential_finite_time(DegeneracySpec(h.energies), 3, 2.0, 22.0)
+        elapsed = time.perf_counter() - start
+        assert math.isfinite(val)
+        assert val >= 6 * d**3 - 9 * d**2 + 4 * d
+        assert elapsed < 1.0
+
+    def test_absurd_window_refused_before_nodes(self, monkeypatch):
+        def no_nodes(n):
+            raise AssertionError("quadrature nodes built before the guard")
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_nodes)
+        spec = DegeneracySpec(np.array([0.0, 1.3, 2.9, 4.1]))
+        with pytest.raises(ValueError, match="enumeration guard"):
+            frame_potential_finite_time(spec, 3, 0.0, 1e12)
+
+    @pytest.mark.parametrize("t_min,t_max", [(0.0, math.inf), (-math.inf, 1.0),
+                                             (0.0, math.nan), (0.0, 1e308)])
+    def test_non_finite_window_refused(self, t_min, t_max):
+        spec = DegeneracySpec(np.array([0.0, 1.0e10]))
+        with pytest.raises(ValueError):
+            frame_potential_finite_time(spec, 3, t_min, t_max)
+        if not (math.isfinite(t_min) and math.isfinite(t_max)):
+            with pytest.raises(ValueError, match="finite"):
+                window_sampler(spec.energies, t_min, t_max)

@@ -64,6 +64,13 @@ class TestTimeModel:
         with pytest.raises(ValueError):
             TimeModel("design", k=7)
 
+    @pytest.mark.parametrize("t_min,t_max", [(2.0, np.inf), (-np.inf, 1.0),
+                                             (np.nan, 1.0)])
+    def test_non_finite_window_refused(self, t_min, t_max):
+        # an infinite t_max reached Generator.uniform, an OverflowError
+        with pytest.raises(ValueError, match="finite"):
+            TimeModel("uniform-window", t_min=t_min, t_max=t_max)
+
     def test_describe_parse_roundtrip(self):
         for tm in [TimeModel("ideal-rdu"),
                    TimeModel("design", k=3),

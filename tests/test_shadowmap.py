@@ -182,6 +182,11 @@ class TestFiniteTimeMap:
         with pytest.raises(np.linalg.LinAlgError):
             finite_time_choi(h, 0.0, 10.0)
 
+    @pytest.mark.parametrize("t_max", [np.inf, np.nan])
+    def test_non_finite_window_refused(self, t_max):
+        with pytest.raises(ValueError, match="finite"):
+            finite_time_choi(gue_hamiltonian(4, 1), 2.0, t_max)
+
     def test_superoperator_matches_einsum_definition(self):
         d, t_min, t_max = 8, 2.0, 22.0
         h = gue_hamiltonian(d, 5)
