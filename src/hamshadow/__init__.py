@@ -41,7 +41,6 @@ from .sampler import (
     load_snapshots,
     run_batch,
     run_local_batch,
-    sample_snapshot,
     save_snapshots,
     substream,
 )

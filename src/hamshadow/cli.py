@@ -361,7 +361,8 @@ def variance(config_path, out_path):
 
 
 @main.command("frame-potential")
-@click.option("--dim", type=int, required=True)
+@click.option("--dim", type=int, default=None,
+              help="Hilbert-space dimension; optional with --config, which fixes it.")
 @click.option("-k", "order", type=int, default=2)
 @click.option("--mode", type=click.Choice(["rdu-exact", "finite-time", "mc",
                                            "mc-window"]),
@@ -374,16 +375,22 @@ def variance(config_path, out_path):
 @click.option("--seed", type=int, default=0)
 def frame_potential(dim, order, mode, config_path, t_min, t_max, samples, seed):
     """Frame potential of the phase ensemble, closed-form or Monte-Carlo."""
-    try:
-        _config_int("dim", dim, 1)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, f"invalid frame-potential request: {e}")
-    energies = np.arange(dim, dtype=float)
+    if dim is None and config_path is None:
+        _fail(EXIT_CONFIG, "invalid frame-potential request: give --dim or --config")
+    if dim is not None:
+        try:
+            _config_int("dim", dim, 1)
+        except ConfigError as e:
+            _fail(EXIT_CONFIG, f"invalid frame-potential request: {e}")
+        energies = np.arange(dim, dtype=float)
     if config_path is not None:
         try:
             h = build_model(load_config(config_path))
         except ConfigError as e:
             _fail(EXIT_CONFIG, f"config error: {e}")
+        if dim is not None and dim != h.dim:
+            _fail(EXIT_CONFIG, f"invalid frame-potential request: --dim {dim} "
+                  f"disagrees with the config's model dimension {h.dim}")
         energies = h.energies
         dim = h.dim
     try:

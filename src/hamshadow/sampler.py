@@ -2,18 +2,19 @@
 
 Each shot evolves the target state under the Hamiltonian for a random
 time (or with ideal random phases), samples a bitstring from the Born
-distribution, and records a snapshot. All randomness flows through
-counter-based Philox substreams keyed by (seed, shot index), so a batch
-is a pure function of its arguments regardless of evaluation order.
-Shots are evaluated in chunks: each shot still draws its evolution and
-one uniform outcome variate from its own substream, and one matrix
-product gives the Born distributions of the whole chunk.
+distribution, and records a snapshot. Shot i draws from the Philox
+stream of ``substream(seed, i)``, so a batch is a pure function of its
+arguments regardless of evaluation order. That stream is computed in
+closed form for a whole chunk of shots at once: the SeedSequence keys,
+the Philox4x64-10 blocks and the Generator's conversions to doubles and
+bounded integers run as numpy array arithmetic, and a test pins the
+result to ``substream(seed, i)`` draw for draw. One matrix product then
+gives the Born distributions of the chunk.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +28,155 @@ BORN_TOL = 1e-9
 # multiplies by V: 256 KiB per work array, whatever d and the state's rank.
 CHUNK_ENTRIES = 2**14
 
+_M32 = 0xFFFFFFFF
+# SeedSequence (numpy/random/bit_generator.pyx): pool size and hash constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64-10 (Random123): round multipliers and Weyl key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent, reproducible RNG stream for (seed, path...)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# ---------------------------------------------------------------------------
+# The streams of substream(seed, i) for a chunk of shots i at once.
+#
+# The helpers take Python ints and uint64 arrays alike. A 32-bit word is
+# held in a uint64 and masked after each product, and every array operand
+# is a uint64 array, so no result depends on numpy's promotion rules.
+# ---------------------------------------------------------------------------
+
+def _hashmix(value, const: int, mult: int = _MULT_A) -> tuple:
+    """SeedSequence's hashmix of value under hash constant const: (hash, next const)."""
+    nxt = const * mult & _M32
+    value = (value ^ const) * nxt & _M32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _philox_keys(seed: int, shots: np.ndarray) -> tuple:
+    """Philox keys (k0, k1) of substream(seed, i) for each i in shots, uint64 arrays.
+
+    SeedSequence(seed, spawn_key=(i,)) pads the seed's 32-bit words (low
+    first) with zeros to the pool size, appends i as one more word, hashes
+    the words into a four-word pool, and Philox keys itself from the pool's
+    generate_state(2, uint64). Only the last word depends on the shot, so
+    everything before it runs on Python ints.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [(seed >> 32 * j) & _M32 for j in range(max(1, -(-seed.bit_length() // 32)))]
+    words += [0] * (_POOL_SIZE - len(words))
+    const = _INIT_A
+    pool = []
+    for w in words[:_POOL_SIZE]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for w in words[_POOL_SIZE:] + [np.asarray(shots, dtype=np.uint64)]:
+        for dst in range(_POOL_SIZE):
+            h, const = _hashmix(w, const)
+            pool[dst] = _mix(pool[dst], h)
+    const = _INIT_B
+    for j, w in enumerate(pool):
+        pool[j], const = _hashmix(w, const, _MULT_B)
+    return pool[0] | pool[1] << 32, pool[2] | pool[3] << 32
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple:
+    """(high, low) 64-bit words of the 128-bit product a * b.
+
+    The high word is summed from 32-bit limb products, none of which
+    overflows (Hacker's Delight, mulhu); the low word is the wrapped product.
+    """
+    a_lo, a_hi = a & _M32, a >> 32
+    b_lo, b_hi = b & _M32, b >> 32
+    t = a_hi * b_lo + (a_lo * b_lo >> 32)
+    mid = a_lo * b_hi + (t & _M32)
+    return a_hi * b_hi + (t >> 32) + (mid >> 32), b * a
+
+
+def _philox(k0: np.ndarray, k1: np.ndarray, blocks: int) -> np.ndarray:
+    """(n, 4 blocks) uint64: Philox4x64-10 of counters 1..blocks under keys (n,).
+
+    A new numpy Philox bumps its counter before each block of four words,
+    so row j is the first 4 blocks next_uint64 values of key (k0[j], k1[j]).
+    """
+    n = len(k0)
+    k0, k1 = k0[:, None], k1[:, None]
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (n, blocks))
+    c1 = c2 = c3 = np.zeros((n, blocks), dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=2).reshape(n, 4 * blocks)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """Generator.random() of each next_uint64 word: its top 53 bits times 2^-53."""
+    return (words >> 11) * 2.0**-53
+
+
+def _lemire_rejects(leftover: np.ndarray, span: int) -> np.ndarray:
+    """Where Generator.integers(0, span) rejects a 32-bit draw and draws again.
+
+    Lemire's method rejects when the low word of draw * span is below
+    2^32 mod span: never for span 2 or 4, for span 3 a zero draw.
+    """
+    return leftover < (2**32 - span) % span
+
+
+def _evolution_draws(seed: int, shots: np.ndarray, tm: TimeModel,
+                     width: int) -> tuple:
+    """(x, u): width evolution draws (n, width) and the outcome variate (n,)
+    that substream(seed, i) makes for each shot i in shots.
+
+    x is what ``width`` draws of rng.uniform(t_min, t_max) (uniform-window),
+    rng.uniform(0, 2 pi) (ideal-rdu) or the design grid
+    2 pi rng.integers(0, k + 1) / (k + 1) give, in any split into calls;
+    u is the rng.random() after them. Integers take the 32-bit halves of
+    each 64-bit word, low half first, and random() takes a fresh word. A
+    shot whose integers Lemire's method would reject is drawn from its own
+    substream instead.
+    """
+    k0, k1 = _philox_keys(seed, shots)
+    if tm.kind != "design":
+        low, high = ((tm.t_min, tm.t_max) if tm.kind == "uniform-window"
+                     else (0.0, 2 * np.pi))
+        u = _doubles(_philox(k0, k1, -(-(width + 1) // 4))[:, :width + 1])
+        return low + (high - low) * u[:, :width], u[:, width]
+    span = tm.k + 1
+    used = -(-width // 2)
+    out = _philox(k0, k1, -(-(used + 1) // 4))
+    halves = np.stack([out[:, :used] & _M32, out[:, :used] >> 32], axis=2)
+    scaled = halves.reshape(len(shots), 2 * used)[:, :width] * span
+    x = 2 * np.pi * (scaled >> 32) / span
+    u = _doubles(out[:, used])
+    for j in np.flatnonzero(_lemire_rejects(scaled & _M32, span).any(axis=1)):
+        rng = substream(seed, int(shots[j]))
+        x[j] = 2 * np.pi * rng.integers(0, span, size=width) / span
+        u[j] = rng.random()
+    return x, u
 
 
 @dataclass(frozen=True)
@@ -148,16 +293,6 @@ def _snapshot_columns(snaps) -> tuple:
     return bits, None, np.array([s.phases for s in rows], dtype=float)
 
 
-def _draw_evolution(dim: int, tm: TimeModel, rng: np.random.Generator):
-    """A shot's time (uniform-window) or phase vector (otherwise)."""
-    if tm.kind == "uniform-window":
-        return float(rng.uniform(tm.t_min, tm.t_max))
-    if tm.kind == "design":
-        m = rng.integers(0, tm.k + 1, size=dim)
-        return 2 * np.pi * m / (tm.k + 1)
-    return rng.uniform(0, 2 * np.pi, size=dim)
-
-
 def _factor_state(rho_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, l) with rho_H = sum_r w_r l_r l_r^dag, rounding-level pairs dropped.
 
@@ -204,30 +339,30 @@ def _choose(p: np.ndarray, u) -> np.ndarray:
     return np.count_nonzero(cdf <= np.asarray(u)[:, None], axis=1)
 
 
-def _sample(v: np.ndarray, rho, rngs, draw) -> tuple:
-    """(records, outcomes) of rho measured in the eigenbasis v, one shot per rng.
+def _sample(v: np.ndarray, rho, tm: TimeModel, num_shots: int, seed: int,
+            width: int, phases_of) -> tuple:
+    """(draws, outcomes) of rho measured in the eigenbasis v, one row per shot.
 
-    ``draw(rng)`` makes a shot's evolution draws and returns (record, phase
-    vector); one ``rng.random()`` then picks the outcome, the draw that
-    ``rng.choice(d, p=p)`` would make. Shots are evaluated in chunks that
-    bound the (d, shots x rank) product at CHUNK_ENTRIES entries, so the
-    draws, and hence the outcomes, do not depend on the chunking.
+    Shot i makes ``width`` evolution draws and then one uniform variate,
+    which picks the outcome as ``rng.choice(d, p=p)`` would, all from the
+    stream of substream(seed, i) (see _evolution_draws). ``phases_of`` maps
+    a chunk's draws (n, width) to its phase vectors (n, d). Shots are
+    evaluated in chunks that bound the (d, shots x rank) product at
+    CHUNK_ENTRIES entries; the draws, and hence the outcomes, do not depend
+    on the chunking.
     """
+    if num_shots >= 2**32:
+        raise ValueError("num_shots must be below 2**32, so that each shot "
+                         "index is one spawn-key word")
     w, l = _factor_state(v.conj().T @ as_complex(rho) @ v)
     chunk = max(1, CHUNK_ENTRIES // (v.shape[0] * max(1, len(w))))
-
-    def shots():
-        for rng in rngs:
-            record, phases = draw(rng)
-            yield record, phases, rng.random()
-
-    records, outcomes = [], []
-    it = shots()
-    while batch := list(itertools.islice(it, chunk)):
-        rec, phases, u = zip(*batch)
-        records += rec
-        outcomes.append(_choose(_born_rows(v, w, l, np.array(phases)), u))
-    return records, np.concatenate(outcomes)
+    draws, outcomes = [], []
+    for start in range(0, num_shots, chunk):
+        shots = np.arange(start, min(start + chunk, num_shots), dtype=np.uint64)
+        x, u = _evolution_draws(seed, shots, tm, width)
+        draws.append(x)
+        outcomes.append(_choose(_born_rows(v, w, l, phases_of(x)), u))
+    return np.concatenate(draws), np.concatenate(outcomes)
 
 
 def born_probabilities(h: SpectralHamiltonian, rho_h: np.ndarray,
@@ -248,31 +383,13 @@ def _evolution_columns(tm: TimeModel, records) -> dict:
     return {key: np.asarray(records, dtype=float)}
 
 
-def _shots(h: SpectralHamiltonian, rho, tm: TimeModel, rngs) -> tuple:
-    """(evolution draws, outcomes), one shot per generator of rngs."""
-    def draw(rng):
-        x = _draw_evolution(h.dim, tm, rng)
-        return x, (-h.energies * x if tm.kind == "uniform-window" else x)
-
-    return _sample(h.eigenbasis, rho, rngs, draw)
-
-
-def sample_snapshot(h: SpectralHamiltonian, rho, tm: TimeModel,
-                    rng: np.random.Generator) -> Snapshot:
-    (x,), (b,) = _shots(h, rho, tm, [rng])
-    if tm.kind == "uniform-window":
-        return Snapshot(int(b), time=x)
-    return Snapshot(int(b), phases=x)
-
-
 def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
               num_shots: int, seed: int) -> SnapshotSet:
     """Deterministic batch: shot i uses substream (seed, i)."""
     if num_shots < 1:
         raise ValueError("num_shots must be at least 1")
-    records, bits = _shots(h, rho, tm, (substream(seed, i) for i in range(num_shots)))
-    return SnapshotSet(bits, hamiltonian_fingerprint(h), int(seed), tm,
-                       **_evolution_columns(tm, records))
+    (snaps,) = run_local_batch([h], rho, tm, num_shots, seed)
+    return snaps
 
 
 def run_local_batch(patch_hs, rho, tm: TimeModel, num_shots: int, seed: int,
@@ -304,23 +421,26 @@ def run_local_batch(patch_hs, rho, tm: TimeModel, num_shots: int, seed: int,
                         "evolution time; consider per_patch_times=True",
                         stacklevel=2)
     v_full = functools.reduce(np.kron, [h.eigenbasis for h in patch_hs])
+    # each patch's draws: one shared time, one time per patch, or d_p phases
+    widths = [1] if shared_time else [1] * len(dims) if window else dims
+    bounds = np.cumsum(widths)[:-1]
 
-    def draw(rng):
-        if shared_time:
-            xs = [_draw_evolution(1, tm, rng)] * len(patch_hs)
-        else:
-            xs = [_draw_evolution(h.dim, tm, rng) for h in patch_hs]
+    def patch_draws(x):
+        cols = np.split(x, bounds, axis=1)
+        return cols * len(dims) if shared_time else cols
+
+    def phases_of(x):
         # phases of the tensor product of the patch evolutions
-        return xs, functools.reduce(
-            lambda a, b: np.add.outer(a, b).reshape(-1),
-            [-h.energies * x if window else x for h, x in zip(patch_hs, xs)])
+        return functools.reduce(
+            lambda a, b: (a[:, :, None] + b[:, None, :]).reshape(len(a), -1),
+            [-h.energies * c if window else c
+             for h, c in zip(patch_hs, patch_draws(x))])
 
-    records, bits = _sample(v_full, rho,
-                            (substream(seed, i) for i in range(num_shots)), draw)
+    x, bits = _sample(v_full, rho, tm, num_shots, seed, sum(widths), phases_of)
     patch_bits = np.unravel_index(bits, dims)
     return [SnapshotSet(patch_bits[i], hamiltonian_fingerprint(h), int(seed), tm,
-                        **_evolution_columns(tm, [r[i] for r in records]))
-            for i, h in enumerate(patch_hs)]
+                        **_evolution_columns(tm, c[:, 0] if window else c))
+            for i, (h, c) in enumerate(zip(patch_hs, patch_draws(x)))]
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,32 @@ class TestFramePotential:
         assert res.exit_code == 2
         assert "window bounds must be finite" in res.output
 
+    def test_config_supplies_dim(self, tmp_path):
+        p = write_cfg(tmp_path / "cfg.yaml",
+                      {"model": {"kind": "gue", "dim": 4, "seed": 1}})
+        runner = CliRunner()
+        for args in (["--config", p], ["--config", p, "--dim", "4"]):
+            res = runner.invoke(main, ["frame-potential", "-k", "2", *args])
+            assert res.exit_code == 0, res.output
+            assert f"F(2) rdu-exact d=4: {float(2 * 16 - 4)!r}" in res.output
+        res = runner.invoke(main, ["frame-potential", "--config", p,
+                                   "--mode", "finite-time", "--t-max", "2"])
+        assert res.exit_code == 0, res.output
+        assert "finite-time d=4 " in res.output
+
+    def test_neither_dim_nor_config_code_2(self):
+        res = CliRunner().invoke(main, ["frame-potential", "-k", "2"])
+        assert res.exit_code == 2
+        assert "give --dim or --config" in res.output
+
+    def test_dim_disagreeing_with_config_code_2(self, tmp_path):
+        p = write_cfg(tmp_path / "cfg.yaml",
+                      {"model": {"kind": "gue", "dim": 4, "seed": 1}})
+        res = CliRunner().invoke(main, ["frame-potential", "--config", p,
+                                        "--dim", "8"])
+        assert res.exit_code == 2
+        assert "--dim 8 disagrees with the config's model dimension 4" in res.output
+
 
 class TestDiagnose:
     def test_complete_model(self, tmp_path):

@@ -1,24 +1,69 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from hamshadow import sampler
 from hamshadow.models import gue_hamiltonian
 from hamshadow.qmatrix import hermitian_spectral, tensor_product
 from hamshadow.sampler import (
     CHUNK_ENTRIES,
+    Snapshot,
     SnapshotSet,
     TimeModel,
+    _evolution_draws,
     _factor_state,
     born_probabilities,
     load_snapshots,
     run_batch,
     run_local_batch,
-    sample_snapshot,
     save_snapshots,
     substream,
     write_manifest,
 )
 from hamshadow.shadowmap import hamiltonian_fingerprint
+
+# ---------------------------------------------------------------------------
+# Oracle: each shot drawn from its own numpy Generator, substream(seed, i).
+# run_batch and run_local_batch compute these streams in closed form and
+# must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def draw_evolution(dim, tm, rng):
+    """A shot's time (uniform-window) or phase vector (otherwise)."""
+    if tm.kind == "uniform-window":
+        return float(rng.uniform(tm.t_min, tm.t_max))
+    if tm.kind == "design":
+        m = rng.integers(0, tm.k + 1, size=dim)
+        return 2 * np.pi * m / (tm.k + 1)
+    return rng.uniform(0, 2 * np.pi, size=dim)
+
+
+def oracle_local_shot(patch_hs, rho, tm, rng, per_patch_times=False):
+    """(per-patch evolution draws, joint outcome) of one shot of run_local_batch."""
+    window = tm.kind == "uniform-window"
+    if window and not per_patch_times:
+        xs = [draw_evolution(1, tm, rng)] * len(patch_hs)
+    else:
+        xs = [draw_evolution(h.dim, tm, rng) for h in patch_hs]
+    phases = functools.reduce(
+        lambda a, b: np.add.outer(a, b).reshape(-1),
+        [-h.energies * x if window else x for h, x in zip(patch_hs, xs)])
+    v = functools.reduce(np.kron, [h.eigenbasis for h in patch_hs])
+    p = sampler._born_rows(v, *_factor_state(v.conj().T @ rho @ v), phases[None, :])[0]
+    return xs, int(rng.choice(len(p), p=p))
+
+
+def sample_snapshot(h, rho, tm, rng):
+    """One shot of run_batch, drawn from its own Generator."""
+    (x,), b = oracle_local_shot([h], rho, tm, rng)
+    if tm.kind == "uniform-window":
+        return Snapshot(b, time=x)
+    return Snapshot(b, phases=x)
 
 
 def random_density(d, seed=0, rank=None):
@@ -36,9 +81,12 @@ def einsum_born(h, rho_h, phases):
     return p / p.sum()
 
 
+def shots_row(s):
+    return s.bitstring, s.time, None if s.phases is None else s.phases.tobytes()
+
+
 def shots(snaps):
-    return [(s.bitstring, s.time, None if s.phases is None else tuple(s.phases))
-            for s in snaps.snapshots]
+    return [shots_row(s) for s in snaps.snapshots]
 
 
 class TestSubstream:
@@ -53,6 +101,122 @@ class TestSubstream:
         a = substream(5, 0, 1).normal()
         b = substream(5, 1, 0).normal()
         assert a != b
+
+
+SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**140)
+WINDOW = TimeModel("uniform-window", t_min=0.5, t_max=22.0)
+TIME_MODELS = [WINDOW, TimeModel("ideal-rdu"), TimeModel("design", k=1),
+               TimeModel("design", k=2), TimeModel("design", k=3)]
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStream:
+    """The vectorized streams against one numpy Generator per shot."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS, st.lists(st.integers(0, 2**32 - 1), max_size=5),
+           st.sampled_from(TIME_MODELS),
+           st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    def test_draws_equal_substream(self, seed, shots, tm, calls):
+        shots = [0, *shots]
+        if tm.kind == "uniform-window":
+            calls = [1] * sum(calls)
+        x, u = _evolution_draws(seed, np.array(shots, dtype=np.uint64), tm, sum(calls))
+        for j, i in enumerate(shots):
+            rng = substream(seed, i)
+            want = np.concatenate([np.atleast_1d(draw_evolution(c, tm, rng))
+                                   for c in calls])
+            assert same_bytes(x[j], want)
+            assert u[j] == rng.random()
+
+    @settings(max_examples=25, deadline=None)
+    @given(SEEDS, st.sampled_from(TIME_MODELS))
+    def test_batch_equals_per_shot_generators(self, seed, tm):
+        h = gue_hamiltonian(5, 60)
+        rho = random_density(5, 61, 2)
+        batch = run_batch(h, rho, tm, 25, seed)
+        assert shots(batch) == [shots_row(sample_snapshot(h, rho, tm, substream(seed, i)))
+                                for i in range(25)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS, st.sampled_from([(tm, False) for tm in TIME_MODELS] + [(WINDOW, True)]),
+           st.sampled_from([[3], [2, 3], [3, 1, 2]]))
+    def test_local_batch_equals_per_shot_generators(self, seed, layout, dims):
+        tm, per_patch = layout
+        patch_hs = [gue_hamiltonian(d, 70 + j) for j, d in enumerate(dims)]
+        rho = random_density(int(np.prod(dims)), 71, 2)
+        sets = run_local_batch(patch_hs, rho, tm, 12, seed, per_patch_times=per_patch)
+        for i in range(12):
+            xs, b = oracle_local_shot(patch_hs, rho, tm, substream(seed, i), per_patch)
+            assert np.ravel_multi_index([s.bits[i] for s in sets], dims) == b
+            for s, x in zip(sets, xs):
+                got = s.times[i] if s.times is not None else s.phases[i]
+                assert same_bytes(got, x)
+
+    def test_lemire_rejects_only_a_zero_draw_of_three(self):
+        draws = np.array([0, 1, 2, 2**31, 2**32 - 1], dtype=np.uint64)
+        for span in (2, 3, 4):
+            leftover = draws * span & 0xFFFFFFFF
+            assert sampler._lemire_rejects(leftover, span).tolist() == \
+                [span == 3, False, False, False, False]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_redraw_keeps_bytes(self, monkeypatch, tmp_path, k):
+        # a rejected draw is a 2^-32 event per word, so force the redraw
+        # path on every shot with bit 16 of its first leftover word set
+        tm = TimeModel("design", k=k)
+        h = gue_hamiltonian(8, 62)
+        patch_hs = [gue_hamiltonian(3, 63), gue_hamiltonian(2, 64)]
+
+        def files(tag):
+            out = []
+            for name, snaps in [("batch", run_batch(h, random_density(8, 65), tm, 90, 66)),
+                                *[(f"patch{i}", s) for i, s in enumerate(
+                                    run_local_batch(patch_hs, random_density(6, 67),
+                                                    tm, 90, 68))]]:
+                save_snapshots(tmp_path / f"{tag}_{name}.txt", snaps)
+                out.append((tmp_path / f"{tag}_{name}.txt").read_bytes())
+            return out
+
+        before = files("before")
+        redrawn = []
+
+        def counted_substream(seed, *path):
+            redrawn.append(path)
+            return substream(seed, *path)
+
+        monkeypatch.setattr(sampler, "_lemire_rejects",
+                            lambda leftover, span: (leftover[:, :1] >> 16 & 1) == 1)
+        monkeypatch.setattr(sampler, "substream", counted_substream)
+        assert files("after") == before
+        assert 40 < len(redrawn) < 140
+
+    @pytest.mark.parametrize("local", [False, True])
+    def test_negative_seed_refused(self, local):
+        h = gue_hamiltonian(2, 69)
+        tm = TimeModel("ideal-rdu")
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            substream(-1, 0)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            if local:
+                run_local_batch([h, h], np.eye(4) / 4, tm, 3, seed=-1)
+            else:
+                run_batch(h, np.eye(2) / 2, tm, 3, seed=-1)
+
+    @pytest.mark.parametrize("local", [False, True])
+    def test_shot_index_beyond_one_word_refused(self, local):
+        # refused before any shot is drawn: 2**32 shots would not fit in memory
+        h = gue_hamiltonian(2, 69)
+        tm = TimeModel("ideal-rdu")
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            if local:
+                run_local_batch([h, h], np.eye(4) / 4, tm, 2**32, seed=1)
+            else:
+                run_batch(h, np.eye(2) / 2, tm, 2**32, seed=1)
 
 
 class TestTimeModel:
@@ -144,12 +308,12 @@ class TestSampling:
     def test_sample_snapshot_draws_from_model(self):
         h = gue_hamiltonian(2, 15)
         rho = random_density(2, 16)
-        s = sample_snapshot(h, rho, TimeModel("uniform-window", t_min=1, t_max=2),
-                            substream(17, 0))
-        assert s.time is not None and 1 <= s.time <= 2
-        s2 = sample_snapshot(h, rho, TimeModel("design", k=2), substream(17, 1))
+        times = run_batch(h, rho, TimeModel("uniform-window", t_min=1, t_max=2),
+                          50, seed=17).times
+        assert np.all((1 <= times) & (times <= 2))
+        phases = run_batch(h, rho, TimeModel("design", k=2), 50, seed=17).phases
         grid = 2 * np.pi * np.arange(3) / 3
-        assert np.all(np.isin(np.round(s2.phases, 12), np.round(grid, 12)))
+        assert np.all(np.isin(np.round(phases, 12), np.round(grid, 12)))
 
     def test_corrupted_state_rejected(self):
         h = gue_hamiltonian(2, 18)
@@ -198,7 +362,7 @@ class TestSampling:
     def test_sample_snapshot_is_batch_shot(self):
         h = gue_hamiltonian(8, 56)
         rho = random_density(8, 57, 3)
-        for tm in (TimeModel("design", k=2),
+        for tm in (TimeModel("design", k=2), TimeModel("ideal-rdu"),
                    TimeModel("uniform-window", t_min=1.0, t_max=2.0)):
             batch = run_batch(h, rho, tm, 70, seed=58)
             for i in (0, 33, 69):
@@ -340,3 +504,4 @@ class TestSerialization:
         assert "seed=36" in text
         assert "shots=4" in text
         assert "note=x" in text
+        assert "\nrng=philox seed-sequence substream per shot index\n" in text
