@@ -5,16 +5,17 @@ time (or with ideal random phases), samples a bitstring from the Born
 distribution, and records a snapshot. Shot i draws from the Philox
 stream of ``substream(seed, i)``, so a batch is a pure function of its
 arguments regardless of evaluation order. That stream is computed in
-closed form for a whole chunk of shots at once: the SeedSequence keys,
-the Philox4x64-10 blocks and the Generator's conversions to doubles and
+closed form for a block of shots at once: the SeedSequence keys, the
+Philox4x64-10 blocks and the Generator's conversions to doubles and
 bounded integers run as numpy array arithmetic, and a test pins the
-result to ``substream(seed, i)`` draw for draw. One matrix product then
-gives the Born distributions of the chunk.
+result to ``substream(seed, i)`` draw for draw. One matrix product per
+chunk of the block then gives the Born distributions of its shots.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ from .shadowmap import hamiltonian_fingerprint
 
 BORN_TOL = 1e-9
 # Complex entries of the (d, shots x rank) matrix that one chunk of shots
-# multiplies by V: 256 KiB per work array, whatever d and the state's rank.
+# multiplies by V, and about the 64-bit words of one block of shot streams:
+# 256 KiB per work array, whatever d and the state's rank.
 CHUNK_ENTRIES = 2**14
 
 _M32 = 0xFFFFFFFF
@@ -47,7 +49,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# The streams of substream(seed, i) for a chunk of shots i at once.
+# The streams of substream(seed, i) for a block of shots i at once.
 #
 # The helpers take Python ints and uint64 arrays alike. A 32-bit word is
 # held in a uint64 and masked after each product, and every array operand
@@ -75,7 +77,7 @@ def _philox_keys(seed: int, shots: np.ndarray) -> tuple:
     generate_state(2, uint64). Only the last word depends on the shot, so
     everything before it runs on Python ints.
     """
-    seed = int(seed)
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
     words = [(seed >> 32 * j) & _M32 for j in range(max(1, -(-seed.bit_length() // 32)))]
@@ -346,22 +348,27 @@ def _sample(v: np.ndarray, rho, tm: TimeModel, num_shots: int, seed: int,
     Shot i makes ``width`` evolution draws and then one uniform variate,
     which picks the outcome as ``rng.choice(d, p=p)`` would, all from the
     stream of substream(seed, i) (see _evolution_draws). ``phases_of`` maps
-    a chunk's draws (n, width) to its phase vectors (n, d). Shots are
-    evaluated in chunks that bound the (d, shots x rank) product at
-    CHUNK_ENTRIES entries; the draws, and hence the outcomes, do not depend
-    on the chunking.
+    a chunk's draws (n, width) to its phase vectors (n, d). The draws are
+    made in blocks of about CHUNK_ENTRIES words, so that the fixed cost of
+    a block is spread over many shots whatever the state's rank; each block
+    is then split into Born chunks that bound the (d, shots x rank) product
+    at CHUNK_ENTRIES entries. The draws, and hence the outcomes, do not
+    depend on either partition.
     """
     if num_shots >= 2**32:
         raise ValueError("num_shots must be below 2**32, so that each shot "
                          "index is one spawn-key word")
     w, l = _factor_state(v.conj().T @ as_complex(rho) @ v)
     chunk = max(1, CHUNK_ENTRIES // (v.shape[0] * max(1, len(w))))
+    block = max(chunk, CHUNK_ENTRIES // (width + 1))
     draws, outcomes = [], []
-    for start in range(0, num_shots, chunk):
-        shots = np.arange(start, min(start + chunk, num_shots), dtype=np.uint64)
+    for start in range(0, num_shots, block):
+        shots = np.arange(start, min(start + block, num_shots), dtype=np.uint64)
         x, u = _evolution_draws(seed, shots, tm, width)
         draws.append(x)
-        outcomes.append(_choose(_born_rows(v, w, l, phases_of(x)), u))
+        outcomes.extend(
+            _choose(_born_rows(v, w, l, phases_of(x[j:j + chunk])), u[j:j + chunk])
+            for j in range(0, len(shots), chunk))
     return np.concatenate(draws), np.concatenate(outcomes)
 
 
@@ -380,7 +387,7 @@ def born_probabilities(h: SpectralHamiltonian, rho_h: np.ndarray,
 def _evolution_columns(tm: TimeModel, records) -> dict:
     """The times (K,) or phases (K, d) keyword of SnapshotSet for tm."""
     key = "times" if tm.kind == "uniform-window" else "phases"
-    return {key: np.asarray(records, dtype=float)}
+    return {key: np.ascontiguousarray(records, dtype=float)}
 
 
 def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,

@@ -206,6 +206,12 @@ class TestStream:
                 run_local_batch([h, h], np.eye(4) / 4, tm, 3, seed=-1)
             else:
                 run_batch(h, np.eye(2) / 2, tm, 3, seed=-1)
+        for seed in (1.5, 2.0, "3"):
+            with pytest.raises(TypeError):
+                if local:
+                    run_local_batch([h, h], np.eye(4) / 4, tm, 3, seed=seed)
+                else:
+                    run_batch(h, np.eye(2) / 2, tm, 3, seed=seed)
 
     @pytest.mark.parametrize("local", [False, True])
     def test_shot_index_beyond_one_word_refused(self, local):
@@ -359,6 +365,22 @@ class TestSampling:
             short = run_batch(h, rho, tm, 100, seed=55)
             assert shots(long)[:100] == shots(short)
 
+    @pytest.mark.parametrize("entries", [1, 40, 300])
+    def test_draw_blocks_and_born_chunks_do_not_change_batch(self, monkeypatch, entries):
+        # at 40 entries a full-rank d = 8 state has one shot per Born chunk
+        # and four per draw block, so both partitions cut the batch
+        h = gue_hamiltonian(8, 59)
+        rho = random_density(8, 60)
+        patch_hs = [gue_hamiltonian(2, 61), gue_hamiltonian(4, 62)]
+        for tm in TIME_MODELS:
+            want = (shots(run_batch(h, rho, tm, 30, seed=63)),
+                    [shots(s) for s in run_local_batch(patch_hs, rho, tm, 30, 64)])
+            with monkeypatch.context() as m:
+                m.setattr(sampler, "CHUNK_ENTRIES", entries)
+                got = (shots(run_batch(h, rho, tm, 30, seed=63)),
+                       [shots(s) for s in run_local_batch(patch_hs, rho, tm, 30, 64)])
+            assert got == want
+
     def test_sample_snapshot_is_batch_shot(self):
         h = gue_hamiltonian(8, 56)
         rho = random_density(8, 57, 3)
@@ -409,6 +431,17 @@ class TestLocalSampling:
         times = [(a.time, b.time) for a, b in zip(sets[0].snapshots,
                                                   sets[1].snapshots)]
         assert any(ta != tb for ta, tb in times)
+
+    @pytest.mark.parametrize("tm, per_patch", [(TimeModel("ideal-rdu"), False),
+                                               (TimeModel("design", k=2), False),
+                                               (WINDOW, False), (WINDOW, True)])
+    def test_patch_columns_are_contiguous(self, tm, per_patch):
+        patch_hs = [gue_hamiltonian(3, 24), gue_hamiltonian(2, 25)]
+        sets = run_local_batch(patch_hs, random_density(6, 26), tm, 20, 27,
+                               per_patch_times=per_patch)
+        for s in sets:
+            col = s.times if s.times is not None else s.phases
+            assert col.flags.c_contiguous
 
     def test_dimension_mismatch(self):
         h = gue_hamiltonian(2, 27)
