@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -19,14 +20,13 @@ from .estimators import (
     CSV_HEADER,
     Observable,
     estimate_linear,
-    estimate_nonlinear,
     estimate_purity,
     median_of_means,
     snapshot_states,
     snapshot_values,
     wrong_postprocessing_values,
 )
-from .qmatrix import SpectralHamiltonian, evolve, partial_trace, swap_operator
+from .qmatrix import SpectralHamiltonian, evolve, partial_trace
 from .rdu import (
     DegeneracySpec,
     diagonal_design,
@@ -52,8 +52,9 @@ from .shadowmap import (
 from .variance import (
     VARIANCE_CSV_HEADER,
     empirical_variance,
+    purity_variance_proxy,
+    purity_variance_report,
     variance_approx_linear,
-    variance_approx_nonlinear,
     variance_exact,
     variance_report,
 )
@@ -160,7 +161,16 @@ def build_time_model(cfg: dict) -> TimeModel:
         raise ConfigError(f"bad time_model section: {e}")
 
 
+@dataclass(frozen=True)
+class Purity:
+    """A `kind: purity` entry: Tr(rho^2), estimated by the U-statistic and
+    given the SWAP variance proxy, with no two-copy SWAP matrix built."""
+
+    name: str = "purity"
+
+
 def build_observables(cfg: dict, rho: np.ndarray | None, d: int) -> list:
+    """One Observable per configured one-copy entry, one Purity per purity."""
     e = cfg.get("estimators", {})
     _require_keys(e, {"method", "batches", "observables"}, set(),
                   "config.estimators")
@@ -180,8 +190,7 @@ def build_observables(cfg: dict, rho: np.ndarray | None, d: int) -> list:
                 raise ConfigError("fidelity observable needs a state section")
             out.append(Observable(rho, name=spec.get("name", "fidelity")))
         elif kind == "purity":
-            out.append(Observable(swap_operator(d), copies=2,
-                                  name=spec.get("name", "purity")))
+            out.append(Purity(spec.get("name", "purity")))
         else:
             raise ConfigError(f"unknown observable kind {kind!r}")
     if not out:
@@ -305,13 +314,13 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
     rows = []
     try:
         for o in obs:
-            if wrong_postprocessing and o.copies == 1:
+            if isinstance(o, Purity):
+                rep = estimate_purity(inv, snaps)
+                name = o.name
+            elif wrong_postprocessing:
                 vals = wrong_postprocessing_values(inv, snaps, o)
                 rep = median_of_means(vals, batches)
                 name = o.name + "(wrong-postprocessing)"
-            elif o.copies == 2:
-                rep = estimate_nonlinear(inv, snaps, o)
-                name = o.name
             else:
                 rep = estimate_linear(inv, snaps, o, num_batches=batches)
                 name = o.name
@@ -320,7 +329,7 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
         _fail(EXIT_INCOMPLETE, str(e))
     except ValueError as e:
         _fail(EXIT_CONFIG, f"snapshot error: {e}")
-    text = (f"# hamshadow estimates v2 seed={snaps.seed} "
+    text = (f"# hamshadow estimates v3 seed={snaps.seed} "
             f"config_digest={config_digest(cfg)}\n"
             + CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     if out_path:
@@ -349,7 +358,8 @@ def variance(config_path, out_path):
     inv = build_inverter(h)
     fp = hamiltonian_fingerprint(h)
     seed = cfg.get("seed", 0)
-    rows = [variance_report(inv, o, rho=rho).csv_row(o.name, seed, fp)
+    rows = [(purity_variance_report(inv) if isinstance(o, Purity)
+             else variance_report(inv, o, rho=rho)).csv_row(o.name, seed, fp)
             for o in obs]
     text = (f"# config_digest={config_digest(cfg)}\n"
             + VARIANCE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
@@ -627,8 +637,7 @@ def _repro_fig13(seed):
         d = 2**n
         h = models.gue_hamiltonian(d, seed + n)
         inv = build_inverter(h)
-        o2 = Observable(swap_operator(d), copies=2, name="SWAP")
-        approx = variance_approx_nonlinear(inv, o2)
+        approx = purity_variance_proxy(inv)
         rho = models.random_pure_state(d, seed + n)
         tm = TimeModel("ideal-rdu")
         snaps = run_batch(h, rho, tm, 2000, seed + n)

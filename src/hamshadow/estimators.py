@@ -113,15 +113,22 @@ def snapshot_amplitudes(inv: ShadowInverter, snaps) -> np.ndarray:
 
 
 def _quadratic_values(z: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row values sum_mn z_m B[m,n] conj(z_n)."""
-    return np.einsum("km,mn,kn->k", z, b, z.conj())
+    """Per-row Re sum_mn z_m B[m,n] conj(z_n), the value itself for Hermitian B.
+
+    One (K, d) x (d, d) GEMM and a real row dot: Re(w conj(z)) is
+    Re w Re z + Im w Im z, so the interleaved float views of w = z B and z
+    give it with no conj(z) or product temporary.
+    """
+    w = z @ b
+    return np.einsum("kj,kj->k", w.view(float),
+                     np.ascontiguousarray(z).view(float))
 
 
 def snapshot_values(inv: ShadowInverter, snaps, o: Observable) -> np.ndarray:
     """Per-snapshot estimates of Tr(O rho), cost O(d^2) per snapshot."""
     o_t = transformed_observable(inv, o)
     z = snapshot_amplitudes(inv, snaps)
-    return _quadratic_values(z, o_t).real
+    return _quadratic_values(z, o_t)
 
 
 def _inverted_sigmas(inv: ShadowInverter, z: np.ndarray) -> np.ndarray:
@@ -186,9 +193,11 @@ def _purity_u_statistic(inv: ShadowInverter, snaps) -> EstimateReport:
     """Tr(rho^2) by the symmetric pair U-statistic.
 
     The pair term is Tr(rho-hat_i rho-hat_j), and the sum follows from
-    S = sum_k rho-hat_k, Tr(rho-hat_k^2) and Tr(rho-hat_k S), the last by
-    the linear fast path. The snapshots are inverted in bounded blocks
-    (`inverted_snapshot_moments`). Standard error is the delete-one
+    S = sum_k rho-hat_k, Tr(rho-hat_k^2) and Tr(rho-hat_k S).
+    `inverted_snapshot_moments` gives the first two straight from the
+    amplitude matrix Z (closed forms in the ideal modes, one packed real
+    GEMM per block in finite-time mode); the last is the linear fast path,
+    a quadratic form of each row of Z. Standard error is the delete-one
     jackknife.
     """
     inv.require_complete()
@@ -280,7 +289,7 @@ def wrong_postprocessing_values(inv: ShadowInverter, snaps,
     z = snapshot_amplitudes(inv, snaps)
     d = inv.dim
     tr_o = float(np.trace(o.matrix).real)
-    return (d + 1) * _quadratic_values(z, a).real - tr_o
+    return (d + 1) * _quadratic_values(z, a) - tr_o
 
 
 def write_reports_csv(path, rows, comment: str = "") -> None:

@@ -21,8 +21,8 @@ from .rdu import DegeneracySpec, check_window
 
 SINGULAR_CONDITION = 1e12
 BLOCK_ENTRIES = 2**14  # entries per block of the d^4 passes of finite_time_choi
-MOMENT_BLOCK_ENTRIES = 2**16  # complex rho-hat entries per block, ideal modes
 PACKED_BLOCK_ENTRIES = 2**18  # packed real rho-hat entries per block, finite time
+SIGMA_BLOCK_ENTRIES = 2**15  # complex sigma-hat entries per packing step
 ZERO_OFFDIAG_TOL = 1e-12
 ZERO_DIAG_TOL = 1e-10
 ENERGY_RESOLUTION = 1e-9
@@ -329,10 +329,34 @@ def snapshot_sigmas(z: np.ndarray) -> np.ndarray:
     """Stack of sigma-hat_k = conj(z_k) z_k^T of amplitude rows z, eigenframe."""
     d = z.shape[-1]
     sig = z.conj()[:, :, None] * z[:, None, :]
-    # |z|^2, not Re(conj(z) z), which differs in the last bit: the golden
-    # files pin the ideal-mode estimates computed from |z|^2
-    sig[:, np.arange(d), np.arange(d)] = np.abs(z) ** 2
+    sig[:, np.arange(d), np.arange(d)] = np.abs(z) ** 2  # exactly real
     return sig
+
+
+def _packed_sigmas(z: np.ndarray) -> np.ndarray:
+    """Packed real coordinates of each sigma-hat_k = conj(z_k) z_k^T, (K, d^2).
+
+    The complex sigma-hat stacks are built SIGMA_BLOCK_ENTRIES entries at a
+    time and packed into the one real output, so no complex stack of all
+    K rows is formed.
+    """
+    k, d = z.shape
+    out = np.empty((k, d * d))
+    rows = max(1, SIGMA_BLOCK_ENTRIES // d**2)
+    for start in range(0, k, rows):
+        blk = slice(start, start + rows)
+        out[blk] = _pack(snapshot_sigmas(z[blk]).reshape(-1, d * d))
+    return out
+
+
+def _offdiagonal_weights(inv: ShadowInverter) -> np.ndarray:
+    """Y with Tr(N^-1(sigma)^2) off the diagonal = sum_mn Y_mn |sigma_mn|^2:
+    1/X_mn^2 on every off-diagonal N^-1 recovers, 0 on the diagonal and,
+    in pseudo-inverse mode, wherever |X_mn| < ZERO_OFFDIAG_TOL."""
+    keep = ~np.eye(inv.dim, dtype=bool)
+    if inv.mode == "pseudo-inverse":
+        keep &= np.abs(inv.x_h) >= ZERO_OFFDIAG_TOL
+    return np.divide(1.0, inv.x_h**2, out=np.zeros_like(inv.x_h), where=keep)
 
 
 def inverted_snapshot_moments(inv: ShadowInverter,
@@ -340,35 +364,36 @@ def inverted_snapshot_moments(inv: ShadowInverter,
     """Sum of rho-hat_k = N^-1(sigma-hat_k) over the amplitude rows z_k, in
     the eigenframe, and Tr(rho-hat_k^2) of each row.
 
-    The rows are inverted in blocks. In finite-time mode one real GEMM per
-    block of PACKED_BLOCK_ENTRIES entries gives every packed rho-hat_k, and
-    Tr(rho-hat_k^2) is a w-weighted squared row norm: no complex rho-hat
-    is formed. That block is 256 rows at d = 32, since 64-row blocks ran
-    the GEMMs about a third slower. The other modes build complex rho-hat
-    stacks of MOMENT_BLOCK_ENTRIES entries, whose summation order the
-    golden purity pins.
+    Ideal and pseudo-inverse modes use the closed form in q_k = |z_k|^2:
+    S = N^-1(Z^dag Z), one GEMM and one d x d inversion, and
+    Tr(rho-hat_k^2) = ||X_H^-1 q_k||^2 + q_k^T Y q_k with Y from
+    _offdiagonal_weights (the pseudo-inverse drops the first term), so no
+    rho-hat_k is formed. In finite-time mode one real GEMM per block of
+    PACKED_BLOCK_ENTRIES entries maps the packed sigma-hat_k of that block
+    to every packed rho-hat_k, and Tr(rho-hat_k^2) is a w-weighted squared
+    row norm. That block is 256 rows at d = 32, since 64-row blocks ran
+    the GEMMs about a third slower.
     """
     k, d = z.shape
-    tr_sq = np.empty(k, dtype=complex)
     if inv.mode != "finite-time":
-        s = np.zeros((d, d), dtype=complex)
-        rows = max(1, MOMENT_BLOCK_ENTRIES // d**2)
-        for start in range(0, k, rows):
-            blk = slice(start, start + rows)
-            rhos = apply_n_inverse(inv, snapshot_sigmas(z[blk]))
-            s += rhos.sum(axis=0)
-            tr_sq[blk] = np.einsum("kmn,knm->k", rhos, rhos)
+        s = apply_n_inverse(inv, z.conj().T @ z)
+        q = np.abs(z) ** 2
+        tr_sq = np.einsum("km,km->k", q @ _offdiagonal_weights(inv), q)
+        if inv.mode == "ideal":
+            diag = q @ inv.x_h_inverse.T
+            tr_sq += np.einsum("km,km->k", diag, diag)
         return s, tr_sq
     r_inv_t = inv.finite.packed_inverse.T
     w = _packed_weights(d)
     s = np.zeros(d * d)
+    tr_sq = np.empty(k)
     rows = max(1, PACKED_BLOCK_ENTRIES // d**2)
     for start in range(0, k, rows):
         blk = slice(start, start + rows)
-        rhos = _pack(snapshot_sigmas(z[blk]).reshape(-1, d * d)) @ r_inv_t
+        rhos = _packed_sigmas(z[blk]) @ r_inv_t
         s += rhos.sum(axis=0)
         tr_sq[blk] = (rhos * rhos) @ w
-        del rhos  # freed before the next block's sigma stack is built
+        del rhos  # freed before the next block's packed sigmas are built
     return _unpack(s).reshape(d, d), tr_sq
 
 

@@ -174,21 +174,28 @@ def variance_approx_linear(inv: ShadowInverter, o: Observable,
     return total / d if dim_prefactor else total
 
 
-def variance_approx_nonlinear(inv: ShadowInverter, o: Observable) -> float:
-    """Closed-form variance proxy for the purity, the one two-copy observable.
+def purity_variance_proxy(inv: ShadowInverter) -> float:
+    """Closed-form variance proxy of the purity, (1/d^2) sum_{i != j} X_ij^-2.
 
     For O = SWAP the sum over off-diagonal pairs of |two-copy eigenframe
-    element|^2 divided by the product of weights collapses to
-    (1/d^2) sum_{i != j} X_ij^{-2}.
+    element|^2 divided by the product of weights collapses to this sum of
+    X_H entries, so no d^2 x d^2 SWAP matrix is needed.
     """
     inv.require_complete()
     d = inv.dim
-    if o.copies != 2 or o.matrix.shape != (d * d, d * d):
-        raise ValueError("expected a two-copy observable")
     off = ~np.eye(d, dtype=bool)
     if np.any(np.abs(inv.x_h[off]) < ZERO_OFFDIAG_TOL):
         raise ValueError("zero off-diagonal weight encountered")
     return float(np.sum(1.0 / inv.x_h[off] ** 2)) / d**2
+
+
+def variance_approx_nonlinear(inv: ShadowInverter, o: Observable) -> float:
+    """purity_variance_proxy, for o the SWAP of two copies (the purity, the
+    one two-copy observable)."""
+    d = inv.dim
+    if o.copies != 2 or o.matrix.shape != (d * d, d * d):
+        raise ValueError("expected a two-copy observable")
+    return purity_variance_proxy(inv)
 
 
 def empirical_variance(per_snapshot_values) -> float:
@@ -229,3 +236,9 @@ def variance_report(inv: ShadowInverter, o: Observable, rho=None,
     return VarianceReport(approx_f=approx, dims_note=note,
                           exact_second_moment=exact, shadow_norm_sq=norm,
                           empirical_variance=emp)
+
+
+def purity_variance_report(inv: ShadowInverter) -> VarianceReport:
+    """variance_report of the purity, with no SWAP matrix built."""
+    return VarianceReport(approx_f=purity_variance_proxy(inv),
+                          dims_note=f"d={inv.dim};mode={inv.mode}")

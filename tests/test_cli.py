@@ -5,10 +5,13 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from hamshadow.cli import build_model, build_state, main
-from hamshadow.estimators import CSV_HEADER, Observable
+import hamshadow
+from hamshadow import cli, qmatrix
+from hamshadow.cli import build_model, build_state, config_digest, main
+from hamshadow.estimators import CSV_HEADER, Observable, estimate_purity
 from hamshadow.models import pauli_tensor
 from hamshadow.qmatrix import swap_operator
+from hamshadow.sampler import load_snapshots
 from hamshadow.shadowmap import build_inverter, hamiltonian_fingerprint
 from hamshadow.variance import VARIANCE_CSV_HEADER, variance_report
 
@@ -149,7 +152,7 @@ class TestEstimate:
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("# hamshadow estimates v2 seed=5 config_digest=")
+        assert lines[0].startswith("# hamshadow estimates v3 seed=5 config_digest=")
         assert lines[1] == CSV_HEADER
         fields = lines[2].split(",")
         assert fields[0] == "XZ"
@@ -361,6 +364,41 @@ class TestVarianceCommand:
         expected = [variance_report(inv, o, rho=rho).csv_row(
             o.name, cfg["seed"], hamiltonian_fingerprint(h)) for o in obs]
         assert out.read_text().splitlines()[2:] == expected
+
+
+class TestPurityBuildsNoSwap:
+    def test_estimate_and_variance_rows(self, tmp_path, monkeypatch):
+        cfg = base_cfg(tmp_path, shots=300)
+        cfg["estimators"]["observables"].append({"kind": "purity", "name": "pur"})
+        p = simulated(tmp_path, cfg)
+        h = build_model(cfg)
+        rho = build_state(cfg, h)
+        inv = build_inverter(h)
+        snaps = load_snapshots(tmp_path / "snaps.txt")
+        purity_row = estimate_purity(inv, snaps).csv_row(
+            "pur", snaps.seed, snaps.hamiltonian_fingerprint)
+        # the variance rows through the two-copy SWAP observable
+        obs = [Observable(pauli_tensor("XZ"), name="XZ"),
+               Observable(swap_operator(4), copies=2, name="pur")]
+        variance_text = "".join(
+            line + "\n" for line in
+            [f"# config_digest={config_digest(cfg)}", VARIANCE_CSV_HEADER]
+            + [variance_report(inv, o, rho=rho).csv_row(
+                o.name, cfg["seed"], hamiltonian_fingerprint(h)) for o in obs])
+
+        def refuse(d):
+            raise AssertionError(f"SWAP of two {d}-dimensional copies built")
+        monkeypatch.setattr(qmatrix, "swap_operator", refuse)
+        monkeypatch.setattr(hamshadow, "swap_operator", refuse)
+        monkeypatch.setattr(cli, "swap_operator", refuse, raising=False)
+        res = estimate_from(p, tmp_path / "snaps.txt", "--out",
+                            str(tmp_path / "est.csv"))
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "est.csv").read_text().splitlines()[3] == purity_row
+        res = CliRunner().invoke(main, ["variance", "--config", p,
+                                        "--out", str(tmp_path / "var.csv")])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "var.csv").read_bytes() == variance_text.encode()
 
 
 class TestFramePotential:

@@ -68,6 +68,37 @@ def mode_setup(mode, shots):
 MODES = ["ideal", "finite-time", "pseudo-inverse"]
 
 
+def block_unitary_hamiltonian(sizes, seed):
+    """Eigenbasis of Haar blocks on disjoint basis states: X_H is zero
+    between eigenvectors of different blocks."""
+    g = np.random.default_rng(seed)
+    v = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    start = 0
+    for n in sizes:
+        q, _ = np.linalg.qr(g.normal(size=(n, n)) + 1j * g.normal(size=(n, n)))
+        v[start:start + n, start:start + n] = q
+        start += n
+    return hamiltonian_from_unitary(v, energies=np.sqrt(np.arange(1, len(v) + 1)))
+
+
+def closed_form_setup(mode, shots):
+    """A d <= 8 inverter in an ideal-phase mode and its snapshots. "masked"
+    is a pseudo-inverse whose X_H has zero entries between two blocks."""
+    from hamshadow.shadowmap import build_inverter
+    if mode == "ideal":
+        h = gue_hamiltonian(8, 12)
+        inv = build_inverter(h)
+    elif mode == "pseudo-inverse":
+        h = hamiltonian_from_unitary(hadamard_basis(3))
+        inv = build_inverter(h, mode=mode)
+    else:
+        h = block_unitary_hamiltonian([3, 3], 13)
+        inv = build_inverter(h, mode="pseudo-inverse")
+        assert np.any(np.abs(inv.x_h) < shadowmap.ZERO_OFFDIAG_TOL)
+    rho = random_pure_state(h.dim, 14)
+    return inv, run_batch(h, rho, TimeModel("ideal-rdu"), shots, 15)
+
+
 class TestObservableType:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -273,17 +304,46 @@ class TestNonlinear:
         se = np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2))
         assert rep.std_error == pytest.approx(se, rel=1e-8)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_blocks_match_one_block(self, monkeypatch, mode):
-        inv, snaps = mode_setup(mode, 100)
+    def test_blocks_match_one_block(self, monkeypatch):
+        inv, snaps = mode_setup("finite-time", 100)
         o = Observable(swap_operator(4), copies=2)
         one = estimate_nonlinear(inv, snaps, o)
-        # 16 entries per d = 4 row: 3 rows per block, 34 blocks
-        monkeypatch.setattr(shadowmap, "MOMENT_BLOCK_ENTRIES", 48)
+        # 16 entries per d = 4 row: 3 rows per block, 34 blocks, packed
+        # 2 rows at a time
         monkeypatch.setattr(shadowmap, "PACKED_BLOCK_ENTRIES", 48)
+        monkeypatch.setattr(shadowmap, "SIGMA_BLOCK_ENTRIES", 32)
         many = estimate_nonlinear(inv, snaps, o)
         assert many.value == pytest.approx(one.value, rel=1e-12)
         assert many.std_error == pytest.approx(one.std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["ideal", "pseudo-inverse", "masked"])
+    @pytest.mark.parametrize("k", [2, 3, 40])
+    def test_closed_form_matches_brute_stack(self, mode, k):
+        # the U-statistic and its delete-one jackknife from the Gram matrix
+        # of the per-snapshot estimators of snapshot_states
+        inv, snaps = closed_form_setup(mode, k)
+        rep = estimate_purity(inv, snaps)
+        rhos = snapshot_states(inv, snaps)
+        gram = np.einsum("imn,jnm->ij", rhos, rhos).real
+        off = gram.sum() - np.trace(gram)
+        assert rep.value == pytest.approx(off / (k * (k - 1)), rel=1e-10)
+        if k == 2:
+            assert rep.std_error == 0.0
+            return
+        loo = (off - 2 * (gram.sum(axis=1) - np.diag(gram))) / ((k - 1) * (k - 2))
+        se = np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2))
+        assert rep.std_error == pytest.approx(se, rel=1e-10)
+
+    @pytest.mark.parametrize("mode", ["ideal", "pseudo-inverse", "masked"])
+    def test_closed_form_moments_match_brute_stack(self, mode):
+        inv, snaps = closed_form_setup(mode, 40)
+        z = snapshot_amplitudes(inv, snaps)
+        s, tr_sq = shadowmap.inverted_snapshot_moments(inv, z)
+        rhos = shadowmap.apply_n_inverse(inv, shadowmap.snapshot_sigmas(z))
+        np.testing.assert_allclose(s, rhos.sum(axis=0), rtol=0,
+                                   atol=1e-12 * np.max(np.abs(s)))
+        np.testing.assert_allclose(tr_sq, np.einsum("kmn,knm->k", rhos, rhos).real,
+                                   rtol=1e-12)
 
     def test_finite_time_purity_matches_complex_inverse(self):
         from hamshadow.shadowmap import build_inverter
@@ -320,6 +380,23 @@ class TestNonlinear:
             tracemalloc.stop()
         # one K x d^2 stack alone would be 8000 * 256 * 16 B = 32.8 MB
         assert peak < 16e6
+
+    def test_finite_time_block_memory(self):
+        # d = 16: 1024 rows per PACKED_BLOCK_ENTRIES block, whose packed
+        # sigma-hat and rho-hat rows are 2.1 MB each; a complex sigma-hat
+        # stack of the block would add 4.2 MB (peak 6.4 MB)
+        from hamshadow.shadowmap import build_inverter
+        inv = build_inverter(gue_hamiltonian(16, 3), mode="finite-time",
+                             t_min=2.0, t_max=22.0)
+        g = np.random.default_rng(16)
+        z = g.normal(size=(4096, 16)) + 1j * g.normal(size=(4096, 16))
+        tracemalloc.start()
+        try:
+            shadowmap.inverted_snapshot_moments(inv, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_purity_builds_no_swap(self):
         h, inv, rho, _ = make_setup(d=32)

@@ -8,7 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hamshadow.estimators import exact_average_state, snapshot_amplitudes
+from hamshadow.estimators import (
+    _quadratic_values,
+    exact_average_state,
+    snapshot_amplitudes,
+)
 from hamshadow.models import gue_hamiltonian
 from hamshadow.qmatrix import hermitian_spectral
 from hamshadow.rdu import diagonal_design
@@ -165,3 +169,21 @@ def test_amplitudes_of_set_equal_row_list(d_snaps, hseed):
     inv = build_inverter(gue_hamiltonian(d, hseed))
     np.testing.assert_array_equal(snapshot_amplitudes(inv, snaps),
                                   snapshot_amplitudes(inv, snaps.snapshots))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.data())
+def test_quadratic_values_match_einsum(d, k, data):
+    # the GEMM and real row dot against the three-operand einsum, for a
+    # Hermitian B, whose quadratic form is real; z in either memory order
+    parts = data.draw(hnp.arrays(np.float64, (2, k, d), elements=ENTRIES))
+    z = parts[0] + 1j * parts[1]
+    if data.draw(st.booleans()):
+        z = np.asfortranarray(z)
+    a = complex_matrix(data.draw, d)
+    b = a + a.conj().T
+    ref = np.einsum("km,mn,kn->k", z, b, z.conj())
+    out = _quadratic_values(z, b)
+    assert out.dtype == np.float64 and out.shape == (k,)
+    bound = ((np.abs(z) @ np.abs(b)) * np.abs(z)).sum(axis=1)
+    assert np.all(np.abs(out - ref.real) <= 1e-14 * bound)
