@@ -32,6 +32,10 @@ from .shadowmap import (
 )
 
 HERMITIAN_TOL = 1e-10
+# complex entries per row block of the (K, d) amplitude work: each block's
+# temporaries stay in cache and below the allocator's default mmap threshold,
+# so a call makes no K x d temporary beside Z itself
+ROW_BLOCK_ENTRIES = 2**12
 
 
 def _is_swap(m: np.ndarray) -> bool:
@@ -96,6 +100,12 @@ def transformed_observable(inv: ShadowInverter, o: Observable) -> np.ndarray:
     return apply_n_inverse_adjoint(inv, _eigenframe_observable(inv, o))
 
 
+def _row_blocks(k: int, d: int):
+    """Slices of ROW_BLOCK_ENTRIES // d rows (at least one) covering k rows."""
+    step = max(1, ROW_BLOCK_ENTRIES // d)
+    return (slice(s, s + step) for s in range(0, k, step))
+
+
 def snapshot_amplitudes(inv: ShadowInverter, snaps) -> np.ndarray:
     """Matrix Z with row k = V[b_k, :] * exp(i phi_k), shape (K, d), of a
     SnapshotSet or a sequence of Snapshot rows; a time t gives phi = -E t."""
@@ -103,25 +113,28 @@ def snapshot_amplitudes(inv: ShadowInverter, snaps) -> np.ndarray:
     bits, times, phases = _snapshot_columns(snaps)
     if bits.size and bits.max() >= h.dim:
         raise ValueError("bitstring exceeds Hilbert-space dimension")
-    if times is not None:
-        phases = -np.outer(times, h.energies)
-    elif phases.shape[1] != h.dim:
+    if times is None and phases.shape[1] != h.dim:
         raise ValueError("phase vector length does not match dimension")
-    z = np.exp(1j * phases)
-    # V[b] stays the first operand: the complex product is not bitwise symmetric
-    return np.multiply(h.eigenbasis[bits], z, out=z)
+    z = np.empty((len(bits), h.dim), dtype=complex)
+    for blk in _row_blocks(*z.shape):
+        phi = phases[blk] if times is None else -np.outer(times[blk], h.energies)
+        # V[b] stays the first operand: the complex product is not bitwise symmetric
+        np.multiply(h.eigenbasis[bits[blk]], np.exp(1j * phi), out=z[blk])
+    return z
 
 
 def _quadratic_values(z: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row Re sum_mn z_m B[m,n] conj(z_n), the value itself for Hermitian B.
 
-    One (K, d) x (d, d) GEMM and a real row dot: Re(w conj(z)) is
+    Per row block, one GEMM and a real row dot: Re(w conj(z)) is
     Re w Re z + Im w Im z, so the interleaved float views of w = z B and z
     give it with no conj(z) or product temporary.
     """
-    w = z @ b
-    return np.einsum("kj,kj->k", w.view(float),
-                     np.ascontiguousarray(z).view(float))
+    out = np.empty(len(z))
+    for blk in _row_blocks(*z.shape):
+        zb = np.ascontiguousarray(z[blk])
+        out[blk] = np.einsum("kj,kj->k", (zb @ b).view(float), zb.view(float))
+    return out
 
 
 def snapshot_values(inv: ShadowInverter, snaps, o: Observable) -> np.ndarray:

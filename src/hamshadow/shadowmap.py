@@ -397,18 +397,6 @@ def inverted_snapshot_moments(inv: ShadowInverter,
     return _unpack(s).reshape(d, d), tr_sq
 
 
-def forward_superoperator(inv: ShadowInverter) -> np.ndarray:
-    """Dense d^2 x d^2 matrix of apply_n on vec(sigma)."""
-    units = np.eye(inv.dim**2, dtype=complex).reshape(-1, inv.dim, inv.dim)
-    return apply_n(inv, units).reshape(len(units), -1).T
-
-
-def inverse_superoperator(inv: ShadowInverter) -> np.ndarray:
-    """Dense d^2 x d^2 matrix of apply_n_inverse on vec(sigma)."""
-    units = np.eye(inv.dim**2, dtype=complex).reshape(-1, inv.dim, inv.dim)
-    return apply_n_inverse(inv, units).reshape(len(units), -1).T
-
-
 def _pack_superoperator(g: np.ndarray) -> np.ndarray:
     """Real R with _pack(g vec(sigma)) = R _pack(sigma) for Hermitian sigma.
 

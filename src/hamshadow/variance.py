@@ -11,7 +11,13 @@ the third frame potential, which pins the coefficients.
 The sum is linear in the state, so the class sums are evaluated once with
 the state factor left out: each gives the coefficients of the state
 entries it picks, and together they form a d x d kernel G with
-E o-hat^2 = sum_mn G[m, n] rho_h[m, n] in the eigenframe. The exact
+E o-hat^2 = sum_mn G[m, n] rho_h[m, n] in the eigenframe. In a surviving
+pattern every eigenbasis entry V[b, x] meets its conjugate, so each sum
+over outcomes b is a product of the real matrix q = |V|^2 with itself:
+(d, d) GEMMs, plus one (d, d) x (d, d^2) GEMM for the real third moment
+T_mnp = sum_b q_bm q_bn q_bp, which the tr(w w r) term contracts with two
+entries of the observable. The kernel costs O(d^4) flops in BLAS and
+O(d^3) memory for T; no complex (d, d, d) array is formed. The exact
 second moment of a state and the shadow norm (the worst case over all
 states, the top eigenvalue of G^T) are both read off that one kernel.
 
@@ -31,7 +37,7 @@ from .estimators import Observable, transformed_observable
 from .qmatrix import check_density
 from .shadowmap import ShadowInverter, ZERO_OFFDIAG_TOL
 
-CONTRACTION_GUARD = 2**24  # limit on d^3 for the dense third-moment pass
+CONTRACTION_GUARD = 2**24  # limit on d^3, the entries of the real third moment T
 
 
 @dataclass(frozen=True)
@@ -67,72 +73,80 @@ def _check_guard(d: int) -> None:
             f"dimension {d} exceeds the third-moment contraction guard")
 
 
-def _pair_factor(mats: np.ndarray, row_is_b: bool, col_is_b: bool) -> np.ndarray:
-    """One factor of a twice-repeated-index sum as a (B, d, d) array in (a, b)."""
-    d = mats.shape[1]
-    diag = mats[:, np.arange(d), np.arange(d)]
-    if not row_is_b and not col_is_b:
-        return np.broadcast_to(diag[:, :, None], mats.shape)  # M[a, a]
-    if row_is_b and col_is_b:
-        return np.broadcast_to(diag[:, None, :], mats.shape)  # M[b, b]
-    if not row_is_b and col_is_b:
-        return mats                                           # M[a, b]
-    return mats.transpose(0, 2, 1)                            # M[b, a]
-
-
-def _pair_scatter(coef: np.ndarray, row_is_b: bool, col_is_b: bool) -> np.ndarray:
-    """Place the (a, b) coefficients of the state factor _pair_factor picks."""
-    if not row_is_b and not col_is_b:
-        return np.diag(coef.sum(axis=1))                      # rho_h[a, a]
-    if row_is_b and col_is_b:
-        return np.diag(coef.sum(axis=0))                      # rho_h[b, b]
-    if not row_is_b and col_is_b:
-        return coef                                           # rho_h[a, b]
-    return coef.T                                             # rho_h[b, a]
-
-
 def _second_moment_kernel(inv: ShadowInverter, o_t: np.ndarray) -> np.ndarray:
     """Kernel G with E o-hat^2 = sum_mn G[m, n] rho_h[m, n], ideal random phases.
 
-    o_t is the transformed observable and rho_h the state in the eigenframe.
-    The state enters every term through r[b, m, n] = rho_h[m, n] u[b, m, n],
-    so each term contributes its remaining factors, summed over outcomes,
-    as the coefficient of the rho_h entry it picks. The identity holds for
-    any matrix rho_h, so G is the kernel of the complex linear functional.
+    o_t (O below) is the transformed observable and rho_h the state in the
+    eigenframe. Every factor of every term is an entry of O or rho_h times
+    u[b, m, n] = V[b, m] conj(V[b, n]), and the surviving patterns pair each
+    V[b, x] with a conj(V[b, x]), so every sum over outcomes b is a sum of
+    products of q[b, x] = |V[b, x]|^2: a (d, d) matrix product of q's.
+
+    - tr_w[b] = sum_m O_mm q_bm and tr_ww[b] = sum_mn O_mn O_nm q_bm q_bn;
+    - the state-trace terms (tr_w^2 + tr_ww) tr_r put (tr_w^2 + tr_ww) @ q
+      on the diagonal;
+    - 2 tr_wr tr_w puts 2 O_mn sum_b tr_w[b] q_bm q_bn on G[n, m];
+    - 2 tr_wwr puts 2 sum_n O_mn O_np T_mnp on G[p, m], with the real third
+      moment T_mnp = sum_b q_bm q_bn q_bp, one (d, d) x (d, d^2) GEMM;
+    - each of the nine twice-repeated sums (index x twice, y once, in rows
+      and in columns) carries sum_b q_bx^2 q_by = M[x, y], M = (q^2)^T q,
+      times the O entries of its two w factors; which rho_h entry it picks
+      (x x, x y, y x or y y) sets where it lands in G;
+    - the one-index correction adds 4 O_aa^2 M[a, a] on the diagonal.
+
+    The identity holds for any matrix rho_h, so G is the kernel of the
+    complex linear functional.
     """
     d = inv.dim
     _check_guard(d)
-    v = inv.hamiltonian.eigenbasis
-    # factor stacks over outcomes: u[b, m, n] = V[b, m] conj(V[b, n]), w = o_t u
-    u = v[:, :, None] * v.conj()[:, None, :]
-    w = o_t[None, :, :] * u
-    v_sq = np.abs(v) ** 2                                     # u[b, m, m]
-    tr_w = np.einsum("bmm->b", w)
-    tr_ww = np.einsum("bmn,bnm->b", w, w)
-    # permutation terms tr_w^2 tr_r + tr_ww tr_r + 2 tr_wr tr_w + 2 tr_wwr
-    kern = np.diag((tr_w * tr_w + tr_ww) @ v_sq)
-    kern += 2 * np.einsum("b,bmn,bnm->nm", tr_w, w, u)
-    kern += 2 * np.einsum("bmp,bpm->pm", w @ w, u)
-    # twice-repeated class: positions of the distinct index in rows/columns
-    for i_pos in range(3):
-        for j_pos in range(3):
-            coef = np.einsum("bxy,bxy,bxy->xy",
-                             _pair_factor(w, i_pos == 0, j_pos == 0),
-                             _pair_factor(w, i_pos == 1, j_pos == 1),
-                             _pair_factor(u, i_pos == 2, j_pos == 2))
-            kern -= _pair_scatter(coef, i_pos == 2, j_pos == 2)
-    dw = w[:, np.arange(d), np.arange(d)]
-    kern += np.diag(4 * np.einsum("ba,ba,ba->a", dw, dw, v_sq))
+    q = np.abs(inv.hamiltonian.eigenbasis) ** 2
+    od = np.diagonal(o_t)
+    o_ot = o_t * o_t.T                                        # O_mn O_nm
+    tr_w = q @ od
+    tr_ww = np.sum((q @ o_ot) * q, axis=1)
+    m2 = (q * q).T @ q
+    t3 = (q.T @ (q[:, :, None] * q[:, None, :]).reshape(d, d * d)).reshape(d, d, d)
+    ww_u = np.empty((d, d), dtype=complex)
+    for m in range(d):
+        ww_u[m] = o_t[m] @ (t3[m] * o_t)                      # sum_n O_mn O_np T_mnp
+    # permutation terms 2 tr_wr tr_w + 2 tr_wwr, and the twice-repeated sums
+    # that pick rho_h[x, y] (O_yx O_xx M) or rho_h[y, x] (O_xy O_xx M)
+    kern = 2 * (o_t * (q.T @ (tr_w[:, None] * q)) + ww_u).T
+    kern -= 2 * od[:, None] * o_t.T * m2
+    kern -= 2 * (od[:, None] * o_t * m2).T
+    # diagonal: trace terms, twice-repeated sums that pick rho_h[x, x]
+    # (2 O_xx O_yy M + 2 O_xy O_yx M) or rho_h[y, y] (O_xx^2 M), correction
+    diag = (tr_w * tr_w + tr_ww) @ q
+    diag -= np.sum(2 * (od[:, None] * od[None, :] + o_ot) * m2, axis=1)
+    diag -= (od * od) @ m2
+    diag += 4 * od * od * np.diagonal(m2)
+    kern[np.diag_indices(d)] += diag
     return kern
 
 
-def second_moment_exact(inv: ShadowInverter, o: Observable, rho) -> float:
-    """E o-hat^2 under ideal random phases for a given state."""
-    rho = check_density(rho)
+def _state_moment(inv: ShadowInverter, kern: np.ndarray, rho: np.ndarray) -> float:
+    """sum_mn G[m, n] rho_h[m, n] for the kernel G and a checked state."""
     v = inv.hamiltonian.eigenbasis
-    o_t = transformed_observable(inv, o)
     rho_h = v.conj().T @ rho @ v
-    return float(np.sum(_second_moment_kernel(inv, o_t) * rho_h).real)
+    return float(np.sum(kern * rho_h).real)
+
+
+def _top_eigenvalue(kern: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian part of G^T."""
+    kmat = kern.T
+    return float(np.linalg.eigvalsh((kmat + kmat.conj().T) / 2)[-1])
+
+
+def second_moment_exact(inv: ShadowInverter, o: Observable, rho) -> float:
+    """E o-hat^2 under ideal random phases for a given state.
+
+    With a finite-time inverter this is still the moment under ideal random
+    phases, not under the inverter's time window: the finite-time
+    estimator's second moment over the window is not computed here.
+    """
+    rho = check_density(rho)
+    return _state_moment(
+        inv, _second_moment_kernel(inv, transformed_observable(inv, o)), rho)
 
 
 def variance_exact(inv: ShadowInverter, o: Observable, rho) -> float:
@@ -148,10 +162,11 @@ def shadow_norm_sq(inv: ShadowInverter, o: Observable) -> float:
     E o-hat^2 = Tr(G^T rho_h) is linear in the state, so the maximum over
     all states, complex ones included, is the largest eigenvalue of G^T,
     read off the one kernel of _second_moment_kernel. G^T is Hermitian up
-    to rounding; its Hermitian part is what a Hermitian state sees.
+    to rounding; its Hermitian part is what a Hermitian state sees. As in
+    second_moment_exact, a finite-time inverter still gets the worst case
+    under ideal random phases, not under its window.
     """
-    kmat = _second_moment_kernel(inv, transformed_observable(inv, o)).T
-    return float(np.linalg.eigvalsh((kmat + kmat.conj().T) / 2)[-1])
+    return _top_eigenvalue(_second_moment_kernel(inv, transformed_observable(inv, o)))
 
 
 def variance_approx_linear(inv: ShadowInverter, o: Observable,
@@ -226,10 +241,13 @@ def variance_report(inv: ShadowInverter, o: Observable, rho=None,
                     per_snapshot_values=None) -> VarianceReport:
     approx = variance_approx_linear(inv, o) if o.copies == 1 \
         else variance_approx_nonlinear(inv, o)
-    exact = None
-    if rho is not None and o.copies == 1:
-        exact = second_moment_exact(inv, o, rho)
-    norm = shadow_norm_sq(inv, o) if o.copies == 1 else None
+    exact = norm = None
+    if o.copies == 1:
+        # one kernel for both fields: the same numbers as the separate calls
+        kern = _second_moment_kernel(inv, transformed_observable(inv, o))
+        if rho is not None:
+            exact = _state_moment(inv, kern, check_density(rho))
+        norm = _top_eigenvalue(kern)
     emp = empirical_variance(per_snapshot_values) \
         if per_snapshot_values is not None else None
     note = f"d={inv.dim};mode={inv.mode}"

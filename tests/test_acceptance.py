@@ -43,11 +43,11 @@ from hamshadow.shadowmap import (
     apply_n_inverse,
     build_inverter,
     diagnose_detection,
-    forward_superoperator,
-    inverse_superoperator,
     shadow_map_forward,
 )
 from hamshadow.variance import variance_approx_linear, variance_exact
+
+from superoperators import forward_superoperator, inverse_superoperator
 
 
 def report(num, ok, detail):

@@ -131,6 +131,23 @@ class TestLinear:
         assert rep.value == pytest.approx(1.0, abs=1e-12)
         assert rep.std_error < 1e-12
 
+    @pytest.mark.parametrize("mode", ["ideal", "finite-time"])
+    def test_row_blocks_match_one_pass(self, mode, monkeypatch):
+        # phase columns (ideal) and time columns (window); 3 rows per block
+        # at d = 4 leave a one-row block at the end of 100 rows
+        inv, snaps = mode_setup(mode, 100)
+        h = inv.hamiltonian
+        o = Observable(random_hermitian(4, 10))
+        phases = snaps.phases if snaps.times is None \
+            else -np.outer(snaps.times, h.energies)
+        z = h.eigenbasis[snaps.bits] * np.exp(1j * phases)
+        w = z @ transformed_observable(inv, o)
+        ref = np.einsum("kj,kj->k", w.view(float), z.view(float))
+        monkeypatch.setattr(estimators, "ROW_BLOCK_ENTRIES", 12)
+        np.testing.assert_array_equal(snapshot_amplitudes(inv, snaps), z)
+        np.testing.assert_allclose(snapshot_values(inv, snaps, o), ref,
+                                   rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
     def test_fast_path_equals_explicit_states(self):
         _, inv, _, snaps = make_setup()
         o = Observable(random_hermitian(4, 9))

@@ -22,9 +22,10 @@ from hamshadow.shadowmap import (
     apply_n_inverse,
     build_inverter,
     diagnose_detection,
-    forward_superoperator,
     shadow_map_forward,
 )
+
+from superoperators import forward_superoperator
 
 # a grid in [-1, 1]: no subnormal entries, whose products underflow
 ENTRIES = st.integers(-1000, 1000).map(lambda k: k / 1000)

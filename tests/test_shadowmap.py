@@ -24,11 +24,11 @@ from hamshadow.shadowmap import (
     build_inverter,
     diagnose_detection,
     finite_time_choi,
-    forward_superoperator,
     hamiltonian_fingerprint,
-    inverse_superoperator,
     shadow_map_forward,
 )
+
+from superoperators import forward_superoperator, inverse_superoperator
 
 
 def random_density(d, seed=0):

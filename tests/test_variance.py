@@ -18,6 +18,7 @@ from hamshadow.sampler import TimeModel, run_batch
 from hamshadow.shadowmap import IncompleteInverterError, build_inverter
 from hamshadow.variance import (
     VarianceReport,
+    _second_moment_kernel,
     empirical_variance,
     sample_complexity,
     second_moment_exact,
@@ -74,6 +75,71 @@ def brute_kernel(inv, o):
     return kmat
 
 
+def _pair_factor(mats, row_is_b, col_is_b):
+    """One factor of a twice-repeated-index sum as a (B, d, d) array in (a, b)."""
+    d = mats.shape[1]
+    diag = mats[:, np.arange(d), np.arange(d)]
+    if not row_is_b and not col_is_b:
+        return np.broadcast_to(diag[:, :, None], mats.shape)  # M[a, a]
+    if row_is_b and col_is_b:
+        return np.broadcast_to(diag[:, None, :], mats.shape)  # M[b, b]
+    if not row_is_b and col_is_b:
+        return mats                                           # M[a, b]
+    return mats.transpose(0, 2, 1)                            # M[b, a]
+
+
+def _pair_scatter(coef, row_is_b, col_is_b):
+    """Place the (a, b) coefficients of the state factor _pair_factor picks."""
+    if not row_is_b and not col_is_b:
+        return np.diag(coef.sum(axis=1))                      # rho_h[a, a]
+    if row_is_b and col_is_b:
+        return np.diag(coef.sum(axis=0))                      # rho_h[b, b]
+    if not row_is_b and col_is_b:
+        return coef                                           # rho_h[a, b]
+    return coef.T                                             # rho_h[b, a]
+
+
+def einsum_kernel(inv, o_t):
+    """The moment kernel from (d, d, d) factor stacks u and w = o_t u, one
+    einsum per multiplicity-class sum: the reference for the GEMM form."""
+    d = inv.dim
+    v = inv.hamiltonian.eigenbasis
+    u = v[:, :, None] * v.conj()[:, None, :]
+    w = o_t[None, :, :] * u
+    v_sq = np.abs(v) ** 2
+    tr_w = np.einsum("bmm->b", w)
+    tr_ww = np.einsum("bmn,bnm->b", w, w)
+    kern = np.diag((tr_w * tr_w + tr_ww) @ v_sq)
+    kern += 2 * np.einsum("b,bmn,bnm->nm", tr_w, w, u)
+    kern += 2 * np.einsum("bmp,bpm->pm", w @ w, u)
+    for i_pos in range(3):
+        for j_pos in range(3):
+            coef = np.einsum("bxy,bxy,bxy->xy",
+                             _pair_factor(w, i_pos == 0, j_pos == 0),
+                             _pair_factor(w, i_pos == 1, j_pos == 1),
+                             _pair_factor(u, i_pos == 2, j_pos == 2))
+            kern -= _pair_scatter(coef, i_pos == 2, j_pos == 2)
+    dw = w[:, np.arange(d), np.arange(d)]
+    kern += np.diag(4 * np.einsum("ba,ba,ba->a", dw, dw, v_sq))
+    return kern
+
+
+def inverter_in_mode(mode, d):
+    """A d-dimensional inverter; the pseudo-inverse on the flat Fourier basis."""
+    if mode == "pseudo-inverse":
+        fourier = np.fft.fft(np.eye(d)) / np.sqrt(d)
+        return build_inverter(hamiltonian_from_unitary(fourier), mode=mode)
+    if mode == "finite-time":
+        return build_inverter(gue_hamiltonian(d, 30 + d), mode=mode,
+                              t_min=0.0, t_max=5.0)
+    return build_inverter(gue_hamiltonian(d, 30 + d))
+
+
+def random_complex(d, seed):
+    g = np.random.default_rng(seed)
+    return g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+
+
 def design_second_moment(inv, o, rho):
     """Exact enumeration over a third-order phase design."""
     h = inv.hamiltonian
@@ -127,6 +193,33 @@ class TestSecondMomentExact:
         assert abs(sq.mean() - exact) <= 5 * se
 
 
+class TestKernel:
+    @pytest.mark.parametrize("mode", ["ideal", "pseudo-inverse", "finite-time"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_matches_einsum_oracle(self, mode, d):
+        # o_t complex and not Hermitian: the identity holds for any matrix
+        inv = inverter_in_mode(mode, d)
+        o_t = random_complex(d, 40 + d)
+        ref = einsum_kernel(inv, o_t)
+        np.testing.assert_allclose(_second_moment_kernel(inv, o_t), ref,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("mode", ["ideal", "pseudo-inverse", "finite-time"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_brute_kernel(self, mode, d):
+        # brute_kernel acts on the state in the lab frame: K = V G^T V^dagger
+        inv = inverter_in_mode(mode, d)
+        v = inv.hamiltonian.eigenbasis
+        a_h = v.conj().T @ random_hermitian(d, 50 + d) @ v
+        if mode == "pseudo-inverse":
+            np.fill_diagonal(a_h, 0)  # all the pseudo-inverse can estimate
+        o = Observable(v @ a_h @ v.conj().T)
+        kern = _second_moment_kernel(inv, transformed_observable(inv, o))
+        ref = brute_kernel(inv, o)
+        np.testing.assert_allclose(v @ kern.T @ v.conj().T, ref,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
 class TestShadowNorm:
     def test_dominates_every_state(self):
         inv = build_inverter(gue_hamiltonian(4, 11))
@@ -142,8 +235,6 @@ class TestShadowNorm:
         d = 4
         inv = build_inverter(gue_hamiltonian(d, 13))
         o = Observable(random_hermitian(d, 14))
-        from hamshadow.variance import _second_moment_kernel
-
         kmat = _second_moment_kernel(inv, transformed_observable(inv, o)).T
         kmat = (kmat + kmat.conj().T) / 2
         vals, vecs = np.linalg.eigh(kmat)
@@ -270,13 +361,28 @@ class TestReport:
         o = Observable(random_hermitian(3, 25), name="obs")
         rho = random_density(3, 26)
         rep = variance_report(inv, o, rho=rho, per_snapshot_values=[1.0, 2.0, 3.0])
-        assert rep.exact_second_moment == pytest.approx(
-            second_moment_exact(inv, o, rho))
-        assert rep.shadow_norm_sq == pytest.approx(shadow_norm_sq(inv, o))
+        # one kernel serves both fields, bit for bit the separate calls
+        assert rep.exact_second_moment == second_moment_exact(inv, o, rho)
+        assert rep.shadow_norm_sq == shadow_norm_sq(inv, o)
         assert rep.empirical_variance == pytest.approx(1.0)
         assert "d=3" in rep.dims_note
         row = rep.csv_row("obs", 1, "ff")
         assert row.endswith("1,ff")
+
+    def test_builds_one_kernel(self, monkeypatch):
+        from hamshadow import variance
+
+        calls = []
+
+        def counted(inv, o_t):
+            calls.append(o_t)
+            return _second_moment_kernel(inv, o_t)
+
+        monkeypatch.setattr(variance, "_second_moment_kernel", counted)
+        inv = build_inverter(gue_hamiltonian(3, 27))
+        variance_report(inv, Observable(random_hermitian(3, 28)),
+                        rho=random_density(3, 29))
+        assert len(calls) == 1
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
