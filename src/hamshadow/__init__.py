@@ -40,7 +40,6 @@ from .sampler import (
     TimeModel,
     load_snapshots,
     run_batch,
-    run_local_batch,
     save_snapshots,
     substream,
 )

@@ -29,7 +29,6 @@ from .estimators import (
 from .qmatrix import SpectralHamiltonian, evolve, partial_trace
 from .rdu import (
     DegeneracySpec,
-    diagonal_design,
     frame_potential_finite_time,
     frame_potential_mc,
     frame_potential_rdu_exact,

@@ -14,7 +14,6 @@ chunk of the block then gives the Born distributions of its shots.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 
@@ -341,34 +340,37 @@ def _choose(p: np.ndarray, u) -> np.ndarray:
     return np.count_nonzero(cdf <= np.asarray(u)[:, None], axis=1)
 
 
-def _sample(v: np.ndarray, rho, tm: TimeModel, num_shots: int, seed: int,
-            width: int, phases_of) -> tuple:
-    """(draws, outcomes) of rho measured in the eigenbasis v, one row per shot.
+def _sample(h: SpectralHamiltonian, rho, tm: TimeModel, num_shots: int,
+            seed: int) -> tuple:
+    """(draws, outcomes) of rho measured after evolving under h, one row per shot.
 
-    Shot i makes ``width`` evolution draws and then one uniform variate,
-    which picks the outcome as ``rng.choice(d, p=p)`` would, all from the
-    stream of substream(seed, i) (see _evolution_draws). ``phases_of`` maps
-    a chunk's draws (n, width) to its phase vectors (n, d). The draws are
-    made in blocks of about CHUNK_ENTRIES words, so that the fixed cost of
-    a block is spread over many shots whatever the state's rank; each block
-    is then split into Born chunks that bound the (d, shots x rank) product
-    at CHUNK_ENTRIES entries. The draws, and hence the outcomes, do not
-    depend on either partition.
+    Shot i draws its time (uniform-window) or its d phases (otherwise) and
+    then one uniform variate, which picks the outcome as
+    ``rng.choice(d, p=p)`` would, all from the stream of substream(seed, i)
+    (see _evolution_draws). The draws are made in blocks of about
+    CHUNK_ENTRIES words, so that the fixed cost of a block is spread over
+    many shots whatever the state's rank; each block is then split into
+    Born chunks that bound the (d, shots x rank) product at CHUNK_ENTRIES
+    entries. The draws, and hence the outcomes, do not depend on either
+    partition.
     """
     if num_shots >= 2**32:
         raise ValueError("num_shots must be below 2**32, so that each shot "
                          "index is one spawn-key word")
-    w, l = _factor_state(v.conj().T @ as_complex(rho) @ v)
-    chunk = max(1, CHUNK_ENTRIES // (v.shape[0] * max(1, len(w))))
+    v = h.eigenbasis
+    window = tm.kind == "uniform-window"
+    width = 1 if window else h.dim
+    w, l = _factor_state(v.conj().T @ rho @ v)
+    chunk = max(1, CHUNK_ENTRIES // (h.dim * max(1, len(w))))
     block = max(chunk, CHUNK_ENTRIES // (width + 1))
     draws, outcomes = [], []
     for start in range(0, num_shots, block):
         shots = np.arange(start, min(start + block, num_shots), dtype=np.uint64)
         x, u = _evolution_draws(seed, shots, tm, width)
         draws.append(x)
-        outcomes.extend(
-            _choose(_born_rows(v, w, l, phases_of(x[j:j + chunk])), u[j:j + chunk])
-            for j in range(0, len(shots), chunk))
+        for j in range(0, len(shots), chunk):
+            phases = -h.energies * x[j:j + chunk] if window else x[j:j + chunk]
+            outcomes.append(_choose(_born_rows(v, w, l, phases), u[j:j + chunk]))
     return np.concatenate(draws), np.concatenate(outcomes)
 
 
@@ -395,59 +397,14 @@ def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
     """Deterministic batch: shot i uses substream (seed, i)."""
     if num_shots < 1:
         raise ValueError("num_shots must be at least 1")
-    (snaps,) = run_local_batch([h], rho, tm, num_shots, seed)
-    return snaps
-
-
-def run_local_batch(patch_hs, rho, tm: TimeModel, num_shots: int, seed: int,
-                    per_patch_times: bool = False) -> list:
-    """Joint Born sampling on the full state with per-patch columns.
-
-    The evolution is the tensor product of the patch evolutions with a
-    shared random time (or independent ideal phases per patch). With
-    ``per_patch_times`` each patch draws its own time, which removes the
-    induced degeneracy when patch Hamiltonians coincide. Returns one
-    SnapshotSet per patch, patch 0 the most significant factor.
-    """
-    import warnings
-
     rho = as_complex(rho)
-    dims = [h.dim for h in patch_hs]
-    d = int(np.prod(dims))
-    if rho.shape != (d, d):
-        raise ValueError("patch dimensions do not multiply to the state dimension")
+    if rho.shape != (h.dim, h.dim):
+        raise ValueError(f"state of shape {rho.shape} does not match the "
+                         f"Hamiltonian's dimension {h.dim}")
+    x, bits = _sample(h, rho, tm, num_shots, seed)
     window = tm.kind == "uniform-window"
-    shared_time = window and not per_patch_times
-    if shared_time:
-        for i in range(len(patch_hs)):
-            for j in range(i + 1, len(patch_hs)):
-                ei, ej = patch_hs[i].energies, patch_hs[j].energies
-                if np.any(np.abs(ei[:, None] - ej[None, :]) <= 1e-9):
-                    warnings.warn(
-                        f"patches {i} and {j} share eigen-energies under a shared "
-                        "evolution time; consider per_patch_times=True",
-                        stacklevel=2)
-    v_full = functools.reduce(np.kron, [h.eigenbasis for h in patch_hs])
-    # each patch's draws: one shared time, one time per patch, or d_p phases
-    widths = [1] if shared_time else [1] * len(dims) if window else dims
-    bounds = np.cumsum(widths)[:-1]
-
-    def patch_draws(x):
-        cols = np.split(x, bounds, axis=1)
-        return cols * len(dims) if shared_time else cols
-
-    def phases_of(x):
-        # phases of the tensor product of the patch evolutions
-        return functools.reduce(
-            lambda a, b: (a[:, :, None] + b[:, None, :]).reshape(len(a), -1),
-            [-h.energies * c if window else c
-             for h, c in zip(patch_hs, patch_draws(x))])
-
-    x, bits = _sample(v_full, rho, tm, num_shots, seed, sum(widths), phases_of)
-    patch_bits = np.unravel_index(bits, dims)
-    return [SnapshotSet(patch_bits[i], hamiltonian_fingerprint(h), int(seed), tm,
-                        **_evolution_columns(tm, c[:, 0] if window else c))
-            for i, (h, c) in enumerate(zip(patch_hs, patch_draws(x)))]
+    return SnapshotSet(bits, hamiltonian_fingerprint(h), int(seed), tm,
+                       **_evolution_columns(tm, x[:, 0] if window else x))
 
 
 # ---------------------------------------------------------------------------

@@ -76,12 +76,12 @@ class FiniteTimeChoi:
     """Window-corrected forward superoperator G of the rotated-frame map N.
 
     G maps Hermitian matrices to Hermitian matrices, so on the packed real
-    coordinates of _pack it is a real d^2 x d^2 matrix R; the inverse is
-    stored as R^-1 and applied to the Hermitian and anti-Hermitian halves
-    of a complex input.
+    coordinates of _pack it is a real d^2 x d^2 matrix R; R and R^-1 are
+    stored and applied to the Hermitian and anti-Hermitian halves of a
+    complex input.
     """
 
-    superoperator: np.ndarray          # complex d^2 x d^2 G, acts on vec(sigma)
+    packed_forward: np.ndarray         # real d^2 x d^2 R, acts on _pack(sigma)
     packed_inverse: np.ndarray         # real d^2 x d^2 R^-1, acts on _pack(sigma)
     condition_number: float            # 1-norm of G: ||G||_1 ||G^-1||_1
 
@@ -203,13 +203,6 @@ def _apply_to_diagonal(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return (flat.real @ x.T + 1j * (flat.imag @ x.T)).reshape(diag.shape)
 
 
-def _apply_superoperator(g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """g acting on vec(sigma) for one matrix or for each matrix of a stack."""
-    if sigma.ndim == 2:
-        return (g @ sigma.reshape(-1)).reshape(sigma.shape)
-    return (sigma.reshape(-1, len(g)) @ g.T).reshape(sigma.shape)
-
-
 def _packing(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat-index tables of the packed real coordinates of d x d matrices.
 
@@ -273,12 +266,12 @@ def _apply_packed(m: np.ndarray, sigma: np.ndarray, adjoint: bool) -> np.ndarray
 def apply_n(inv: ShadowInverter, sigma) -> np.ndarray:
     """Forward rotated-frame map N on one d x d matrix or a (..., d, d) stack.
 
-    The window-corrected superoperator in finite-time mode, otherwise the
-    ideal-phase closed form.
+    The packed real window-corrected superoperator in finite-time mode,
+    otherwise the ideal-phase closed form.
     """
     sigma = as_complex(sigma)
     if inv.mode == "finite-time":
-        return _apply_superoperator(inv.finite.superoperator, sigma)
+        return _apply_packed(inv.finite.packed_forward, sigma, adjoint=False)
     i = np.arange(inv.dim)
     out = inv.x_h * sigma
     out[..., i, i] = _apply_to_diagonal(inv.x_h, sigma)
@@ -443,7 +436,7 @@ def _inverse_one_norm(r_inv: np.ndarray) -> float:
 
 def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
                      resolution: float = ENERGY_RESOLUTION) -> FiniteTimeChoi:
-    """Window-corrected superoperator of N and its packed real inverse.
+    """Window-corrected superoperator of N, packed real, and its inverse.
 
     Each element carries the uniform-window average of the residual phase
     e^{-i w t} with w = E_p + E_n - E_q - E_m; resonant elements (|w| below
@@ -478,10 +471,12 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
         weight[small] = 1.0
         g[blk] *= weight
         col_sums += np.abs(g[blk]).sum(axis=0)
+    r = _pack_superoperator(g)
+    del g  # freed before the inverse is formed; only the real R is kept
     # exact 1-norm condition number from the inverse the apply path needs
     # anyway; a full SVD for the 2-norm value cost more than the inverse
     try:
-        r_inv = np.linalg.inv(_pack_superoperator(g))
+        r_inv = np.linalg.inv(r)
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
@@ -489,7 +484,7 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
     if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
         raise np.linalg.LinAlgError("finite-time superoperator is numerically "
                                     f"singular (cond={cond:.3e}, 1-norm)")
-    return FiniteTimeChoi(g, r_inv, cond)
+    return FiniteTimeChoi(r, r_inv, cond)
 
 
 def shadow_map_forward(inv: ShadowInverter, rho) -> np.ndarray:

@@ -525,7 +525,10 @@ class TestReproduce:
     def test_variance_series_match_reference(self, tmp_path, figure):
         # reference series are committed seed-7 outputs; regrouping a sum
         # (the second moment, the window frame potential's quadrature) may
-        # move only trailing digits
+        # move only trailing digits. The fig3a, fig3b and fig10 references
+        # no longer match the output byte for byte (the second-moment kernel
+        # was regrouped twice since they were written), so they are pinned
+        # only to rtol 1e-10; fig8 still matches byte for byte.
         out = tmp_path / f"{figure}.csv"
         res = CliRunner().invoke(main, ["reproduce", "--figure", figure,
                                         "--seed", "7", "--out", str(out)])

@@ -37,6 +37,8 @@ from hamshadow.qmatrix import swap_operator
 from hamshadow.rdu import diagonal_design
 from hamshadow.sampler import TimeModel, run_batch, substream
 
+from superoperators import forward_superoperator
+
 
 def make_setup(d=4, hseed=1, rseed=2, shots=400, sseed=3):
     h = gue_hamiltonian(d, hseed)
@@ -374,7 +376,7 @@ class TestNonlinear:
         z = snapshot_amplitudes(inv, snaps)
         k = len(z)
         sig = (z.conj()[:, :, None] * z[:, None, :]).reshape(k, 64)
-        rhos = (sig @ np.linalg.inv(inv.finite.superoperator).T).reshape(k, 8, 8)
+        rhos = (sig @ np.linalg.inv(forward_superoperator(inv)).T).reshape(k, 8, 8)
         s = rhos.sum(axis=0)
         full = np.trace(s @ s).real
         diag = np.einsum("kmn,knm->k", rhos, rhos).real

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from scipy.stats import chisquare
 
 from hamshadow import sampler
 from hamshadow.models import gue_hamiltonian
-from hamshadow.qmatrix import hermitian_spectral, tensor_product
+from hamshadow.qmatrix import hermitian_spectral
 from hamshadow.sampler import (
     CHUNK_ENTRIES,
     Snapshot,
@@ -19,7 +17,6 @@ from hamshadow.sampler import (
     born_probabilities,
     load_snapshots,
     run_batch,
-    run_local_batch,
     save_snapshots,
     substream,
     write_manifest,
@@ -28,8 +25,8 @@ from hamshadow.shadowmap import hamiltonian_fingerprint
 
 # ---------------------------------------------------------------------------
 # Oracle: each shot drawn from its own numpy Generator, substream(seed, i).
-# run_batch and run_local_batch compute these streams in closed form and
-# must reproduce them bit for bit.
+# run_batch computes these streams in closed form and must reproduce them
+# bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -43,27 +40,14 @@ def draw_evolution(dim, tm, rng):
     return rng.uniform(0, 2 * np.pi, size=dim)
 
 
-def oracle_local_shot(patch_hs, rho, tm, rng, per_patch_times=False):
-    """(per-patch evolution draws, joint outcome) of one shot of run_local_batch."""
-    window = tm.kind == "uniform-window"
-    if window and not per_patch_times:
-        xs = [draw_evolution(1, tm, rng)] * len(patch_hs)
-    else:
-        xs = [draw_evolution(h.dim, tm, rng) for h in patch_hs]
-    phases = functools.reduce(
-        lambda a, b: np.add.outer(a, b).reshape(-1),
-        [-h.energies * x if window else x for h, x in zip(patch_hs, xs)])
-    v = functools.reduce(np.kron, [h.eigenbasis for h in patch_hs])
-    p = sampler._born_rows(v, *_factor_state(v.conj().T @ rho @ v), phases[None, :])[0]
-    return xs, int(rng.choice(len(p), p=p))
-
-
 def sample_snapshot(h, rho, tm, rng):
     """One shot of run_batch, drawn from its own Generator."""
-    (x,), b = oracle_local_shot([h], rho, tm, rng)
-    if tm.kind == "uniform-window":
-        return Snapshot(b, time=x)
-    return Snapshot(b, phases=x)
+    x = draw_evolution(h.dim, tm, rng)
+    window = tm.kind == "uniform-window"
+    v = h.eigenbasis
+    p = born_probabilities(h, v.conj().T @ rho @ v, -h.energies * x if window else x)
+    b = int(rng.choice(len(p), p=p))
+    return Snapshot(b, time=x) if window else Snapshot(b, phases=x)
 
 
 def random_density(d, seed=0, rank=None):
@@ -142,21 +126,6 @@ class TestStream:
         assert shots(batch) == [shots_row(sample_snapshot(h, rho, tm, substream(seed, i)))
                                 for i in range(25)]
 
-    @settings(max_examples=40, deadline=None)
-    @given(SEEDS, st.sampled_from([(tm, False) for tm in TIME_MODELS] + [(WINDOW, True)]),
-           st.sampled_from([[3], [2, 3], [3, 1, 2]]))
-    def test_local_batch_equals_per_shot_generators(self, seed, layout, dims):
-        tm, per_patch = layout
-        patch_hs = [gue_hamiltonian(d, 70 + j) for j, d in enumerate(dims)]
-        rho = random_density(int(np.prod(dims)), 71, 2)
-        sets = run_local_batch(patch_hs, rho, tm, 12, seed, per_patch_times=per_patch)
-        for i in range(12):
-            xs, b = oracle_local_shot(patch_hs, rho, tm, substream(seed, i), per_patch)
-            assert np.ravel_multi_index([s.bits[i] for s in sets], dims) == b
-            for s, x in zip(sets, xs):
-                got = s.times[i] if s.times is not None else s.phases[i]
-                assert same_bytes(got, x)
-
     def test_lemire_rejects_only_a_zero_draw_of_three(self):
         draws = np.array([0, 1, 2, 2**31, 2**32 - 1], dtype=np.uint64)
         for span in (2, 3, 4):
@@ -170,19 +139,13 @@ class TestStream:
         # path on every shot with bit 16 of its first leftover word set
         tm = TimeModel("design", k=k)
         h = gue_hamiltonian(8, 62)
-        patch_hs = [gue_hamiltonian(3, 63), gue_hamiltonian(2, 64)]
 
-        def files(tag):
-            out = []
-            for name, snaps in [("batch", run_batch(h, random_density(8, 65), tm, 90, 66)),
-                                *[(f"patch{i}", s) for i, s in enumerate(
-                                    run_local_batch(patch_hs, random_density(6, 67),
-                                                    tm, 90, 68))]]:
-                save_snapshots(tmp_path / f"{tag}_{name}.txt", snaps)
-                out.append((tmp_path / f"{tag}_{name}.txt").read_bytes())
-            return out
+        def file_bytes(tag):
+            save_snapshots(tmp_path / f"{tag}.txt",
+                           run_batch(h, random_density(8, 65), tm, 90, 66))
+            return (tmp_path / f"{tag}.txt").read_bytes()
 
-        before = files("before")
+        before = file_bytes("before")
         redrawn = []
 
         def counted_substream(seed, *path):
@@ -192,37 +155,25 @@ class TestStream:
         monkeypatch.setattr(sampler, "_lemire_rejects",
                             lambda leftover, span: (leftover[:, :1] >> 16 & 1) == 1)
         monkeypatch.setattr(sampler, "substream", counted_substream)
-        assert files("after") == before
+        assert file_bytes("after") == before
         assert 40 < len(redrawn) < 140
 
-    @pytest.mark.parametrize("local", [False, True])
-    def test_negative_seed_refused(self, local):
+    def test_negative_seed_refused(self):
         h = gue_hamiltonian(2, 69)
         tm = TimeModel("ideal-rdu")
         with pytest.raises(ValueError, match="expected non-negative integer"):
             substream(-1, 0)
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            if local:
-                run_local_batch([h, h], np.eye(4) / 4, tm, 3, seed=-1)
-            else:
-                run_batch(h, np.eye(2) / 2, tm, 3, seed=-1)
+            run_batch(h, np.eye(2) / 2, tm, 3, seed=-1)
         for seed in (1.5, 2.0, "3"):
             with pytest.raises(TypeError):
-                if local:
-                    run_local_batch([h, h], np.eye(4) / 4, tm, 3, seed=seed)
-                else:
-                    run_batch(h, np.eye(2) / 2, tm, 3, seed=seed)
+                run_batch(h, np.eye(2) / 2, tm, 3, seed=seed)
 
-    @pytest.mark.parametrize("local", [False, True])
-    def test_shot_index_beyond_one_word_refused(self, local):
+    def test_shot_index_beyond_one_word_refused(self):
         # refused before any shot is drawn: 2**32 shots would not fit in memory
         h = gue_hamiltonian(2, 69)
-        tm = TimeModel("ideal-rdu")
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            if local:
-                run_local_batch([h, h], np.eye(4) / 4, tm, 2**32, seed=1)
-            else:
-                run_batch(h, np.eye(2) / 2, tm, 2**32, seed=1)
+            run_batch(h, np.eye(2) / 2, TimeModel("ideal-rdu"), 2**32, seed=1)
 
 
 class TestTimeModel:
@@ -330,6 +281,11 @@ class TestSampling:
             # rank 0 after factoring: no eigenpair survives
             born_probabilities(h, np.zeros((2, 2)), np.zeros(2))
 
+    def test_state_dimension_mismatch(self):
+        h = gue_hamiltonian(2, 27)
+        with pytest.raises(ValueError, match=r"shape \(4, 4\).* dimension 2"):
+            run_batch(h, np.eye(4) / 4, TimeModel("ideal-rdu"), 3, seed=28)
+
     def test_non_hermitian_state_rejected(self):
         h = gue_hamiltonian(2, 18)
         rho = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
@@ -371,21 +327,17 @@ class TestSampling:
         # and four per draw block, so both partitions cut the batch
         h = gue_hamiltonian(8, 59)
         rho = random_density(8, 60)
-        patch_hs = [gue_hamiltonian(2, 61), gue_hamiltonian(4, 62)]
         for tm in TIME_MODELS:
-            want = (shots(run_batch(h, rho, tm, 30, seed=63)),
-                    [shots(s) for s in run_local_batch(patch_hs, rho, tm, 30, 64)])
+            want = shots(run_batch(h, rho, tm, 30, seed=63))
             with monkeypatch.context() as m:
                 m.setattr(sampler, "CHUNK_ENTRIES", entries)
-                got = (shots(run_batch(h, rho, tm, 30, seed=63)),
-                       [shots(s) for s in run_local_batch(patch_hs, rho, tm, 30, 64)])
+                got = shots(run_batch(h, rho, tm, 30, seed=63))
             assert got == want
 
     def test_sample_snapshot_is_batch_shot(self):
         h = gue_hamiltonian(8, 56)
         rho = random_density(8, 57, 3)
-        for tm in (TimeModel("design", k=2), TimeModel("ideal-rdu"),
-                   TimeModel("uniform-window", t_min=1.0, t_max=2.0)):
+        for tm in TIME_MODELS:
             batch = run_batch(h, rho, tm, 70, seed=58)
             for i in (0, 33, 69):
                 s = sample_snapshot(h, rho, tm, substream(58, i))
@@ -394,59 +346,6 @@ class TestSampling:
                 if s.phases is not None:
                     np.testing.assert_array_equal(s.phases,
                                                   batch.snapshots[i].phases)
-
-
-class TestLocalSampling:
-    def test_product_state_marginals_factorize(self):
-        h1, h2 = gue_hamiltonian(2, 20), gue_hamiltonian(2, 21)
-        r1, r2 = random_density(2, 22), random_density(2, 23)
-        rho = tensor_product(r1, r2)
-        tm = TimeModel("ideal-rdu")
-        sets = run_local_batch([h1, h2], rho, tm, 8000, seed=24)
-        # marginal of patch 0 matches its single-patch closed form
-        v = h1.eigenbasis
-        pops = np.real(np.diag(v.conj().T @ r1 @ v))
-        expected = (np.abs(v) ** 2) @ pops
-        counts = np.bincount([s.bitstring for s in sets[0].snapshots], minlength=2)
-        freq = counts / 8000
-        assert np.all(np.abs(freq - expected) < 0.025)
-
-    def test_identical_patches_shared_time_warns(self):
-        h = gue_hamiltonian(2, 25)
-        rho = np.eye(4) / 4
-        tm = TimeModel("uniform-window", t_min=0.0, t_max=2.0)
-        with pytest.warns(UserWarning, match="share eigen-energies"):
-            run_local_batch([h, h], rho, tm, 5, seed=26)
-
-    def test_per_patch_times_clear_warning(self):
-        import warnings
-
-        h = gue_hamiltonian(2, 25)
-        rho = np.eye(4) / 4
-        tm = TimeModel("uniform-window", t_min=0.0, t_max=2.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sets = run_local_batch([h, h], rho, tm, 5, seed=26,
-                                   per_patch_times=True)
-        times = [(a.time, b.time) for a, b in zip(sets[0].snapshots,
-                                                  sets[1].snapshots)]
-        assert any(ta != tb for ta, tb in times)
-
-    @pytest.mark.parametrize("tm, per_patch", [(TimeModel("ideal-rdu"), False),
-                                               (TimeModel("design", k=2), False),
-                                               (WINDOW, False), (WINDOW, True)])
-    def test_patch_columns_are_contiguous(self, tm, per_patch):
-        patch_hs = [gue_hamiltonian(3, 24), gue_hamiltonian(2, 25)]
-        sets = run_local_batch(patch_hs, random_density(6, 26), tm, 20, 27,
-                               per_patch_times=per_patch)
-        for s in sets:
-            col = s.times if s.times is not None else s.phases
-            assert col.flags.c_contiguous
-
-    def test_dimension_mismatch(self):
-        h = gue_hamiltonian(2, 27)
-        with pytest.raises(ValueError, match="dimension"):
-            run_local_batch([h, h], np.eye(8) / 8, TimeModel("ideal-rdu"), 3, 28)
 
 
 class TestSnapshotSet:
@@ -468,6 +367,8 @@ class TestSnapshotSet:
                    TimeModel("uniform-window", t_min=0.0, t_max=3.0)):
             snaps = run_batch(h, np.eye(4) / 4, tm, 12, seed=38)
             rows = snaps.snapshots
+            col = snaps.times if snaps.times is not None else snaps.phases
+            assert col.flags.c_contiguous
             assert [s.bitstring for s in rows] == snaps.bits.tolist()
             assert all(type(s.bitstring) is int for s in rows)
             if snaps.times is not None:
