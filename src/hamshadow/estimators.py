@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import as_complex, check_density, is_hermitian
+from .qmatrix import SpectralHamiltonian, as_complex, check_density, is_hermitian
 from .sampler import (
+    SnapshotSet,
     _born_rows,
     _factor_state,
     _snapshot_columns,
@@ -107,9 +108,29 @@ def _row_blocks(k: int, d: int):
 
 
 def snapshot_amplitudes(inv: ShadowInverter, snaps) -> np.ndarray:
-    """Matrix Z with row k = V[b_k, :] * exp(i phi_k), shape (K, d), of a
-    SnapshotSet or a sequence of Snapshot rows; a time t gives phi = -E t."""
+    """Read-only matrix Z with row k = V[b_k, :] * exp(i phi_k), shape (K, d),
+    of a SnapshotSet or a sequence of Snapshot rows; a time t gives phi = -E t.
+
+    Z depends only on the snapshots and the Hamiltonian, not on the inverter
+    mode. A SnapshotSet keeps the Z of its last call, keyed by the identity
+    of ``inv.hamiltonian``: a later call on the same set with the same
+    SpectralHamiltonian object returns that Z without a new gather, so every
+    estimator run on one set shares one gather; a call with another object
+    replaces it. A sequence of rows is gathered anew on each call.
+    """
     h = inv.hamiltonian
+    kept = snaps._amplitudes if isinstance(snaps, SnapshotSet) else None
+    if kept is not None and kept[0] is h:
+        return kept[1]
+    z = _gather_amplitudes(h, snaps)
+    z.setflags(write=False)
+    if isinstance(snaps, SnapshotSet):
+        object.__setattr__(snaps, "_amplitudes", (h, z))
+    return z
+
+
+def _gather_amplitudes(h: SpectralHamiltonian, snaps) -> np.ndarray:
+    """Z of snapshot_amplitudes, computed in row blocks."""
     bits, times, phases = _snapshot_columns(snaps)
     if bits.size and bits.max() >= h.dim:
         raise ValueError("bitstring exceeds Hilbert-space dimension")

@@ -15,7 +15,7 @@ chunk of the block then gives the Born distributions of its shots.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -240,10 +240,38 @@ class Snapshot:
             raise ValueError("bitstring must be a non-negative basis index")
 
 
+def _sealed(column, dtype) -> np.ndarray:
+    """column as a read-only C-ordered array of dtype that no other array
+    writes into: column itself if it already is one and owns its memory, as
+    the columns that run_batch and load_snapshots build are, else a copy.
+    Keeping those saves a K x d copy at the sampler's peak memory."""
+    if (isinstance(column, np.ndarray) and column.dtype == dtype
+            and column.flags.owndata and column.flags.c_contiguous
+            and not column.flags.writeable):
+        return column
+    a = np.array(column, dtype=dtype, order="C")
+    a.setflags(write=False)
+    return a
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, just built here, made read-only, so that SnapshotSet keeps it
+    without a copy."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class SnapshotSet:
     """K snapshots as columns: outcome indices ``bits`` (K,) and exactly one
-    of the evolution ``times`` (K,), in us, or ``phases`` (K, d)."""
+    of the evolution ``times`` (K,), in us, or ``phases`` (K, d).
+
+    The columns are read-only C-ordered copies of the arrays passed in (an
+    array that is already read-only and owns its memory is kept as it is),
+    so a later write by the caller cannot bypass the checks made here or
+    leave stale the amplitude matrix Z that ``estimators.snapshot_amplitudes``
+    keeps on the set. That Z costs 16 K d bytes while it is held.
+    """
 
     bits: np.ndarray
     hamiltonian_fingerprint: str
@@ -251,13 +279,15 @@ class SnapshotSet:
     time_model: TimeModel
     times: np.ndarray | None = None
     phases: np.ndarray | None = None
+    # (SpectralHamiltonian, Z) of the last gather; set by snapshot_amplitudes
+    _amplitudes: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if (self.times is None) == (self.phases is None):
             raise ValueError("exactly one of times/phases must be set")
         timed = self.phases is None
-        bits = np.asarray(self.bits, dtype=np.int64)
-        evolution = np.asarray(self.times if timed else self.phases, dtype=float)
+        bits = _sealed(self.bits, np.int64)
+        evolution = _sealed(self.times if timed else self.phases, float)
         if (bits.ndim != 1 or evolution.ndim != (1 if timed else 2)
                 or len(evolution) != len(bits)):
             raise ValueError(f"outcomes of shape {bits.shape} do not match "
@@ -363,15 +393,18 @@ def _sample(h: SpectralHamiltonian, rho, tm: TimeModel, num_shots: int,
     w, l = _factor_state(v.conj().T @ rho @ v)
     chunk = max(1, CHUNK_ENTRIES // (h.dim * max(1, len(w))))
     block = max(chunk, CHUNK_ENTRIES // (width + 1))
-    draws, outcomes = [], []
+    # filled in place, so the draws never exist twice (as blocks and joined)
+    draws = np.empty((num_shots, width))
+    outcomes = np.empty(num_shots, dtype=np.int64)
     for start in range(0, num_shots, block):
         shots = np.arange(start, min(start + block, num_shots), dtype=np.uint64)
         x, u = _evolution_draws(seed, shots, tm, width)
-        draws.append(x)
+        draws[start:start + len(shots)] = x
         for j in range(0, len(shots), chunk):
             phases = -h.energies * x[j:j + chunk] if window else x[j:j + chunk]
-            outcomes.append(_choose(_born_rows(v, w, l, phases), u[j:j + chunk]))
-    return np.concatenate(draws), np.concatenate(outcomes)
+            outcomes[start + j:start + min(j + chunk, len(shots))] = _choose(
+                _born_rows(v, w, l, phases), u[j:j + chunk])
+    return draws, outcomes
 
 
 def born_probabilities(h: SpectralHamiltonian, rho_h: np.ndarray,
@@ -388,8 +421,7 @@ def born_probabilities(h: SpectralHamiltonian, rho_h: np.ndarray,
 
 def _evolution_columns(tm: TimeModel, records) -> dict:
     """The times (K,) or phases (K, d) keyword of SnapshotSet for tm."""
-    key = "times" if tm.kind == "uniform-window" else "phases"
-    return {key: np.ascontiguousarray(records, dtype=float)}
+    return {"times" if tm.kind == "uniform-window" else "phases": _read_only(records)}
 
 
 def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
@@ -403,8 +435,8 @@ def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
                          f"Hamiltonian's dimension {h.dim}")
     x, bits = _sample(h, rho, tm, num_shots, seed)
     window = tm.kind == "uniform-window"
-    return SnapshotSet(bits, hamiltonian_fingerprint(h), int(seed), tm,
-                       **_evolution_columns(tm, x[:, 0] if window else x))
+    return SnapshotSet(_read_only(bits), hamiltonian_fingerprint(h), int(seed),
+                       tm, **_evolution_columns(tm, x[:, 0] if window else x))
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +521,10 @@ def load_snapshots(path) -> SnapshotSet:
             raise ValueError(f"{path}: line {lineno}: {len(value)} phases, but "
                              f"line {rows[0][0]} holds {len(rows[0][3])}")
     col = np.array([r[3] for r in rows], dtype=float)
-    if want == "phases":
-        col = col.reshape(len(rows), len(rows[0][3]) if rows else 0)
-    return SnapshotSet([r[1] for r in rows], meta.get("fingerprint", ""),
+    if want == "phases" and not rows:
+        col = np.empty((0, 0))
+    bits = np.array([r[1] for r in rows], dtype=np.int64)
+    return SnapshotSet(_read_only(bits), meta.get("fingerprint", ""),
                        int(meta.get("seed", 0)), tm, **_evolution_columns(tm, col))
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,19 @@ from hamshadow.shadowmap import build_inverter, hamiltonian_fingerprint
 from hamshadow.variance import VARIANCE_CSV_HEADER, variance_report
 
 DATA = Path(__file__).parent / "data"
+
+
+def test_package_import_loads_no_scipy():
+    # scipy (even scipy.linalg.blas) costs several times the whole package
+    # import, paid by every CLI call; only the Haar baseline loads it, on use
+    src = os.path.dirname(os.path.dirname(hamshadow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, hamshadow, hamshadow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def write_cfg(path, cfg):

@@ -361,6 +361,34 @@ class TestSnapshotSet:
         with pytest.raises(ValueError):
             SnapshotSet(bits, "", 0, TimeModel("ideal-rdu"), **columns)
 
+    @pytest.mark.parametrize("column", ["times", "phases"])
+    def test_columns_are_read_only_copies(self, column):
+        bits = np.array([0, 1, 2])
+        evolution = np.zeros(3) if column == "times" else np.zeros((3, 4))
+        snaps = SnapshotSet(bits, "", 0, TimeModel("ideal-rdu"),
+                            **{column: evolution})
+        # a later write by the caller reaches neither column nor its checks
+        bits[0] = -1
+        evolution[0] = 5.0
+        assert snaps.bits.tolist() == [0, 1, 2]
+        assert not np.any(getattr(snaps, column))
+        for col in (snaps.bits, getattr(snaps, column)):
+            with pytest.raises(ValueError):
+                col[0] = 1
+
+    def test_read_only_owned_column_is_kept(self):
+        # the columns run_batch and load_snapshots build are kept without a
+        # copy; a read-only view of another array is still copied
+        bits = np.array([0, 1])
+        phases = np.zeros((2, 3))
+        for a in (bits, phases):
+            a.setflags(write=False)
+        snaps = SnapshotSet(bits, "", 0, TimeModel("ideal-rdu"), phases=phases)
+        assert snaps.bits is bits and snaps.phases is phases
+        view = phases[:, :2]
+        assert SnapshotSet(bits, "", 0, TimeModel("ideal-rdu"),
+                           phases=view).phases is not view
+
     def test_rows_view_the_columns(self):
         h = gue_hamiltonian(4, 37)
         for tm in (TimeModel("ideal-rdu"),
@@ -369,6 +397,7 @@ class TestSnapshotSet:
             rows = snaps.snapshots
             col = snaps.times if snaps.times is not None else snaps.phases
             assert col.flags.c_contiguous
+            assert not (col.flags.writeable or snaps.bits.flags.writeable)
             assert [s.bitstring for s in rows] == snaps.bits.tolist()
             assert all(type(s.bitstring) is int for s in rows)
             if snaps.times is not None:
