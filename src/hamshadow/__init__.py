@@ -13,17 +13,12 @@ from .qmatrix import (
     hermitian_spectral,
     partial_trace,
     swap_operator,
-    tensor_product,
 )
 from .rdu import (
     DegeneracySpec,
-    DiagonalDesign,
-    diagonal_design,
     frame_potential_finite_time,
     frame_potential_mc,
     frame_potential_rdu_exact,
-    phi2_with_energies,
-    phi_k_diagonal,
 )
 from .shadowmap import (
     CompletenessDiagnosis,
@@ -32,7 +27,6 @@ from .shadowmap import (
     build_inverter,
     diagnose_detection,
     hamiltonian_fingerprint,
-    shadow_map_forward,
 )
 from .sampler import (
     Snapshot,
@@ -47,13 +41,10 @@ from .estimators import (
     EstimateReport,
     Observable,
     baseline_global_shadow,
-    build_estimator,
     estimate_linear,
     estimate_nonlinear,
     estimate_purity,
-    exact_average_state,
     median_of_means,
-    snapshot_states,
     snapshot_values,
     wrong_postprocessing_values,
 )

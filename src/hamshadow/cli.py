@@ -22,7 +22,7 @@ from .estimators import (
     estimate_linear,
     estimate_purity,
     median_of_means,
-    snapshot_states,
+    snapshot_amplitudes,
     snapshot_values,
     wrong_postprocessing_values,
 )
@@ -32,8 +32,6 @@ from .rdu import (
     frame_potential_finite_time,
     frame_potential_mc,
     frame_potential_rdu_exact,
-    rdu_sampler,
-    window_sampler,
 )
 from .sampler import (
     TimeModel,
@@ -44,9 +42,11 @@ from .sampler import (
 )
 from .shadowmap import (
     IncompleteInverterError,
+    apply_n_inverse,
     build_inverter,
     diagnose_detection,
     hamiltonian_fingerprint,
+    snapshot_sigmas,
 )
 from .variance import (
     VARIANCE_CSV_HEADER,
@@ -412,11 +412,12 @@ def frame_potential(dim, order, mode, config_path, t_min, t_max, samples, seed):
             click.echo(f"F({order}) finite-time d={dim} "
                        f"window=[{t_min},{t_max}]: {val!r}")
         elif mode == "mc":
-            est, err = frame_potential_mc(rdu_sampler(dim), order, samples, seed)
+            est, err = frame_potential_mc(TimeModel("ideal-rdu"), energies,
+                                          order, samples, seed)
             click.echo(f"F({order}) mc d={dim}: {est!r} +- {err!r}")
         else:
-            est, err = frame_potential_mc(
-                window_sampler(energies, t_min, t_max), order, samples, seed)
+            tm = TimeModel("uniform-window", t_min=t_min, t_max=t_max)
+            est, err = frame_potential_mc(tm, energies, order, samples, seed)
             click.echo(f"F({order}) mc-window d={dim}: {est!r} +- {err!r}")
     except ValueError as e:
         _fail(EXIT_CONFIG, f"invalid frame-potential request: {e}")
@@ -639,8 +640,9 @@ def _repro_fig13(seed):
         approx = purity_variance_proxy(inv)
         rho = models.random_pure_state(d, seed + n)
         tm = TimeModel("ideal-rdu")
-        snaps = run_batch(h, rho, tm, 2000, seed + n)
-        rhos = snapshot_states(inv, snaps)
+        z = snapshot_amplitudes(inv, run_batch(h, rho, tm, 2000, seed + n))
+        # eigenframe rho-hat_k: V cancels in each Tr(rho-hat_k rho-hat_k+half)
+        rhos = apply_n_inverse(inv, snapshot_sigmas(z))
         half = len(rhos) // 2
         pair_vals = np.einsum("kmn,knm->k", rhos[:half], rhos[half:2 * half]).real
         rows.append((n, approx, empirical_variance(pair_vals)))

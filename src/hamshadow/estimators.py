@@ -21,15 +21,12 @@ from .sampler import (
     _born_rows,
     _factor_state,
     _snapshot_columns,
-    born_probabilities,
     substream,
 )
 from .shadowmap import (
     ShadowInverter,
-    apply_n_inverse,
     apply_n_inverse_adjoint,
     inverted_snapshot_moments,
-    snapshot_sigmas,
 )
 
 HERMITIAN_TOL = 1e-10
@@ -165,25 +162,6 @@ def snapshot_values(inv: ShadowInverter, snaps, o: Observable) -> np.ndarray:
     return _quadratic_values(z, o_t)
 
 
-def _inverted_sigmas(inv: ShadowInverter, z: np.ndarray) -> np.ndarray:
-    """Stack of inverse-mapped single-snapshot matrices, eigenframe."""
-    return apply_n_inverse(inv, snapshot_sigmas(z))
-
-
-def snapshot_states(inv: ShadowInverter, snaps) -> np.ndarray:
-    """Stack of per-snapshot state estimators, computational basis."""
-    z = snapshot_amplitudes(inv, snaps)
-    n = _inverted_sigmas(inv, z)
-    v = inv.hamiltonian.eigenbasis
-    return np.einsum("am,kmn,bn->kab", v, n, v.conj())
-
-
-def build_estimator(inv: ShadowInverter, snap) -> np.ndarray:
-    """State estimator rho-hat = V N^-1(sigma-hat) V^dag of one Snapshot row."""
-    inv.require_complete()
-    return snapshot_states(inv, [snap])[0]
-
-
 def median_of_means(per_snapshot_values, num_batches: int) -> EstimateReport:
     """Median of contiguous batch means; remainder shots are dropped."""
     vals = np.asarray(per_snapshot_values, dtype=float)
@@ -253,29 +231,6 @@ def _purity_u_statistic(inv: ShadowInverter, snaps) -> EstimateReport:
     return EstimateReport(value, se, k, "u-statistic")
 
 
-def exact_average_state(inv: ShadowInverter, rho, phase_vectors) -> np.ndarray:
-    """Deterministic expectation of the state estimator over a phase set.
-
-    Averages rho-hat over every (phase vector, outcome) pair weighted by
-    the Born probability; with a moment-matching phase set this recovers
-    rho exactly, with no sampling involved.
-    """
-    rho = check_density(rho)
-    h = inv.hamiltonian
-    v = h.eigenbasis
-    rho_h = v.conj().T @ rho @ v
-    d = h.dim
-    acc = np.zeros((d, d), dtype=complex)
-    phase_vectors = np.atleast_2d(np.asarray(phase_vectors, dtype=float))
-    probs = born_probabilities(h, rho_h, phase_vectors)
-    for phi, p in zip(phase_vectors, probs):
-        z = v * np.exp(1j * phi)[None, :]  # rows b
-        n = _inverted_sigmas(inv, z)
-        acc += np.einsum("b,bmn->mn", p, n)
-    acc /= len(phase_vectors)
-    return v @ acc @ v.conj().T
-
-
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     # scipy.stats takes most of a package import; only this baseline needs it
     from scipy.stats import unitary_group
@@ -324,12 +279,3 @@ def wrong_postprocessing_values(inv: ShadowInverter, snaps,
     d = inv.dim
     tr_o = float(np.trace(o.matrix).real)
     return (d + 1) * _quadratic_values(z, a) - tr_o
-
-
-def write_reports_csv(path, rows, comment: str = "") -> None:
-    with open(path, "w") as f:
-        if comment:
-            f.write(f"# {comment}\n")
-        f.write(CSV_HEADER + "\n")
-        for r in rows:
-            f.write(r + "\n")

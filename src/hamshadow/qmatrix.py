@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 * Qubit 0 is the most significant bit of a computational basis index, so
-  ``tensor_product(A, B)`` puts ``A`` on the most significant subsystem.
+  ``np.kron(A, B)`` puts ``A`` on the most significant subsystem.
 * Energies are angular frequencies in rad/us (a value quoted as
   "1.1 x 2pi MHz" is stored as ``1.1 * 2 * pi``), times are in us, so
   phases ``E * t`` are plain radians.
@@ -49,11 +49,6 @@ def check_density(m, name: str = "rho") -> np.ndarray:
     return m
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product, first factor on the most significant indices."""
-    return np.kron(as_complex(a), as_complex(b))
-
-
 def partial_trace(m, subsystem_dims, keep) -> np.ndarray:
     """Reduced matrix on the subsystems listed in ``keep``.
 
@@ -80,6 +75,21 @@ def partial_trace(m, subsystem_dims, keep) -> np.ndarray:
     return reduced.reshape(dk, dk)
 
 
+def _sealed(array, dtype) -> np.ndarray:
+    """array as a read-only C-ordered array of dtype that no other array
+    writes into: array itself if it already is one and owns its memory, as
+    the snapshot columns that run_batch and load_snapshots build are, else a
+    copy, which leaves the caller's array writeable. Keeping those columns
+    saves a K x d copy at the sampler's peak memory."""
+    if (isinstance(array, np.ndarray) and array.dtype == dtype
+            and array.flags.owndata and array.flags.c_contiguous
+            and not array.flags.writeable):
+        return array
+    a = np.array(array, dtype=dtype, order="C")
+    a.setflags(write=False)
+    return a
+
+
 def swap_operator(d: int) -> np.ndarray:
     """SWAP on two d-dimensional copies: S|ij> = |ji>."""
     s = np.zeros((d, d, d, d), dtype=complex)
@@ -93,15 +103,18 @@ class SpectralHamiltonian:
     """A Hermitian operator stored via its eigen-decomposition.
 
     ``energies`` are ascending (rad/us) and ``eigenbasis`` holds the
-    matching eigenvectors as columns (unitary).
+    matching eigenvectors as columns (unitary). Both are read-only arrays
+    of their own, so no later write, by the caller or through the fields,
+    can change a Hamiltonian that inverters, fingerprints and the amplitude
+    matrices kept on snapshot sets were built from.
     """
 
     energies: np.ndarray
     eigenbasis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
-        object.__setattr__(self, "eigenbasis", as_complex(self.eigenbasis))
+        object.__setattr__(self, "energies", _sealed(self.energies, float))
+        object.__setattr__(self, "eigenbasis", _sealed(self.eigenbasis, complex))
         if self.eigenbasis.shape != (self.dim, self.dim):
             raise ValueError("eigenbasis shape does not match energies")
         if not is_unitary(self.eigenbasis, 1e-10):

@@ -1,8 +1,8 @@
-"""Moment calculus of random diagonal unitaries.
+"""Energy degeneracies and frame potentials of random diagonal unitaries.
 
-Exact moment maps, degeneracy-modified second moments, finite phase
-designs, and frame potentials: the ideal multinomial closed form, the
-finite-window value and Monte-Carlo estimates.
+Frame potentials: the ideal closed form, the finite-window value and
+Monte-Carlo estimates. The moment maps and finite phase designs these
+values are checked against are test oracles and live with the tests.
 
 The finite-window frame potential F_k = E|Tr(U_t^dag U_s)|^{2k} over t, s
 uniform on [t_min, t_max] is the one-dimensional integral
@@ -20,13 +20,15 @@ O(nodes * d) phase evaluations.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-MAX_DESIGN_SIZE = 2**24
+if TYPE_CHECKING:
+    from .sampler import TimeModel
+
 MAX_FP_TERMS = 10**8  # phase evaluations (nodes x d) of frame_potential_finite_time
 QUAD_NODES = 20  # Gauss-Legendre nodes per panel of the window frame potential
 QUAD_HALF_PHASE = 6.0  # radians of the top frequency per half panel
@@ -92,123 +94,17 @@ class DegeneracySpec:
         return out
 
 
-def _index_tuples(d: int, k: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(d), repeat=k))
-
-
-def phi_k_diagonal(m, k: int) -> np.ndarray:
-    """k-th moment map of ideal random diagonal unitaries.
-
-    An element m[(i1..ik), (j1..jk)] survives iff the row and column index
-    tuples agree as multisets; every other element is zeroed.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError("only moment orders 1, 2, 3 are supported")
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    d = round(n ** (1.0 / k))
-    if d**k != n or m.shape != (n, n):
-        raise ValueError(f"matrix dimension {m.shape} is not a {k}-fold power")
-    keys = [tuple(sorted(t)) for t in _index_tuples(d, k)]
-    ids = {}
-    key_id = np.array([ids.setdefault(key, len(ids)) for key in keys])
-    mask = key_id[:, None] == key_id[None, :]
-    return np.where(mask, m, 0.0)
-
-
-def phi2_with_energies(m, spec: DegeneracySpec) -> np.ndarray:
-    """Second moment map for the phase ensemble generated by fixed energies.
-
-    An element (ij, kl) survives iff E_i + E_j - E_k - E_l = 0 within the
-    spec resolution. For generic energies this reduces to
-    ``phi_k_diagonal(m, 2)``; first-order degeneracies and second-order
-    resonances add exactly the extra surviving patterns.
-    """
-    m = np.asarray(m, dtype=complex)
-    d = spec.dim
-    if m.shape != (d * d, d * d):
-        raise ValueError("matrix dimension does not match energy count squared")
-    e = spec.energies
-    s = (e[:, None] + e[None, :]).reshape(-1)  # pair sums, index = i*d+j
-    mask = np.abs(s[:, None] - s[None, :]) <= spec.resolution
-    return np.where(mask, m, 0.0)
-
-
-@dataclass(frozen=True)
-class DiagonalDesign:
-    """Finite phase ensemble matching RDU moments up to order k.
-
-    Each coordinate phase is drawn from {2*pi*m/(k+1) : m = 0..k}. The full
-    product set has (k+1)^d members; ``enumerate_phases`` materializes it
-    when that is desk-sized, ``sample`` draws uniformly from it otherwise.
-    """
-
-    k: int
-    d: int
-
-    def __post_init__(self):
-        if self.k not in (1, 2, 3):
-            raise ValueError("design order must be 1, 2, or 3")
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
-
-    @property
-    def size(self) -> int:
-        return (self.k + 1) ** self.d
-
-    @property
-    def enumerable(self) -> bool:
-        return self.size <= MAX_DESIGN_SIZE
-
-    def enumerate_phases(self) -> np.ndarray:
-        """All phase vectors, shape (size, d)."""
-        if not self.enumerable:
-            raise ValueError(
-                f"design of size {self.size} exceeds the enumeration guard")
-        base = 2 * np.pi * np.arange(self.k + 1) / (self.k + 1)
-        grids = np.meshgrid(*([base] * self.d), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
-
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        m = rng.integers(0, self.k + 1, size=(n, self.d))
-        return 2 * np.pi * m / (self.k + 1)
-
-
-def diagonal_design(k: int, d: int) -> DiagonalDesign:
-    return DiagonalDesign(k, d)
-
-
-def _compositions(k: int, d: int) -> np.ndarray:
-    """All tuples of d non-negative integers summing to k, shape (n, d)."""
-    out = []
-    for bars in itertools.combinations(range(k + d - 1), d - 1):
-        prev = -1
-        comp = []
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(k + d - 2 - prev)
-        out.append(comp)
-    return np.array(out, dtype=np.int64)
-
-
-def _multinomial(k: int, comp: np.ndarray) -> np.ndarray:
-    coefs = np.full(len(comp), math.factorial(k), dtype=float)
-    for col in comp.T:
-        coefs /= np.array([math.factorial(int(c)) for c in col])
-    return coefs
-
-
 def frame_potential_rdu_exact(k: int, d: int) -> float:
     """Frame potential of ideal random diagonal unitaries.
 
-    Evaluates the multinomial sum sum_{n1+..+nd=k} multinom(k; n)^2, which
-    equals d, 2d^2-d, 6d^3-9d^2+4d for k = 1, 2, 3.
+    The multinomial sum sum_{n1+..+nd=k} multinom(k; n)^2 in closed form:
+    d, 2d^2-d and 6d^3-9d^2+4d for k = 1, 2, 3.
     """
     if k not in (1, 2, 3):
         raise ValueError("only k = 1, 2, 3 are supported")
-    comp = _compositions(k, d)
-    return float(np.sum(_multinomial(k, comp) ** 2))
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    return float((d, 2 * d * d - d, 6 * d**3 - 9 * d**2 + 4 * d)[k - 1])
 
 
 def check_window(t_min: float, t_max: float) -> None:
@@ -268,41 +164,39 @@ def frame_potential_finite_time(spec: DegeneracySpec, k: int,
     return total / panels
 
 
-def frame_potential_mc(sampler, k: int, num_samples: int,
+def frame_potential_mc(tm: TimeModel, energies, k: int, num_samples: int,
                        seed: int) -> tuple[float, float]:
     """Pair-sample Monte-Carlo estimate of E|Tr(U^dag V)|^{2k}.
 
-    ``sampler(rng)`` must return the diagonal of one unitary as a complex
-    vector. Each sample uses an independent counter-based substream, so the
-    estimate is reproducible regardless of evaluation order.
+    Sample i draws the diagonals of U and V from the stream of
+    substream(seed, i): 2 d phases, U's first (ideal-rdu or design), or
+    two window times t with diagonal e^{-i E t} (uniform-window). Only the
+    length of ``energies`` matters for phases. The streams are computed in
+    closed form for a block of samples at a time, as run_batch computes
+    its shots, so the estimate is reproducible regardless of evaluation
+    order.
     """
-    from .sampler import substream
+    from .sampler import CHUNK_ENTRIES, _evolution_draws
 
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
+    if num_samples >= 2**32:
+        raise ValueError("num_samples must be below 2**32, so that each "
+                         "sample index is one spawn-key word")
+    e = np.asarray(energies, dtype=float)
+    d = len(e)
+    window = tm.kind == "uniform-window"
+    width = 2 if window else 2 * d
+    block = max(1, CHUNK_ENTRIES // (width + 1))
     vals = np.empty(num_samples)
-    for i in range(num_samples):
-        rng = substream(seed, i)
-        u = sampler(rng)
-        v = sampler(rng)
-        vals[i] = np.abs(np.vdot(u, v)) ** (2 * k)
+    for start in range(0, num_samples, block):
+        samples = np.arange(start, min(start + block, num_samples), dtype=np.uint64)
+        x, _ = _evolution_draws(seed, samples, tm, width)
+        # Tr(U^dag V) = sum_j e^{i (phi_V - phi_U)_j}, phi = -E t for times
+        shift = (np.multiply.outer(x[:, 0] - x[:, 1], e) if window
+                 else x[:, d:] - x[:, :d])
+        vals[start:start + len(samples)] = np.abs(
+            np.exp(1j * shift).sum(axis=1)) ** (2 * k)
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / np.sqrt(num_samples))
     return est, err
-
-
-def rdu_sampler(d: int):
-    """Sampler of ideal random-diagonal-unitary diagonals."""
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return np.exp(1j * rng.uniform(0, 2 * np.pi, size=d))
-    return draw
-
-
-def window_sampler(energies, t_min: float, t_max: float):
-    """Sampler of diagonals exp(-i E t) with t uniform in the window."""
-    check_window(t_min, t_max)
-    energies = np.asarray(energies, dtype=float)
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        t = rng.uniform(t_min, t_max)
-        return np.exp(-1j * energies * t)
-    return draw

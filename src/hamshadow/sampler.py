@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmatrix import SpectralHamiltonian, as_complex, is_hermitian
+from .qmatrix import SpectralHamiltonian, _sealed, as_complex, is_hermitian
 from .rdu import check_window
 from .shadowmap import hamiltonian_fingerprint
 
@@ -238,20 +238,6 @@ class Snapshot:
             object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
         if self.bitstring < 0:
             raise ValueError("bitstring must be a non-negative basis index")
-
-
-def _sealed(column, dtype) -> np.ndarray:
-    """column as a read-only C-ordered array of dtype that no other array
-    writes into: column itself if it already is one and owns its memory, as
-    the columns that run_batch and load_snapshots build are, else a copy.
-    Keeping those saves a K x d copy at the sampler's peak memory."""
-    if (isinstance(column, np.ndarray) and column.dtype == dtype
-            and column.flags.owndata and column.flags.c_contiguous
-            and not column.flags.writeable):
-        return column
-    a = np.array(column, dtype=dtype, order="C")
-    a.setflags(write=False)
-    return a
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

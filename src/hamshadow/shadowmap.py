@@ -4,8 +4,9 @@ Given a Hamiltonian with eigenbasis V and eigen-energies E, a round of the
 protocol evolves the state by U = V diag(e^{i phi}) V^dag (phi = -E t for a
 time snapshot) and measures in the computational basis. The average
 post-measurement record is a linear map of the state; this module builds
-that map, decides whether it is invertible, and applies it or its inverse
-to one matrix or a stack of them.
+that map, decides whether it is invertible, and applies its inverse, or
+the adjoint of the inverse, to one matrix or a stack of them. Estimates
+need only the inverse; the forward map is kept with the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -73,15 +74,14 @@ class CompletenessDiagnosis:
 
 @dataclass(frozen=True)
 class FiniteTimeChoi:
-    """Window-corrected forward superoperator G of the rotated-frame map N.
+    """Inverse of the window-corrected superoperator G of the rotated-frame map N.
 
     G maps Hermitian matrices to Hermitian matrices, so on the packed real
-    coordinates of _pack it is a real d^2 x d^2 matrix R; R and R^-1 are
-    stored and applied to the Hermitian and anti-Hermitian halves of a
-    complex input.
+    coordinates of _pack it is a real d^2 x d^2 matrix R. Only R^-1 is
+    stored; it is applied to the Hermitian and anti-Hermitian halves of a
+    complex input. R itself is rebuilt by _window_superoperator.
     """
 
-    packed_forward: np.ndarray         # real d^2 x d^2 R, acts on _pack(sigma)
     packed_inverse: np.ndarray         # real d^2 x d^2 R^-1, acts on _pack(sigma)
     condition_number: float            # 1-norm of G: ||G||_1 ||G^-1||_1
 
@@ -97,7 +97,6 @@ class ShadowInverter:
     """
 
     hamiltonian: SpectralHamiltonian
-    v_sq: np.ndarray
     x_h: np.ndarray
     x_h_inverse: np.ndarray | None
     diagnosis: CompletenessDiagnosis
@@ -138,8 +137,7 @@ def _ratio(hi: float, lo: float) -> float:
     return float(hi / lo) if lo > 0 else np.inf
 
 
-def diagnose_detection(h: SpectralHamiltonian,
-                       resolution: float = ENERGY_RESOLUTION) -> CompletenessDiagnosis:
+def diagnose_detection(h: SpectralHamiltonian) -> CompletenessDiagnosis:
     """Full tomography-completeness diagnosis for a Hamiltonian."""
     v_sq = np.abs(h.eigenbasis) ** 2
     x_h = v_sq.T @ v_sq
@@ -153,7 +151,7 @@ def diagnose_detection(h: SpectralHamiltonian,
     singular = not np.isfinite(cond) or cond > SINGULAR_CONDITION
     off = [(i, j) for i in range(h.dim) for j in range(i + 1, h.dim)
            if abs(x_h[i, j]) < ZERO_OFFDIAG_TOL]
-    spec = DegeneracySpec(h.energies, resolution)
+    spec = DegeneracySpec(h.energies, ENERGY_RESOLUTION)
     degen = spec.first_order_pairs()
     aligned = _basis_aligned_eigenstates(v_sq)
     try:
@@ -172,13 +170,13 @@ def diagnose_detection(h: SpectralHamiltonian,
 
 
 def build_inverter(h: SpectralHamiltonian, mode: str = "ideal",
-                   t_min: float | None = None, t_max: float | None = None,
-                   resolution: float = ENERGY_RESOLUTION) -> ShadowInverter:
+                   t_min: float | None = None,
+                   t_max: float | None = None) -> ShadowInverter:
     if mode not in ("ideal", "finite-time", "pseudo-inverse"):
         raise ValueError(f"unknown inverter mode {mode!r}")
     v_sq = np.abs(h.eigenbasis) ** 2
     x_h = v_sq.T @ v_sq
-    diagnosis = diagnose_detection(h, resolution)
+    diagnosis = diagnose_detection(h)
     x_inv = None
     if not diagnosis.x_h_singular:
         x_inv = np.linalg.inv(x_h)
@@ -187,9 +185,9 @@ def build_inverter(h: SpectralHamiltonian, mode: str = "ideal",
     if mode == "finite-time":
         if t_min is None or t_max is None:
             raise ValueError("finite-time mode needs t_min and t_max")
-        finite = finite_time_choi(h, t_min, t_max, resolution)
+        finite = finite_time_choi(h, t_min, t_max)
         window = (float(t_min), float(t_max))
-    return ShadowInverter(h, v_sq, x_h, x_inv, diagnosis, mode, window, finite)
+    return ShadowInverter(h, x_h, x_inv, diagnosis, mode, window, finite)
 
 
 def _apply_to_diagonal(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -261,21 +259,6 @@ def _apply_packed(m: np.ndarray, sigma: np.ndarray, adjoint: bool) -> np.ndarray
         out = halves @ m.T
     h, k = _unpack(out)
     return (h + 1j * k).reshape(sigma.shape)
-
-
-def apply_n(inv: ShadowInverter, sigma) -> np.ndarray:
-    """Forward rotated-frame map N on one d x d matrix or a (..., d, d) stack.
-
-    The packed real window-corrected superoperator in finite-time mode,
-    otherwise the ideal-phase closed form.
-    """
-    sigma = as_complex(sigma)
-    if inv.mode == "finite-time":
-        return _apply_packed(inv.finite.packed_forward, sigma, adjoint=False)
-    i = np.arange(inv.dim)
-    out = inv.x_h * sigma
-    out[..., i, i] = _apply_to_diagonal(inv.x_h, sigma)
-    return out
 
 
 def apply_n_inverse(inv: ShadowInverter, sigma) -> np.ndarray:
@@ -434,14 +417,15 @@ def _inverse_one_norm(r_inv: np.ndarray) -> float:
     return norm
 
 
-def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
-                     resolution: float = ENERGY_RESOLUTION) -> FiniteTimeChoi:
-    """Window-corrected superoperator of N, packed real, and its inverse.
+def _window_superoperator(h: SpectralHamiltonian, t_min: float,
+                          t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Packed real R of the window-corrected superoperator G of N, and the
+    absolute column sums of G, whose maximum is ||G||_1.
 
     Each element carries the uniform-window average of the residual phase
     e^{-i w t} with w = E_p + E_n - E_q - E_m; resonant elements (|w| below
-    resolution) keep weight 1 and match the ideal map exactly. The d^4
-    passes run in blocks of BLOCK_ENTRIES entries.
+    ENERGY_RESOLUTION) keep weight 1 and match the ideal map exactly. The
+    d^4 passes run in blocks of BLOCK_ENTRIES entries.
     """
     check_window(t_min, t_max)
     if not t_max > t_min:
@@ -464,15 +448,24 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
     for start in range(0, d * d, rows):
         blk = slice(start, start + rows)
         omega = gap[blk, None] - gap
-        small = np.abs(omega) < resolution
+        small = np.abs(omega) < ENERGY_RESOLUTION
         weight = np.outer(ph_max[blk], conj_max)
         weight -= np.outer(ph_min[blk], conj_min)
         weight /= -1j * np.where(small, 1.0, omega) * dt
         weight[small] = 1.0
         g[blk] *= weight
         col_sums += np.abs(g[blk]).sum(axis=0)
-    r = _pack_superoperator(g)
-    del g  # freed before the inverse is formed; only the real R is kept
+    return _pack_superoperator(g), col_sums
+
+
+def finite_time_choi(h: SpectralHamiltonian, t_min: float,
+                     t_max: float) -> FiniteTimeChoi:
+    """Inverse of the packed real window-corrected superoperator of N.
+
+    R from _window_superoperator is inverted and dropped, so the inverter
+    holds one real d^2 x d^2 array.
+    """
+    r, col_sums = _window_superoperator(h, t_min, t_max)
     # exact 1-norm condition number from the inverse the apply path needs
     # anyway; a full SVD for the 2-norm value cost more than the inverse
     try:
@@ -484,12 +477,4 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float, t_max: float,
     if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
         raise np.linalg.LinAlgError("finite-time superoperator is numerically "
                                     f"singular (cond={cond:.3e}, 1-norm)")
-    return FiniteTimeChoi(r, r_inv, cond)
-
-
-def shadow_map_forward(inv: ShadowInverter, rho) -> np.ndarray:
-    """Average post-measurement record M(rho) = V N(V^dag rho V) V^dag."""
-    rho = as_complex(rho)
-    v = inv.hamiltonian.eigenbasis
-    rho_h = v.conj().T @ rho @ v
-    return v @ apply_n(inv, rho_h) @ v.conj().T
+    return FiniteTimeChoi(r_inv, cond)

@@ -169,13 +169,11 @@ def shadow_norm_sq(inv: ShadowInverter, o: Observable) -> float:
     return _top_eigenvalue(_second_moment_kernel(inv, transformed_observable(inv, o)))
 
 
-def variance_approx_linear(inv: ShadowInverter, o: Observable,
-                           dim_prefactor: bool = True) -> float:
+def variance_approx_linear(inv: ShadowInverter, o: Observable) -> float:
     """Closed-form variance proxy from eigenframe off-diagonals.
 
     Returns (1/d) sum_{i != j} |A_ij|^2 / X_ij with A the eigenframe
-    observable. ``dim_prefactor=False`` drops the 1/d factor, matching an
-    alternative normalization of the same quantity.
+    observable.
     """
     inv.require_complete()
     v = inv.hamiltonian.eigenbasis
@@ -186,7 +184,7 @@ def variance_approx_linear(inv: ShadowInverter, o: Observable,
     if np.any(np.abs(x_off) < ZERO_OFFDIAG_TOL):
         raise ValueError("zero off-diagonal weight encountered")
     total = float(np.sum(np.abs(a[off]) ** 2 / x_off))
-    return total / d if dim_prefactor else total
+    return total / d
 
 
 def purity_variance_proxy(inv: ShadowInverter) -> float:

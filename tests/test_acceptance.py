@@ -10,7 +10,6 @@ from hamshadow.estimators import (
     Observable,
     estimate_linear,
     estimate_nonlinear,
-    exact_average_state,
     global_shadow_values,
     snapshot_values,
     transformed_observable,
@@ -32,22 +31,18 @@ from hamshadow.models import (
     thermal_state,
 )
 from hamshadow.qmatrix import evolve, partial_trace, swap_operator
-from hamshadow.rdu import (
-    diagonal_design,
-    frame_potential_mc,
-    frame_potential_rdu_exact,
-    rdu_sampler,
-)
+from hamshadow.rdu import frame_potential_mc
 from hamshadow.sampler import TimeModel, run_batch
-from hamshadow.shadowmap import (
-    apply_n_inverse,
-    build_inverter,
-    diagnose_detection,
-    shadow_map_forward,
-)
+from hamshadow.shadowmap import apply_n_inverse, build_inverter, diagnose_detection
 from hamshadow.variance import variance_approx_linear, variance_exact
 
-from superoperators import forward_superoperator, inverse_superoperator
+from moments import diagonal_design
+from states import exact_average_state
+from superoperators import (
+    forward_superoperator,
+    inverse_superoperator,
+    shadow_map_forward,
+)
 
 
 def report(num, ok, detail):
@@ -107,7 +102,8 @@ def test_04_frame_potentials():
     details = []
     for d in (2, 4):
         for k in (1, 2, 3):
-            est, err = frame_potential_mc(rdu_sampler(d), k, 3000, seed=7)
+            est, err = frame_potential_mc(TimeModel("ideal-rdu"), np.zeros(d),
+                                          k, 3000, seed=7)
             dev = abs(est - closed[k](d))
             mc_ok &= dev <= 3 * err
             details.append(f"F{k}(d={d}) off by {dev / max(err, 1e-30):.1f} se")

@@ -14,11 +14,30 @@ from hamshadow.cli import build_model, build_state, config_digest, main
 from hamshadow.estimators import CSV_HEADER, Observable, estimate_purity
 from hamshadow.models import pauli_tensor
 from hamshadow.qmatrix import swap_operator
-from hamshadow.sampler import load_snapshots
+from hamshadow.rdu import frame_potential_mc
+from hamshadow.sampler import TimeModel, load_snapshots
 from hamshadow.shadowmap import build_inverter, hamiltonian_fingerprint
 from hamshadow.variance import VARIANCE_CSV_HEADER, variance_report
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("module,name", [
+    ("shadowmap", "apply_n"), ("shadowmap", "shadow_map_forward"),
+    ("estimators", "_inverted_sigmas"), ("estimators", "snapshot_states"),
+    ("estimators", "build_estimator"), ("estimators", "exact_average_state"),
+    ("estimators", "write_reports_csv"),
+    ("rdu", "phi_k_diagonal"), ("rdu", "_index_tuples"),
+    ("rdu", "phi2_with_energies"), ("rdu", "DiagonalDesign"),
+    ("rdu", "diagonal_design"), ("rdu", "MAX_DESIGN_SIZE"),
+    ("rdu", "_compositions"), ("rdu", "_multinomial"),
+    ("rdu", "rdu_sampler"), ("rdu", "window_sampler"),
+    ("qmatrix", "tensor_product"),
+])
+def test_test_oracles_are_not_shipped(module, name):
+    # the forward map, rho-hat stacks and moment oracles live under tests/
+    assert not hasattr(getattr(hamshadow, module), name)
+    assert not hasattr(hamshadow, name)
 
 
 def test_package_import_loads_no_scipy():
@@ -458,6 +477,30 @@ class TestFramePotential:
         assert res.exit_code == 2
         assert "window bounds must be finite" in res.output
 
+    @pytest.mark.parametrize("window", [("2", "2"), ("3", "2"), ("-1", "2")])
+    def test_empty_or_negative_mc_window_code_2(self, window):
+        res = CliRunner().invoke(main, ["frame-potential", "--dim", "4",
+                                        "--mode", "mc-window",
+                                        "--t-min", window[0], "--t-max", window[1],
+                                        "--samples", "10"])
+        assert res.exit_code == 2
+        assert "uniform-window requires t_max > t_min >= 0" in res.output
+
+    def test_mc_modes_match_the_library(self):
+        runner = CliRunner()
+        res = runner.invoke(main, ["frame-potential", "--dim", "3", "--mode", "mc",
+                                   "--samples", "50", "--seed", "4"])
+        assert res.exit_code == 0, res.output
+        est, err = frame_potential_mc(TimeModel("ideal-rdu"), np.zeros(3), 2, 50, 4)
+        assert res.output == f"F(2) mc d=3: {est!r} +- {err!r}\n"
+        res = runner.invoke(main, ["frame-potential", "--dim", "3",
+                                   "--mode", "mc-window", "--t-min", "1",
+                                   "--t-max", "3", "--samples", "50", "--seed", "4"])
+        assert res.exit_code == 0, res.output
+        tm = TimeModel("uniform-window", t_min=1.0, t_max=3.0)
+        est, err = frame_potential_mc(tm, np.arange(3.0), 2, 50, 4)
+        assert res.output == f"F(2) mc-window d=3: {est!r} +- {err!r}\n"
+
     def test_config_supplies_dim(self, tmp_path):
         p = write_cfg(tmp_path / "cfg.yaml",
                       {"model": {"kind": "gue", "dim": 4, "seed": 1}})
@@ -537,14 +580,16 @@ class TestReproduce:
         assert [r[0] for r in rows] == ["2.0", "5.0", "10.0", "20.0"]
         assert all(np.isfinite(float(x)) for r in rows[1:] for x in r)
 
-    @pytest.mark.parametrize("figure", ["fig3a", "fig3b", "fig10", "fig8"])
+    @pytest.mark.parametrize("figure", ["fig3a", "fig3b", "fig10", "fig8",
+                                        "fig13"])
     def test_variance_series_match_reference(self, tmp_path, figure):
         # reference series are committed seed-7 outputs; regrouping a sum
-        # (the second moment, the window frame potential's quadrature) may
-        # move only trailing digits. The fig3a, fig3b and fig10 references
-        # no longer match the output byte for byte (the second-moment kernel
-        # was regrouped twice since they were written), so they are pinned
-        # only to rtol 1e-10; fig8 still matches byte for byte.
+        # (the second moment, the window frame potential's quadrature, the
+        # pair trace) may move only trailing digits. The fig3a, fig3b and
+        # fig10 references no longer match the output byte for byte (the
+        # second-moment kernel was regrouped twice since they were written),
+        # and fig13 now takes its pair traces in the eigenframe, so they are
+        # pinned only to rtol 1e-10; fig8 still matches byte for byte.
         out = tmp_path / f"{figure}.csv"
         res = CliRunner().invoke(main, ["reproduce", "--figure", figure,
                                         "--seed", "7", "--out", str(out)])

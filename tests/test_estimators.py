@@ -11,15 +11,12 @@ from hamshadow.estimators import (
     estimate_linear,
     estimate_nonlinear,
     estimate_purity,
-    exact_average_state,
     global_shadow_values,
     median_of_means,
     snapshot_amplitudes,
-    snapshot_states,
     snapshot_values,
     transformed_observable,
     wrong_postprocessing_values,
-    write_reports_csv,
 )
 from hamshadow.models import (
     ghz_state,
@@ -31,9 +28,10 @@ from hamshadow.models import (
     random_pure_state,
 )
 from hamshadow.qmatrix import SpectralHamiltonian, swap_operator
-from hamshadow.rdu import diagonal_design
 from hamshadow.sampler import SnapshotSet, TimeModel, run_batch, substream
 
+from moments import diagonal_design
+from states import exact_average_state, snapshot_states
 from superoperators import forward_superoperator
 
 
@@ -285,6 +283,15 @@ class TestAmplitudeReuse:
         assert [c is h for c in calls] == [True, False, True]
         assert snapshot_amplitudes(inv, snaps) is snapshot_amplitudes(inv, snaps)
         assert len(calls) == 3
+
+    def test_hamiltonian_cannot_be_rewritten_under_a_kept_gather(self):
+        # reversing the eigenbasis columns in place after a gather left the
+        # set serving the old Z for the rewritten Hamiltonian
+        h, inv, _, snaps = make_setup(shots=20)
+        z = snapshot_amplitudes(inv, snaps).copy()
+        with pytest.raises(ValueError):
+            h.eigenbasis[:] = h.eigenbasis[:, ::-1]
+        np.testing.assert_array_equal(snapshot_amplitudes(inv, fresh_copy(snaps)), z)
 
     def test_row_list_is_not_cached(self, monkeypatch):
         calls = count_gathers(monkeypatch)
@@ -579,15 +586,3 @@ class TestWrongPostprocessing:
         bad = wrong_postprocessing_values(inv, snaps, o)
         se = bad.std(ddof=1) / np.sqrt(len(bad))
         assert abs(bad.mean() - 1.0) > 5 * se
-
-
-class TestCsv:
-    def test_report_rows(self, tmp_path):
-        rep = EstimateReport(0.5, 0.01, 100, "mean")
-        row = rep.csv_row("obs", 7, "abcd")
-        assert row.startswith("obs,0.5,0.01,100,mean,7,abcd")
-        p = tmp_path / "r.csv"
-        write_reports_csv(p, [row], comment="seed=7")
-        text = p.read_text()
-        assert text.splitlines()[0] == "# seed=7"
-        assert "observable,value" in text.splitlines()[1]

@@ -8,24 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hamshadow.estimators import (
-    _quadratic_values,
-    exact_average_state,
-    snapshot_amplitudes,
-)
+from hamshadow.estimators import _quadratic_values, snapshot_amplitudes
 from hamshadow.models import gue_hamiltonian
 from hamshadow.qmatrix import hermitian_spectral
-from hamshadow.rdu import diagonal_design
 from hamshadow.sampler import SnapshotSet, TimeModel, load_snapshots, save_snapshots
-from hamshadow.shadowmap import (
-    apply_n,
-    apply_n_inverse,
-    build_inverter,
-    diagnose_detection,
-    shadow_map_forward,
-)
+from hamshadow.shadowmap import apply_n_inverse, build_inverter, diagnose_detection
 
-from superoperators import forward_superoperator
+from moments import diagonal_design
+from states import exact_average_state
+from superoperators import apply_n, forward_superoperator, shadow_map_forward
 
 # a grid in [-1, 1]: no subnormal entries, whose products underflow
 ENTRIES = st.integers(-1000, 1000).map(lambda k: k / 1000)

@@ -11,7 +11,6 @@ from hamshadow.qmatrix import (
     is_unitary,
     partial_trace,
     swap_operator,
-    tensor_product,
 )
 
 
@@ -56,12 +55,15 @@ class TestTensorAndTrace:
         # |1> (x) |0> must land on index 2 in a 2-qubit register
         v0 = np.array([1, 0])
         v1 = np.array([0, 1])
-        rho = tensor_product(np.outer(v1, v1), np.outer(v0, v0))
+        rho = np.kron(np.outer(v1, v1), np.outer(v0, v0))
         assert rho[2, 2] == 1.0
+        # partial_trace keeps the same order: subsystem 0 is the |1> factor
+        np.testing.assert_array_equal(partial_trace(rho, [2, 2], [0]),
+                                      np.outer(v1, v1))
 
     def test_partial_trace_of_product_state(self):
         a, b = random_density(2, 2), random_density(3, 3)
-        full = tensor_product(a, b)
+        full = np.kron(a, b)
         np.testing.assert_allclose(partial_trace(full, [2, 3], [0]), a, atol=1e-12)
         np.testing.assert_allclose(partial_trace(full, [2, 3], [1]), b, atol=1e-12)
 
@@ -87,7 +89,7 @@ class TestTensorAndTrace:
         s = swap_operator(d)
         a, b = random_density(d, 5), random_density(d, 6)
         # SWAP trick: Tr(S (A (x) B)) = Tr(AB)
-        lhs = np.trace(s @ tensor_product(a, b))
+        lhs = np.trace(s @ np.kron(a, b))
         rhs = np.trace(a @ b)
         assert abs(lhs - rhs) < 1e-12
         np.testing.assert_allclose(s @ s, np.eye(d * d), atol=1e-12)
@@ -126,6 +128,33 @@ class TestSpectral:
     def test_invalid_eigenbasis_rejected(self):
         with pytest.raises(ValueError):
             SpectralHamiltonian(np.array([0.0, 1.0]), 2 * np.eye(2))
+
+    def test_fields_are_read_only_copies(self):
+        e = np.array([0.0, 1.0, 2.5])
+        v = np.linalg.qr(rng(11).normal(size=(3, 3))
+                         + 1j * rng(12).normal(size=(3, 3)))[0]
+        e0, v0 = e.copy(), v.copy()
+        h = SpectralHamiltonian(e, v)
+        # a write through the fields raises and leaves the caller's arrays
+        # as they were
+        with pytest.raises(ValueError):
+            h.eigenbasis[:] = h.eigenbasis[:, ::-1]
+        with pytest.raises(ValueError):
+            h.energies[0] = 5.0
+        np.testing.assert_array_equal(v, v0)
+        np.testing.assert_array_equal(e, e0)
+        # the caller's arrays stay writeable, and a write to them does not
+        # reach the Hamiltonian
+        assert e.flags.writeable and v.flags.writeable
+        v[:] = v[:, ::-1]
+        e[0] = 5.0
+        np.testing.assert_array_equal(h.eigenbasis, v0)
+        np.testing.assert_array_equal(h.energies, e0)
+
+    def test_read_only_fields_are_shared_not_copied(self):
+        h = hermitian_spectral(np.array([[1, 0.3], [0.3, -1.0]]))
+        twin = SpectralHamiltonian(h.energies, h.eigenbasis)
+        assert twin.energies is h.energies and twin.eigenbasis is h.eigenbasis
 
 
 class TestEvolve:

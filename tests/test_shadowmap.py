@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hamshadow.models import (
     hadamard_basis,
     hamiltonian_from_unitary,
 )
-from hamshadow.estimators import build_estimator, snapshot_amplitudes
+from hamshadow.estimators import Observable, estimate_linear, snapshot_amplitudes
 from hamshadow.qmatrix import SpectralHamiltonian, hermitian_spectral
 from hamshadow.sampler import Snapshot
 from hamshadow.shadowmap import (
@@ -18,17 +19,22 @@ from hamshadow.shadowmap import (
     _pack,
     _packed_weights,
     _unpack,
-    apply_n,
     apply_n_inverse,
     apply_n_inverse_adjoint,
     build_inverter,
     diagnose_detection,
     finite_time_choi,
     hamiltonian_fingerprint,
-    shadow_map_forward,
 )
 
-from superoperators import forward_superoperator, inverse_superoperator
+from states import build_estimator
+from superoperators import (
+    apply_n,
+    forward_superoperator,
+    inverse_superoperator,
+    packed_forward,
+    shadow_map_forward,
+)
 
 
 def random_density(d, seed=0):
@@ -133,7 +139,8 @@ class TestIdealInversion:
         h = hermitian_spectral(np.diag([0.0, 1.0]))
         inv = build_inverter(h)
         with pytest.raises(IncompleteInverterError):
-            build_estimator(inv, Snapshot(bitstring=0, time=1.0))
+            estimate_linear(inv, [Snapshot(bitstring=0, time=1.0)],
+                            Observable(np.eye(2)))
 
 
 class TestFiniteTimeMap:
@@ -210,6 +217,20 @@ class TestFiniteTimeMap:
                              t_min=2.0, t_max=22.0)
         assert inv.finite.condition_number == pytest.approx(
             np.linalg.cond(forward_superoperator(inv), 1), rel=1e-10)
+
+    def test_stored_inverse_undoes_rebuilt_superoperator(self):
+        inv = build_inverter(gue_hamiltonian(8, 5), mode="finite-time",
+                             t_min=2.0, t_max=22.0)
+        r = packed_forward(inv)
+        np.testing.assert_allclose(inv.finite.packed_inverse @ r, np.eye(64),
+                                   rtol=0, atol=1e-15 * inv.finite.condition_number)
+
+    def test_inverter_keeps_only_the_inverse(self):
+        inv = build_inverter(gue_hamiltonian(4, 5), mode="finite-time",
+                             t_min=2.0, t_max=22.0)
+        assert [f.name for f in fields(inv.finite)] == ["packed_inverse",
+                                                        "condition_number"]
+        assert inv.finite.packed_inverse.shape == (16, 16)
 
     def test_exactly_singular_map_refused(self):
         # a Hamiltonian diagonal in the computational basis: every P_b is a

@@ -13,7 +13,6 @@ from hamshadow.models import (
     random_pure_state,
 )
 from hamshadow.qmatrix import swap_operator
-from hamshadow.rdu import diagonal_design
 from hamshadow.sampler import TimeModel, run_batch
 from hamshadow.shadowmap import IncompleteInverterError, build_inverter
 from hamshadow.variance import (
@@ -28,6 +27,8 @@ from hamshadow.variance import (
     variance_exact,
     variance_report,
 )
+
+from moments import diagonal_design
 
 
 def random_density(d, seed=0):
@@ -291,13 +292,6 @@ class TestApproxLinear:
         off = ~np.eye(4, dtype=bool)
         expected = float(np.sum(np.abs(a[off]) ** 2))
         assert variance_approx_linear(inv, o) == pytest.approx(expected)
-
-    def test_prefactor_flag(self):
-        inv = build_inverter(gue_hamiltonian(4, 19))
-        o = Observable(random_hermitian(4, 20))
-        with_pref = variance_approx_linear(inv, o, dim_prefactor=True)
-        without = variance_approx_linear(inv, o, dim_prefactor=False)
-        assert without == pytest.approx(4 * with_pref)
 
 
 class TestApproxNonlinear:
