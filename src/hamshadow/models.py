@@ -55,9 +55,13 @@ class RydbergParams:
     c6: float = DEFAULT_C6
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if pos.shape[0] == 1 and pos.shape[1] > 2:
-            pos = pos.T
+        # a flat list is a chain of 1-D coordinates; a 2-D array has one
+        # row per atom
+        pos = np.asarray(self.positions, dtype=float)
+        if pos.ndim == 1:
+            pos = pos.reshape(-1, 1)
+        if pos.ndim != 2:
+            raise ValueError("positions must be a flat chain or one row per atom")
         object.__setattr__(self, "positions", pos)
         n = len(pos)
         for i in range(n):
@@ -70,37 +74,33 @@ class RydbergParams:
         return len(self.positions)
 
 
-def _embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for j in range(n):
-        out = np.kron(out, op if j == site else PAULI["I"])
-    return out
-
-
 def rydberg_hamiltonian(p: RydbergParams) -> SpectralHamiltonian:
     """Driven Rydberg chain with van der Waals interactions.
 
     H = (omega/2) sum_j (e^{i phi}|g_j><r_j| + h.c.) - delta sum_j n_j
         + sum_{j<k} C / |x_j - x_k|^6 n_j n_k
-    with |g> = |0>, |r> = |1>, n = |r><r|.
+    with |g> = |0>, |r> = |1>, n = |r><r|. The diagonal is a real sum over
+    the occupation bits of each basis index; the drive flips one bit.
     """
     n = p.num_atoms
     if n > MAX_ATOMS:
         raise ValueError(f"atom count {n} exceeds the dimension guard")
     d = 2**n
-    gr = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><r|
-    num = np.array([[0, 0], [0, 1]], dtype=complex)  # |r><r|
-    h = np.zeros((d, d), dtype=complex)
-    drive = (p.omega / 2) * (np.exp(1j * p.phi) * gr
-                             + np.exp(-1j * p.phi) * gr.conj().T)
+    idx = np.arange(d)
+    shift = n - 1 - np.arange(n)  # qubit 0 is the most significant bit
+    occ = (idx[:, None] >> shift) & 1
+    diag = np.zeros(d)
     for j in range(n):
-        h += _embed(drive, j, n)
-        h -= p.delta * _embed(num, j, n)
+        diag -= p.delta * occ[:, j]
     for j in range(n):
         for k in range(j + 1, n):
             r = np.linalg.norm(p.positions[j] - p.positions[k])
-            v_jk = p.c6 / r**6
-            h += v_jk * _embed(num, j, n) @ _embed(num, k, n)
+            diag += p.c6 / r**6 * (occ[:, j] & occ[:, k])
+    h = np.diag(diag.astype(complex))
+    g_to_r = (p.omega / 2) * np.exp(1j * p.phi)  # <g_j| H |r_j>
+    for j in range(n):
+        h[idx, idx ^ (1 << shift[j])] = np.where(occ[:, j], g_to_r.conjugate(),
+                                                 g_to_r)
     return hermitian_spectral(h)
 
 

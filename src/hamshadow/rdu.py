@@ -35,6 +35,11 @@ QUAD_HALF_PHASE = 6.0  # radians of the top frequency per half panel
 QUAD_CHUNK_ENTRIES = 2**16  # complex phases evaluated per chunk
 
 
+def _index_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(i, j) of each True entry of a 2-D mask, row-major, as Python ints."""
+    return list(zip(*(axis.tolist() for axis in np.nonzero(mask))))
+
+
 @dataclass(frozen=True)
 class DegeneracySpec:
     """Energy list plus the tolerance used to detect exact linear relations."""
@@ -53,9 +58,9 @@ class DegeneracySpec:
 
     def first_order_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (a, b), a < b, with E_a == E_b within resolution."""
-        e = self.energies
-        return [(a, b) for a in range(len(e)) for b in range(a + 1, len(e))
-                if abs(e[a] - e[b]) <= self.resolution]
+        gaps = np.subtract.outer(self.energies, self.energies)
+        np.abs(gaps, out=gaps)
+        return _index_pairs(np.triu(gaps <= self.resolution, k=1))
 
     def second_order_resonances(self) -> list[tuple[int, int, int, int]]:
         """Quadruples (a1, a2, b1, b2) with E_a1+E_a2 == E_b1+E_b2.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmatrix import SpectralHamiltonian, as_complex
-from .rdu import DegeneracySpec, check_window
+from .rdu import DegeneracySpec, _index_pairs, check_window
 
 SINGULAR_CONDITION = 1e12
 BLOCK_ENTRIES = 2**14  # entries per block of the d^4 passes of finite_time_choi
@@ -123,15 +123,6 @@ def hamiltonian_fingerprint(h: SpectralHamiltonian) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _basis_aligned_eigenstates(v_sq: np.ndarray, tol: float = 1e-10) -> list:
-    """Eigenvector columns that coincide with a computational basis vector."""
-    out = []
-    for k in range(v_sq.shape[1]):
-        if np.max(v_sq[:, k]) >= 1.0 - tol:
-            out.append(k)
-    return out
-
-
 def _ratio(hi: float, lo: float) -> float:
     """hi / lo as a condition number: inf where lo is zero."""
     return float(hi / lo) if lo > 0 else np.inf
@@ -149,11 +140,11 @@ def diagnose_detection(h: SpectralHamiltonian) -> CompletenessDiagnosis:
     map_cond = _ratio(max(sv[0], x_off.max(initial=0.0)),
                       min(sv[-1], x_off.min(initial=np.inf)))
     singular = not np.isfinite(cond) or cond > SINGULAR_CONDITION
-    off = [(i, j) for i in range(h.dim) for j in range(i + 1, h.dim)
-           if abs(x_h[i, j]) < ZERO_OFFDIAG_TOL]
+    off = _index_pairs(np.triu(np.abs(x_h) < ZERO_OFFDIAG_TOL, k=1))
     spec = DegeneracySpec(h.energies, ENERGY_RESOLUTION)
     degen = spec.first_order_pairs()
-    aligned = _basis_aligned_eigenstates(v_sq)
+    # eigenvector columns that coincide with a computational basis vector
+    aligned = np.flatnonzero(v_sq.max(axis=0) >= 1.0 - 1e-10).tolist()
     try:
         resonances = spec.second_order_resonances()
     except ValueError:
@@ -373,28 +364,6 @@ def inverted_snapshot_moments(inv: ShadowInverter,
     return _unpack(s).reshape(d, d), tr_sq
 
 
-def _pack_superoperator(g: np.ndarray) -> np.ndarray:
-    """Real R with _pack(g vec(sigma)) = R _pack(sigma) for Hermitian sigma.
-
-    Packed input coordinate j of (m, n) stands for |m><n| + |n><m| (m < n),
-    i|n><m| - i|m><n| (m > n) or |m><m|, so column j of R combines columns
-    j and t[j] of g; output row k takes the real part of row k (m <= n) or
-    the imaginary part of row t[k]. Built in blocks of rows.
-    """
-    size = len(g)
-    t, upper, sign = _packing(math.isqrt(size))
-    r = np.empty(g.shape)
-    rows = max(1, BLOCK_ENTRIES // size)
-    for start in range(0, size, rows):
-        k = np.arange(start, min(start + rows, size))
-        gk = g[np.where(upper[k], k, t[k])]
-        gt = gk[:, t]
-        cols = np.where(upper, gk + gt, 1j * (gt - gk))
-        cols[:, sign == 0] *= 0.5
-        r[k] = np.where(upper[k, None], cols.real, cols.imag)
-    return r
-
-
 def _inverse_one_norm(r_inv: np.ndarray) -> float:
     """||G^-1||_1 of the complex map whose packed real inverse is r_inv.
 
@@ -422,10 +391,13 @@ def _window_superoperator(h: SpectralHamiltonian, t_min: float,
     """Packed real R of the window-corrected superoperator G of N, and the
     absolute column sums of G, whose maximum is ||G||_1.
 
-    Each element carries the uniform-window average of the residual phase
-    e^{-i w t} with w = E_p + E_n - E_q - E_m; resonant elements (|w| below
-    ENERGY_RESOLUTION) keep weight 1 and match the ideal map exactly. The
-    d^4 passes run in blocks of BLOCK_ENTRIES entries.
+    R satisfies _pack(G vec(sigma)) = R _pack(sigma) for Hermitian sigma.
+    Each element of G carries the uniform-window average of the residual
+    phase e^{-i w t} with w = E_p + E_n - E_q - E_m; resonant elements (|w|
+    below ENERGY_RESOLUTION) keep weight 1 and match the ideal map exactly.
+    Only the rows (m, n), m <= n, of G are formed, BLOCK_ENTRIES entries at
+    a time: row (n, m) is the conjugate of row (m, n) with its columns
+    permuted by t, so one row gives both packed rows of R.
     """
     check_window(t_min, t_max)
     if not t_max > t_min:
@@ -433,29 +405,42 @@ def _window_superoperator(h: SpectralHamiltonian, t_min: float,
     d = h.dim
     e = h.energies
     v = h.eigenbasis
+    t, upper, sign = _packing(d)
     # P_b = V^dag |b><b| V stacked over outcomes, one row vec(P_b) per b;
-    # P_b[q, p] = conj(P_b[p, q]), so sum_b P_b[m, n] P_b[q, p] is one GEMM
+    # P_b[q, p] = conj(P_b[p, q]), so G's rows are sum_b P_b[m, n] P_b[q, p]
     p = (v.conj()[:, :, None] * v[:, None, :]).reshape(d, d * d)
-    g = p.T @ p.conj()
+    p_conj = p.conj()
     # w = gap(m, n) - gap(p, q) with gap(m, n) = E_n - E_m, so e^{-i w t}
     # is the outer product of e^{-i gap t} and its conjugate
     gap = (e[None, :] - e[:, None]).reshape(-1)
     ph_min, ph_max = np.exp(-1j * np.multiply.outer((t_min, t_max), gap))
     conj_min, conj_max = ph_min.conj(), ph_max.conj()
     dt = t_max - t_min
+    r = np.empty((d * d, d * d))
     col_sums = np.zeros(d * d)
+    rows_upper = np.flatnonzero(upper)
     rows = max(1, BLOCK_ENTRIES // (d * d))
-    for start in range(0, d * d, rows):
-        blk = slice(start, start + rows)
-        omega = gap[blk, None] - gap
+    for start in range(0, len(rows_upper), rows):
+        j = rows_upper[start:start + rows]
+        omega = gap[j, None] - gap
         small = np.abs(omega) < ENERGY_RESOLUTION
-        weight = np.outer(ph_max[blk], conj_max)
-        weight -= np.outer(ph_min[blk], conj_min)
+        weight = np.outer(ph_max[j], conj_max)
+        weight -= np.outer(ph_min[j], conj_min)
         weight /= -1j * np.where(small, 1.0, omega) * dt
         weight[small] = 1.0
-        g[blk] *= weight
-        col_sums += np.abs(g[blk]).sum(axis=0)
-    return _pack_superoperator(g), col_sums
+        g = p.T[j] @ p_conj
+        g *= weight
+        # packed input coordinate (m, n) stands for |m><n| + |n><m| (m < n),
+        # i|n><m| - i|m><n| (m > n) or |m><m|
+        g_t = g[:, t]
+        cols = np.where(upper, g + g_t, 1j * (g_t - g))
+        cols[:, sign == 0] *= 0.5
+        r[j] = cols.real
+        off = sign[j] != 0
+        r[t[j[off]]] = cols.imag[off]
+        mag = np.abs(g)
+        col_sums += mag.sum(axis=0) + mag[off][:, t].sum(axis=0)
+    return r, col_sums
 
 
 def finite_time_choi(h: SpectralHamiltonian, t_min: float,

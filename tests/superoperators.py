@@ -9,13 +9,39 @@ Hamiltonian and window.
 import numpy as np
 
 from hamshadow.qmatrix import as_complex
+from hamshadow.qmatrix import SpectralHamiltonian
 from hamshadow.shadowmap import (
     ShadowInverter,
     _apply_packed,
     _apply_to_diagonal,
+    _pack,
+    _unpack,
     _window_superoperator,
     apply_n_inverse,
 )
+
+
+def dense_window_superoperator(h: SpectralHamiltonian, t_min: float,
+                               t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """R and the absolute column sums of G, from the definition of G.
+
+    G[(m, n), (p, q)] = sum_b P_b[m, n] P_b[q, p] times the window average
+    of e^{-i w t}, w = E_p + E_n - E_q - E_m, which is e^{-i w t_c} times
+    sinc(w D / 2 pi) for the window centre t_c and length D; column j of R
+    is the packed image of the Hermitian matrix that packed coordinate j
+    stands for.
+    """
+    e, v = h.energies, h.eigenbasis
+    d = len(e)
+    p = v.conj()[:, :, None] * v[:, None, :]  # P_b = V^dag |b><b| V
+    outcomes = np.einsum("bmn,bqp->mnpq", p, p)
+    w = (e[None, None, :, None] + e[None, :, None, None]
+         - e[None, None, None, :] - e[:, None, None, None])
+    centre, length = (t_min + t_max) / 2, t_max - t_min
+    average = np.exp(-1j * w * centre) * np.sinc(w * length / (2 * np.pi))
+    g = (outcomes * average).reshape(d * d, d * d)
+    r = np.column_stack([_pack(g @ unit) for unit in _unpack(np.eye(d * d))])
+    return r, np.abs(g).sum(axis=0)
 
 
 def packed_forward(inv: ShadowInverter) -> np.ndarray:

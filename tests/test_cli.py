@@ -33,6 +33,7 @@ DATA = Path(__file__).parent / "data"
     ("rdu", "_compositions"), ("rdu", "_multinomial"),
     ("rdu", "rdu_sampler"), ("rdu", "window_sampler"),
     ("qmatrix", "tensor_product"),
+    ("models", "_embed"), ("shadowmap", "_pack_superoperator"),
 ])
 def test_test_oracles_are_not_shipped(module, name):
     # the forward map, rho-hat stacks and moment oracles live under tests/
@@ -528,6 +529,11 @@ class TestFramePotential:
         assert "--dim 8 disagrees with the config's model dimension 4" in res.output
 
 
+def test_flat_rydberg_positions_are_a_chain():
+    h = build_model({"model": {"kind": "rydberg", "positions": [0.0, 8.781]}})
+    assert h.dim == 4
+
+
 class TestDiagnose:
     def test_complete_model(self, tmp_path):
         p = write_cfg(tmp_path / "cfg.yaml",
@@ -581,7 +587,8 @@ class TestReproduce:
         assert all(np.isfinite(float(x)) for r in rows[1:] for x in r)
 
     @pytest.mark.parametrize("figure", ["fig3a", "fig3b", "fig10", "fig8",
-                                        "fig13"])
+                                        "fig13", "fig4b", "fig4c", "fig6",
+                                        "fig12"])
     def test_variance_series_match_reference(self, tmp_path, figure):
         # reference series are committed seed-7 outputs; regrouping a sum
         # (the second moment, the window frame potential's quadrature, the
@@ -590,6 +597,11 @@ class TestReproduce:
         # second-moment kernel was regrouped twice since they were written),
         # and fig13 now takes its pair traces in the eigenframe, so they are
         # pinned only to rtol 1e-10; fig8 still matches byte for byte.
+        # fig4b and fig4c run the finite-time inverter end to end, with the
+        # refused first window as a nan row. Their windows have cond(G) up
+        # to 2e8, so the rounding of R^-1, which moves with the BLAS thread
+        # count, moves them by up to 1.4e-9 relative: they are pinned to
+        # rtol 1e-7, about cond(G) times the double-precision epsilon.
         out = tmp_path / f"{figure}.csv"
         res = CliRunner().invoke(main, ["reproduce", "--figure", figure,
                                         "--seed", "7", "--out", str(out)])
@@ -600,8 +612,9 @@ class TestReproduce:
 
         def values(rows):
             return np.array([[float(x) for x in r.split(",")] for r in rows])
+        rtol = 1e-7 if figure in ("fig4b", "fig4c") else 1e-10
         np.testing.assert_allclose(values(lines[2:]), values(ref[2:]),
-                                   rtol=1e-10, atol=0)
+                                   rtol=rtol, atol=0)
 
     def test_seed_recorded_in_header(self, tmp_path):
         out = tmp_path / "fig8.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hamshadow import models
 from hamshadow.models import (
     DEFAULT_C6,
     DEFAULT_DELTA,
@@ -28,7 +29,49 @@ from hamshadow.qmatrix import is_density, is_hermitian, is_unitary, partial_trac
 from hamshadow.shadowmap import diagnose_detection
 
 
+def kron_rydberg_matrix(p: RydbergParams) -> np.ndarray:
+    """H of a Rydberg chain as a sum of kron-embedded single-site and pair
+    terms, added in the order that rydberg_hamiltonian's diagonal follows."""
+    n = p.num_atoms
+
+    def embed(op, site):
+        out = np.array([[1.0 + 0j]])
+        for j in range(n):
+            out = np.kron(out, op if j == site else np.eye(2, dtype=complex))
+        return out
+
+    gr = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><r|
+    num = np.array([[0, 0], [0, 1]], dtype=complex)  # |r><r|
+    drive = (p.omega / 2) * (np.exp(1j * p.phi) * gr
+                             + np.exp(-1j * p.phi) * gr.conj().T)
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for j in range(n):
+        h += embed(drive, j)
+        h -= p.delta * embed(num, j)
+    for j in range(n):
+        for k in range(j + 1, n):
+            r = np.linalg.norm(p.positions[j] - p.positions[k])
+            h += p.c6 / r**6 * embed(num, j) @ embed(num, k)
+    return h
+
+
+LADDER = [(j * 10.733, row * 10.733) for row in (0, 1) for j in range(3)]
+
+
 class TestRydberg:
+    @pytest.mark.parametrize("p", [
+        *(RydbergParams(random_positions(n, seed=n)) for n in range(1, 7)),
+        RydbergParams(LADDER),
+        RydbergParams(random_positions(3, seed=9), omega=3.0, phi=-0.7,
+                      delta=-1.5),
+    ], ids=[*(f"chain{n}" for n in range(1, 7)), "ladder6", "params3"])
+    def test_matches_kron_sum_oracle(self, p, monkeypatch):
+        built = []
+        monkeypatch.setattr(models, "hermitian_spectral",
+                            lambda h: built.append(h) or "spectral")
+        assert rydberg_hamiltonian(p) == "spectral"
+        assert np.array_equal(built[0], kron_rydberg_matrix(p))
+
     def test_hermitian_and_size(self):
         p = RydbergParams(positions=random_positions(3, seed=1))
         h = rydberg_hamiltonian(p)
@@ -65,6 +108,18 @@ class TestRydberg:
         diag = diagnose_detection(rydberg_hamiltonian(p))
         assert not diag.complete
         assert len(diag.basis_aligned) == 4
+
+    def test_flat_positions_are_a_chain(self):
+        p = RydbergParams([0.0, 8.781])
+        assert p.num_atoms == 2
+        np.testing.assert_array_equal(p.positions, [[0.0], [8.781]])
+        assert rydberg_hamiltonian(p).dim == 4
+
+    def test_two_dimensional_positions_are_one_row_per_atom(self):
+        assert RydbergParams([[0.0, 0.0, 0.0]]).positions.shape == (1, 3)
+        assert RydbergParams(LADDER).positions.shape == (6, 2)
+        with pytest.raises(ValueError, match="one row per atom"):
+            RydbergParams(np.zeros((2, 1, 1)))
 
     def test_atom_count_guard_and_coincidence(self):
         with pytest.raises(ValueError, match="guard"):

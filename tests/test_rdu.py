@@ -131,6 +131,19 @@ class TestEnergyAwareSecondMoment:
         spec = DegeneracySpec(np.array([2.0, 1.0 + 5e-10, 1.0]))
         assert spec.first_order_pairs() == [(1, 2)]
 
+    def test_first_order_pairs_match_pair_loop(self):
+        # clusters of near-equal energies in shuffled order, some pairs
+        # just inside and some just outside the resolution
+        rng = np.random.default_rng(17)
+        e = rng.permutation(np.repeat(rng.normal(size=12), 4)
+                            + rng.choice([0.0, 4e-10, 9e-10, 3e-9], size=48))
+        spec = DegeneracySpec(e)
+        loop = [(a, b) for a in range(len(e)) for b in range(a + 1, len(e))
+                if abs(e[a] - e[b]) <= spec.resolution]
+        pairs = spec.first_order_pairs()
+        assert pairs == loop
+        assert all(type(i) is int for pair in pairs for i in pair)
+
 
 class TestDesigns:
     @pytest.mark.parametrize("k,d", [(1, 2), (2, 2), (2, 3), (3, 2)])

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from hamshadow.models import (
+    RydbergParams,
+    exp_family_vh,
     gue_hamiltonian,
     hadamard_basis,
     hamiltonian_from_unitary,
+    random_positions,
+    rydberg_hamiltonian,
 )
 from hamshadow.estimators import Observable, estimate_linear, snapshot_amplitudes
 from hamshadow.qmatrix import SpectralHamiltonian, hermitian_spectral
@@ -19,6 +23,7 @@ from hamshadow.shadowmap import (
     _pack,
     _packed_weights,
     _unpack,
+    _window_superoperator,
     apply_n_inverse,
     apply_n_inverse_adjoint,
     build_inverter,
@@ -30,6 +35,7 @@ from hamshadow.shadowmap import (
 from states import build_estimator
 from superoperators import (
     apply_n,
+    dense_window_superoperator,
     forward_superoperator,
     inverse_superoperator,
     packed_forward,
@@ -81,6 +87,29 @@ class TestDiagnosis:
         assert diag.map_condition_number == pytest.approx(expected, rel=1e-6)
         assert diag.condition_number == pytest.approx(1.0, abs=1e-8)
         assert "cond(N)=1.243e+09" in diag.summary()
+
+    @pytest.mark.parametrize("h", [
+        # eigenvectors 0, 1 and 4 are basis vectors, 2 and 3 are not
+        hamiltonian_from_unitary(np.block([
+            [np.eye(2), np.zeros((2, 3))],
+            [np.zeros((2, 2)), hadamard_basis(1), np.zeros((2, 1))],
+            [np.zeros((1, 4)), np.ones((1, 1))]])),
+        hamiltonian_from_unitary(np.kron(np.eye(2), hadamard_basis(2))),
+        hamiltonian_from_unitary(np.kron(gue_hamiltonian(4, 8).eigenbasis,
+                                         np.eye(2))),
+    ], ids=["partly-aligned", "hadamard-blocks", "gue-blocks"])
+    def test_index_lists_match_loops(self, h):
+        diag = diagnose_detection(h)
+        v_sq = np.abs(h.eigenbasis) ** 2
+        x_h = v_sq.T @ v_sq
+        off = [(i, j) for i in range(h.dim) for j in range(i + 1, h.dim)
+               if abs(x_h[i, j]) < 1e-12]
+        aligned = [k for k in range(h.dim) if np.max(v_sq[:, k]) >= 1.0 - 1e-10]
+        assert diag.zero_offdiagonal == off
+        assert diag.basis_aligned == aligned
+        assert off or aligned
+        assert all(type(i) is int for pair in off for i in pair)
+        assert all(type(k) is int for k in diag.basis_aligned)
 
     def test_flat_basis_singular(self):
         diag = diagnose_detection(hamiltonian_from_unitary(hadamard_basis(2)))
@@ -212,6 +241,23 @@ class TestFiniteTimeMap:
                                    (a * weight).reshape(d * d, d * d),
                                    rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("h", [
+        gue_hamiltonian(2, 3),
+        gue_hamiltonian(5, 4),
+        gue_hamiltonian(8, 5),
+        *(rydberg_hamiltonian(RydbergParams(random_positions(n, seed=n)))
+          for n in (1, 2, 3)),
+        # equally spaced energies: many resonant elements, weight exactly 1
+        hamiltonian_from_unitary(exp_family_vh(4, 1.0, 6)),
+        hamiltonian_from_unitary(exp_family_vh(7, 1.0, 7)),
+    ], ids=["gue2", "gue5", "gue8", "rydberg2", "rydberg4", "rydberg8",
+            "spaced4", "spaced7"])
+    def test_packed_superoperator_matches_dense_definition(self, h):
+        r, col_sums = _window_superoperator(h, 2.0, 22.0)
+        r_ref, col_sums_ref = dense_window_superoperator(h, 2.0, 22.0)
+        np.testing.assert_allclose(r, r_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(col_sums, col_sums_ref, rtol=1e-13, atol=0)
+
     def test_condition_number_is_the_one_norm_value(self):
         inv = build_inverter(gue_hamiltonian(8, 5), mode="finite-time",
                              t_min=2.0, t_max=22.0)
@@ -304,6 +350,17 @@ class TestPackedCoordinates:
         # the complex-inverse build peaked at 5.9 MB; G alone is
         # 16**4 * 16 B = 1.0 MB, and R and R^-1 0.5 MB each
         assert peak < 4.5e6
+
+    def test_window_build_forms_no_complex_superoperator(self):
+        # R is 32**4 * 8 B = 8.4 MB; a complex G would add 16.8 MB
+        h = rydberg_hamiltonian(RydbergParams(random_positions(5, seed=1)))
+        tracemalloc.start()
+        try:
+            r, _ = _window_superoperator(h, 2.0, 22.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * r.nbytes
 
 
 MODES = ["ideal", "finite-time", "pseudo-inverse"]
