@@ -350,11 +350,10 @@ def variance(config_path, out_path):
         obs = build_observables(cfg, rho, h.dim)
     except ConfigError as e:
         _fail(EXIT_CONFIG, f"config error: {e}")
-    diag = diagnose_detection(h)
-    if not diag.complete:
-        _fail(EXIT_INCOMPLETE,
-              "Hamiltonian is not tomography-complete:\n" + diag.summary())
     inv = build_inverter(h)
+    if not inv.diagnosis.complete:
+        _fail(EXIT_INCOMPLETE,
+              "Hamiltonian is not tomography-complete:\n" + inv.diagnosis.summary())
     fp = hamiltonian_fingerprint(h)
     seed = cfg.get("seed", 0)
     rows = [(purity_variance_report(inv) if isinstance(o, Purity)
@@ -597,14 +596,11 @@ def _repro_fig10(seed):
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
     rows = []
     for theta in np.linspace(0.05, np.pi - 0.05, 25):
-        h = models.single_qubit_theta(float(theta))
-        diag = diagnose_detection(h)
-        if not diag.complete:
+        inv = build_inverter(models.single_qubit_theta(float(theta)))
+        if not inv.diagnosis.complete:
             rows.append((float(theta), 0, float("nan")))
             continue
-        inv = build_inverter(h)
-        rows.append((float(theta), 1,
-                     variance_exact(inv, o, rho)))
+        rows.append((float(theta), 1, variance_exact(inv, o, rho)))
     return "theta,complete,variance_exact", rows
 
 

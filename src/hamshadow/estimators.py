@@ -210,9 +210,9 @@ def _purity_u_statistic(inv: ShadowInverter, snaps) -> EstimateReport:
     amplitude matrix Z (closed forms in the ideal modes, one packed real
     GEMM per block in finite-time mode); the last is the linear fast path,
     a quadratic form of each row of Z. Standard error is the delete-one
-    jackknife.
+    jackknife. The inverter must recover every entry of the state.
     """
-    inv.require_complete()
+    inv.require_whole_state()
     z = snapshot_amplitudes(inv, snaps)
     k = len(z)
     if k < 2:
@@ -232,10 +232,12 @@ def _purity_u_statistic(inv: ShadowInverter, snaps) -> EstimateReport:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    # scipy.stats takes most of a package import; only this baseline needs it
-    from scipy.stats import unitary_group
-
-    return unitary_group.rvs(d, random_state=rng)
+    """Haar-random d x d unitary by the steps of scipy.stats.unitary_group.rvs:
+    Q of a Ginibre matrix, each column times the phase of R's diagonal entry."""
+    z = 1 / math.sqrt(2) * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r)
+    return q * (phases / np.abs(phases))
 
 
 def global_shadow_values(rho, o: Observable, num_shots: int, seed: int) -> np.ndarray:

@@ -69,17 +69,17 @@ class DegeneracySpec:
         unordered pairs. Pairs that merely restate a first-order degeneracy
         are filtered out.
         """
+        return list(self._resonances())
+
+    def _resonances(self):
+        """second_order_resonances one at a time, in the same order, so a
+        caller that needs only the first few stops the enumeration there."""
         e = self.energies
         d = len(e)
         if d > 256:
             raise ValueError("resonance enumeration capped at dimension 256")
-        first = set()
-        for a, b in self.first_order_pairs():
-            first.add((a, b))
-        out = []
-        pairs = [(i, j) for i in range(d) for j in range(i, d)]
-        sums = [(e[i] + e[j], i, j) for i, j in pairs]
-        sums.sort()
+        first = set(self.first_order_pairs())
+        sums = sorted((e[i] + e[j], i, j) for i in range(d) for j in range(i, d))
         for x in range(len(sums)):
             for y in range(x + 1, len(sums)):
                 if sums[y][0] - sums[x][0] > 2 * self.resolution + 1e-15:
@@ -95,8 +95,7 @@ class DegeneracySpec:
                     rb = ({b1, b2} - shared or shared).pop()
                     if (min(ra, rb), max(ra, rb)) in first:
                         continue
-                out.append((a1, a2, b1, b2))
-        return out
+                yield (a1, a2, b1, b2)
 
 
 def frame_potential_rdu_exact(k: int, d: int) -> float:

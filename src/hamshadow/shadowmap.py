@@ -12,6 +12,7 @@ need only the inverse; the forward map is kept with the tests as an oracle.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +44,7 @@ class CompletenessDiagnosis:
     basis_aligned: list
     condition_number: float      # cond(X_H), 2-norm
     map_condition_number: float  # cond(N), 2-norm: the amplification of N^-1
-    resonances: list = field(default_factory=list)  # informational only
+    resonances: list = field(default_factory=list)  # the first 8; informational
 
     @property
     def complete(self) -> bool:
@@ -68,7 +69,7 @@ class CompletenessDiagnosis:
             if self.zero_offdiagonal:
                 lines.append(f"  zero off-diagonals of X_H: {self.zero_offdiagonal[:8]}")
         if self.resonances:
-            lines.append(f"  note: second-order resonances (harmless): {self.resonances[:8]}")
+            lines.append(f"  note: second-order resonances (harmless): {self.resonances}")
         return "\n".join(lines)
 
 
@@ -92,14 +93,17 @@ class ShadowInverter:
 
     mode is "ideal" (closed-form inverse, assumes ideal random phases),
     "finite-time" (dense inverse of the window-corrected superoperator) or
-    "pseudo-inverse" (diagonal dropped, only off-diagonals with nonzero
-    X_H entries recovered).
+    "pseudo-inverse" (the ideal closed form on the entries it recovers).
+    recovered, set by build_inverter, is the one record of the eigenframe
+    entries the inverse recovers: all of them, except that the pseudo-inverse
+    recovers only the off-diagonals with |X_mn| >= ZERO_OFFDIAG_TOL.
     """
 
     hamiltonian: SpectralHamiltonian
     x_h: np.ndarray
     x_h_inverse: np.ndarray | None
     diagnosis: CompletenessDiagnosis
+    recovered: np.ndarray  # bool (d, d)
     mode: str = "ideal"
     window: tuple[float, float] | None = None
     finite: FiniteTimeChoi | None = None
@@ -109,11 +113,19 @@ class ShadowInverter:
         return self.hamiltonian.dim
 
     def require_complete(self):
-        if self.mode == "pseudo-inverse":
-            return
-        if not self.diagnosis.complete:
+        """Refuse an inverter that claims every entry of an incomplete map."""
+        if self.recovered.all() and not self.diagnosis.complete:
             raise IncompleteInverterError(
                 "shadow map is not invertible:\n" + self.diagnosis.summary())
+
+    def require_whole_state(self):
+        """require_complete, and refuse an inverter that drops any entry, as
+        the purity needs every entry of the state."""
+        if not self.recovered.all():
+            raise IncompleteInverterError(
+                f"the {self.mode} inverter recovers {self.recovered.sum()} of the "
+                f"{self.recovered.size} eigenframe entries; the purity needs all of them")
+        self.require_complete()
 
 
 def hamiltonian_fingerprint(h: SpectralHamiltonian) -> str:
@@ -131,7 +143,12 @@ def _ratio(hi: float, lo: float) -> float:
 def diagnose_detection(h: SpectralHamiltonian) -> CompletenessDiagnosis:
     """Full tomography-completeness diagnosis for a Hamiltonian."""
     v_sq = np.abs(h.eigenbasis) ** 2
-    x_h = v_sq.T @ v_sq
+    return _diagnose(h, v_sq, v_sq.T @ v_sq)
+
+
+def _diagnose(h: SpectralHamiltonian, v_sq: np.ndarray,
+              x_h: np.ndarray) -> CompletenessDiagnosis:
+    """diagnose_detection from q = |V|^2 and X_H = q^T q."""
     # N applies X_H to the diagonal and scales each off-diagonal (m, n) by
     # X_mn, so its singular values are those of X_H and the |X_mn|
     sv = np.linalg.svd(x_h, compute_uv=False)
@@ -145,8 +162,8 @@ def diagnose_detection(h: SpectralHamiltonian) -> CompletenessDiagnosis:
     degen = spec.first_order_pairs()
     # eigenvector columns that coincide with a computational basis vector
     aligned = np.flatnonzero(v_sq.max(axis=0) >= 1.0 - 1e-10).tolist()
-    try:
-        resonances = spec.second_order_resonances()
+    try:  # the first 8, all that summary() reports
+        resonances = list(itertools.islice(spec._resonances(), 8))
     except ValueError:
         resonances = []
     return CompletenessDiagnosis(
@@ -167,18 +184,19 @@ def build_inverter(h: SpectralHamiltonian, mode: str = "ideal",
         raise ValueError(f"unknown inverter mode {mode!r}")
     v_sq = np.abs(h.eigenbasis) ** 2
     x_h = v_sq.T @ v_sq
-    diagnosis = diagnose_detection(h)
-    x_inv = None
-    if not diagnosis.x_h_singular:
-        x_inv = np.linalg.inv(x_h)
-    finite = None
-    window = None
+    diagnosis = _diagnose(h, v_sq, x_h)
+    x_inv = None if diagnosis.x_h_singular else np.linalg.inv(x_h)
+    recovered = np.ones(x_h.shape, dtype=bool)
+    if mode == "pseudo-inverse":
+        recovered = np.abs(x_h) >= ZERO_OFFDIAG_TOL
+        np.fill_diagonal(recovered, False)
+    finite = window = None
     if mode == "finite-time":
         if t_min is None or t_max is None:
             raise ValueError("finite-time mode needs t_min and t_max")
         finite = finite_time_choi(h, t_min, t_max)
         window = (float(t_min), float(t_max))
-    return ShadowInverter(h, x_h, x_inv, diagnosis, mode, window, finite)
+    return ShadowInverter(h, x_h, x_inv, diagnosis, recovered, mode, window, finite)
 
 
 def _apply_to_diagonal(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -252,43 +270,59 @@ def _apply_packed(m: np.ndarray, sigma: np.ndarray, adjoint: bool) -> np.ndarray
     return (h + 1j * k).reshape(sigma.shape)
 
 
+def _elementwise_map(inv: ShadowInverter) -> tuple[np.ndarray, np.ndarray]:
+    """(D, M) of the ideal and pseudo-inverse maps: N^-1(sigma) is
+    sigma_mn / D_mn off the diagonal and M diag(sigma) on it. D is X_mn on
+    the off-diagonals inv.recovered marks and inf elsewhere; M is X_H^-1 if
+    the diagonal is recovered and 0 if not."""
+    off = inv.recovered & ~np.eye(inv.dim, dtype=bool)
+    diagonal = np.diagonal(inv.recovered).all()
+    return (np.where(off, inv.x_h, np.inf),
+            inv.x_h_inverse if diagonal else np.zeros_like(inv.x_h))
+
+
 def apply_n_inverse(inv: ShadowInverter, sigma) -> np.ndarray:
     """Inverse rotated-frame map on one d x d matrix or a (..., d, d) stack.
 
-    Ideal mode: diagonal output (X_H^-1 applied to the input diagonal),
-    off-diagonal elements divided by the matching X_H entry. Pseudo-inverse
-    mode: diagonal zeroed, only off-diagonals with nonzero X_H recovered.
-    Finite-time mode: the packed real inverse on the two Hermitian halves.
+    Ideal and pseudo-inverse modes: the elementwise map of _elementwise_map,
+    zero on every entry the inverter does not recover. Finite-time mode:
+    the packed real inverse on the two Hermitian halves.
     """
     sigma = as_complex(sigma)
     if inv.mode == "finite-time":
         return _apply_packed(inv.finite.packed_inverse, sigma, adjoint=False)
-    i = np.arange(inv.dim)
-    if inv.mode == "pseudo-inverse":
-        safe = np.where(np.abs(inv.x_h) >= ZERO_OFFDIAG_TOL, inv.x_h, np.inf)
-        out = sigma / safe
-        out[..., i, i] = 0.0
-        return out
     inv.require_complete()
-    out = sigma / inv.x_h
-    out[..., i, i] = _apply_to_diagonal(inv.x_h_inverse, sigma)
+    divisor, diag_map = _elementwise_map(inv)
+    out = sigma / divisor
+    i = np.arange(inv.dim)
+    out[..., i, i] = _apply_to_diagonal(diag_map, sigma)
     return out
+
+
+def _require_recovered(inv: ShadowInverter, a: np.ndarray) -> None:
+    """ValueError if the eigenframe observable a, or a matrix of a stack, is
+    nonzero beyond ZERO_DIAG_TOL on an entry the inverter does not recover."""
+    big = (np.abs(a) > ZERO_DIAG_TOL).reshape(-1, inv.dim, inv.dim).any(axis=0)
+    dropped = np.argwhere(big & ~inv.recovered)
+    if len(dropped):
+        m, n = dropped[0]
+        why = ("it supports only observables with zero diagonal in the "
+               "eigenbasis frame" if m == n else f"|X_mn| = {abs(inv.x_h[m, n]):.1e}")
+        raise ValueError(f"the {inv.mode} inverter does not recover eigenframe "
+                         f"entry ({m}, {n}), where the observable is nonzero; {why}")
 
 
 def apply_n_inverse_adjoint(inv: ShadowInverter, a) -> np.ndarray:
     """A-tilde with Tr(A-tilde sigma) = Tr(A N^-1(sigma)) for every sigma.
 
-    The ideal and pseudo-inverse maps are self-adjoint under this pairing;
-    the finite-time map uses its explicit adjoint. The pseudo-inverse drops
-    the diagonal, so there A must have a zero diagonal.
+    The elementwise maps are self-adjoint under this pairing; the
+    finite-time map uses its explicit adjoint. A must vanish on every entry
+    the inverter does not recover (_require_recovered).
     """
     a = as_complex(a)
+    _require_recovered(inv, a)
     if inv.mode == "finite-time":
         return _apply_packed(inv.finite.packed_inverse, a, adjoint=True)
-    if inv.mode == "pseudo-inverse" and np.max(np.abs(np.diag(a))) > ZERO_DIAG_TOL:
-        raise ValueError(
-            "pseudo-inverse mode supports only observables with zero "
-            "diagonal in the eigenbasis frame")
     return apply_n_inverse(inv, a)
 
 
@@ -316,16 +350,6 @@ def _packed_sigmas(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offdiagonal_weights(inv: ShadowInverter) -> np.ndarray:
-    """Y with Tr(N^-1(sigma)^2) off the diagonal = sum_mn Y_mn |sigma_mn|^2:
-    1/X_mn^2 on every off-diagonal N^-1 recovers, 0 on the diagonal and,
-    in pseudo-inverse mode, wherever |X_mn| < ZERO_OFFDIAG_TOL."""
-    keep = ~np.eye(inv.dim, dtype=bool)
-    if inv.mode == "pseudo-inverse":
-        keep &= np.abs(inv.x_h) >= ZERO_OFFDIAG_TOL
-    return np.divide(1.0, inv.x_h**2, out=np.zeros_like(inv.x_h), where=keep)
-
-
 def inverted_snapshot_moments(inv: ShadowInverter,
                               z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum of rho-hat_k = N^-1(sigma-hat_k) over the amplitude rows z_k, in
@@ -333,9 +357,8 @@ def inverted_snapshot_moments(inv: ShadowInverter,
 
     Ideal and pseudo-inverse modes use the closed form in q_k = |z_k|^2:
     S = N^-1(Z^dag Z), one GEMM and one d x d inversion, and
-    Tr(rho-hat_k^2) = ||X_H^-1 q_k||^2 + q_k^T Y q_k with Y from
-    _offdiagonal_weights (the pseudo-inverse drops the first term), so no
-    rho-hat_k is formed. In finite-time mode one real GEMM per block of
+    Tr(rho-hat_k^2) = ||M q_k||^2 + q_k^T (1/D^2) q_k with D and M of
+    _elementwise_map, so no rho-hat_k is formed. In finite-time mode one real GEMM per block of
     PACKED_BLOCK_ENTRIES entries maps the packed sigma-hat_k of that block
     to every packed rho-hat_k, and Tr(rho-hat_k^2) is a w-weighted squared
     row norm. That block is 256 rows at d = 32, since 64-row blocks ran
@@ -344,11 +367,11 @@ def inverted_snapshot_moments(inv: ShadowInverter,
     k, d = z.shape
     if inv.mode != "finite-time":
         s = apply_n_inverse(inv, z.conj().T @ z)
+        divisor, diag_map = _elementwise_map(inv)
         q = np.abs(z) ** 2
-        tr_sq = np.einsum("km,km->k", q @ _offdiagonal_weights(inv), q)
-        if inv.mode == "ideal":
-            diag = q @ inv.x_h_inverse.T
-            tr_sq += np.einsum("km,km->k", diag, diag)
+        diag = q @ diag_map.T
+        tr_sq = np.einsum("km,km->k", q @ (1.0 / divisor**2), q)
+        tr_sq += np.einsum("km,km->k", diag, diag)
         return s, tr_sq
     r_inv_t = inv.finite.packed_inverse.T
     w = _packed_weights(d)

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Observable, transformed_observable
+from .estimators import Observable, _eigenframe_observable, transformed_observable
 from .qmatrix import check_density
-from .shadowmap import ShadowInverter, ZERO_OFFDIAG_TOL
+from .shadowmap import ShadowInverter, _require_recovered
 
 CONTRACTION_GUARD = 2**24  # limit on d^3, the entries of the real third moment T
 
@@ -172,19 +172,15 @@ def shadow_norm_sq(inv: ShadowInverter, o: Observable) -> float:
 def variance_approx_linear(inv: ShadowInverter, o: Observable) -> float:
     """Closed-form variance proxy from eigenframe off-diagonals.
 
-    Returns (1/d) sum_{i != j} |A_ij|^2 / X_ij with A the eigenframe
-    observable.
+    Returns (1/d) sum |A_ij|^2 / X_ij over the off-diagonals (i, j) the
+    inverter recovers, with A the eigenframe observable, which must vanish
+    on every entry it does not recover.
     """
     inv.require_complete()
-    v = inv.hamiltonian.eigenbasis
-    a = v.conj().T @ o.matrix @ v
-    d = inv.dim
-    off = ~np.eye(d, dtype=bool)
-    x_off = inv.x_h[off]
-    if np.any(np.abs(x_off) < ZERO_OFFDIAG_TOL):
-        raise ValueError("zero off-diagonal weight encountered")
-    total = float(np.sum(np.abs(a[off]) ** 2 / x_off))
-    return total / d
+    a = _eigenframe_observable(inv, o)
+    _require_recovered(inv, a)
+    keep = inv.recovered & ~np.eye(inv.dim, dtype=bool)
+    return float(np.sum(np.abs(a[keep]) ** 2 / inv.x_h[keep])) / inv.dim
 
 
 def purity_variance_proxy(inv: ShadowInverter) -> float:
@@ -192,13 +188,12 @@ def purity_variance_proxy(inv: ShadowInverter) -> float:
 
     For O = SWAP the sum over off-diagonal pairs of |two-copy eigenframe
     element|^2 divided by the product of weights collapses to this sum of
-    X_H entries, so no d^2 x d^2 SWAP matrix is needed.
+    X_H entries, so no d^2 x d^2 SWAP matrix is needed. It needs an
+    inverter that recovers every entry.
     """
-    inv.require_complete()
+    inv.require_whole_state()
     d = inv.dim
     off = ~np.eye(d, dtype=bool)
-    if np.any(np.abs(inv.x_h[off]) < ZERO_OFFDIAG_TOL):
-        raise ValueError("zero off-diagonal weight encountered")
     return float(np.sum(1.0 / inv.x_h[off] ** 2)) / d**2
 
 

@@ -9,7 +9,7 @@ import yaml
 from click.testing import CliRunner
 
 import hamshadow
-from hamshadow import cli, qmatrix
+from hamshadow import cli, qmatrix, shadowmap
 from hamshadow.cli import build_model, build_state, config_digest, main
 from hamshadow.estimators import CSV_HEADER, Observable, estimate_purity
 from hamshadow.models import pauli_tensor
@@ -43,7 +43,7 @@ def test_test_oracles_are_not_shipped(module, name):
 
 def test_package_import_loads_no_scipy():
     # scipy (even scipy.linalg.blas) costs several times the whole package
-    # import, paid by every CLI call; only the Haar baseline loads it, on use
+    # import, paid by every CLI call; it is a test dependency only
     src = os.path.dirname(os.path.dirname(hamshadow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -400,6 +400,44 @@ class TestVarianceCommand:
         expected = [variance_report(inv, o, rho=rho).csv_row(
             o.name, cfg["seed"], hamiltonian_fingerprint(h)) for o in obs]
         assert out.read_text().splitlines()[2:] == expected
+
+
+def count_diagnoses(monkeypatch) -> list:
+    """Patch the diagnosis to record the Hamiltonian of each call."""
+    calls = []
+    diagnose = shadowmap._diagnose
+
+    def counted(h, *args):
+        calls.append(h)
+        return diagnose(h, *args)
+
+    monkeypatch.setattr(shadowmap, "_diagnose", counted)
+    return calls
+
+
+class TestOneDiagnosisPerHamiltonian:
+    @pytest.mark.parametrize("theta,code", [(None, 0), (0.0, 3)])
+    def test_variance_command(self, tmp_path, monkeypatch, theta, code):
+        calls = count_diagnoses(monkeypatch)
+        cfg = base_cfg(tmp_path)
+        if theta is not None:  # an incomplete single-qubit model
+            cfg = base_cfg(tmp_path, model={"kind": "single-qubit-theta",
+                                            "theta": theta},
+                           state={"kind": "random-pure", "n": 1, "seed": 1})
+            cfg["estimators"]["observables"] = [{"kind": "pauli", "labels": "X",
+                                                 "name": "X"}]
+        p = write_cfg(tmp_path / "cfg.yaml", cfg)
+        res = CliRunner().invoke(main, ["variance", "--config", p])
+        assert res.exit_code == code, res.output
+        assert len(calls) == 1
+
+    def test_fig10(self, tmp_path, monkeypatch):
+        calls = count_diagnoses(monkeypatch)
+        res = CliRunner().invoke(main, ["reproduce", "--figure", "fig10",
+                                        "--out", str(tmp_path / "fig10.csv")])
+        assert res.exit_code == 0, res.output
+        # one per angle of the 25-point sweep, incomplete angles included
+        assert len(calls) == 25 and len(set(map(id, calls))) == 25
 
 
 class TestPurityBuildsNoSwap:

@@ -96,6 +96,36 @@ def closed_form_setup(mode, shots):
     return inv, run_batch(h, rho, TimeModel("ideal-rdu"), shots, 15)
 
 
+def purity_or_closed_forms(inv, snaps):
+    """(value, std_error) of the purity U-statistic of a d = inv.dim set.
+
+    An inverter that recovers every entry gives them by estimate_nonlinear
+    on the SWAP. One that drops entries must refuse the purity, which would
+    lose the dropped entries' share with no sign of the bias; for it the
+    pair and delete-one sums come from the same closed forms the estimator
+    uses (S and Tr rho-hat_k^2 from inverted_snapshot_moments, Tr(rho-hat_k S)
+    from the adjoint's linear fast path), so they are still checked against
+    the snapshot_states stack."""
+    swap = Observable(swap_operator(inv.dim), copies=2)
+    if inv.recovered.all():
+        rep = estimate_nonlinear(inv, snaps, swap)
+        return rep.value, rep.std_error
+    with pytest.raises(ValueError, match="the purity needs all of them"):
+        estimate_purity(inv, snaps)
+    with pytest.raises(ValueError, match="the purity needs all of them"):
+        estimate_nonlinear(inv, snaps, swap)
+    z = snapshot_amplitudes(inv, snaps)
+    k = len(z)
+    s, tr_sq = shadowmap.inverted_snapshot_moments(inv, z)
+    cross = estimators._quadratic_values(
+        z, shadowmap.apply_n_inverse_adjoint(inv, s))
+    off = (np.trace(s @ s) - tr_sq.sum()).real
+    if k == 2:
+        return off / 2, 0.0
+    loo = (off - 2 * (cross - tr_sq)) / ((k - 1) * (k - 2))
+    return off / (k * (k - 1)), np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2))
+
+
 class TestObservableType:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -237,6 +267,23 @@ class TestLinear:
         ok = Observable(v @ pauli_tensor("XX") @ v.conj().T)
         transformed_observable(inv, ok)
 
+    def test_pseudo_inverse_refuses_dropped_offdiagonals(self):
+        # V = H (x) I has X_mn = 0 on (0, 1) and (2, 3), where the
+        # eigenframe I (x) X lives: the estimate read 0.0 +- 0.0, not 1
+        from hamshadow.shadowmap import build_inverter
+        v = np.kron(hadamard_basis(1), np.eye(2))
+        h = hamiltonian_from_unitary(v)
+        inv = build_inverter(h, mode="pseudo-inverse")
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        psi = np.kron([1.0, 0.0], plus)
+        snaps = run_batch(h, np.outer(psi, psi), TimeModel("ideal-rdu"),
+                          20000, 3)
+        with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+            estimate_linear(inv, snaps, Observable(pauli_tensor("IX")))
+        # Z (x) I is X (x) I in the eigenframe, on entries with X_mn = 1/2
+        rep = estimate_linear(inv, snaps, Observable(pauli_tensor("ZI")))
+        assert abs(rep.value - 1.0) <= 3 * rep.std_error
+
 
 def count_gathers(monkeypatch) -> list:
     """Patch the amplitude gather to record each call; returns the record."""
@@ -265,7 +312,8 @@ class TestAmplitudeReuse:
         for labels in ("XY", "YX", "XZ"):
             estimate_linear(inv, snaps,
                             Observable(v @ pauli_tensor(labels) @ v.conj().T))
-        estimate_purity(inv, snaps)
+        if inv.recovered.all():  # the pseudo-inverse refuses the purity
+            estimate_purity(inv, snaps)
         assert len(calls) == 1
 
     def test_other_hamiltonian_object_gathers_again(self, monkeypatch):
@@ -319,8 +367,10 @@ class TestAmplitudeReuse:
                for labels in ("XY", "YX")]
 
         def reports(s):
-            return ([estimate_linear(inv, s, o, num_batches=b)
-                     for o in obs for b in (1, 4)] + [estimate_purity(inv, s)])
+            # the pseudo-inverse refuses the purity
+            purity = [estimate_purity(inv, s)] if inv.recovered.all() else []
+            return [estimate_linear(inv, s, o, num_batches=b)
+                    for o in obs for b in (1, 4)] + purity
 
         reports(snaps)  # fills the slot
         for warm, cold in zip(reports(snaps), reports(fresh_copy(snaps))):
@@ -383,19 +433,17 @@ class TestNonlinear:
     @pytest.mark.parametrize("mode", MODES)
     def test_fast_swap_matches_slow_pair_loop(self, mode):
         inv, snaps = mode_setup(mode, 60)
-        rep = estimate_nonlinear(inv, snaps,
-                                 Observable(swap_operator(4), copies=2))
+        value, _ = purity_or_closed_forms(inv, snaps)
         rhos = snapshot_states(inv, snaps)
         k = len(rhos)
         tot = sum(np.trace(rhos[i] @ rhos[j]).real
                   for i in range(k) for j in range(k) if i != j)
-        assert rep.value == pytest.approx(tot / (k * (k - 1)), abs=1e-10)
+        assert value == pytest.approx(tot / (k * (k - 1)), abs=1e-10)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_jackknife_matches_direct_loo(self, mode):
         inv, snaps = mode_setup(mode, 40)
-        rep = estimate_nonlinear(inv, snaps,
-                                 Observable(swap_operator(4), copies=2))
+        _, std_error = purity_or_closed_forms(inv, snaps)
         rhos = snapshot_states(inv, snaps)
         k = len(rhos)
         loo = []
@@ -406,7 +454,7 @@ class TestNonlinear:
             loo.append(tot / ((k - 1) * (k - 2)))
         loo = np.array(loo)
         se = np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2))
-        assert rep.std_error == pytest.approx(se, rel=1e-8)
+        assert std_error == pytest.approx(se, rel=1e-8)
 
     def test_blocks_match_one_block(self, monkeypatch):
         inv, snaps = mode_setup("finite-time", 100)
@@ -426,17 +474,31 @@ class TestNonlinear:
         # the U-statistic and its delete-one jackknife from the Gram matrix
         # of the per-snapshot estimators of snapshot_states
         inv, snaps = closed_form_setup(mode, k)
-        rep = estimate_purity(inv, snaps)
+        value, std_error = purity_or_closed_forms(inv, snaps)
         rhos = snapshot_states(inv, snaps)
         gram = np.einsum("imn,jnm->ij", rhos, rhos).real
         off = gram.sum() - np.trace(gram)
-        assert rep.value == pytest.approx(off / (k * (k - 1)), rel=1e-10)
+        assert value == pytest.approx(off / (k * (k - 1)), rel=1e-10)
         if k == 2:
-            assert rep.std_error == 0.0
+            assert std_error == 0.0
             return
         loo = (off - 2 * (gram.sum(axis=1) - np.diag(gram))) / ((k - 1) * (k - 2))
         se = np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2))
-        assert rep.std_error == pytest.approx(se, rel=1e-10)
+        assert std_error == pytest.approx(se, rel=1e-10)
+
+    @pytest.mark.parametrize("eigenvector", [True, False])
+    def test_flat_basis_purity_refused(self, eigenvector):
+        # eigenvector 0 of the flat basis gave 0.0017 +- 0.0022 and |00>
+        # gave 0.746 +- 0.031; both states are pure
+        from hamshadow.shadowmap import build_inverter
+        v = hadamard_basis(2)
+        h = hamiltonian_from_unitary(v)
+        inv = build_inverter(h, mode="pseudo-inverse")
+        psi = v[:, 0] if eigenvector else np.eye(4)[0]
+        snaps = run_batch(h, np.outer(psi, psi.conj()), TimeModel("ideal-rdu"),
+                          4000, 3)
+        with pytest.raises(ValueError, match="recovers 12 of the 16"):
+            estimate_purity(inv, snaps)
 
     @pytest.mark.parametrize("mode", ["ideal", "pseudo-inverse", "masked"])
     def test_closed_form_moments_match_brute_stack(self, mode):
@@ -560,8 +622,16 @@ class TestGlobalShadowBaseline:
         bound = 3 * np.trace(o_traceless.matrix @ o_traceless.matrix).real
         assert var <= bound + 5 * var_se
 
+    @pytest.mark.parametrize("d", [2, 3, 8, 17])
+    def test_haar_draw_matches_scipy(self, d):
+        from scipy.stats import unitary_group
+        for seed in range(5):
+            ours = estimators.haar_unitary(d, np.random.default_rng(seed))
+            ref = unitary_group.rvs(d, random_state=np.random.default_rng(seed))
+            np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
+
     def test_values_pinned(self):
-        # Haar draws are unchanged by importing scipy.stats on first use
+        # the values the scipy Haar draw gave; the numpy draw keeps them
         rho = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
         vals = global_shadow_values(rho, Observable(pauli_tensor("ZZ")), 6, seed=22)
         np.testing.assert_allclose(

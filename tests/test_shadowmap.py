@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from hamshadow import shadowmap
 from hamshadow.models import (
     RydbergParams,
     exp_family_vh,
@@ -15,8 +16,10 @@ from hamshadow.models import (
 )
 from hamshadow.estimators import Observable, estimate_linear, snapshot_amplitudes
 from hamshadow.qmatrix import SpectralHamiltonian, hermitian_spectral
+from hamshadow.rdu import DegeneracySpec
 from hamshadow.sampler import Snapshot
 from hamshadow.shadowmap import (
+    ENERGY_RESOLUTION,
     IncompleteInverterError,
     _apply_packed,
     _inverse_one_norm,
@@ -129,6 +132,54 @@ class TestDiagnosis:
         diag = diagnose_detection(h)
         assert diag.resonances
         assert diag.complete  # resonances alone do not break first moments
+
+    @pytest.mark.parametrize("h", [
+        hamiltonian_from_unitary(gue_hamiltonian(4, 4).eigenbasis,
+                                 [0.0, 1.0, 2.0, 3.0]),
+        hamiltonian_from_unitary(exp_family_vh(16, 2.0, 1)),
+        hamiltonian_from_unitary(hadamard_basis(3)),
+        hamiltonian_from_unitary(gue_hamiltonian(4, 3).eigenbasis,
+                                 [0.0, 1.0, 1.0, 2.0]),
+        gue_hamiltonian(8, 2),
+    ], ids=["d4-ladder", "d16-ladder", "flat", "degenerate", "gue"])
+    def test_keeps_the_first_eight_resonances(self, h):
+        diag = diagnose_detection(h)
+        full = DegeneracySpec(h.energies, ENERGY_RESOLUTION).second_order_resonances()
+        assert diag.resonances == full[:8]
+        # the summary line reads as it did when the full list was stored
+        line = f"  note: second-order resonances (harmless): {full[:8]}"
+        assert (line in diag.summary().splitlines()) == bool(full)
+
+    def test_resonance_enumeration_stops_at_eight(self):
+        # an evenly spaced d = 64 spectrum has 21 328 resonances, a 2.1 MB
+        # traced peak when they were all stored
+        h = hamiltonian_from_unitary(exp_family_vh(64, 2.0, 1))
+        tracemalloc.start()
+        try:
+            diag = diagnose_detection(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(diag.resonances) == 8
+        assert peak < 1e6
+
+    def test_build_inverter_diagnoses_once(self, monkeypatch):
+        h = gue_hamiltonian(8, 2)
+        expected = diagnose_detection(h)
+        calls = []
+        diagnose = shadowmap._diagnose
+
+        def counted(*args):
+            calls.append(args[0])
+            return diagnose(*args)
+
+        def refuse(h):
+            raise AssertionError("build_inverter called diagnose_detection")
+        monkeypatch.setattr(shadowmap, "_diagnose", counted)
+        monkeypatch.setattr(shadowmap, "diagnose_detection", refuse)
+        for mode in ("ideal", "pseudo-inverse"):
+            assert build_inverter(h, mode=mode).diagnosis == expected
+        assert calls == [h, h]
 
 
 class TestIdealInversion:
@@ -405,6 +456,51 @@ class TestOneKernel:
         keep = np.ones((4, 4)) if mode == "finite-time" else 1 - np.eye(4)
         sup = inverse_superoperator(inv) @ forward_superoperator(inv)
         np.testing.assert_allclose(sup, np.diag(keep.reshape(-1)), atol=1e-9)
+
+
+def masked_inverter():
+    """The pseudo-inverse of V = H (x) I: X_H = (J/2) (x) I, zero on the
+    off-diagonals (0, 1) and (2, 3), 1/2 on (0, 2) and (1, 3)."""
+    v = np.kron(hadamard_basis(1), np.eye(2))
+    return build_inverter(hamiltonian_from_unitary(v), mode="pseudo-inverse")
+
+
+class TestRecoveredEntries:
+    def test_record_per_mode(self):
+        off = ~np.eye(4, dtype=bool)
+        assert inverter_in_mode("ideal").recovered.all()
+        assert inverter_in_mode("finite-time").recovered.all()
+        np.testing.assert_array_equal(inverter_in_mode("pseudo-inverse").recovered,
+                                      off)
+        np.testing.assert_array_equal(
+            masked_inverter().recovered,
+            off & np.kron(np.ones((2, 2)), np.eye(2)).astype(bool))
+
+    @pytest.mark.parametrize("mode", MODES + ["masked"])
+    def test_adjoint_pairing_and_dropped_entries(self, mode):
+        inv = masked_inverter() if mode == "masked" else inverter_in_mode(mode)
+        g = np.random.default_rng(43)
+        sigma, a = g.normal(size=(2, 4, 4)) + 1j * g.normal(size=(2, 4, 4))
+        a = np.where(inv.recovered, a, 0)  # all a dropped entry lets through
+        out = apply_n_inverse(inv, sigma)
+        a_t = apply_n_inverse_adjoint(inv, a)
+        assert np.trace(a_t @ sigma) == pytest.approx(np.trace(a @ out),
+                                                      rel=1e-12)
+        # zero on exactly the entries the record leaves out
+        np.testing.assert_array_equal(out == 0, ~inv.recovered)
+
+    def test_adjoint_names_the_first_dropped_entry(self):
+        inv = masked_inverter()
+        a = np.zeros((4, 4), dtype=complex)
+        a[2, 3] = a[3, 2] = 1.0
+        with pytest.raises(ValueError, match=r"entry \(2, 3\).*X_mn"):
+            apply_n_inverse_adjoint(inv, a)
+        a[1, 1] = 1e-9
+        with pytest.raises(ValueError, match=r"entry \(1, 1\).*zero diagonal"):
+            apply_n_inverse_adjoint(inv, a)
+        # below the 1e-10 tolerance a dropped entry is taken as zero
+        a[1, 1] = a[2, 3] = a[3, 2] = 1e-11
+        apply_n_inverse_adjoint(inv, a)
 
 
 class TestPseudoInverse:

@@ -19,6 +19,7 @@ from hamshadow.variance import (
     VarianceReport,
     _second_moment_kernel,
     empirical_variance,
+    purity_variance_proxy,
     sample_complexity,
     second_moment_exact,
     shadow_norm_sq,
@@ -294,6 +295,17 @@ class TestApproxLinear:
         assert variance_approx_linear(inv, o) == pytest.approx(expected)
 
 
+    def test_masked_pseudo_inverse_sums_recovered_entries(self):
+        # V = H (x) I: X_mn = 0 on (0, 1) and (2, 3), 1/2 on (0, 2), (1, 3)
+        v = np.kron(hadamard_basis(1), np.eye(2))
+        inv = build_inverter(hamiltonian_from_unitary(v), mode="pseudo-inverse")
+        # Z (x) I is X (x) I in the eigenframe: 4 unit entries at X_mn = 1/2
+        assert variance_approx_linear(inv, Observable(pauli_tensor("ZI"))) == \
+            pytest.approx(4 * 2 / 4)
+        with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+            variance_approx_linear(inv, Observable(pauli_tensor("IX")))
+
+
 class TestApproxNonlinear:
     def test_swap_shortcut_matches_general_contraction(self):
         d = 3
@@ -312,15 +324,14 @@ class TestApproxNonlinear:
                 inv.x_h[i, j] * inv.x_h[ip, jp])
         assert val == pytest.approx(total / d**2, rel=1e-10)
 
-    def test_flat_weights_closed_form(self):
-        n = 2
-        d = 2**n
-        inv = build_inverter(hamiltonian_from_unitary(hadamard_basis(n)),
+    def test_pseudo_inverse_refused(self):
+        # the flat basis gave 12.0 for an estimator that drops the diagonal
+        inv = build_inverter(hamiltonian_from_unitary(hadamard_basis(2)),
                              mode="pseudo-inverse")
-        val = variance_approx_nonlinear(
-            inv, Observable(swap_operator(d), copies=2))
-        # X_ij = 1/d everywhere: sum_{i != j} d^2 / d^2 = d(d-1)
-        assert val == pytest.approx(d * (d - 1))
+        with pytest.raises(ValueError, match="the purity needs all of them"):
+            variance_approx_nonlinear(inv, Observable(swap_operator(4), copies=2))
+        with pytest.raises(ValueError, match="the purity needs all of them"):
+            purity_variance_proxy(inv)
 
     def test_rejects_wrong_shape(self):
         inv = build_inverter(gue_hamiltonian(3, 22))
