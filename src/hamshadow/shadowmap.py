@@ -24,7 +24,8 @@ from .rdu import DegeneracySpec, _index_pairs, check_window
 SINGULAR_CONDITION = 1e12
 BLOCK_ENTRIES = 2**14  # entries per block of the d^4 passes of finite_time_choi
 PACKED_BLOCK_ENTRIES = 2**18  # packed real rho-hat entries per block, finite time
-SIGMA_BLOCK_ENTRIES = 2**15  # complex sigma-hat entries per packing step
+SIGMA_BLOCK_ENTRIES = 2**14  # complex sigma-hat entries per packing step
+INVERSE_BLOCK = 128  # pivot rows per block of finite_time_choi's inverse
 ZERO_OFFDIAG_TOL = 1e-12
 ZERO_DIAG_TOL = 1e-10
 ENERGY_RESOLUTION = 1e-9
@@ -79,7 +80,8 @@ class FiniteTimeChoi:
 
     G maps Hermitian matrices to Hermitian matrices, so on the packed real
     coordinates of _pack it is a real d^2 x d^2 matrix R. Only R^-1 is
-    stored; it is applied to the Hermitian and anti-Hermitian halves of a
+    stored, in the array that held R (finite_time_choi inverts it in
+    place); it is applied to the Hermitian and anti-Hermitian halves of a
     complex input. R itself is rebuilt by _window_superoperator.
     """
 
@@ -221,14 +223,17 @@ def _packing(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n * d + m, m <= n, np.sign(n - m)
 
 
-def _pack(sigma: np.ndarray) -> np.ndarray:
-    """Packed real coordinates of Hermitian vec(sigma) rows, shape (..., d^2).
+def _pack(sigma: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Packed real coordinates of Hermitian vec(sigma) rows, shape (..., d^2),
+    written into out if it is given.
 
     r[m, n] is Re sigma_mn for m <= n and Im sigma_nm = -Im sigma_mn for
     m > n, so that Tr(A B) = sum w a b with the weights w of _packed_weights.
     """
     _, upper, _ = _packing(math.isqrt(sigma.shape[-1]))
-    out = sigma.real.copy()  # negated in place below: no second temporary
+    if out is None:
+        out = np.empty(sigma.shape)
+    out[...] = sigma.real  # negated in place below: no second temporary
     return np.negative(sigma.imag, out=out, where=~upper)
 
 
@@ -334,19 +339,19 @@ def snapshot_sigmas(z: np.ndarray) -> np.ndarray:
     return sig
 
 
-def _packed_sigmas(z: np.ndarray) -> np.ndarray:
-    """Packed real coordinates of each sigma-hat_k = conj(z_k) z_k^T, (K, d^2).
+def _packed_sigmas(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Packed real coordinates of each sigma-hat_k = conj(z_k) z_k^T, written
+    into the (K, d^2) out.
 
     The complex sigma-hat stacks are built SIGMA_BLOCK_ENTRIES entries at a
-    time and packed into the one real output, so no complex stack of all
-    K rows is formed.
+    time and packed straight into out, so no complex stack of all K rows
+    and no real copy of one is formed.
     """
     k, d = z.shape
-    out = np.empty((k, d * d))
     rows = max(1, SIGMA_BLOCK_ENTRIES // d**2)
     for start in range(0, k, rows):
         blk = slice(start, start + rows)
-        out[blk] = _pack(snapshot_sigmas(z[blk]).reshape(-1, d * d))
+        _pack(snapshot_sigmas(z[blk]).reshape(-1, d * d), out[blk])
     return out
 
 
@@ -358,11 +363,12 @@ def inverted_snapshot_moments(inv: ShadowInverter,
     Ideal and pseudo-inverse modes use the closed form in q_k = |z_k|^2:
     S = N^-1(Z^dag Z), one GEMM and one d x d inversion, and
     Tr(rho-hat_k^2) = ||M q_k||^2 + q_k^T (1/D^2) q_k with D and M of
-    _elementwise_map, so no rho-hat_k is formed. In finite-time mode one real GEMM per block of
-    PACKED_BLOCK_ENTRIES entries maps the packed sigma-hat_k of that block
-    to every packed rho-hat_k, and Tr(rho-hat_k^2) is a w-weighted squared
-    row norm. That block is 256 rows at d = 32, since 64-row blocks ran
-    the GEMMs about a third slower.
+    _elementwise_map, so no rho-hat_k is formed. In finite-time mode one
+    real GEMM per block of PACKED_BLOCK_ENTRIES entries maps the packed
+    sigma-hat_k of that block to every packed rho-hat_k, and Tr(rho-hat_k^2)
+    is a w-weighted squared row norm. That block is 256 rows at d = 32,
+    since 64-row blocks ran the GEMMs about a third slower. Every block
+    reuses one packed sigma-hat and one rho-hat buffer, squared in place.
     """
     k, d = z.shape
     if inv.mode != "finite-time":
@@ -377,13 +383,17 @@ def inverted_snapshot_moments(inv: ShadowInverter,
     w = _packed_weights(d)
     s = np.zeros(d * d)
     tr_sq = np.empty(k)
-    rows = max(1, PACKED_BLOCK_ENTRIES // d**2)
+    rows = max(1, min(k, PACKED_BLOCK_ENTRIES // d**2))
+    # fresh 2 MB arrays per block would each be a new mmap whose pages
+    # fault in again
+    sig_buf, rho_buf = np.empty((rows, d * d)), np.empty((rows, d * d))
     for start in range(0, k, rows):
         blk = slice(start, start + rows)
-        rhos = _packed_sigmas(z[blk]) @ r_inv_t
+        n = min(rows, k - start)
+        rhos = np.matmul(_packed_sigmas(z[blk], sig_buf[:n]), r_inv_t,
+                         out=rho_buf[:n])
         s += rhos.sum(axis=0)
-        tr_sq[blk] = (rhos * rhos) @ w
-        del rhos  # freed before the next block's packed sigmas are built
+        tr_sq[blk] = np.square(rhos, out=rhos) @ w
     return _unpack(s).reshape(d, d), tr_sq
 
 
@@ -466,23 +476,67 @@ def _window_superoperator(h: SpectralHamiltonian, t_min: float,
     return r, col_sums
 
 
+def _invert_in_place(a: np.ndarray) -> None:
+    """Overwrite a with its inverse by a blocked Gauss-Jordan sweep without
+    pivoting; LinAlgError if a pivot block is singular.
+
+    Pivot block K (INVERSE_BLOCK rows) becomes P = a_KK^-1, its rows P a_KJ,
+    its columns -a_JK P, and every other block a_IJ - a_IK P a_KJ, a
+    rank-INVERSE_BLOCK GEMM update one block of rows at a time. Beside a
+    the sweep holds one INVERSE_BLOCK x n buffer. Without pivoting it needs
+    every pivot block and Schur complement to be well-conditioned, which
+    holds for a symmetric positive-definite a and for any diagonal
+    similarity of one.
+    """
+    n = len(a)
+    buf = np.empty((min(INVERSE_BLOCK, n), n))
+    for k0 in range(0, n, INVERSE_BLOCK):
+        k = slice(k0, min(k0 + INVERSE_BLOCK, n))
+        piv = np.linalg.inv(a[k, k])
+        a[k, k] = 0.0  # so that the row updates below leave columns K alone
+        rows = buf[:k.stop - k0]
+        np.matmul(piv, a[k], out=rows)
+        a[k] = rows
+        for i0 in itertools.chain(range(0, k0, INVERSE_BLOCK),
+                                  range(k.stop, n, INVERSE_BLOCK)):
+            i = slice(i0, min(i0 + INVERSE_BLOCK, n))
+            col = a[i, k].copy()
+            update = buf[:i.stop - i0]
+            np.matmul(col, a[k], out=update)
+            a[i] -= update
+            a[i, k] = -(col @ piv)
+        a[k, k] = piv
+
+
 def finite_time_choi(h: SpectralHamiltonian, t_min: float,
                      t_max: float) -> FiniteTimeChoi:
     """Inverse of the packed real window-corrected superoperator of N.
 
-    R from _window_superoperator is inverted and dropped, so the inverter
-    holds one real d^2 x d^2 array.
+    G is the average of sum_b |sigma-hat_b(t)>><<sigma-hat_b(t)| over the
+    outcomes b and the window times t, a Gram average, so it is Hermitian
+    positive semidefinite under Tr(A^dag B), and positive definite when the
+    window map is invertible. In packed coordinates that pairing is
+    sum w a b, so C = W^1/2 R W^-1/2 is symmetric positive definite and
+    R = W^-1/2 C W^1/2 is a diagonal similarity of it, whose pivot blocks
+    and Schur complements are similarities of C's. So _invert_in_place
+    overwrites R itself with R^-1, with no pivoting and no scaling into C
+    (which gave the same verdicts and accuracy), and the inverter holds
+    one real d^2 x d^2 array from the window build to the end. A singular
+    pivot block or a non-finite entry of the result reports cond = inf.
     """
     r, col_sums = _window_superoperator(h, t_min, t_max)
     # exact 1-norm condition number from the inverse the apply path needs
     # anyway; a full SVD for the 2-norm value cost more than the inverse
     try:
-        r_inv = np.linalg.inv(r)
+        _invert_in_place(r)
     except np.linalg.LinAlgError:
         cond = np.inf
     else:
-        cond = float(col_sums.max() * _inverse_one_norm(r_inv))
+        # the sum is non-finite if any entry is; _inverse_one_norm's max
+        # would drop a nan
+        finite = np.isfinite(r.sum())
+        cond = float(col_sums.max() * _inverse_one_norm(r)) if finite else np.inf
     if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
         raise np.linalg.LinAlgError("finite-time superoperator is numerically "
                                     f"singular (cond={cond:.3e}, 1-norm)")
-    return FiniteTimeChoi(r_inv, cond)
+    return FiniteTimeChoi(r, cond)

@@ -337,6 +337,90 @@ class TestFiniteTimeMap:
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
             finite_time_choi(h, 0.0, 10.0)
 
+    def test_singular_pivot_block_reports_infinite_cond(self):
+        # d = 16: R is 256 x 256, two pivot blocks, and the off-diagonal
+        # rows of the first one are zero
+        h = hermitian_spectral(np.diag(np.sqrt(np.arange(1.0, 17.0))))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"numerically singular \(cond=inf, 1-norm\)"):
+            finite_time_choi(h, 0.0, 10.0)
+
+    def test_non_finite_inverse_reports_infinite_cond(self, monkeypatch):
+        # _inverse_one_norm takes a Python max, which would drop a nan
+        monkeypatch.setattr(shadowmap, "_invert_in_place",
+                            lambda a: a.__setitem__((0, 1), np.nan))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"numerically singular \(cond=inf, 1-norm\)"):
+            finite_time_choi(gue_hamiltonian(4, 5), 2.0, 22.0)
+
+
+RYDBERG_WINDOWS = [(2.0, 22.0), (2.0, 6.0), (2.0, 4.0)]
+# (atoms, position seed): cond from an LU inverse (np.linalg.inv) of R on
+# each window of RYDBERG_WINDOWS, None where that refused the window
+LU_VERDICTS = {
+    (2, 1): (None, None, None),
+    (2, 3): (None, None, None),
+    (2, 7): (None, None, None),
+    (3, 1): (6.8168e3, 8.7513e3, 1.3252e5),
+    (3, 3): (9.7560e8, 1.1570e9, None),
+    (3, 7): (1.2262e5, 1.5076e5, 2.5211e7),
+    (4, 1): (1.7528e4, 3.3337e4, 8.1155e11),
+    (4, 3): (2.6290e4, 8.5604e4, None),
+    (4, 7): (8.6836e7, 1.4593e9, None),
+    (5, 1): (1.8378e4, None, None),
+    (5, 3): (7.4617e5, None, None),
+    (5, 7): (3.5558e6, None, None),
+}
+
+
+def rydberg_chain(atoms, seed):
+    return rydberg_hamiltonian(RydbergParams(random_positions(atoms, seed=seed)))
+
+
+class TestInPlaceInverse:
+    @pytest.mark.parametrize("h", [
+        gue_hamiltonian(2, 5),
+        gue_hamiltonian(5, 5),
+        gue_hamiltonian(8, 5),
+        gue_hamiltonian(12, 5),  # 144 rows: a full pivot block and a ragged one
+        rydberg_chain(1, 1),
+        rydberg_chain(3, 1),
+        rydberg_chain(4, 1),
+        rydberg_chain(5, 1),
+    ], ids=["gue2", "gue5", "gue8", "gue12", "rydberg1", "rydberg3",
+            "rydberg4", "rydberg5"])
+    def test_matches_lu(self, h):
+        r, col_sums = _window_superoperator(h, 2.0, 22.0)
+        # the premise of the unpivoted sweep: W R is symmetric positive
+        # definite, so W^1/2 R W^-1/2 is too
+        wr = _packed_weights(h.dim)[:, None] * r
+        np.testing.assert_allclose(wr, wr.T, rtol=0, atol=1e-15)
+        assert np.linalg.eigvalsh(wr)[0] > 0
+        fin = finite_time_choi(h, 2.0, 22.0)
+        lu = np.linalg.inv(r)
+        tol = 1e-15 * fin.condition_number
+        eye = np.eye(len(r))
+        assert np.abs(fin.packed_inverse @ r - eye).max() <= tol
+        assert np.abs(fin.packed_inverse - lu).max() <= tol * np.abs(lu).max()
+        assert fin.condition_number == pytest.approx(
+            col_sums.max() * _inverse_one_norm(lu), rel=tol)
+
+    @pytest.mark.parametrize("chain", list(LU_VERDICTS))
+    def test_verdicts_match_lu(self, chain):
+        h = rydberg_chain(*chain)
+        for window, cond in zip(RYDBERG_WINDOWS, LU_VERDICTS[chain]):
+            if cond is None:
+                with pytest.raises(np.linalg.LinAlgError):
+                    finite_time_choi(h, *window)
+            else:
+                assert finite_time_choi(h, *window).condition_number == \
+                    pytest.approx(cond, rel=2e-4)
+
+    def test_selfcheck_chain_refused(self):
+        # bench/selfcheck.py's wrong-window chain
+        with pytest.raises(np.linalg.LinAlgError, match=r"cond=2\.69\de\+12"):
+            finite_time_choi(rydberg_chain(4, 3), 2.0, 4.0)
+
 
 def hermitian_stack(shape, d, seed):
     g = np.random.default_rng(seed)
@@ -412,6 +496,18 @@ class TestPackedCoordinates:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * r.nbytes
+
+    def test_build_holds_one_superoperator(self):
+        # R is inverted in place: an LU inverse beside R peaked at 18.2 MB,
+        # 2.17 R, here
+        h = rydberg_chain(5, 1)
+        tracemalloc.start()
+        try:
+            fin = finite_time_choi(h, 2.0, 22.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * fin.packed_inverse.nbytes
 
 
 MODES = ["ideal", "finite-time", "pseudo-inverse"]
