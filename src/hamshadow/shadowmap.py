@@ -11,6 +11,7 @@ need only the inverse; the forward map is kept with the tests as an oracle.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -212,15 +213,20 @@ def _apply_to_diagonal(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return (flat.real @ x.T + 1j * (flat.imag @ x.T)).reshape(diag.shape)
 
 
+@functools.lru_cache(maxsize=8)
 def _packing(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat-index tables of the packed real coordinates of d x d matrices.
 
     For the row-major flat index j of (m, n): t[j] is the index of (n, m),
     upper[j] marks m <= n, and sign[j] is +1 above the diagonal, -1 below
-    it and 0 on it.
+    it and 0 on it. Built once per d, since every block that is packed or
+    unpacked needs them, and read-only, since every caller shares them.
     """
     m, n = np.divmod(np.arange(d * d), d)
-    return n * d + m, m <= n, np.sign(n - m)
+    tables = n * d + m, m <= n, np.sign(n - m)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _pack(sigma: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -397,26 +403,59 @@ def inverted_snapshot_moments(inv: ShadowInverter,
     return _unpack(s).reshape(d, d), tr_sq
 
 
+def _modulus_sums(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Column sums of |re + i im| = sqrt(re^2 + im^2), overwriting re and im.
+
+    Half the time of np.hypot. A square overflows to inf only for an entry
+    above 1e154, where ||G^-1||_1 is far above the 1e12 gate anyway: G
+    preserves traces, so ||G||_1 >= 1, and the verdict is the same.
+    """
+    np.square(re, out=re)
+    re += np.square(im, out=im)
+    return np.sqrt(re, out=re).sum(axis=0)
+
+
 def _inverse_one_norm(r_inv: np.ndarray) -> float:
     """||G^-1||_1 of the complex map whose packed real inverse is r_inv.
 
     With Y_j the unpacked column j of r_inv and p < q, column (p, q) of
-    G^-1 is (Y_pq - i Y_qp)/2, column (q, p) is (Y_pq + i Y_qp)/2 and
-    column (p, p) is Y_pp. Built in blocks of columns.
+    G^-1 is (Y_pq - i Y_qp)/2 and column (p, p) is Y_pp. For m < n, rows
+    (m, n) and (n, m) of r_inv hold u and v, with Y_j = u_j + i v_j at
+    (m, n) and u_j - i v_j at (n, m); a diagonal row holds a real x. So,
+    with j1 = (p, q) and j2 = (q, p), column (p, q) has the entries
+    |u_1 + v_2 + i(v_1 - u_2)|/2 and |u_1 - v_2 + i(v_1 + u_2)|/2 on each
+    pair of rows and |x_1 + i x_2|/2 on each diagonal row, and column
+    (p, p) has |u + i v| twice and |x|. Column (q, p) is the conjugate
+    transpose of column (p, q), since a map of Hermitian matrices to
+    Hermitian matrices commutes with the conjugate transpose, so it has
+    the same 1-norm and is not summed. This regroups the column sums of
+    any real packed map, in real arithmetic. Rows are read a block of
+    BLOCK_ENTRIES entries at a time, and a non-finite entry gives a
+    non-finite norm.
     """
     size = len(r_inv)
-    t, upper, sign = _packing(math.isqrt(size))
-    j = np.arange(size)
-    re_col, im_col = np.where(upper, j, t), np.where(upper, t, j)
-    scale = np.where(sign == 0, 1.0, 0.5)
-    norm = 0.0
+    t, _, sign = _packing(math.isqrt(size))
+    pairs = np.flatnonzero(sign > 0)  # j1; t[pairs] is j2
+    diag = np.flatnonzero(sign == 0)
+    n = len(pairs)
+    # each row read is reordered to the columns j1, then j2, then diagonal
+    cols = np.concatenate([pairs, t[pairs], diag])
+    pair_sums, diag_sums = np.zeros(n), np.zeros(len(diag))
     rows = max(1, BLOCK_ENTRIES // size)
-    for start in range(0, size, rows):
-        c = j[start:start + rows]
-        cols = (scale[c, None] * _unpack(r_inv[:, re_col[c]].T)
-                - 0.5j * sign[c, None] * _unpack(r_inv[:, im_col[c]].T))
-        norm = max(norm, float(np.abs(cols).sum(axis=1).max()))
-    return norm
+    for start in range(0, n, rows):
+        j = pairs[start:start + rows]
+        u = r_inv[np.ix_(j, cols)]
+        v = r_inv[np.ix_(t[j], cols)]
+        u1, u2, v1, v2 = u[:, :n], u[:, n:2 * n], v[:, :n], v[:, n:2 * n]
+        pair_sums += _modulus_sums(u1 + v2, v1 - u2)
+        pair_sums += _modulus_sums(u1 - v2, v1 + u2)
+        diag_sums += 2 * _modulus_sums(u[:, 2 * n:], v[:, 2 * n:])
+    for start in range(0, len(diag), rows):
+        x = r_inv[np.ix_(diag[start:start + rows], cols)]
+        diag_sums += np.abs(x[:, 2 * n:]).sum(axis=0)
+        pair_sums += _modulus_sums(x[:, :n], x[:, n:2 * n])
+    # np.max, unlike Python's max, propagates a nan
+    return float(np.concatenate([pair_sums / 2, diag_sums]).max())
 
 
 def _window_superoperator(h: SpectralHamiltonian, t_min: float,
@@ -531,12 +570,11 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float,
         _invert_in_place(r)
     except np.linalg.LinAlgError:
         cond = np.inf
-    else:
-        # the sum is non-finite if any entry is; _inverse_one_norm's max
-        # would drop a nan
-        finite = np.isfinite(r.sum())
-        cond = float(col_sums.max() * _inverse_one_norm(r)) if finite else np.inf
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
+    else:  # the norm is non-finite if any entry of R^-1 is
+        cond = float(col_sums.max() * _inverse_one_norm(r))
+    if not np.isfinite(cond):
+        cond = np.inf
+    if cond > SINGULAR_CONDITION:
         raise np.linalg.LinAlgError("finite-time superoperator is numerically "
                                     f"singular (cond={cond:.3e}, 1-norm)")
     return FiniteTimeChoi(r, cond)

@@ -3,18 +3,23 @@
 The package applies only the inverse map. The forward map N here is the
 oracle it is checked against: the ideal closed form, or in finite-time
 mode the packed real window superoperator R, rebuilt from the inverter's
-Hamiltonian and window.
+Hamiltonian and window. inverse_one_norm_by_columns is the oracle of the
+1-norm behind the finite-time condition number.
 """
+
+import math
 
 import numpy as np
 
 from hamshadow.qmatrix import as_complex
 from hamshadow.qmatrix import SpectralHamiltonian
 from hamshadow.shadowmap import (
+    BLOCK_ENTRIES,
     ShadowInverter,
     _apply_packed,
     _apply_to_diagonal,
     _pack,
+    _packing,
     _unpack,
     _window_superoperator,
     apply_n_inverse,
@@ -42,6 +47,28 @@ def dense_window_superoperator(h: SpectralHamiltonian, t_min: float,
     g = (outcomes * average).reshape(d * d, d * d)
     r = np.column_stack([_pack(g @ unit) for unit in _unpack(np.eye(d * d))])
     return r, np.abs(g).sum(axis=0)
+
+
+def inverse_one_norm_by_columns(r_inv: np.ndarray) -> float:
+    """||G^-1||_1 of the complex map whose packed real inverse is r_inv.
+
+    With Y_j the unpacked column j of r_inv and p < q, column (p, q) of
+    G^-1 is (Y_pq - i Y_qp)/2, column (q, p) is (Y_pq + i Y_qp)/2 and
+    column (p, p) is Y_pp. Built in blocks of columns.
+    """
+    size = len(r_inv)
+    t, upper, sign = _packing(math.isqrt(size))
+    j = np.arange(size)
+    re_col, im_col = np.where(upper, j, t), np.where(upper, t, j)
+    scale = np.where(sign == 0, 1.0, 0.5)
+    norm = 0.0
+    rows = max(1, BLOCK_ENTRIES // size)
+    for start in range(0, size, rows):
+        c = j[start:start + rows]
+        cols = (scale[c, None] * _unpack(r_inv[:, re_col[c]].T)
+                - 0.5j * sign[c, None] * _unpack(r_inv[:, im_col[c]].T))
+        norm = max(norm, float(np.abs(cols).sum(axis=1).max()))
+    return norm
 
 
 def packed_forward(inv: ShadowInverter) -> np.ndarray:

@@ -25,6 +25,7 @@ from hamshadow.shadowmap import (
     _inverse_one_norm,
     _pack,
     _packed_weights,
+    _packing,
     _unpack,
     _window_superoperator,
     apply_n_inverse,
@@ -40,6 +41,7 @@ from superoperators import (
     apply_n,
     dense_window_superoperator,
     forward_superoperator,
+    inverse_one_norm_by_columns,
     inverse_superoperator,
     packed_forward,
     shadow_map_forward,
@@ -346,9 +348,24 @@ class TestFiniteTimeMap:
             finite_time_choi(h, 0.0, 10.0)
 
     def test_non_finite_inverse_reports_infinite_cond(self, monkeypatch):
-        # _inverse_one_norm takes a Python max, which would drop a nan
+        # a nan in diagonal packed row (0, 0), at off-diagonal column (0, 1)
         monkeypatch.setattr(shadowmap, "_invert_in_place",
                             lambda a: a.__setitem__((0, 1), np.nan))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"numerically singular \(cond=inf, 1-norm\)"):
+            finite_time_choi(gue_hamiltonian(4, 5), 2.0, 22.0)
+
+    # d = 4: flat index 5 is (1, 1), 6 is (1, 2) and 9 is (2, 1); each entry
+    # reaches _inverse_one_norm by another branch than the test above
+    @pytest.mark.parametrize("entry, value", [
+        ((6, 9), np.inf),  # a pair of rows, at a pair of columns
+        ((5, 5), np.nan),  # a diagonal row, at a diagonal column
+        ((6, 5), np.nan),  # a pair of rows, at a diagonal column
+    ], ids=["inf", "nan-diagonal-row", "nan-diagonal-column"])
+    def test_non_finite_entry_reports_infinite_cond(self, monkeypatch, entry,
+                                                     value):
+        monkeypatch.setattr(shadowmap, "_invert_in_place",
+                            lambda a: a.__setitem__(entry, value))
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
             finite_time_choi(gue_hamiltonian(4, 5), 2.0, 22.0)
@@ -416,6 +433,18 @@ class TestInPlaceInverse:
                 assert finite_time_choi(h, *window).condition_number == \
                     pytest.approx(cond, rel=2e-4)
 
+    @pytest.mark.parametrize("chain", [c for c, conds in LU_VERDICTS.items()
+                                       if any(conds)])
+    def test_one_norm_matches_oracle(self, chain):
+        h = rydberg_chain(*chain)
+        for window, cond in zip(RYDBERG_WINDOWS, LU_VERDICTS[chain]):
+            if cond is not None:
+                fin = finite_time_choi(h, *window)
+                col_sums = _window_superoperator(h, *window)[1]
+                assert fin.condition_number == pytest.approx(
+                    col_sums.max() * inverse_one_norm_by_columns(fin.packed_inverse),
+                    rel=1e-13)
+
     def test_selfcheck_chain_refused(self):
         # bench/selfcheck.py's wrong-window chain
         with pytest.raises(np.linalg.LinAlgError, match=r"cond=2\.69\de\+12"):
@@ -462,17 +491,28 @@ class TestPackedCoordinates:
         np.testing.assert_allclose(apply_n_inverse_adjoint(inv, sigma), ref_adj,
                                    rtol=0, atol=tol)
 
-    def test_inverse_one_norm_is_the_complex_one_norm(self):
-        # a random real map on packed coordinates, with small columns on
-        # the diagonal ones so that the largest complex column is one of
-        # the (Y_pq -+ i Y_qp)/2
-        d = 4
+    # random real maps on packed coordinates, not symmetric under any
+    # weighting; d = 1 has no pair of columns and d = 12 a ragged last
+    # block. Diagonal columns scaled by 0.1 make the largest complex column
+    # one of the (Y_pq -+ i Y_qp)/2, scaled by 10 one of the Y_pp.
+    @pytest.mark.parametrize("diagonal_scale", [0.1, 10.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 12])
+    def test_inverse_one_norm_is_the_complex_one_norm(self, d, diagonal_scale):
         m = np.random.default_rng(43).normal(size=(d * d, d * d))
-        m[:, np.eye(d, dtype=bool).reshape(-1)] *= 0.1
+        m[:, np.eye(d, dtype=bool).reshape(-1)] *= diagonal_scale
         units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
         dense = _apply_packed(m, units, adjoint=False).reshape(d * d, -1).T
-        assert _inverse_one_norm(m) == pytest.approx(np.linalg.norm(dense, 1),
-                                                     rel=1e-12)
+        norm = _inverse_one_norm(m)
+        assert norm == pytest.approx(np.linalg.norm(dense, 1), rel=1e-13)
+        assert norm == pytest.approx(inverse_one_norm_by_columns(m), rel=1e-13)
+
+    def test_packing_tables_are_cached_and_read_only(self):
+        tables = _packing(5)
+        assert _packing(5) is tables
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
 
     def test_build_memory_bounded(self):
         h = gue_hamiltonian(16, 5)
