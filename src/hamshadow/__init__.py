@@ -40,7 +40,6 @@ from .sampler import (
 from .estimators import (
     EstimateReport,
     Observable,
-    baseline_global_shadow,
     estimate_linear,
     estimate_nonlinear,
     estimate_purity,

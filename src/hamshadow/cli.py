@@ -180,8 +180,11 @@ def build_observables(cfg: dict, rho: np.ndarray | None, d: int) -> list:
         kind = spec["kind"]
         if kind == "pauli":
             labels = spec.get("labels")
-            if not labels or 2**len(labels) != d:
-                raise ConfigError(f"pauli labels must cover {d}-dim system")
+            if (not isinstance(labels, str) or not labels
+                    or not set(labels) <= set(models.PAULI)
+                    or 2**len(labels) != d):
+                raise ConfigError(f"pauli labels must be a string over IXYZ that "
+                                  f"covers the {d}-dim system, got {labels!r}")
             out.append(Observable(models.pauli_tensor(labels),
                                   name=spec.get("name", labels)))
         elif kind == "fidelity":

@@ -4,8 +4,7 @@ Linear functionals use the fast path: per snapshot, the estimate is a
 quadratic form of the measured eigenbasis row, with the observable
 pre-transformed once through the inverse map. Purity, the one two-copy
 functional, uses the pair U-statistic with a delete-one jackknife error.
-A Haar-unitary global-shadow baseline and the biased wrong-inversion
-variant are provided for comparison runs.
+The biased wrong-inversion variant is provided for comparison runs.
 """
 
 from __future__ import annotations
@@ -15,19 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import SpectralHamiltonian, as_complex, check_density, is_hermitian
-from .sampler import (
-    SnapshotSet,
-    _born_rows,
-    _factor_state,
-    _snapshot_columns,
-    substream,
-)
-from .shadowmap import (
-    ShadowInverter,
-    apply_n_inverse_adjoint,
-    inverted_snapshot_moments,
-)
+from .qmatrix import SpectralHamiltonian, as_complex, is_hermitian
+from .sampler import SnapshotSet, _snapshot_columns
+from .shadowmap import ShadowInverter, apply_n_inverse, inverted_snapshot_moments
 
 HERMITIAN_TOL = 1e-10
 # complex entries per row block of the (K, d) amplitude work: each block's
@@ -91,11 +80,15 @@ def _eigenframe_observable(inv: ShadowInverter, o: Observable) -> np.ndarray:
 def transformed_observable(inv: ShadowInverter, o: Observable) -> np.ndarray:
     """O-tilde with Tr(O-tilde sigma-hat) equal to the per-snapshot estimate.
 
-    Applies the adjoint of the inverse map to the eigenframe observable.
+    That is the adjoint of the inverse map applied to the eigenframe
+    observable, and every inverse is its own adjoint (apply_n_inverse). The
+    observable must vanish on every entry the inverter does not recover.
     """
     if o.copies != 1:
         raise ValueError("transformed_observable expects a one-copy observable")
-    return apply_n_inverse_adjoint(inv, _eigenframe_observable(inv, o))
+    a = _eigenframe_observable(inv, o)
+    inv.require_recovered(a)
+    return apply_n_inverse(inv, a)
 
 
 def _row_blocks(k: int, d: int):
@@ -218,7 +211,7 @@ def _purity_u_statistic(inv: ShadowInverter, snaps) -> EstimateReport:
     if k < 2:
         raise ValueError("nonlinear estimation needs at least 2 snapshots")
     s, diag = inverted_snapshot_moments(inv, z)  # s: eigenframe sum of rho-hat
-    cross = _quadratic_values(z, apply_n_inverse_adjoint(inv, s))
+    cross = _quadratic_values(z, apply_n_inverse(inv, s))
     full = np.trace(s @ s)
     dsum = diag.sum()
     value = float(((full - dsum) / (k * (k - 1))).real)
@@ -229,43 +222,6 @@ def _purity_u_statistic(inv: ShadowInverter, snaps) -> EstimateReport:
     loo = ((loo_full - (dsum - diag)) / ((k - 1) * (k - 2))).real
     se = float(np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2)))
     return EstimateReport(value, se, k, "u-statistic")
-
-
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random d x d unitary by the steps of scipy.stats.unitary_group.rvs:
-    Q of a Ginibre matrix, each column times the phase of R's diagonal entry."""
-    z = 1 / math.sqrt(2) * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r)
-    return q * (phases / np.abs(phases))
-
-
-def global_shadow_values(rho, o: Observable, num_shots: int, seed: int) -> np.ndarray:
-    """Per-shot estimates from Haar-unitary global shadows.
-
-    One shot applies a Haar-random unitary, measures, and inverts with
-    rho-hat = (d+1) U^dag |b><b| U - I, so the per-shot estimate is
-    (d+1) (U O U^dag)_bb - Tr(O).
-    """
-    rho = check_density(rho)
-    d = rho.shape[0]
-    w, l = _factor_state(rho)
-    no_phases = np.zeros((1, d))
-    tr_o = float(np.trace(o.matrix).real)
-    vals = np.empty(num_shots)
-    for i in range(num_shots):
-        rng = substream(seed, i)
-        u = haar_unitary(d, rng)
-        b = int(rng.choice(d, p=_born_rows(u, w, l, no_phases)[0]))
-        row = u[b, :]
-        vals[i] = ((row @ o.matrix @ row.conj()).real) * (d + 1) - tr_o
-    return vals
-
-
-def baseline_global_shadow(rho, num_shots: int, seed: int, o: Observable,
-                           num_batches: int = 1) -> EstimateReport:
-    vals = global_shadow_values(rho, o, num_shots, seed)
-    return median_of_means(vals, num_batches)
 
 
 def wrong_postprocessing_values(inv: ShadowInverter, snaps,

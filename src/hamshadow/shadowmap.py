@@ -4,8 +4,9 @@ Given a Hamiltonian with eigenbasis V and eigen-energies E, a round of the
 protocol evolves the state by U = V diag(e^{i phi}) V^dag (phi = -E t for a
 time snapshot) and measures in the computational basis. The average
 post-measurement record is a linear map of the state; this module builds
-that map, decides whether it is invertible, and applies its inverse, or
-the adjoint of the inverse, to one matrix or a stack of them. Estimates
+that map, decides whether it is invertible, and applies its inverse to
+one matrix or a stack of them. Every inverse is its own adjoint under
+Tr(A B), so the same apply path maps snapshots and observables. Estimates
 need only the inverse; the forward map is kept with the tests as an oracle.
 """
 
@@ -20,14 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmatrix import SpectralHamiltonian, as_complex
-from .rdu import DegeneracySpec, _index_pairs, check_window
+from .rdu import DegeneracySpec, check_window
 
 SINGULAR_CONDITION = 1e12
 BLOCK_ENTRIES = 2**14  # entries per block of the d^4 passes of finite_time_choi
 PACKED_BLOCK_ENTRIES = 2**18  # packed real rho-hat entries per block, finite time
 SIGMA_BLOCK_ENTRIES = 2**14  # complex sigma-hat entries per packing step
 INVERSE_BLOCK = 128  # pivot rows per block of finite_time_choi's inverse
-ZERO_OFFDIAG_TOL = 1e-12
 ZERO_DIAG_TOL = 1e-10
 ENERGY_RESOLUTION = 1e-9
 
@@ -38,10 +38,17 @@ class IncompleteInverterError(ValueError):
 
 @dataclass(frozen=True)
 class CompletenessDiagnosis:
-    """Why (or why not) the shadow map is invertible for this Hamiltonian."""
+    """Why (or why not) the shadow map is invertible for this Hamiltonian.
 
-    x_h_singular: bool
-    zero_offdiagonal: list
+    One number decides: the map is complete when cond(N) is at most
+    SINGULAR_CONDITION and no energies are degenerate and no eigenvector is
+    a basis vector. As X_H is doubly stochastic, its top singular value is
+    1 and cond(N) = 1 / min(sigma_min(X_H), min |X_mn|), so the gate covers
+    a singular X_H and a vanishing X_mn alike; zero_offdiagonal and
+    cond(X_H) only explain a refusal.
+    """
+
+    zero_offdiagonal: list  # the first 8 (m, n), m < n, with |X_mn| < 1/SINGULAR_CONDITION
     energy_degeneracy: list
     basis_aligned: list
     condition_number: float      # cond(X_H), 2-norm
@@ -50,8 +57,8 @@ class CompletenessDiagnosis:
 
     @property
     def complete(self) -> bool:
-        return not (self.x_h_singular or self.zero_offdiagonal
-                    or self.energy_degeneracy or self.basis_aligned)
+        return (not (self.energy_degeneracy or self.basis_aligned)
+                and self.map_condition_number <= SINGULAR_CONDITION)
 
     @property
     def verdict(self) -> str:
@@ -66,10 +73,12 @@ class CompletenessDiagnosis:
                 lines.append(f"  degenerate energy pairs: {self.energy_degeneracy}")
             if self.basis_aligned:
                 lines.append(f"  basis-aligned eigenstates: {self.basis_aligned}")
-            if self.x_h_singular:
+            if not self.map_condition_number <= SINGULAR_CONDITION:
+                lines.append(f"  N singular: cond(N) above {SINGULAR_CONDITION:.0e}")
+            if not self.condition_number <= SINGULAR_CONDITION:
                 lines.append("  X_H singular")
             if self.zero_offdiagonal:
-                lines.append(f"  zero off-diagonals of X_H: {self.zero_offdiagonal[:8]}")
+                lines.append(f"  zero off-diagonals of X_H: {self.zero_offdiagonal}")
         if self.resonances:
             lines.append(f"  note: second-order resonances (harmless): {self.resonances}")
         return "\n".join(lines)
@@ -99,7 +108,8 @@ class ShadowInverter:
     "pseudo-inverse" (the ideal closed form on the entries it recovers).
     recovered, set by build_inverter, is the one record of the eigenframe
     entries the inverse recovers: all of them, except that the pseudo-inverse
-    recovers only the off-diagonals with |X_mn| >= ZERO_OFFDIAG_TOL.
+    recovers only the off-diagonals with |X_mn| >= 1/SINGULAR_CONDITION.
+    x_h_inverse is formed only for a complete diagnosis.
     """
 
     hamiltonian: SpectralHamiltonian
@@ -120,6 +130,20 @@ class ShadowInverter:
         if self.recovered.all() and not self.diagnosis.complete:
             raise IncompleteInverterError(
                 "shadow map is not invertible:\n" + self.diagnosis.summary())
+
+    def require_recovered(self, a: np.ndarray) -> None:
+        """ValueError if the eigenframe observable a, or a matrix of a stack,
+        is nonzero beyond ZERO_DIAG_TOL on an entry this inverter does not
+        recover."""
+        big = (np.abs(a) > ZERO_DIAG_TOL).reshape(-1, self.dim, self.dim).any(axis=0)
+        dropped = np.argwhere(big & ~self.recovered)
+        if len(dropped):
+            m, n = dropped[0]
+            why = ("it supports only observables with zero diagonal in the "
+                   "eigenbasis frame" if m == n
+                   else f"|X_mn| = {abs(self.x_h[m, n]):.1e}")
+            raise ValueError(f"the {self.mode} inverter does not recover eigenframe "
+                             f"entry ({m}, {n}), where the observable is nonzero; {why}")
 
     def require_whole_state(self):
         """require_complete, and refuse an inverter that drops any entry, as
@@ -152,15 +176,6 @@ def diagnose_detection(h: SpectralHamiltonian) -> CompletenessDiagnosis:
 def _diagnose(h: SpectralHamiltonian, v_sq: np.ndarray,
               x_h: np.ndarray) -> CompletenessDiagnosis:
     """diagnose_detection from q = |V|^2 and X_H = q^T q."""
-    # N applies X_H to the diagonal and scales each off-diagonal (m, n) by
-    # X_mn, so its singular values are those of X_H and the |X_mn|
-    sv = np.linalg.svd(x_h, compute_uv=False)
-    x_off = np.abs(x_h[~np.eye(h.dim, dtype=bool)])
-    cond = _ratio(sv[0], sv[-1])
-    map_cond = _ratio(max(sv[0], x_off.max(initial=0.0)),
-                      min(sv[-1], x_off.min(initial=np.inf)))
-    singular = not np.isfinite(cond) or cond > SINGULAR_CONDITION
-    off = _index_pairs(np.triu(np.abs(x_h) < ZERO_OFFDIAG_TOL, k=1))
     spec = DegeneracySpec(h.energies, ENERGY_RESOLUTION)
     degen = spec.first_order_pairs()
     # eigenvector columns that coincide with a computational basis vector
@@ -169,13 +184,21 @@ def _diagnose(h: SpectralHamiltonian, v_sq: np.ndarray,
         resonances = list(itertools.islice(spec._resonances(), 8))
     except ValueError:
         resonances = []
+    # N applies X_H to the diagonal and scales each off-diagonal (m, n) by
+    # X_mn, so its singular values are those of X_H and the |X_mn|. The
+    # largest is sv[0] = 1: X_H is doubly stochastic, and positive
+    # semidefinite, so X_mn^2 <= X_mm X_nn <= (1 - X_mn)^2 and |X_mn| <= 1/2
+    sv = np.linalg.svd(x_h, compute_uv=False)
+    x_off = np.abs(x_h)
+    np.fill_diagonal(x_off, np.inf)  # so that only the |X_mn| count below
+    # the first 8 weak pairs, all that summary() reports
+    weak = np.flatnonzero(np.triu(x_off < 1 / SINGULAR_CONDITION, k=1))[:8]
     return CompletenessDiagnosis(
-        x_h_singular=singular,
-        zero_offdiagonal=off,
+        zero_offdiagonal=[divmod(int(k), h.dim) for k in weak],
         energy_degeneracy=degen,
         basis_aligned=aligned,
-        condition_number=cond,
-        map_condition_number=map_cond,
+        condition_number=_ratio(sv[0], sv[-1]),
+        map_condition_number=_ratio(sv[0], min(sv[-1], x_off.min())),
         resonances=resonances,
     )
 
@@ -188,10 +211,10 @@ def build_inverter(h: SpectralHamiltonian, mode: str = "ideal",
     v_sq = np.abs(h.eigenbasis) ** 2
     x_h = v_sq.T @ v_sq
     diagnosis = _diagnose(h, v_sq, x_h)
-    x_inv = None if diagnosis.x_h_singular else np.linalg.inv(x_h)
+    x_inv = np.linalg.inv(x_h) if diagnosis.complete else None
     recovered = np.ones(x_h.shape, dtype=bool)
     if mode == "pseudo-inverse":
-        recovered = np.abs(x_h) >= ZERO_OFFDIAG_TOL
+        recovered = np.abs(x_h) >= 1 / SINGULAR_CONDITION
         np.fill_diagonal(recovered, False)
     finite = window = None
     if mode == "finite-time":
@@ -260,24 +283,19 @@ def _packed_weights(d: int) -> np.ndarray:
     return np.where(sign == 0, 1.0, 2.0)
 
 
-def _apply_packed(m: np.ndarray, sigma: np.ndarray, adjoint: bool) -> np.ndarray:
+def _apply_packed(m: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Packed real map m on one complex d x d matrix or a (..., d, d) stack.
 
     sigma = H + iK with Hermitian halves H = (sigma + sigma^dag)/2 and
-    K = (sigma - sigma^dag)/2i; both go through one real GEMM with m, or
-    with W^-1 m^T W, the adjoint of m under Tr(A B), and are unpacked.
+    K = (sigma - sigma^dag)/2i; both go through one real GEMM with m and
+    are unpacked.
     """
     d = sigma.shape[-1]
     t, _, _ = _packing(d)
     flat = sigma.reshape(-1, d * d)
     dag = flat.conj()[:, t]
     halves = _pack(np.stack([(flat + dag) / 2, (flat - dag) / 2j]))
-    if adjoint:
-        w = _packed_weights(d)
-        out = (halves * w) @ m / w
-    else:
-        out = halves @ m.T
-    h, k = _unpack(out)
+    h, k = _unpack(halves @ m.T)
     return (h + 1j * k).reshape(sigma.shape)
 
 
@@ -298,43 +316,22 @@ def apply_n_inverse(inv: ShadowInverter, sigma) -> np.ndarray:
     Ideal and pseudo-inverse modes: the elementwise map of _elementwise_map,
     zero on every entry the inverter does not recover. Finite-time mode:
     the packed real inverse on the two Hermitian halves.
+
+    Every mode is its own adjoint under Tr(A B): Tr(A N^-1(sigma)) =
+    Tr(N^-1(A) sigma). The elementwise maps are, as X_H is symmetric; the
+    finite-time map is, as G is a Hermitian Gram average, so that
+    W R^-1 is symmetric and W^-1 R^-T W = R^-1. So this one function
+    also transforms observables.
     """
     sigma = as_complex(sigma)
     if inv.mode == "finite-time":
-        return _apply_packed(inv.finite.packed_inverse, sigma, adjoint=False)
+        return _apply_packed(inv.finite.packed_inverse, sigma)
     inv.require_complete()
     divisor, diag_map = _elementwise_map(inv)
     out = sigma / divisor
     i = np.arange(inv.dim)
     out[..., i, i] = _apply_to_diagonal(diag_map, sigma)
     return out
-
-
-def _require_recovered(inv: ShadowInverter, a: np.ndarray) -> None:
-    """ValueError if the eigenframe observable a, or a matrix of a stack, is
-    nonzero beyond ZERO_DIAG_TOL on an entry the inverter does not recover."""
-    big = (np.abs(a) > ZERO_DIAG_TOL).reshape(-1, inv.dim, inv.dim).any(axis=0)
-    dropped = np.argwhere(big & ~inv.recovered)
-    if len(dropped):
-        m, n = dropped[0]
-        why = ("it supports only observables with zero diagonal in the "
-               "eigenbasis frame" if m == n else f"|X_mn| = {abs(inv.x_h[m, n]):.1e}")
-        raise ValueError(f"the {inv.mode} inverter does not recover eigenframe "
-                         f"entry ({m}, {n}), where the observable is nonzero; {why}")
-
-
-def apply_n_inverse_adjoint(inv: ShadowInverter, a) -> np.ndarray:
-    """A-tilde with Tr(A-tilde sigma) = Tr(A N^-1(sigma)) for every sigma.
-
-    The elementwise maps are self-adjoint under this pairing; the
-    finite-time map uses its explicit adjoint. A must vanish on every entry
-    the inverter does not recover (_require_recovered).
-    """
-    a = as_complex(a)
-    _require_recovered(inv, a)
-    if inv.mode == "finite-time":
-        return _apply_packed(inv.finite.packed_inverse, a, adjoint=True)
-    return apply_n_inverse(inv, a)
 
 
 def snapshot_sigmas(z: np.ndarray) -> np.ndarray:

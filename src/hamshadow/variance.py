@@ -35,7 +35,7 @@ import numpy as np
 
 from .estimators import Observable, _eigenframe_observable, transformed_observable
 from .qmatrix import check_density
-from .shadowmap import ShadowInverter, _require_recovered
+from .shadowmap import ShadowInverter
 
 CONTRACTION_GUARD = 2**24  # limit on d^3, the entries of the real third moment T
 
@@ -178,7 +178,7 @@ def variance_approx_linear(inv: ShadowInverter, o: Observable) -> float:
     """
     inv.require_complete()
     a = _eigenframe_observable(inv, o)
-    _require_recovered(inv, a)
+    inv.require_recovered(a)
     keep = inv.recovered & ~np.eye(inv.dim, dtype=bool)
     return float(np.sum(np.abs(a[keep]) ** 2 / inv.x_h[keep])) / inv.dim
 

@@ -84,7 +84,7 @@ def apply_n(inv: ShadowInverter, sigma) -> np.ndarray:
     """
     sigma = as_complex(sigma)
     if inv.mode == "finite-time":
-        return _apply_packed(packed_forward(inv), sigma, adjoint=False)
+        return _apply_packed(packed_forward(inv), sigma)
     i = np.arange(inv.dim)
     out = inv.x_h * sigma
     out[..., i, i] = _apply_to_diagonal(inv.x_h, sigma)

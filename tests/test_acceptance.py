@@ -10,7 +10,6 @@ from hamshadow.estimators import (
     Observable,
     estimate_linear,
     estimate_nonlinear,
-    global_shadow_values,
     snapshot_values,
     transformed_observable,
     wrong_postprocessing_values,
@@ -36,6 +35,7 @@ from hamshadow.sampler import TimeModel, run_batch
 from hamshadow.shadowmap import apply_n_inverse, build_inverter, diagnose_detection
 from hamshadow.variance import variance_approx_linear, variance_exact
 
+from haar import global_shadow_values
 from moments import diagonal_design
 from states import exact_average_state
 from superoperators import (

@@ -34,6 +34,8 @@ DATA = Path(__file__).parent / "data"
     ("rdu", "rdu_sampler"), ("rdu", "window_sampler"),
     ("qmatrix", "tensor_product"),
     ("models", "_embed"), ("shadowmap", "_pack_superoperator"),
+    ("estimators", "haar_unitary"), ("estimators", "global_shadow_values"),
+    ("estimators", "baseline_global_shadow"),
 ])
 def test_test_oracles_are_not_shipped(module, name):
     # the forward map, rho-hat stacks and moment oracles live under tests/
@@ -400,6 +402,27 @@ class TestVarianceCommand:
         expected = [variance_report(inv, o, rho=rho).csv_row(
             o.name, cfg["seed"], hamiltonian_fingerprint(h)) for o in obs]
         assert out.read_text().splitlines()[2:] == expected
+
+
+class TestPauliLabels:
+    # a label off IXYZ used to end in a KeyError traceback, and a label
+    # YAML reads as a number in a TypeError one, both with exit code 1
+    @pytest.mark.parametrize("labels", ["XQ", 12, ["X", "Z"], "X", ""])
+    @pytest.mark.parametrize("command", ["estimate", "variance"])
+    def test_bad_labels_code_2(self, tmp_path, command, labels):
+        simulated(tmp_path, base_cfg(tmp_path))
+        cfg = base_cfg(tmp_path)
+        cfg["estimators"]["observables"] = [{"kind": "pauli", "labels": labels}]
+        args = [command, "--config", write_cfg(tmp_path / "bad.yaml", cfg)]
+        if command == "estimate":
+            args += ["--snapshots", str(tmp_path / "snaps.txt")]
+        res = CliRunner().invoke(main, args)
+        assert res.exception is None or isinstance(res.exception, SystemExit), \
+            res.exception
+        assert res.exit_code == 2
+        assert res.output.startswith(
+            "config error: pauli labels must be a string over IXYZ that covers "
+            f"the 4-dim system, got {labels!r}")
 
 
 def count_diagnoses(monkeypatch) -> list:

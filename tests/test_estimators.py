@@ -7,11 +7,9 @@ from hamshadow import estimators, shadowmap
 from hamshadow.estimators import (
     EstimateReport,
     Observable,
-    baseline_global_shadow,
     estimate_linear,
     estimate_nonlinear,
     estimate_purity,
-    global_shadow_values,
     median_of_means,
     snapshot_amplitudes,
     snapshot_values,
@@ -30,6 +28,7 @@ from hamshadow.models import (
 from hamshadow.qmatrix import SpectralHamiltonian, swap_operator
 from hamshadow.sampler import SnapshotSet, TimeModel, run_batch, substream
 
+from haar import baseline_global_shadow, global_shadow_values, haar_unitary
 from moments import diagonal_design
 from states import exact_average_state, snapshot_states
 from superoperators import forward_superoperator
@@ -91,7 +90,7 @@ def closed_form_setup(mode, shots):
     else:
         h = block_unitary_hamiltonian([3, 3], 13)
         inv = build_inverter(h, mode="pseudo-inverse")
-        assert np.any(np.abs(inv.x_h) < shadowmap.ZERO_OFFDIAG_TOL)
+        assert np.any(np.abs(inv.x_h) < 1 / shadowmap.SINGULAR_CONDITION)
     rho = random_pure_state(h.dim, 14)
     return inv, run_batch(h, rho, TimeModel("ideal-rdu"), shots, 15)
 
@@ -104,8 +103,8 @@ def purity_or_closed_forms(inv, snaps):
     lose the dropped entries' share with no sign of the bias; for it the
     pair and delete-one sums come from the same closed forms the estimator
     uses (S and Tr rho-hat_k^2 from inverted_snapshot_moments, Tr(rho-hat_k S)
-    from the adjoint's linear fast path), so they are still checked against
-    the snapshot_states stack."""
+    from the linear fast path on N^-1(S), as every inverse is its own
+    adjoint), so they are still checked against the snapshot_states stack."""
     swap = Observable(swap_operator(inv.dim), copies=2)
     if inv.recovered.all():
         rep = estimate_nonlinear(inv, snaps, swap)
@@ -117,8 +116,8 @@ def purity_or_closed_forms(inv, snaps):
     z = snapshot_amplitudes(inv, snaps)
     k = len(z)
     s, tr_sq = shadowmap.inverted_snapshot_moments(inv, z)
-    cross = estimators._quadratic_values(
-        z, shadowmap.apply_n_inverse_adjoint(inv, s))
+    inv.require_recovered(s)  # S vanishes on every dropped entry
+    cross = estimators._quadratic_values(z, shadowmap.apply_n_inverse(inv, s))
     off = (np.trace(s @ s) - tr_sq.sum()).real
     if k == 2:
         return off / 2, 0.0
@@ -626,7 +625,7 @@ class TestGlobalShadowBaseline:
     def test_haar_draw_matches_scipy(self, d):
         from scipy.stats import unitary_group
         for seed in range(5):
-            ours = estimators.haar_unitary(d, np.random.default_rng(seed))
+            ours = haar_unitary(d, np.random.default_rng(seed))
             ref = unitary_group.rvs(d, random_state=np.random.default_rng(seed))
             np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
 

@@ -14,7 +14,12 @@ from hamshadow.models import (
     random_positions,
     rydberg_hamiltonian,
 )
-from hamshadow.estimators import Observable, estimate_linear, snapshot_amplitudes
+from hamshadow.estimators import (
+    Observable,
+    estimate_linear,
+    snapshot_amplitudes,
+    transformed_observable,
+)
 from hamshadow.qmatrix import SpectralHamiltonian, hermitian_spectral
 from hamshadow.rdu import DegeneracySpec
 from hamshadow.sampler import Snapshot
@@ -28,8 +33,8 @@ from hamshadow.shadowmap import (
     _packing,
     _unpack,
     _window_superoperator,
+    SINGULAR_CONDITION,
     apply_n_inverse,
-    apply_n_inverse_adjoint,
     build_inverter,
     diagnose_detection,
     finite_time_choi,
@@ -102,7 +107,9 @@ class TestDiagnosis:
         hamiltonian_from_unitary(np.kron(np.eye(2), hadamard_basis(2))),
         hamiltonian_from_unitary(np.kron(gue_hamiltonian(4, 8).eigenbasis,
                                          np.eye(2))),
-    ], ids=["partly-aligned", "hadamard-blocks", "gue-blocks"])
+        # 16 flat blocks: 30 720 zero off-diagonals, of which 8 are kept
+        hamiltonian_from_unitary(np.kron(np.eye(16), hadamard_basis(4))),
+    ], ids=["partly-aligned", "hadamard-blocks", "gue-blocks", "d256-blocks"])
     def test_index_lists_match_loops(self, h):
         diag = diagnose_detection(h)
         v_sq = np.abs(h.eigenbasis) ** 2
@@ -110,16 +117,42 @@ class TestDiagnosis:
         off = [(i, j) for i in range(h.dim) for j in range(i + 1, h.dim)
                if abs(x_h[i, j]) < 1e-12]
         aligned = [k for k in range(h.dim) if np.max(v_sq[:, k]) >= 1.0 - 1e-10]
-        assert diag.zero_offdiagonal == off
+        # the first 8, all that summary() reports
+        assert diag.zero_offdiagonal == off[:8]
         assert diag.basis_aligned == aligned
         assert off or aligned
-        assert all(type(i) is int for pair in off for i in pair)
+        assert not diag.complete
+        if off:  # a zero X_mn alone makes N singular
+            assert diag.map_condition_number > SINGULAR_CONDITION
+            assert f"  zero off-diagonals of X_H: {off[:8]}" in \
+                diag.summary().splitlines()
+        assert all(type(i) is int for pair in diag.zero_offdiagonal for i in pair)
         assert all(type(k) is int for k in diag.basis_aligned)
+
+    def test_weak_pairs_kept_without_the_full_list(self):
+        # 64 flat blocks at d = 1 024: 516 096 zero off-diagonals, whose
+        # full tuple list peaked at 94.5 MB traced; X_H and q are 8.4 MB each
+        h = hamiltonian_from_unitary(np.kron(np.eye(64), hadamard_basis(4)),
+                                     np.sqrt(np.arange(1, 1025)))
+        tracemalloc.start()
+        try:
+            diag = diagnose_detection(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.zero_offdiagonal == [(0, j) for j in range(16, 24)]
+        assert not diag.complete
+        assert peak < 40e6
 
     def test_flat_basis_singular(self):
         diag = diagnose_detection(hamiltonian_from_unitary(hadamard_basis(2)))
-        assert diag.x_h_singular
+        # X_H = J/4 has rank 1; its off-diagonals are all 1/4
+        assert diag.map_condition_number > SINGULAR_CONDITION
+        assert diag.zero_offdiagonal == []
         assert not diag.complete
+        lines = diag.summary().splitlines()
+        assert "  N singular: cond(N) above 1e+12" in lines
+        assert "  X_H singular" in lines
 
     def test_degenerate_energies_flagged(self):
         h0 = gue_hamiltonian(4, 3)
@@ -486,10 +519,10 @@ class TestPackedCoordinates:
         ref_adj = np.swapaxes((np.swapaxes(sigma, -1, -2).reshape(-1, 25)
                                @ g_inv).reshape(sigma.shape), -1, -2)
         tol = 1e-12 * inv.finite.condition_number * np.max(np.abs(sigma))
-        np.testing.assert_allclose(apply_n_inverse(inv, sigma), ref,
-                                   rtol=0, atol=tol)
-        np.testing.assert_allclose(apply_n_inverse_adjoint(inv, sigma), ref_adj,
-                                   rtol=0, atol=tol)
+        out = apply_n_inverse(inv, sigma)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=tol)
+        # the inverse is its own adjoint, so it also gives A-tilde
+        np.testing.assert_allclose(out, ref_adj, rtol=0, atol=tol)
 
     # random real maps on packed coordinates, not symmetric under any
     # weighting; d = 1 has no pair of columns and d = 12 a ragged last
@@ -501,7 +534,7 @@ class TestPackedCoordinates:
         m = np.random.default_rng(43).normal(size=(d * d, d * d))
         m[:, np.eye(d, dtype=bool).reshape(-1)] *= diagonal_scale
         units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
-        dense = _apply_packed(m, units, adjoint=False).reshape(d * d, -1).T
+        dense = _apply_packed(m, units).reshape(d * d, -1).T
         norm = _inverse_one_norm(m)
         assert norm == pytest.approx(np.linalg.norm(dense, 1), rel=1e-13)
         assert norm == pytest.approx(inverse_one_norm_by_columns(m), rel=1e-13)
@@ -614,29 +647,48 @@ class TestRecoveredEntries:
 
     @pytest.mark.parametrize("mode", MODES + ["masked"])
     def test_adjoint_pairing_and_dropped_entries(self, mode):
+        # every inverse is its own adjoint: Tr(N^-1(A) sigma) = Tr(A N^-1(sigma)),
+        # on one matrix and on each matrix of a stack
         inv = masked_inverter() if mode == "masked" else inverter_in_mode(mode)
         g = np.random.default_rng(43)
         sigma, a = g.normal(size=(2, 4, 4)) + 1j * g.normal(size=(2, 4, 4))
         a = np.where(inv.recovered, a, 0)  # all a dropped entry lets through
+        inv.require_recovered(a)
         out = apply_n_inverse(inv, sigma)
-        a_t = apply_n_inverse_adjoint(inv, a)
+        a_t = apply_n_inverse(inv, a)
         assert np.trace(a_t @ sigma) == pytest.approx(np.trace(a @ out),
                                                       rel=1e-12)
         # zero on exactly the entries the record leaves out
         np.testing.assert_array_equal(out == 0, ~inv.recovered)
+        sigmas, a_s = (g.normal(size=(2, 2, 3, 4, 4))
+                       + 1j * g.normal(size=(2, 2, 3, 4, 4)))
+        a_s = np.where(inv.recovered, a_s, 0)
+        inv.require_recovered(a_s)
+        pair = "...mn,...nm->..."
+        np.testing.assert_allclose(
+            np.einsum(pair, apply_n_inverse(inv, a_s), sigmas),
+            np.einsum(pair, a_s, apply_n_inverse(inv, sigmas)), rtol=1e-12)
 
     def test_adjoint_names_the_first_dropped_entry(self):
+        # an observable is transformed by the inverse only where it vanishes
+        # on every entry the inverter drops
         inv = masked_inverter()
+        v = inv.hamiltonian.eigenbasis
         a = np.zeros((4, 4), dtype=complex)
         a[2, 3] = a[3, 2] = 1.0
         with pytest.raises(ValueError, match=r"entry \(2, 3\).*X_mn"):
-            apply_n_inverse_adjoint(inv, a)
+            inv.require_recovered(a)
+        with pytest.raises(ValueError, match=r"entry \(2, 3\).*X_mn"):
+            transformed_observable(inv, Observable(v @ a @ v.conj().T))
         a[1, 1] = 1e-9
         with pytest.raises(ValueError, match=r"entry \(1, 1\).*zero diagonal"):
-            apply_n_inverse_adjoint(inv, a)
+            inv.require_recovered(a)
+        # a stack is refused on the first entry any of its matrices needs
+        with pytest.raises(ValueError, match=r"entry \(1, 1\)"):
+            inv.require_recovered(np.stack([np.zeros((4, 4)), a]))
         # below the 1e-10 tolerance a dropped entry is taken as zero
         a[1, 1] = a[2, 3] = a[3, 2] = 1e-11
-        apply_n_inverse_adjoint(inv, a)
+        inv.require_recovered(a)
 
 
 class TestPseudoInverse:
