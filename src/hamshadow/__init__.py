@@ -17,7 +17,6 @@ from .qmatrix import (
 from .rdu import (
     DegeneracySpec,
     frame_potential_finite_time,
-    frame_potential_mc,
     frame_potential_rdu_exact,
 )
 from .shadowmap import (

@@ -30,7 +30,6 @@ from .qmatrix import SpectralHamiltonian, evolve, partial_trace
 from .rdu import (
     DegeneracySpec,
     frame_potential_finite_time,
-    frame_potential_mc,
     frame_potential_rdu_exact,
 )
 from .sampler import (
@@ -244,6 +243,22 @@ def _fail(code: int, msg: str):
     sys.exit(code)
 
 
+def _output_error(path, e: OSError):
+    _fail(EXIT_CONFIG, f"output error: cannot write {path}: {e.strerror or e}")
+
+
+def _emit(out_path, text: str):
+    """Write text to out_path, or echo it when no path is given."""
+    if not out_path:
+        click.echo(text, nl=False)
+        return
+    try:
+        with open(out_path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        _output_error(out_path, e)
+
+
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="Override config seed.")
@@ -270,11 +285,15 @@ def simulate(config_path, seed, shots, allow_incomplete):
         _fail(EXIT_INCOMPLETE,
               "Hamiltonian is not tomography-complete:\n" + diag.summary())
     snaps = run_batch(h, rho, tm, num_shots, the_seed)
-    save_snapshots(out["snapshots"], snaps)
-    if "manifest" in out:
-        write_manifest(out["manifest"], snaps,
-                       {"config_digest": config_digest(cfg),
-                        "completeness": diag.verdict})
+    path = out["snapshots"]
+    try:
+        save_snapshots(path, snaps)
+        if "manifest" in out:
+            path = out["manifest"]
+            write_manifest(path, snaps, {"config_digest": config_digest(cfg),
+                                         "completeness": diag.verdict})
+    except OSError as e:
+        _output_error(path, e)
     click.echo(f"wrote {num_shots} snapshots to {out['snapshots']}")
 
 
@@ -334,11 +353,7 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
     text = (f"# hamshadow estimates v3 seed={snaps.seed} "
             f"config_digest={config_digest(cfg)}\n"
             + CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(out_path, text)
 
 
 @main.command()
@@ -364,28 +379,21 @@ def variance(config_path, out_path):
             for o in obs]
     text = (f"# config_digest={config_digest(cfg)}\n"
             + VARIANCE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(out_path, text)
 
 
 @main.command("frame-potential")
 @click.option("--dim", type=int, default=None,
               help="Hilbert-space dimension; optional with --config, which fixes it.")
 @click.option("-k", "order", type=int, default=2)
-@click.option("--mode", type=click.Choice(["rdu-exact", "finite-time", "mc",
-                                           "mc-window"]),
+@click.option("--mode", type=click.Choice(["rdu-exact", "finite-time"]),
               default="rdu-exact")
 @click.option("--config", "config_path", default=None, type=click.Path(),
-              help="Supplies the model energies for window modes.")
+              help="Supplies the model energies for the finite-time mode.")
 @click.option("--t-min", type=float, default=0.0)
 @click.option("--t-max", type=float, default=0.0)
-@click.option("--samples", type=int, default=10000)
-@click.option("--seed", type=int, default=0)
-def frame_potential(dim, order, mode, config_path, t_min, t_max, samples, seed):
-    """Frame potential of the phase ensemble, closed-form or Monte-Carlo."""
+def frame_potential(dim, order, mode, config_path, t_min, t_max):
+    """Exact frame potential of the phase ensemble: ideal or finite-window."""
     if dim is None and config_path is None:
         _fail(EXIT_CONFIG, "invalid frame-potential request: give --dim or --config")
     if dim is not None:
@@ -408,19 +416,11 @@ def frame_potential(dim, order, mode, config_path, t_min, t_max, samples, seed):
         if mode == "rdu-exact":
             val = frame_potential_rdu_exact(order, dim)
             click.echo(f"F({order}) rdu-exact d={dim}: {val!r}")
-        elif mode == "finite-time":
+        else:
             val = frame_potential_finite_time(
                 DegeneracySpec(energies), order, t_min, t_max)
             click.echo(f"F({order}) finite-time d={dim} "
                        f"window=[{t_min},{t_max}]: {val!r}")
-        elif mode == "mc":
-            est, err = frame_potential_mc(TimeModel("ideal-rdu"), energies,
-                                          order, samples, seed)
-            click.echo(f"F({order}) mc d={dim}: {est!r} +- {err!r}")
-        else:
-            tm = TimeModel("uniform-window", t_min=t_min, t_max=t_max)
-            est, err = frame_potential_mc(tm, energies, order, samples, seed)
-            click.echo(f"F({order}) mc-window d={dim}: {est!r} +- {err!r}")
     except ValueError as e:
         _fail(EXIT_CONFIG, f"invalid frame-potential request: {e}")
 
@@ -448,18 +448,6 @@ def _figure(key):
         FIGURES[key] = fn
         return fn
     return deco
-
-
-def _write_series(out_path, key, seed, header, rows):
-    lines = [f"# figure={key} seed={seed} scale=desk", header]
-    lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in r)
-              for r in rows]
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
-    else:
-        click.echo(text, nl=False)
 
 
 @_figure("fig3a")
@@ -651,12 +639,15 @@ def _repro_fig13(seed):
 @main.command()
 @click.option("--figure", "figure_key", required=True,
               type=click.Choice(sorted(FIGURES)))
-@click.option("--seed", type=int, default=7)
+@click.option("--seed", type=click.IntRange(min=0), default=7)
 @click.option("--out", "out_path", default=None, type=click.Path())
 def reproduce(figure_key, seed, out_path):
     """Emit the desk-scale data series behind a benchmark figure."""
     header, rows = FIGURES[figure_key](seed)
-    _write_series(out_path, figure_key, seed, header, rows)
+    lines = [f"# figure={figure_key} seed={seed} scale=desk", header]
+    lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in r)
+              for r in rows]
+    _emit(out_path, "\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

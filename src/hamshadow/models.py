@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmatrix import SpectralHamiltonian, as_complex, hermitian_spectral
+from .sampler import substream
 
 MAX_ATOMS = 12
 
@@ -107,8 +108,6 @@ def rydberg_hamiltonian(p: RydbergParams) -> SpectralHamiltonian:
 def random_positions(n: int, spacing_d: float = DEFAULT_SPACING,
                      jitter: float = DEFAULT_JITTER, seed: int = 0) -> np.ndarray:
     """1D chain at j * spacing with iid uniform placement jitter."""
-    from .sampler import substream
-
     if not jitter < spacing_d / 2:
         raise ValueError("jitter must be below half the lattice spacing")
     rng = substream(seed)
@@ -159,8 +158,6 @@ def ladder_product_state(n_zero: int, n_one: int) -> np.ndarray:
 
 
 def random_pure_state(d: int, seed: int) -> np.ndarray:
-    from .sampler import substream
-
     rng = substream(seed)
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
@@ -210,8 +207,6 @@ def prepare_state(spec: StateSpec,
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:
     """Gaussian-ensemble Hermitian sample, exactly self-adjoint."""
-    from .sampler import substream
-
     rng = substream(seed)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (g + g.conj().T) / 2

@@ -1,8 +1,9 @@
 """Energy degeneracies and frame potentials of random diagonal unitaries.
 
-Frame potentials: the ideal closed form, the finite-window value and
-Monte-Carlo estimates. The moment maps and finite phase designs these
-values are checked against are test oracles and live with the tests.
+Frame potentials, both exact: the ideal closed form and the
+finite-window value. The moment maps, finite phase designs and
+Monte-Carlo loop these values are checked against are test oracles and
+live with the tests.
 
 The finite-window frame potential F_k = E|Tr(U_t^dag U_s)|^{2k} over t, s
 uniform on [t_min, t_max] is the one-dimensional integral
@@ -22,22 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .sampler import TimeModel
 
 MAX_FP_TERMS = 10**8  # phase evaluations (nodes x d) of frame_potential_finite_time
 QUAD_NODES = 20  # Gauss-Legendre nodes per panel of the window frame potential
 QUAD_HALF_PHASE = 6.0  # radians of the top frequency per half panel
 QUAD_CHUNK_ENTRIES = 2**16  # complex phases evaluated per chunk
-
-
-def _index_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """(i, j) of each True entry of a 2-D mask, row-major, as Python ints."""
-    return list(zip(*(axis.tolist() for axis in np.nonzero(mask))))
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,8 @@ class DegeneracySpec:
         """Index pairs (a, b), a < b, with E_a == E_b within resolution."""
         gaps = np.subtract.outer(self.energies, self.energies)
         np.abs(gaps, out=gaps)
-        return _index_pairs(np.triu(gaps <= self.resolution, k=1))
+        pairs = np.nonzero(np.triu(gaps <= self.resolution, k=1))
+        return list(zip(*(axis.tolist() for axis in pairs)))
 
     def second_order_resonances(self) -> list[tuple[int, int, int, int]]:
         """Quadruples (a1, a2, b1, b2) with E_a1+E_a2 == E_b1+E_b2.
@@ -166,41 +159,3 @@ def frame_potential_finite_time(spec: DegeneracySpec, k: int,
         total += float(((np.tile(w, len(p)) * (1 - u))
                         @ (s.real**2 + s.imag**2) ** k))
     return total / panels
-
-
-def frame_potential_mc(tm: TimeModel, energies, k: int, num_samples: int,
-                       seed: int) -> tuple[float, float]:
-    """Pair-sample Monte-Carlo estimate of E|Tr(U^dag V)|^{2k}.
-
-    Sample i draws the diagonals of U and V from the stream of
-    substream(seed, i): 2 d phases, U's first (ideal-rdu or design), or
-    two window times t with diagonal e^{-i E t} (uniform-window). Only the
-    length of ``energies`` matters for phases. The streams are computed in
-    closed form for a block of samples at a time, as run_batch computes
-    its shots, so the estimate is reproducible regardless of evaluation
-    order.
-    """
-    from .sampler import CHUNK_ENTRIES, _evolution_draws
-
-    if num_samples < 2:
-        raise ValueError("need at least 2 samples")
-    if num_samples >= 2**32:
-        raise ValueError("num_samples must be below 2**32, so that each "
-                         "sample index is one spawn-key word")
-    e = np.asarray(energies, dtype=float)
-    d = len(e)
-    window = tm.kind == "uniform-window"
-    width = 2 if window else 2 * d
-    block = max(1, CHUNK_ENTRIES // (width + 1))
-    vals = np.empty(num_samples)
-    for start in range(0, num_samples, block):
-        samples = np.arange(start, min(start + block, num_samples), dtype=np.uint64)
-        x, _ = _evolution_draws(seed, samples, tm, width)
-        # Tr(U^dag V) = sum_j e^{i (phi_V - phi_U)_j}, phi = -E t for times
-        shift = (np.multiply.outer(x[:, 0] - x[:, 1], e) if window
-                 else x[:, d:] - x[:, :d])
-        vals[start:start + len(samples)] = np.abs(
-            np.exp(1j * shift).sum(axis=1)) ** (2 * k)
-    est = float(np.mean(vals))
-    err = float(np.std(vals, ddof=1) / np.sqrt(num_samples))
-    return est, err

@@ -49,7 +49,7 @@ class CompletenessDiagnosis:
     """
 
     zero_offdiagonal: list  # the first 8 (m, n), m < n, with |X_mn| < 1/SINGULAR_CONDITION
-    energy_degeneracy: list
+    energy_degeneracy: list  # the first 8 (a, b), a < b, with E_a == E_b
     basis_aligned: list
     condition_number: float      # cond(X_H), 2-norm
     map_condition_number: float  # cond(N), 2-norm: the amplification of N^-1
@@ -173,11 +173,21 @@ def diagnose_detection(h: SpectralHamiltonian) -> CompletenessDiagnosis:
     return _diagnose(h, v_sq, v_sq.T @ v_sq)
 
 
+def _first_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(m, n), m < n, of the first 8 True entries of a square mask, row-major:
+    all that summary() reports."""
+    upper = np.flatnonzero(np.triu(mask, k=1))[:8]
+    return [divmod(int(k), len(mask)) for k in upper]
+
+
 def _diagnose(h: SpectralHamiltonian, v_sq: np.ndarray,
               x_h: np.ndarray) -> CompletenessDiagnosis:
     """diagnose_detection from q = |V|^2 and X_H = q^T q."""
     spec = DegeneracySpec(h.energies, ENERGY_RESOLUTION)
-    degen = spec.first_order_pairs()
+    gaps = np.subtract.outer(spec.energies, spec.energies)
+    np.abs(gaps, out=gaps)
+    degen = _first_pairs(gaps <= spec.resolution)
+    del gaps
     # eigenvector columns that coincide with a computational basis vector
     aligned = np.flatnonzero(v_sq.max(axis=0) >= 1.0 - 1e-10).tolist()
     try:  # the first 8, all that summary() reports
@@ -191,10 +201,8 @@ def _diagnose(h: SpectralHamiltonian, v_sq: np.ndarray,
     sv = np.linalg.svd(x_h, compute_uv=False)
     x_off = np.abs(x_h)
     np.fill_diagonal(x_off, np.inf)  # so that only the |X_mn| count below
-    # the first 8 weak pairs, all that summary() reports
-    weak = np.flatnonzero(np.triu(x_off < 1 / SINGULAR_CONDITION, k=1))[:8]
     return CompletenessDiagnosis(
-        zero_offdiagonal=[divmod(int(k), h.dim) for k in weak],
+        zero_offdiagonal=_first_pairs(x_off < 1 / SINGULAR_CONDITION),
         energy_degeneracy=degen,
         basis_aligned=aligned,
         condition_number=_ratio(sv[0], sv[-1]),

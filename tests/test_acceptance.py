@@ -30,13 +30,12 @@ from hamshadow.models import (
     thermal_state,
 )
 from hamshadow.qmatrix import evolve, partial_trace, swap_operator
-from hamshadow.rdu import frame_potential_mc
 from hamshadow.sampler import TimeModel, run_batch
 from hamshadow.shadowmap import apply_n_inverse, build_inverter, diagnose_detection
 from hamshadow.variance import variance_approx_linear, variance_exact
 
 from haar import global_shadow_values
-from moments import diagonal_design
+from moments import diagonal_design, frame_potential_mc_loop, rdu_sampler
 from states import exact_average_state
 from superoperators import (
     forward_superoperator,
@@ -102,8 +101,7 @@ def test_04_frame_potentials():
     details = []
     for d in (2, 4):
         for k in (1, 2, 3):
-            est, err = frame_potential_mc(TimeModel("ideal-rdu"), np.zeros(d),
-                                          k, 3000, seed=7)
+            est, err = frame_potential_mc_loop(rdu_sampler(d), k, 3000, seed=7)
             dev = abs(est - closed[k](d))
             mc_ok &= dev <= 3 * err
             details.append(f"F{k}(d={d}) off by {dev / max(err, 1e-30):.1f} se")

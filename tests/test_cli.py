@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -14,8 +15,7 @@ from hamshadow.cli import build_model, build_state, config_digest, main
 from hamshadow.estimators import CSV_HEADER, Observable, estimate_purity
 from hamshadow.models import pauli_tensor
 from hamshadow.qmatrix import swap_operator
-from hamshadow.rdu import frame_potential_mc
-from hamshadow.sampler import TimeModel, load_snapshots
+from hamshadow.sampler import load_snapshots
 from hamshadow.shadowmap import build_inverter, hamiltonian_fingerprint
 from hamshadow.variance import VARIANCE_CSV_HEADER, variance_report
 
@@ -54,6 +54,17 @@ def test_package_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_relative_imports_at_module_level():
+    # a function-level import hid an rdu -> sampler -> rdu cycle
+    for path in Path(hamshadow.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        top = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node in top, f"{path.name}:{node.lineno}"
+                assert (path.name, node.module) != ("rdu.py", "sampler")
 
 
 def write_cfg(path, cfg):
@@ -176,6 +187,42 @@ class TestSimulate:
         assert res.output.startswith(
             f"config error: seed must be a non-negative integer, got {seed!r}")
         assert not (tmp_path / "snaps.txt").exists()
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory exits 2 and names the path."""
+
+    @staticmethod
+    def assert_refused(res, path):
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"output error: cannot write {path}: ")
+
+    @pytest.mark.parametrize("key", ["snapshots", "manifest"])
+    def test_simulate(self, tmp_path, key):
+        cfg = base_cfg(tmp_path)
+        cfg["output"][key] = str(tmp_path / "missing" / "out.txt")
+        p = write_cfg(tmp_path / "cfg.yaml", cfg)
+        res = CliRunner().invoke(main, ["simulate", "--config", p])
+        self.assert_refused(res, cfg["output"][key])
+
+    def test_estimate(self, tmp_path):
+        p = simulated(tmp_path, base_cfg(tmp_path))
+        out = tmp_path / "missing" / "est.csv"
+        res = estimate_from(p, tmp_path / "snaps.txt", "--out", str(out))
+        self.assert_refused(res, out)
+
+    def test_variance(self, tmp_path):
+        p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path))
+        out = tmp_path / "missing" / "var.csv"
+        res = CliRunner().invoke(main, ["variance", "--config", p, "--out", str(out)])
+        self.assert_refused(res, out)
+
+    def test_reproduce(self, tmp_path):
+        out = tmp_path / "missing" / "fig8.csv"
+        res = CliRunner().invoke(main, ["reproduce", "--figure", "fig8",
+                                        "--out", str(out)])
+        self.assert_refused(res, out)
 
 
 class TestEstimate:
@@ -519,49 +566,38 @@ class TestFramePotential:
                                         "-k", "9"])
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("mode", ["rdu-exact", "finite-time", "mc",
-                                      "mc-window"])
+    @pytest.mark.parametrize("mode", ["rdu-exact", "finite-time"])
     @pytest.mark.parametrize("dim", ["0", "-3"])
     def test_bad_dim_code_2(self, dim, mode):
-        # --mode mc printed "F(2) mc d=0: 0.0 +- 0.0" with exit 0
         res = CliRunner().invoke(main, ["frame-potential", "--dim", dim,
                                         "--mode", mode, "--t-max", "2"])
         assert res.exit_code == 2
         assert "dim must be a positive integer" in res.output
 
-    @pytest.mark.parametrize("mode", ["finite-time", "mc-window"])
+    @pytest.mark.parametrize("mode", ["finite-time"])
     @pytest.mark.parametrize("t_max", ["inf", "nan"])
     def test_non_finite_window_code_2(self, mode, t_max):
-        # finite-time printed nan with exit 0; mc-window raised OverflowError
+        # finite-time printed nan with exit 0
         res = CliRunner().invoke(main, ["frame-potential", "--dim", "4",
-                                        "--mode", mode, "--t-max", t_max,
-                                        "--samples", "10"])
+                                        "--mode", mode, "--t-max", t_max])
         assert res.exit_code == 2
         assert "window bounds must be finite" in res.output
 
-    @pytest.mark.parametrize("window", [("2", "2"), ("3", "2"), ("-1", "2")])
-    def test_empty_or_negative_mc_window_code_2(self, window):
+    @pytest.mark.parametrize("window", [("2", "2"), ("3", "2")])
+    def test_empty_finite_time_window_code_2(self, window):
         res = CliRunner().invoke(main, ["frame-potential", "--dim", "4",
-                                        "--mode", "mc-window",
-                                        "--t-min", window[0], "--t-max", window[1],
-                                        "--samples", "10"])
+                                        "--mode", "finite-time",
+                                        "--t-min", window[0], "--t-max", window[1]])
         assert res.exit_code == 2
-        assert "uniform-window requires t_max > t_min >= 0" in res.output
+        assert "t_max must exceed t_min" in res.output
 
-    def test_mc_modes_match_the_library(self):
-        runner = CliRunner()
-        res = runner.invoke(main, ["frame-potential", "--dim", "3", "--mode", "mc",
-                                   "--samples", "50", "--seed", "4"])
-        assert res.exit_code == 0, res.output
-        est, err = frame_potential_mc(TimeModel("ideal-rdu"), np.zeros(3), 2, 50, 4)
-        assert res.output == f"F(2) mc d=3: {est!r} +- {err!r}\n"
-        res = runner.invoke(main, ["frame-potential", "--dim", "3",
-                                   "--mode", "mc-window", "--t-min", "1",
-                                   "--t-max", "3", "--samples", "50", "--seed", "4"])
-        assert res.exit_code == 0, res.output
-        tm = TimeModel("uniform-window", t_min=1.0, t_max=3.0)
-        est, err = frame_potential_mc(tm, np.arange(3.0), 2, 50, 4)
-        assert res.output == f"F(2) mc-window d=3: {est!r} +- {err!r}\n"
+    def test_only_exact_modes(self):
+        res = CliRunner().invoke(main, ["frame-potential", "--help"])
+        assert res.exit_code == 0
+        assert "[rdu-exact|finite-time]" in res.output
+        assert "--samples" not in res.output and "--seed" not in res.output
+        assert not hasattr(hamshadow, "frame_potential_mc")
+        assert not hasattr(hamshadow.rdu, "frame_potential_mc")
 
     def test_config_supplies_dim(self, tmp_path):
         p = write_cfg(tmp_path / "cfg.yaml",
@@ -676,6 +712,15 @@ class TestReproduce:
         rtol = 1e-7 if figure in ("fig4b", "fig4c") else 1e-10
         np.testing.assert_allclose(values(lines[2:]), values(ref[2:]),
                                    rtol=rtol, atol=0)
+
+    def test_negative_seed_code_2(self, tmp_path):
+        # SeedSequence raised a ValueError traceback with exit 1
+        out = tmp_path / "fig6.csv"
+        res = CliRunner().invoke(main, ["reproduce", "--figure", "fig6",
+                                        "--seed", "-1", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "Invalid value for '--seed'" in res.output
+        assert not out.exists()
 
     def test_seed_recorded_in_header(self, tmp_path):
         out = tmp_path / "fig8.csv"

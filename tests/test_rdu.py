@@ -5,12 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from hamshadow import sampler
 from hamshadow.models import RydbergParams, random_positions, rydberg_hamiltonian
 from hamshadow.rdu import (
     DegeneracySpec,
     frame_potential_finite_time,
-    frame_potential_mc,
     frame_potential_rdu_exact,
 )
 from hamshadow.sampler import TimeModel
@@ -224,49 +222,16 @@ class TestFramePotentials:
     def test_mc_matches_exact(self):
         for d in (2, 4):
             for k in (1, 2, 3):
-                est, err = frame_potential_mc(TimeModel("ideal-rdu"), np.zeros(d),
-                                              k, 2000, seed=7)
+                est, err = frame_potential_mc_loop(rdu_sampler(d), k, 2000, seed=7)
                 assert abs(est - frame_potential_rdu_exact(k, d)) <= 4 * err
-
-    def test_mc_deterministic(self):
-        a = frame_potential_mc(TimeModel("ideal-rdu"), np.zeros(3), 2, 500, seed=11)
-        b = frame_potential_mc(TimeModel("ideal-rdu"), np.zeros(3), 2, 500, seed=11)
-        assert a == b
 
     def test_window_mc_matches_finite_time(self):
         e = np.array([0.0, 1.1, 2.7])
         spec = DegeneracySpec(e)
         exact = frame_potential_finite_time(spec, 2, 0.0, 4.0)
-        tm = TimeModel("uniform-window", t_min=0.0, t_max=4.0)
-        est, err = frame_potential_mc(tm, e, 2, 4000, seed=2)
+        est, err = frame_potential_mc_loop(window_sampler(e, 0.0, 4.0), 2, 4000,
+                                           seed=2)
         assert abs(est - exact) <= 4 * err
-
-    @pytest.mark.parametrize("d", [1, 3, 8, 32])
-    @pytest.mark.parametrize("kind", ["ideal-rdu", "design", "uniform-window"])
-    def test_mc_matches_per_sample_generator_loop(self, kind, d, monkeypatch):
-        # small blocks, so that several blocks and a ragged last one are drawn
-        monkeypatch.setattr(sampler, "CHUNK_ENTRIES", 64)
-        e = np.random.default_rng(d).normal(size=d)
-        if kind == "uniform-window":
-            tm = TimeModel(kind, t_min=2.0, t_max=22.0)
-            draw = window_sampler(e, 2.0, 22.0)
-        elif kind == "design":
-            tm = TimeModel(kind, k=2)
-            design = diagonal_design(2, d)
-            def draw(rng):
-                return np.exp(1j * design.sample(rng)[0])
-        else:
-            tm = TimeModel(kind)
-            draw = rdu_sampler(d)
-        for k in (1, 3):
-            est, err = frame_potential_mc(tm, e, k, 300, seed=5)
-            ref_est, ref_err = frame_potential_mc_loop(draw, k, 300, seed=5)
-            assert est == pytest.approx(ref_est, rel=1e-13)
-            assert err == pytest.approx(ref_err, rel=1e-12)
-
-    def test_mc_refuses_too_few_samples(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            frame_potential_mc(TimeModel("ideal-rdu"), np.zeros(3), 2, 1, seed=0)
 
 
 class TestWindowQuadrature:

@@ -161,6 +161,38 @@ class TestDiagnosis:
         assert (1, 2) in diag.energy_degeneracy
         assert not diag.complete
 
+    @pytest.mark.parametrize("energies", [
+        [0.0, 1.0, 1.0, 2.0],  # one pair
+        [0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0],  # 7 pairs
+        [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0],  # 11 pairs, 8 kept
+        np.zeros(8),  # 28 pairs, 8 kept
+    ])
+    def test_degenerate_pairs_are_the_first_order_pairs_head(self, energies):
+        h = hamiltonian_from_unitary(gue_hamiltonian(len(energies), 3).eigenbasis,
+                                     energies)
+        diag = diagnose_detection(h)
+        pairs = DegeneracySpec(h.energies, ENERGY_RESOLUTION).first_order_pairs()
+        assert diag.energy_degeneracy == pairs[:8]
+        assert all(type(i) is int for pair in diag.energy_degeneracy for i in pair)
+        if len(pairs) <= 8:  # the summary line of the full list
+            assert f"  degenerate energy pairs: {pairs}" in diag.summary().splitlines()
+
+    def test_degenerate_pairs_kept_without_the_full_list(self):
+        # all 523 776 pairs degenerate at d = 1 024: their tuple list peaked
+        # at 89 MB traced, and summary() printed 6.2 M characters
+        h = hamiltonian_from_unitary(np.kron(np.eye(64), hadamard_basis(4)),
+                                     np.zeros(1024))
+        tracemalloc.start()
+        try:
+            diag = diagnose_detection(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.energy_degeneracy == [(0, j) for j in range(1, 9)]
+        assert not diag.complete
+        assert peak < 40e6
+        assert len(diag.summary()) < 1000
+
     def test_resonances_informational_only(self):
         h0 = gue_hamiltonian(4, 4)
         h = hamiltonian_from_unitary(h0.eigenbasis, [0.0, 1.0, 2.0, 3.0])
