@@ -58,7 +58,6 @@ from .variance import (
 )
 from .models import (
     RydbergParams,
-    StateSpec,
     cluster_state,
     exp_family_vh,
     ghz_state,
@@ -67,7 +66,6 @@ from .models import (
     hamiltonian_from_unitary,
     ladder_product_state,
     pauli_tensor,
-    prepare_state,
     random_hermitian,
     random_positions,
     rydberg_hamiltonian,

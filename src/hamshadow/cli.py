@@ -8,6 +8,7 @@ singular finite-time window), 4 fingerprint mismatch.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 from dataclasses import dataclass
 
@@ -135,14 +136,24 @@ def build_state(cfg: dict, h: SpectralHamiltonian) -> np.ndarray:
         raise ConfigError("config.state is required for this command")
     _require_keys(s, {"kind", "n", "n_zero", "n_one", "seed", "beta"},
                   {"kind"}, "config.state")
+    kind = s["kind"]
     try:
-        spec = models.StateSpec(
-            kind=s["kind"], n=int(s.get("n", 0)),
-            n_zero=int(s.get("n_zero", 0)), n_one=int(s.get("n_one", 0)),
-            seed=int(s.get("seed", 0)), beta=float(s.get("beta", 1.0)))
-        return models.prepare_state(spec, h)
-    except ValueError as e:
+        n, seed = int(s.get("n", 0)), int(s.get("seed", 0))
+        n_zero, n_one = int(s.get("n_zero", 0)), int(s.get("n_one", 0))
+        beta = float(s.get("beta", 1.0))
+        if kind == "ghz":
+            return models.ghz_state(n)
+        if kind == "cluster":
+            return models.cluster_state(n)
+        if kind == "ladder-product":
+            return models.ladder_product_state(n_zero, n_one)
+        if kind == "random-pure":
+            return models.random_pure_state(2**n, seed)
+        if kind == "thermal":
+            return models.thermal_state(h, beta)
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad state section: {e}")
+    raise ConfigError(f"bad state section: unknown state kind {kind!r}")
 
 
 def build_time_model(cfg: dict) -> TimeModel:
@@ -155,7 +166,7 @@ def build_time_model(cfg: dict) -> TimeModel:
         return TimeModel(t["kind"], t_min=float(t.get("t_min", 0.0)),
                          t_max=float(t.get("t_max", 0.0)),
                          k=int(t.get("k", 2)))
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad time_model section: {e}")
 
 
@@ -233,7 +244,17 @@ def _snapshot_window(cfg: dict, recorded: TimeModel) -> TimeModel:
     return recorded
 
 
-@click.group()
+class _Commands(click.Group):
+    """Every command exits 2 on a ConfigError, naming it a config error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as e:
+            _fail(EXIT_CONFIG, f"config error: {e}")
+
+
+@click.group(cls=_Commands)
 def main():
     """Quench-dynamics shadow estimation toolkit."""
 
@@ -245,6 +266,22 @@ def _fail(code: int, msg: str):
 
 def _output_error(path, e: OSError):
     _fail(EXIT_CONFIG, f"output error: cannot write {path}: {e.strerror or e}")
+
+
+def _discard(paths):
+    for path in filter(os.path.exists, paths):
+        os.remove(path)
+
+
+def _require_writable(paths):
+    """Create each output file empty before the work that fills it, so an
+    unwritable path exits 2 at once, and leave none of them if one fails."""
+    for i, path in enumerate(paths):
+        try:
+            open(path, "w").close()
+        except OSError as e:
+            _discard(paths[:i])
+            _output_error(path, e)
 
 
 def _emit(out_path, text: str):
@@ -266,24 +303,22 @@ def _emit(out_path, text: str):
 @click.option("--allow-incomplete", is_flag=True)
 def simulate(config_path, seed, shots, allow_incomplete):
     """Run a simulated experiment and write snapshots plus a manifest."""
-    try:
-        cfg = load_config(config_path)
-        h = build_model(cfg)
-        rho = build_state(cfg, h)
-        tm = build_time_model(cfg)
-        num_shots = _config_int(
-            "shots", shots if shots is not None else cfg.get("shots", 1000), 1)
-        the_seed = _config_int(
-            "seed", seed if seed is not None else cfg.get("seed", 0), 0)
-        out = cfg.get("output", {})
-        _require_keys(out, {"snapshots", "manifest", "reports"}, {"snapshots"},
-                      "config.output")
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, f"config error: {e}")
+    cfg = load_config(config_path)
+    h = build_model(cfg)
+    rho = build_state(cfg, h)
+    tm = build_time_model(cfg)
+    num_shots = _config_int(
+        "shots", shots if shots is not None else cfg.get("shots", 1000), 1)
+    the_seed = _config_int(
+        "seed", seed if seed is not None else cfg.get("seed", 0), 0)
+    out = cfg.get("output", {})
+    _require_keys(out, {"snapshots", "manifest"}, {"snapshots"}, "config.output")
     diag = diagnose_detection(h)
     if not diag.complete and not allow_incomplete:
         _fail(EXIT_INCOMPLETE,
               "Hamiltonian is not tomography-complete:\n" + diag.summary())
+    paths = [out[key] for key in ("snapshots", "manifest") if key in out]
+    _require_writable(paths)
     snaps = run_batch(h, rho, tm, num_shots, the_seed)
     path = out["snapshots"]
     try:
@@ -293,6 +328,7 @@ def simulate(config_path, seed, shots, allow_incomplete):
             write_manifest(path, snaps, {"config_digest": config_digest(cfg),
                                          "completeness": diag.verdict})
     except OSError as e:
+        _discard(paths)
         _output_error(path, e)
     click.echo(f"wrote {num_shots} snapshots to {out['snapshots']}")
 
@@ -307,14 +343,11 @@ def simulate(config_path, seed, shots, allow_incomplete):
               help="Biased comparison baseline; for figure reproduction only.")
 def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing):
     """Estimate configured observables from a snapshot file."""
-    try:
-        cfg = load_config(config_path)
-        h = build_model(cfg)
-        rho = build_state(cfg, h) if "state" in cfg else None
-        method, batches = _estimator_settings(cfg)
-        obs = build_observables(cfg, rho, h.dim)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, f"config error: {e}")
+    cfg = load_config(config_path)
+    h = build_model(cfg)
+    rho = build_state(cfg, h) if "state" in cfg else None
+    method, batches = _estimator_settings(cfg)
+    obs = build_observables(cfg, rho, h.dim)
     try:
         snaps = load_snapshots(snap_path)
     except (OSError, ValueError) as e:
@@ -322,16 +355,14 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
     if snaps.hamiltonian_fingerprint != hamiltonian_fingerprint(h):
         _fail(EXIT_FINGERPRINT,
               "snapshot fingerprint does not match the configured Hamiltonian")
-    if finite_time:
-        try:
+    try:
+        if finite_time:
             tm = _snapshot_window(cfg, snaps.time_model)
             inv = build_inverter(h, mode="finite-time", t_min=tm.t_min, t_max=tm.t_max)
-        except ConfigError as e:
-            _fail(EXIT_CONFIG, f"config error: {e}")
-        except np.linalg.LinAlgError as e:
-            _fail(EXIT_INCOMPLETE, str(e))
-    else:
-        inv = build_inverter(h)
+        else:
+            inv = build_inverter(h)
+    except (np.linalg.LinAlgError, IncompleteInverterError) as e:
+        _fail(EXIT_INCOMPLETE, str(e))
     rows = []
     try:
         for o in obs:
@@ -346,8 +377,6 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
                 rep = estimate_linear(inv, snaps, o, num_batches=batches)
                 name = o.name
             rows.append(rep.csv_row(name, snaps.seed, snaps.hamiltonian_fingerprint))
-    except IncompleteInverterError as e:
-        _fail(EXIT_INCOMPLETE, str(e))
     except ValueError as e:
         _fail(EXIT_CONFIG, f"snapshot error: {e}")
     text = (f"# hamshadow estimates v3 seed={snaps.seed} "
@@ -361,17 +390,14 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
 @click.option("--out", "out_path", default=None, type=click.Path())
 def variance(config_path, out_path):
     """Exact and approximate variance figures for configured observables."""
+    cfg = load_config(config_path)
+    h = build_model(cfg)
+    rho = build_state(cfg, h) if "state" in cfg else None
+    obs = build_observables(cfg, rho, h.dim)
     try:
-        cfg = load_config(config_path)
-        h = build_model(cfg)
-        rho = build_state(cfg, h) if "state" in cfg else None
-        obs = build_observables(cfg, rho, h.dim)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, f"config error: {e}")
-    inv = build_inverter(h)
-    if not inv.diagnosis.complete:
-        _fail(EXIT_INCOMPLETE,
-              "Hamiltonian is not tomography-complete:\n" + inv.diagnosis.summary())
+        inv = build_inverter(h)
+    except IncompleteInverterError as e:
+        _fail(EXIT_INCOMPLETE, str(e))
     fp = hamiltonian_fingerprint(h)
     seed = cfg.get("seed", 0)
     rows = [(purity_variance_report(inv) if isinstance(o, Purity)
@@ -403,10 +429,7 @@ def frame_potential(dim, order, mode, config_path, t_min, t_max):
             _fail(EXIT_CONFIG, f"invalid frame-potential request: {e}")
         energies = np.arange(dim, dtype=float)
     if config_path is not None:
-        try:
-            h = build_model(load_config(config_path))
-        except ConfigError as e:
-            _fail(EXIT_CONFIG, f"config error: {e}")
+        h = build_model(load_config(config_path))
         if dim is not None and dim != h.dim:
             _fail(EXIT_CONFIG, f"invalid frame-potential request: --dim {dim} "
                   f"disagrees with the config's model dimension {h.dim}")
@@ -429,10 +452,7 @@ def frame_potential(dim, order, mode, config_path, t_min, t_max):
 @click.option("--config", "config_path", required=True, type=click.Path())
 def diagnose(config_path):
     """Print the tomography-completeness diagnosis for the configured model."""
-    try:
-        h = build_model(load_config(config_path))
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, f"config error: {e}")
+    h = build_model(load_config(config_path))
     diag = diagnose_detection(h)
     click.echo(diag.summary())
     click.echo(f"fingerprint={hamiltonian_fingerprint(h)}")
@@ -587,8 +607,9 @@ def _repro_fig10(seed):
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
     rows = []
     for theta in np.linspace(0.05, np.pi - 0.05, 25):
-        inv = build_inverter(models.single_qubit_theta(float(theta)))
-        if not inv.diagnosis.complete:
+        try:
+            inv = build_inverter(models.single_qubit_theta(float(theta)))
+        except IncompleteInverterError:
             rows.append((float(theta), 0, float("nan")))
             continue
         rows.append((float(theta), 1, variance_exact(inv, o, rho)))
@@ -643,6 +664,8 @@ def _repro_fig13(seed):
 @click.option("--out", "out_path", default=None, type=click.Path())
 def reproduce(figure_key, seed, out_path):
     """Emit the desk-scale data series behind a benchmark figure."""
+    if out_path:
+        _require_writable([out_path])
     header, rows = FIGURES[figure_key](seed)
     lines = [f"# figure={figure_key} seed={seed} scale=desk", header]
     lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in r)

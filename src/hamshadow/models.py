@@ -172,39 +172,6 @@ def thermal_state(h: SpectralHamiltonian, beta: float) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class StateSpec:
-    """Declarative target-state description for configs.
-
-    kind: ghz(n) | cluster(n) | ladder-product(n_zero, n_one) |
-    random-pure(n, seed) | thermal(beta) (requires a Hamiltonian).
-    """
-
-    kind: str
-    n: int = 0
-    n_zero: int = 0
-    n_one: int = 0
-    seed: int = 0
-    beta: float = 1.0
-
-
-def prepare_state(spec: StateSpec,
-                  h: SpectralHamiltonian | None = None) -> np.ndarray:
-    if spec.kind == "ghz":
-        return ghz_state(spec.n)
-    if spec.kind == "cluster":
-        return cluster_state(spec.n)
-    if spec.kind == "ladder-product":
-        return ladder_product_state(spec.n_zero, spec.n_one)
-    if spec.kind == "random-pure":
-        return random_pure_state(2**spec.n, spec.seed)
-    if spec.kind == "thermal":
-        if h is None:
-            raise ValueError("thermal state needs a Hamiltonian")
-        return thermal_state(h, spec.beta)
-    raise ValueError(f"unknown state kind {spec.kind!r}")
-
-
 def random_hermitian(d: int, seed: int) -> np.ndarray:
     """Gaussian-ensemble Hermitian sample, exactly self-adjoint."""
     rng = substream(seed)

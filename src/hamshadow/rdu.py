@@ -22,6 +22,7 @@ O(nodes * d) phase evaluations.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,52 +31,30 @@ MAX_FP_TERMS = 10**8  # phase evaluations (nodes x d) of frame_potential_finite_
 QUAD_NODES = 20  # Gauss-Legendre nodes per panel of the window frame potential
 QUAD_HALF_PHASE = 6.0  # radians of the top frequency per half panel
 QUAD_CHUNK_ENTRIES = 2**16  # complex phases evaluated per chunk
+ENERGY_RESOLUTION = 1e-9  # energies, and sums or gaps of them, this close are equal
 
 
 @dataclass(frozen=True)
 class DegeneracySpec:
-    """Energy list plus the tolerance used to detect exact linear relations."""
+    """Energy list whose resonances are found within ENERGY_RESOLUTION."""
 
     energies: np.ndarray
-    resolution: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
-        if self.resolution < 0:
-            raise ValueError("resolution must be non-negative")
 
-    @property
-    def dim(self) -> int:
-        return len(self.energies)
-
-    def first_order_pairs(self) -> list[tuple[int, int]]:
-        """Index pairs (a, b), a < b, with E_a == E_b within resolution."""
-        gaps = np.subtract.outer(self.energies, self.energies)
-        np.abs(gaps, out=gaps)
-        pairs = np.nonzero(np.triu(gaps <= self.resolution, k=1))
-        return list(zip(*(axis.tolist() for axis in pairs)))
-
-    def second_order_resonances(self) -> list[tuple[int, int, int, int]]:
-        """Quadruples (a1, a2, b1, b2) with E_a1+E_a2 == E_b1+E_b2.
-
-        Only non-trivial relations are reported: the index pairs differ as
-        unordered pairs. Pairs that merely restate a first-order degeneracy
-        are filtered out.
-        """
-        return list(self._resonances())
-
-    def _resonances(self):
-        """second_order_resonances one at a time, in the same order, so a
-        caller that needs only the first few stops the enumeration there."""
+    def second_order_resonances(self) -> Iterator[tuple[int, int, int, int]]:
+        """Quadruples (a1, a2, b1, b2) with E_a1+E_a2 == E_b1+E_b2, lazily, so
+        a caller can stop early: only index pairs that differ as unordered
+        pairs and do not merely restate a first-order degeneracy."""
         e = self.energies
         d = len(e)
         if d > 256:
             raise ValueError("resonance enumeration capped at dimension 256")
-        first = set(self.first_order_pairs())
         sums = sorted((e[i] + e[j], i, j) for i in range(d) for j in range(i, d))
         for x in range(len(sums)):
             for y in range(x + 1, len(sums)):
-                if sums[y][0] - sums[x][0] > 2 * self.resolution + 1e-15:
+                if sums[y][0] - sums[x][0] > 2 * ENERGY_RESOLUTION + 1e-15:
                     break
                 a1, a2 = sums[x][1], sums[x][2]
                 b1, b2 = sums[y][1], sums[y][2]
@@ -86,7 +65,7 @@ class DegeneracySpec:
                 if shared:
                     ra = ({a1, a2} - shared or shared).pop()
                     rb = ({b1, b2} - shared or shared).pop()
-                    if (min(ra, rb), max(ra, rb)) in first:
+                    if abs(e[ra] - e[rb]) <= ENERGY_RESOLUTION:
                         continue
                 yield (a1, a2, b1, b2)
 
@@ -105,9 +84,11 @@ def frame_potential_rdu_exact(k: int, d: int) -> float:
 
 
 def check_window(t_min: float, t_max: float) -> None:
-    """ValueError unless t_min and t_max are finite."""
+    """ValueError unless t_min and t_max are finite and t_max > t_min."""
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise ValueError(f"window bounds must be finite, got [{t_min}, {t_max}]")
+    if not t_max > t_min:
+        raise ValueError("t_max must exceed t_min")
 
 
 def frame_potential_finite_time(spec: DegeneracySpec, k: int,
@@ -132,8 +113,6 @@ def frame_potential_finite_time(spec: DegeneracySpec, k: int,
     if k not in (1, 2, 3):
         raise ValueError("only k = 1, 2, 3 are supported")
     check_window(t_min, t_max)
-    if not t_max > t_min:
-        raise ValueError("t_max must exceed t_min")
     e = spec.energies
     d = len(e)
     dt = t_max - t_min

@@ -199,8 +199,8 @@ class TimeModel:
             raise ValueError(f"unknown time model {self.kind!r}")
         if self.kind == "uniform-window":
             check_window(self.t_min, self.t_max)
-            if not self.t_max > self.t_min >= 0:
-                raise ValueError("uniform-window requires t_max > t_min >= 0")
+            if not self.t_min >= 0:
+                raise ValueError("uniform-window requires t_min >= 0")
         if self.kind == "design" and self.k not in (1, 2, 3):
             raise ValueError("design order must be 1, 2, or 3")
 

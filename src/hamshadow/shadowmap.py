@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmatrix import SpectralHamiltonian, as_complex
-from .rdu import DegeneracySpec, check_window
+from .rdu import ENERGY_RESOLUTION, DegeneracySpec, check_window
 
 SINGULAR_CONDITION = 1e12
 BLOCK_ENTRIES = 2**14  # entries per block of the d^4 passes of finite_time_choi
@@ -29,11 +29,10 @@ PACKED_BLOCK_ENTRIES = 2**18  # packed real rho-hat entries per block, finite ti
 SIGMA_BLOCK_ENTRIES = 2**14  # complex sigma-hat entries per packing step
 INVERSE_BLOCK = 128  # pivot rows per block of finite_time_choi's inverse
 ZERO_DIAG_TOL = 1e-10
-ENERGY_RESOLUTION = 1e-9
 
 
 class IncompleteInverterError(ValueError):
-    """Raised when an operation requires a tomography-complete inverter."""
+    """Raised when an inverter cannot recover what an operation needs."""
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,17 @@ class ShadowInverter:
     recovered, set by build_inverter, is the one record of the eigenframe
     entries the inverse recovers: all of them, except that the pseudo-inverse
     recovers only the off-diagonals with |X_mn| >= 1/SINGULAR_CONDITION.
-    x_h_inverse is formed only for a complete diagnosis.
+    The other modes' elementwise map is sigma_mn / D_mn off the diagonal
+    and M diag(sigma) on it: divisor D is X_mn on the recovered off-diagonals
+    and inf elsewhere; diagonal_map M is X_H^-1, or 0 for the pseudo-inverse.
     """
 
     hamiltonian: SpectralHamiltonian
     x_h: np.ndarray
-    x_h_inverse: np.ndarray | None
     diagnosis: CompletenessDiagnosis
     recovered: np.ndarray  # bool (d, d)
+    divisor: np.ndarray | None
+    diagonal_map: np.ndarray | None
     mode: str = "ideal"
     window: tuple[float, float] | None = None
     finite: FiniteTimeChoi | None = None
@@ -124,12 +126,6 @@ class ShadowInverter:
     @property
     def dim(self) -> int:
         return self.hamiltonian.dim
-
-    def require_complete(self):
-        """Refuse an inverter that claims every entry of an incomplete map."""
-        if self.recovered.all() and not self.diagnosis.complete:
-            raise IncompleteInverterError(
-                "shadow map is not invertible:\n" + self.diagnosis.summary())
 
     def require_recovered(self, a: np.ndarray) -> None:
         """ValueError if the eigenframe observable a, or a matrix of a stack,
@@ -146,13 +142,12 @@ class ShadowInverter:
                              f"entry ({m}, {n}), where the observable is nonzero; {why}")
 
     def require_whole_state(self):
-        """require_complete, and refuse an inverter that drops any entry, as
-        the purity needs every entry of the state."""
+        """Refuse an inverter that drops any entry, as the purity needs every
+        entry of the state."""
         if not self.recovered.all():
             raise IncompleteInverterError(
                 f"the {self.mode} inverter recovers {self.recovered.sum()} of the "
                 f"{self.recovered.size} eigenframe entries; the purity needs all of them")
-        self.require_complete()
 
 
 def hamiltonian_fingerprint(h: SpectralHamiltonian) -> str:
@@ -183,15 +178,15 @@ def _first_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
 def _diagnose(h: SpectralHamiltonian, v_sq: np.ndarray,
               x_h: np.ndarray) -> CompletenessDiagnosis:
     """diagnose_detection from q = |V|^2 and X_H = q^T q."""
-    spec = DegeneracySpec(h.energies, ENERGY_RESOLUTION)
-    gaps = np.subtract.outer(spec.energies, spec.energies)
+    gaps = np.subtract.outer(h.energies, h.energies)
     np.abs(gaps, out=gaps)
-    degen = _first_pairs(gaps <= spec.resolution)
+    degen = _first_pairs(gaps <= ENERGY_RESOLUTION)
     del gaps
     # eigenvector columns that coincide with a computational basis vector
     aligned = np.flatnonzero(v_sq.max(axis=0) >= 1.0 - 1e-10).tolist()
     try:  # the first 8, all that summary() reports
-        resonances = list(itertools.islice(spec._resonances(), 8))
+        resonances = list(itertools.islice(
+            DegeneracySpec(h.energies).second_order_resonances(), 8))
     except ValueError:
         resonances = []
     # N applies X_H to the diagonal and scales each off-diagonal (m, n) by
@@ -214,23 +209,31 @@ def _diagnose(h: SpectralHamiltonian, v_sq: np.ndarray,
 def build_inverter(h: SpectralHamiltonian, mode: str = "ideal",
                    t_min: float | None = None,
                    t_max: float | None = None) -> ShadowInverter:
+    """The inverse map of one mode; IncompleteInverterError, with the
+    diagnosis, for the ideal map of an incomplete Hamiltonian."""
     if mode not in ("ideal", "finite-time", "pseudo-inverse"):
         raise ValueError(f"unknown inverter mode {mode!r}")
     v_sq = np.abs(h.eigenbasis) ** 2
     x_h = v_sq.T @ v_sq
     diagnosis = _diagnose(h, v_sq, x_h)
-    x_inv = np.linalg.inv(x_h) if diagnosis.complete else None
+    if mode == "ideal" and not diagnosis.complete:
+        raise IncompleteInverterError(
+            "Hamiltonian is not tomography-complete:\n" + diagnosis.summary())
     recovered = np.ones(x_h.shape, dtype=bool)
     if mode == "pseudo-inverse":
         recovered = np.abs(x_h) >= 1 / SINGULAR_CONDITION
         np.fill_diagonal(recovered, False)
-    finite = window = None
+    divisor = diag_map = finite = window = None
     if mode == "finite-time":
         if t_min is None or t_max is None:
             raise ValueError("finite-time mode needs t_min and t_max")
         finite = finite_time_choi(h, t_min, t_max)
         window = (float(t_min), float(t_max))
-    return ShadowInverter(h, x_h, x_inv, diagnosis, recovered, mode, window, finite)
+    else:
+        divisor = np.where(recovered & ~np.eye(len(x_h), dtype=bool), x_h, np.inf)
+        diag_map = np.linalg.inv(x_h) if mode == "ideal" else np.zeros_like(x_h)
+    return ShadowInverter(h, x_h, diagnosis, recovered, divisor, diag_map,
+                          mode, window, finite)
 
 
 def _apply_to_diagonal(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -307,23 +310,12 @@ def _apply_packed(m: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return (h + 1j * k).reshape(sigma.shape)
 
 
-def _elementwise_map(inv: ShadowInverter) -> tuple[np.ndarray, np.ndarray]:
-    """(D, M) of the ideal and pseudo-inverse maps: N^-1(sigma) is
-    sigma_mn / D_mn off the diagonal and M diag(sigma) on it. D is X_mn on
-    the off-diagonals inv.recovered marks and inf elsewhere; M is X_H^-1 if
-    the diagonal is recovered and 0 if not."""
-    off = inv.recovered & ~np.eye(inv.dim, dtype=bool)
-    diagonal = np.diagonal(inv.recovered).all()
-    return (np.where(off, inv.x_h, np.inf),
-            inv.x_h_inverse if diagonal else np.zeros_like(inv.x_h))
-
-
 def apply_n_inverse(inv: ShadowInverter, sigma) -> np.ndarray:
     """Inverse rotated-frame map on one d x d matrix or a (..., d, d) stack.
 
-    Ideal and pseudo-inverse modes: the elementwise map of _elementwise_map,
-    zero on every entry the inverter does not recover. Finite-time mode:
-    the packed real inverse on the two Hermitian halves.
+    Ideal and pseudo-inverse modes: the stored elementwise map (divisor D,
+    diagonal_map M), zero on every entry the inverter does not recover.
+    Finite-time mode: the packed real inverse on the two Hermitian halves.
 
     Every mode is its own adjoint under Tr(A B): Tr(A N^-1(sigma)) =
     Tr(N^-1(A) sigma). The elementwise maps are, as X_H is symmetric; the
@@ -334,11 +326,9 @@ def apply_n_inverse(inv: ShadowInverter, sigma) -> np.ndarray:
     sigma = as_complex(sigma)
     if inv.mode == "finite-time":
         return _apply_packed(inv.finite.packed_inverse, sigma)
-    inv.require_complete()
-    divisor, diag_map = _elementwise_map(inv)
-    out = sigma / divisor
+    out = sigma / inv.divisor
     i = np.arange(inv.dim)
-    out[..., i, i] = _apply_to_diagonal(diag_map, sigma)
+    out[..., i, i] = _apply_to_diagonal(inv.diagonal_map, sigma)
     return out
 
 
@@ -373,9 +363,9 @@ def inverted_snapshot_moments(inv: ShadowInverter,
 
     Ideal and pseudo-inverse modes use the closed form in q_k = |z_k|^2:
     S = N^-1(Z^dag Z), one GEMM and one d x d inversion, and
-    Tr(rho-hat_k^2) = ||M q_k||^2 + q_k^T (1/D^2) q_k with D and M of
-    _elementwise_map, so no rho-hat_k is formed. In finite-time mode one
-    real GEMM per block of PACKED_BLOCK_ENTRIES entries maps the packed
+    Tr(rho-hat_k^2) = ||M q_k||^2 + q_k^T (1/D^2) q_k with the inverter's
+    divisor D and diagonal_map M, so no rho-hat_k is formed. In finite-time
+    mode one real GEMM per block of PACKED_BLOCK_ENTRIES entries maps the packed
     sigma-hat_k of that block to every packed rho-hat_k, and Tr(rho-hat_k^2)
     is a w-weighted squared row norm. That block is 256 rows at d = 32,
     since 64-row blocks ran the GEMMs about a third slower. Every block
@@ -384,10 +374,9 @@ def inverted_snapshot_moments(inv: ShadowInverter,
     k, d = z.shape
     if inv.mode != "finite-time":
         s = apply_n_inverse(inv, z.conj().T @ z)
-        divisor, diag_map = _elementwise_map(inv)
         q = np.abs(z) ** 2
-        diag = q @ diag_map.T
-        tr_sq = np.einsum("km,km->k", q @ (1.0 / divisor**2), q)
+        diag = q @ inv.diagonal_map.T
+        tr_sq = np.einsum("km,km->k", q @ (1.0 / inv.divisor**2), q)
         tr_sq += np.einsum("km,km->k", diag, diag)
         return s, tr_sq
     r_inv_t = inv.finite.packed_inverse.T
@@ -477,8 +466,6 @@ def _window_superoperator(h: SpectralHamiltonian, t_min: float,
     permuted by t, so one row gives both packed rows of R.
     """
     check_window(t_min, t_max)
-    if not t_max > t_min:
-        raise ValueError("t_max must exceed t_min")
     d = h.dim
     e = h.energies
     v = h.eigenbasis

@@ -169,6 +169,13 @@ def shadow_norm_sq(inv: ShadowInverter, o: Observable) -> float:
     return _top_eigenvalue(_second_moment_kernel(inv, transformed_observable(inv, o)))
 
 
+def _divisor(inv: ShadowInverter) -> np.ndarray:
+    if inv.divisor is None:  # the proxies are closed forms for ideal phases
+        raise ValueError(f"the variance proxies need the elementwise map of "
+                         f"an ideal-phase inverter, not the {inv.mode} one")
+    return inv.divisor
+
+
 def variance_approx_linear(inv: ShadowInverter, o: Observable) -> float:
     """Closed-form variance proxy from eigenframe off-diagonals.
 
@@ -176,11 +183,11 @@ def variance_approx_linear(inv: ShadowInverter, o: Observable) -> float:
     inverter recovers, with A the eigenframe observable, which must vanish
     on every entry it does not recover.
     """
-    inv.require_complete()
+    divisor = _divisor(inv)
     a = _eigenframe_observable(inv, o)
     inv.require_recovered(a)
-    keep = inv.recovered & ~np.eye(inv.dim, dtype=bool)
-    return float(np.sum(np.abs(a[keep]) ** 2 / inv.x_h[keep])) / inv.dim
+    keep = np.isfinite(divisor)
+    return float(np.sum(np.abs(a[keep]) ** 2 / divisor[keep])) / inv.dim
 
 
 def purity_variance_proxy(inv: ShadowInverter) -> float:
@@ -191,10 +198,11 @@ def purity_variance_proxy(inv: ShadowInverter) -> float:
     X_H entries, so no d^2 x d^2 SWAP matrix is needed. It needs an
     inverter that recovers every entry.
     """
+    divisor = _divisor(inv)
     inv.require_whole_state()
     d = inv.dim
     off = ~np.eye(d, dtype=bool)
-    return float(np.sum(1.0 / inv.x_h[off] ** 2)) / d**2
+    return float(np.sum(1.0 / divisor[off] ** 2)) / d**2
 
 
 def variance_approx_nonlinear(inv: ShadowInverter, o: Observable) -> float:
@@ -232,17 +240,15 @@ def sample_complexity(epsilon: float, num_observables: int,
 
 def variance_report(inv: ShadowInverter, o: Observable, rho=None,
                     per_snapshot_values=None) -> VarianceReport:
-    approx = variance_approx_linear(inv, o) if o.copies == 1 \
-        else variance_approx_nonlinear(inv, o)
-    exact = norm = None
-    if o.copies == 1:
-        # one kernel for both fields: the same numbers as the separate calls
-        kern = _second_moment_kernel(inv, transformed_observable(inv, o))
-        if rho is not None:
-            exact = _state_moment(inv, kern, check_density(rho))
-        norm = _top_eigenvalue(kern)
-    emp = empirical_variance(per_snapshot_values) \
-        if per_snapshot_values is not None else None
+    if o.copies != 1:
+        raise ValueError("variance_report takes one-copy observables; "
+                         "purity_variance_report gives the purity row")
+    approx = variance_approx_linear(inv, o)
+    # one kernel for both fields: the same numbers as the separate calls
+    kern = _second_moment_kernel(inv, transformed_observable(inv, o))
+    exact = None if rho is None else _state_moment(inv, kern, check_density(rho))
+    norm = _top_eigenvalue(kern)
+    emp = None if per_snapshot_values is None else empirical_variance(per_snapshot_values)
     note = f"d={inv.dim};mode={inv.mode}"
     return VarianceReport(approx_f=approx, dims_note=note,
                           exact_second_moment=exact, shadow_norm_sq=norm,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hamshadow.rdu import DegeneracySpec, check_window
+from hamshadow.rdu import ENERGY_RESOLUTION, DegeneracySpec, check_window
 from hamshadow.sampler import substream
 
 MAX_DESIGN_SIZE = 2**24
@@ -43,17 +43,17 @@ def phi2_with_energies(m, spec: DegeneracySpec) -> np.ndarray:
     """Second moment map for the phase ensemble generated by fixed energies.
 
     An element (ij, kl) survives iff E_i + E_j - E_k - E_l = 0 within the
-    spec resolution. For generic energies this reduces to
+    energy resolution. For generic energies this reduces to
     ``phi_k_diagonal(m, 2)``; first-order degeneracies and second-order
     resonances add exactly the extra surviving patterns.
     """
     m = np.asarray(m, dtype=complex)
-    d = spec.dim
+    d = len(spec.energies)
     if m.shape != (d * d, d * d):
         raise ValueError("matrix dimension does not match energy count squared")
     e = spec.energies
     s = (e[:, None] + e[None, :]).reshape(-1)  # pair sums, index = i*d+j
-    mask = np.abs(s[:, None] - s[None, :]) <= spec.resolution
+    mask = np.abs(s[:, None] - s[None, :]) <= ENERGY_RESOLUTION
     return np.where(mask, m, 0.0)
 
 

@@ -28,7 +28,6 @@ def snapshot_states(inv: ShadowInverter, snaps) -> np.ndarray:
 
 def build_estimator(inv: ShadowInverter, snap) -> np.ndarray:
     """State estimator rho-hat = V N^-1(sigma-hat) V^dag of one Snapshot row."""
-    inv.require_complete()
     return snapshot_states(inv, [snap])[0]
 
 

@@ -10,14 +10,17 @@ import yaml
 from click.testing import CliRunner
 
 import hamshadow
-from hamshadow import cli, qmatrix, shadowmap
+from hamshadow import cli, models, qmatrix, shadowmap
 from hamshadow.cli import build_model, build_state, config_digest, main
 from hamshadow.estimators import CSV_HEADER, Observable, estimate_purity
 from hamshadow.models import pauli_tensor
-from hamshadow.qmatrix import swap_operator
 from hamshadow.sampler import load_snapshots
 from hamshadow.shadowmap import build_inverter, hamiltonian_fingerprint
-from hamshadow.variance import VARIANCE_CSV_HEADER, variance_report
+from hamshadow.variance import (
+    VARIANCE_CSV_HEADER,
+    purity_variance_report,
+    variance_report,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -189,6 +192,44 @@ class TestSimulate:
         assert not (tmp_path / "snaps.txt").exists()
 
 
+class TestConfigSections:
+    @pytest.mark.parametrize("state,expected", [
+        ({"kind": "ghz", "n": 3}, lambda h: models.ghz_state(3)),
+        ({"kind": "cluster", "n": 2}, lambda h: models.cluster_state(2)),
+        ({"kind": "ladder-product", "n_zero": 1, "n_one": 1},
+         lambda h: models.ladder_product_state(1, 1)),
+        ({"kind": "random-pure", "n": 2, "seed": 3},
+         lambda h: models.random_pure_state(4, 3)),
+        ({"kind": "thermal", "beta": 1.5}, lambda h: models.thermal_state(h, 1.5)),
+    ], ids=["ghz", "cluster", "ladder-product", "random-pure", "thermal"])
+    def test_build_state_is_the_models_function(self, tmp_path, state, expected):
+        cfg = base_cfg(tmp_path, state=state)
+        h = build_model(cfg)
+        np.testing.assert_array_equal(build_state(cfg, h), expected(h))
+
+    @pytest.mark.parametrize("section,value", [
+        ("state", {"kind": "ghz", "n": None}),
+        ("state", {"kind": "nope"}),
+        ("time_model", {"kind": "uniform-window", "t_min": None, "t_max": 3}),
+    ])
+    def test_malformed_value_code_2(self, tmp_path, section, value):
+        # a null value ended in a TypeError traceback, exit 1
+        p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path, **{section: value}))
+        res = CliRunner().invoke(main, ["simulate", "--config", p])
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith(f"config error: bad {section} section: ")
+
+    def test_output_reports_key_code_2(self, tmp_path):
+        # accepted before, though nothing wrote a reports file
+        cfg = base_cfg(tmp_path)
+        cfg["output"]["reports"] = str(tmp_path / "reports.csv")
+        res = CliRunner().invoke(main, ["simulate", "--config",
+                                        write_cfg(tmp_path / "cfg.yaml", cfg)])
+        assert res.exit_code == 2
+        assert res.output.startswith(
+            "config error: unknown keys in config.output: ['reports']")
+
+
 class TestUnwritableOutput:
     """An output path in a missing directory exits 2 and names the path."""
 
@@ -198,13 +239,35 @@ class TestUnwritableOutput:
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith(f"output error: cannot write {path}: ")
 
+    @staticmethod
+    def refuse_work(monkeypatch, name, target=None):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the output was checked")
+        if target is None:
+            monkeypatch.setattr(cli, name, refuse)
+        else:
+            monkeypatch.setitem(target, name, refuse)
+
     @pytest.mark.parametrize("key", ["snapshots", "manifest"])
-    def test_simulate(self, tmp_path, key):
+    def test_simulate(self, tmp_path, monkeypatch, key):
+        # the snapshots were written before the manifest path was tried
+        self.refuse_work(monkeypatch, "run_batch")
         cfg = base_cfg(tmp_path)
         cfg["output"][key] = str(tmp_path / "missing" / "out.txt")
         p = write_cfg(tmp_path / "cfg.yaml", cfg)
         res = CliRunner().invoke(main, ["simulate", "--config", p])
         self.assert_refused(res, cfg["output"][key])
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    def test_simulate_late_write_error_leaves_neither_file(self, tmp_path,
+                                                           monkeypatch):
+        def full(path, *args):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli, "write_manifest", full)
+        p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path))
+        res = CliRunner().invoke(main, ["simulate", "--config", p])
+        self.assert_refused(res, tmp_path / "manifest.txt")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.yaml"]
 
     def test_estimate(self, tmp_path):
         p = simulated(tmp_path, base_cfg(tmp_path))
@@ -218,7 +281,9 @@ class TestUnwritableOutput:
         res = CliRunner().invoke(main, ["variance", "--config", p, "--out", str(out)])
         self.assert_refused(res, out)
 
-    def test_reproduce(self, tmp_path):
+    def test_reproduce(self, tmp_path, monkeypatch):
+        # the series was computed before --out was opened
+        self.refuse_work(monkeypatch, "fig8", cli.FIGURES)
         out = tmp_path / "missing" / "fig8.csv"
         res = CliRunner().invoke(main, ["reproduce", "--figure", "fig8",
                                         "--out", str(out)])
@@ -381,7 +446,7 @@ class TestEstimateInputChecks:
         assert res.exit_code == 0, res.output
         res = estimate_from(p, tmp_path / "snaps.txt")
         assert res.exit_code == 3
-        assert "not invertible" in res.output
+        assert res.output.startswith("Hamiltonian is not tomography-complete:\n")
 
     def test_truncated_file_code_2(self, tmp_path):
         p = simulated(tmp_path, base_cfg(tmp_path, shots=2000))
@@ -444,10 +509,10 @@ class TestVarianceCommand:
         h = build_model(cfg)
         rho = build_state(cfg, h)
         inv = build_inverter(h)
-        obs = [Observable(pauli_tensor("XZ"), name="XZ"),
-               Observable(swap_operator(4), copies=2, name="pur")]
-        expected = [variance_report(inv, o, rho=rho).csv_row(
-            o.name, cfg["seed"], hamiltonian_fingerprint(h)) for o in obs]
+        reports = [variance_report(inv, Observable(pauli_tensor("XZ")), rho=rho),
+                   purity_variance_report(inv)]
+        expected = [rep.csv_row(name, cfg["seed"], hamiltonian_fingerprint(h))
+                    for rep, name in zip(reports, ["XZ", "pur"])]
         assert out.read_text().splitlines()[2:] == expected
 
 
@@ -500,6 +565,8 @@ class TestOneDiagnosisPerHamiltonian:
         res = CliRunner().invoke(main, ["variance", "--config", p])
         assert res.exit_code == code, res.output
         assert len(calls) == 1
+        if code:
+            assert res.output.startswith("Hamiltonian is not tomography-complete:\n")
 
     def test_fig10(self, tmp_path, monkeypatch):
         calls = count_diagnoses(monkeypatch)
@@ -521,14 +588,13 @@ class TestPurityBuildsNoSwap:
         snaps = load_snapshots(tmp_path / "snaps.txt")
         purity_row = estimate_purity(inv, snaps).csv_row(
             "pur", snaps.seed, snaps.hamiltonian_fingerprint)
-        # the variance rows through the two-copy SWAP observable
-        obs = [Observable(pauli_tensor("XZ"), name="XZ"),
-               Observable(swap_operator(4), copies=2, name="pur")]
+        reports = [variance_report(inv, Observable(pauli_tensor("XZ")), rho=rho),
+                   purity_variance_report(inv)]
         variance_text = "".join(
             line + "\n" for line in
             [f"# config_digest={config_digest(cfg)}", VARIANCE_CSV_HEADER]
-            + [variance_report(inv, o, rho=rho).csv_row(
-                o.name, cfg["seed"], hamiltonian_fingerprint(h)) for o in obs])
+            + [rep.csv_row(name, cfg["seed"], hamiltonian_fingerprint(h))
+               for rep, name in zip(reports, ["XZ", "pur"])])
 
         def refuse(d):
             raise AssertionError(f"SWAP of two {d}-dimensional copies built")

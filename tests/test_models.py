@@ -8,7 +8,6 @@ from hamshadow.models import (
     DEFAULT_OMEGA,
     DEFAULT_SPACING,
     RydbergParams,
-    StateSpec,
     cluster_state,
     exp_family_vh,
     ghz_state,
@@ -17,7 +16,6 @@ from hamshadow.models import (
     hamiltonian_from_unitary,
     ladder_product_state,
     pauli_tensor,
-    prepare_state,
     random_hermitian,
     random_positions,
     random_pure_state,
@@ -214,18 +212,6 @@ class TestStates:
         ground = h.eigenbasis[:, 0]
         np.testing.assert_allclose(cold, np.outer(ground, ground.conj()),
                                    atol=1e-8)
-
-    def test_prepare_state_dispatch(self):
-        np.testing.assert_array_equal(prepare_state(StateSpec("ghz", n=2)),
-                                      ghz_state(2))
-        h = gue_hamiltonian(2, 7)
-        np.testing.assert_array_equal(
-            prepare_state(StateSpec("thermal", beta=1.5), h),
-            thermal_state(h, 1.5))
-        with pytest.raises(ValueError):
-            prepare_state(StateSpec("thermal", beta=1.0))
-        with pytest.raises(ValueError):
-            prepare_state(StateSpec("nope"))
 
 
 class TestBasisFamilies:

@@ -1,12 +1,14 @@
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hamshadow.models import RydbergParams, random_positions, rydberg_hamiltonian
 from hamshadow.rdu import (
+    ENERGY_RESOLUTION,
     DegeneracySpec,
     frame_potential_finite_time,
     frame_potential_rdu_exact,
@@ -34,7 +36,7 @@ def closed_form_window_fp(spec, k, t_min, t_max):
     of k into d parts, c the multinomial coefficients, f_a = a . E and
     D = t_max - t_min.
     """
-    comp = compositions(k, spec.dim)
+    comp = compositions(k, len(spec.energies))
     coefs = multinomial(k, comp)
     freq = comp @ spec.energies
     omega = freq[:, None] - freq[None, :]
@@ -115,32 +117,41 @@ class TestEnergyAwareSecondMoment:
     def test_second_order_resonance_detected(self):
         # 0 + 3 == 1 + 2 is a resonance with all energies distinct
         spec = DegeneracySpec(np.array([0.0, 1.0, 2.0, 3.0]))
-        res = spec.second_order_resonances()
+        res = list(spec.second_order_resonances())
         assert any({a, b} == {0, 3} and {c, e} == {1, 2}
                    or {a, b} == {1, 2} and {c, e} == {0, 3}
                    for a, b, c, e in res)
-        assert spec.first_order_pairs() == []
 
     def test_no_false_resonances(self):
         spec = DegeneracySpec(np.array([0.0, 1.0, np.e, np.pi]))
-        assert spec.second_order_resonances() == []
+        assert list(spec.second_order_resonances()) == []
 
-    def test_first_order_pairs(self):
-        spec = DegeneracySpec(np.array([2.0, 1.0 + 5e-10, 1.0]))
-        assert spec.first_order_pairs() == [(1, 2)]
-
-    def test_first_order_pairs_match_pair_loop(self):
-        # clusters of near-equal energies in shuffled order, some pairs
-        # just inside and some just outside the resolution
-        rng = np.random.default_rng(17)
-        e = rng.permutation(np.repeat(rng.normal(size=12), 4)
-                            + rng.choice([0.0, 4e-10, 9e-10, 3e-9], size=48))
-        spec = DegeneracySpec(e)
-        loop = [(a, b) for a in range(len(e)) for b in range(a + 1, len(e))
-                if abs(e[a] - e[b]) <= spec.resolution]
-        pairs = spec.first_order_pairs()
-        assert pairs == loop
-        assert all(type(i) is int for pair in pairs for i in pair)
+    @pytest.mark.parametrize("e", [
+        [0.0, 1.0, 1.0, 2.0, 3.0, 3.0 + 5e-10, 4.7],
+        [2.0, 1.0 + 5e-10, 1.0, 0.5, 2.5 + 1.5e-9, 3.0 + 3e-9],
+        np.repeat([0.0, 1.3, 2.6], 3),
+    ])
+    def test_resonances_match_quadruple_loop(self, e):
+        # every pair of index pairs whose energy sums agree within
+        # 2 * ENERGY_RESOLUTION, except where the multiset difference of
+        # the two pairs is one index on each side, at degenerate energies
+        e = np.asarray(e, dtype=float)
+        pairs = [(i, j) for i in range(len(e)) for j in range(i, len(e))]
+        loop = set()
+        for p, q in itertools.combinations(pairs, 2):
+            if abs((e[p[0]] + e[p[1]]) - (e[q[0]] + e[q[1]])) > \
+                    2 * ENERGY_RESOLUTION + 1e-15:
+                continue
+            rest_p = Counter(p) - Counter(q)
+            rest_q = Counter(q) - Counter(p)
+            if sum(rest_p.values()) == 1 and \
+                    abs(e[min(rest_p)] - e[min(rest_q)]) <= ENERGY_RESOLUTION:
+                continue
+            loop.add(frozenset([p, q]))
+        found = [frozenset([(a1, a2), (b1, b2)]) for a1, a2, b1, b2 in
+                 DegeneracySpec(e).second_order_resonances()]
+        assert len(found) == len(set(found))
+        assert set(found) == loop
 
 
 class TestDesigns:

@@ -16,15 +16,13 @@ from hamshadow.models import (
 )
 from hamshadow.estimators import (
     Observable,
-    estimate_linear,
     snapshot_amplitudes,
     transformed_observable,
 )
 from hamshadow.qmatrix import SpectralHamiltonian, hermitian_spectral
-from hamshadow.rdu import DegeneracySpec
+from hamshadow.rdu import ENERGY_RESOLUTION, DegeneracySpec
 from hamshadow.sampler import Snapshot
 from hamshadow.shadowmap import (
-    ENERGY_RESOLUTION,
     IncompleteInverterError,
     _apply_packed,
     _inverse_one_norm,
@@ -166,12 +164,21 @@ class TestDiagnosis:
         [0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0],  # 7 pairs
         [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0],  # 11 pairs, 8 kept
         np.zeros(8),  # 28 pairs, 8 kept
+        [2.0, 1.0 + 5e-10, 1.0],  # (1, 2) just inside the resolution
+        # clusters of near-equal energies in shuffled order: 5 pairs just
+        # inside the resolution, 4 just outside it
+        (lambda rng: rng.permutation(
+            np.repeat(rng.normal(size=3), 3)
+            + rng.choice([0.0, 4e-10, 9e-10, 3e-9], size=9)))(
+                np.random.default_rng(17)),
     ])
     def test_degenerate_pairs_are_the_first_order_pairs_head(self, energies):
         h = hamiltonian_from_unitary(gue_hamiltonian(len(energies), 3).eigenbasis,
                                      energies)
         diag = diagnose_detection(h)
-        pairs = DegeneracySpec(h.energies, ENERGY_RESOLUTION).first_order_pairs()
+        e = h.energies
+        pairs = [(a, b) for a in range(len(e)) for b in range(a + 1, len(e))
+                 if abs(e[a] - e[b]) <= ENERGY_RESOLUTION]
         assert diag.energy_degeneracy == pairs[:8]
         assert all(type(i) is int for pair in diag.energy_degeneracy for i in pair)
         if len(pairs) <= 8:  # the summary line of the full list
@@ -211,7 +218,7 @@ class TestDiagnosis:
     ], ids=["d4-ladder", "d16-ladder", "flat", "degenerate", "gue"])
     def test_keeps_the_first_eight_resonances(self, h):
         diag = diagnose_detection(h)
-        full = DegeneracySpec(h.energies, ENERGY_RESOLUTION).second_order_resonances()
+        full = list(DegeneracySpec(h.energies).second_order_resonances())
         assert diag.resonances == full[:8]
         # the summary line reads as it did when the full list was stored
         line = f"  note: second-order resonances (harmless): {full[:8]}"
@@ -283,11 +290,14 @@ class TestIdealInversion:
                                    sigma, atol=1e-10)
 
     def test_incomplete_raises(self):
+        # refused where it is built, with the diagnosis, not at first use
         h = hermitian_spectral(np.diag([0.0, 1.0]))
-        inv = build_inverter(h)
-        with pytest.raises(IncompleteInverterError):
-            estimate_linear(inv, [Snapshot(bitstring=0, time=1.0)],
-                            Observable(np.eye(2)))
+        with pytest.raises(IncompleteInverterError) as err:
+            build_inverter(h)
+        assert str(err.value) == ("Hamiltonian is not tomography-complete:\n"
+                                  + diagnose_detection(h).summary())
+        # the pseudo-inverse of an incomplete map is what that mode is for
+        assert not build_inverter(h, mode="pseudo-inverse").diagnosis.complete
 
 
 class TestFiniteTimeMap:
@@ -667,6 +677,20 @@ def masked_inverter():
 
 
 class TestRecoveredEntries:
+    @pytest.mark.parametrize("mode", MODES + ["masked"])
+    def test_stored_elementwise_map(self, mode):
+        # D is X_mn on the recovered off-diagonals and inf elsewhere; M is
+        # X_H^-1 in ideal mode and 0 in pseudo-inverse mode
+        inv = masked_inverter() if mode == "masked" else inverter_in_mode(mode)
+        if mode == "finite-time":
+            assert inv.divisor is None and inv.diagonal_map is None
+            return
+        off = inv.recovered & ~np.eye(4, dtype=bool)
+        np.testing.assert_array_equal(inv.divisor, np.where(off, inv.x_h, np.inf))
+        np.testing.assert_array_equal(
+            inv.diagonal_map, np.linalg.inv(inv.x_h) if mode == "ideal"
+            else np.zeros((4, 4)))
+
     def test_record_per_mode(self):
         off = ~np.eye(4, dtype=bool)
         assert inverter_in_mode("ideal").recovered.all()

@@ -278,9 +278,32 @@ class TestApproxLinear:
     def test_incomplete_detection_rejected(self):
         from hamshadow.qmatrix import hermitian_spectral
 
-        inv = build_inverter(hermitian_spectral(np.diag([0.0, 1.0, 2.5, 4.0])))
-        with pytest.raises(IncompleteInverterError):
-            variance_approx_linear(inv, Observable(pauli_tensor("XX")))
+        # refused where the inverter is built, so no proxy sees the map
+        with pytest.raises(IncompleteInverterError,
+                           match="not tomography-complete"):
+            build_inverter(hermitian_spectral(np.diag([0.0, 1.0, 2.5, 4.0])))
+
+    def test_sum_over_the_off_diagonals_of_x_h(self):
+        # the masked sum in the order of the X_H formula, bit for bit
+        inv = build_inverter(gue_hamiltonian(8, 19))
+        o = Observable(random_hermitian(8, 20))
+        v = inv.hamiltonian.eigenbasis
+        a = v.conj().T @ o.matrix @ v
+        off = ~np.eye(8, dtype=bool)
+        expected = float(np.sum(np.abs(a[off]) ** 2 / inv.x_h[off])) / 8
+        assert variance_approx_linear(inv, o) == expected
+        assert purity_variance_proxy(inv) == \
+            float(np.sum(1.0 / inv.x_h[off] ** 2)) / 64
+
+    def test_finite_time_refused(self):
+        # closed forms for ideal phases; the window map has no divisor D
+        inv = build_inverter(gue_hamiltonian(4, 11), mode="finite-time",
+                             t_min=0.0, t_max=5000.0)
+        assert inv.divisor is None and inv.diagonal_map is None
+        with pytest.raises(ValueError, match="not the finite-time one"):
+            variance_approx_linear(inv, Observable(pauli_tensor("XZ")))
+        with pytest.raises(ValueError, match="not the finite-time one"):
+            purity_variance_proxy(inv)
 
     def test_flat_basis_closed_form(self):
         # uniform weights 2^-n turn the sum into the plain off-diagonal
@@ -392,3 +415,8 @@ class TestReport:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             VarianceReport(approx_f=-1.0, dims_note="x")
+
+    def test_two_copy_observable_refused(self):
+        inv = build_inverter(gue_hamiltonian(2, 30))
+        with pytest.raises(ValueError, match="purity_variance_report"):
+            variance_report(inv, Observable(swap_operator(2), copies=2))
