@@ -52,7 +52,8 @@ class CompletenessDiagnosis:
     basis_aligned: list
     condition_number: float      # cond(X_H), 2-norm
     map_condition_number: float  # cond(N), 2-norm: the amplification of N^-1
-    resonances: list = field(default_factory=list)  # the first 8; informational
+    # the first 8; informational. None: not enumerated, as d is above 256
+    resonances: list | None = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
@@ -78,7 +79,9 @@ class CompletenessDiagnosis:
                 lines.append("  X_H singular")
             if self.zero_offdiagonal:
                 lines.append(f"  zero off-diagonals of X_H: {self.zero_offdiagonal}")
-        if self.resonances:
+        if self.resonances is None:
+            lines.append("  note: second-order resonances not enumerated above d = 256")
+        elif self.resonances:
             lines.append(f"  note: second-order resonances (harmless): {self.resonances}")
         return "\n".join(lines)
 
@@ -187,8 +190,8 @@ def _diagnose(h: SpectralHamiltonian, v_sq: np.ndarray,
     try:  # the first 8, all that summary() reports
         resonances = list(itertools.islice(
             DegeneracySpec(h.energies).second_order_resonances(), 8))
-    except ValueError:
-        resonances = []
+    except ValueError:  # the enumeration's cap on d
+        resonances = None
     # N applies X_H to the diagonal and scales each off-diagonal (m, n) by
     # X_mn, so its singular values are those of X_H and the |X_mn|. The
     # largest is sv[0] = 1: X_H is doubly stochastic, and positive

@@ -1,10 +1,10 @@
 """Moment maps, finite phase designs and per-sample frame potentials of
 random diagonal unitaries, for tests.
 
-The package computes frame potentials in closed form or by quadrature and
-draws Monte-Carlo samples from closed-form streams; these definitions,
-enumerations and per-sample Generator loops are what it is checked
-against.
+The package computes frame potentials in closed form or by a factored
+quadrature and draws Monte-Carlo samples from closed-form streams; these
+definitions, enumerations, per-node sums and per-sample Generator loops
+are what it is checked against.
 """
 
 import itertools
@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hamshadow.rdu import ENERGY_RESOLUTION, DegeneracySpec, check_window
+from hamshadow.rdu import (
+    ENERGY_RESOLUTION,
+    MAX_FP_TERMS,
+    QUAD_HALF_PHASE,
+    QUAD_NODES,
+    DegeneracySpec,
+    check_window,
+)
 from hamshadow.sampler import substream
 
 MAX_DESIGN_SIZE = 2**24
@@ -120,6 +127,34 @@ def multinomial(k: int, comp: np.ndarray) -> np.ndarray:
     for col in comp.T:
         coefs /= np.array([math.factorial(int(c)) for c in col])
     return coefs
+
+
+def frame_potential_direct_sum(spec: DegeneracySpec, k: int,
+                               t_min: float, t_max: float) -> float:
+    """The window frame potential on the package's composite Gauss-Legendre
+    rule, with S(tau) = sum_j e^{i E_j tau} summed directly at every node:
+    one complex exponential per term, panels * nodes * d in all."""
+    check_window(t_min, t_max)
+    e = spec.energies
+    d = len(e)
+    dt = t_max - t_min
+    width = k * float(e.max() - e.min()) * dt
+    if width == 0:
+        return float(d) ** (2 * k)
+    panels = max(1, math.ceil(width / (2 * QUAD_HALF_PHASE)))
+    if panels * QUAD_NODES * d > MAX_FP_TERMS:
+        raise ValueError("too many terms for the direct sum")
+    x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
+    shifted = e - (e.max() + e.min()) / 2
+    per_chunk = max(1, 2**16 // (QUAD_NODES * d))
+    total = 0.0
+    for start in range(0, panels, per_chunk):
+        p = np.arange(start, min(start + per_chunk, panels))
+        u = ((p[:, None] + (1 + x) / 2) / panels).ravel()
+        s = np.exp(1j * np.multiply.outer(u * dt, shifted)).sum(axis=1)
+        total += float(((np.tile(w, len(p)) * (1 - u))
+                        @ (s.real**2 + s.imag**2) ** k))
+    return total / panels
 
 
 def frame_potential_mc_loop(sampler, k: int, num_samples: int,

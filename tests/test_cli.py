@@ -758,8 +758,9 @@ class TestReproduce:
         # pair trace) may move only trailing digits. The fig3a, fig3b and
         # fig10 references no longer match the output byte for byte (the
         # second-moment kernel was regrouped twice since they were written),
-        # and fig13 now takes its pair traces in the eigenframe, so they are
-        # pinned only to rtol 1e-10; fig8 still matches byte for byte.
+        # fig13 now takes its pair traces in the eigenframe, and fig8 sums
+        # S(tau) at the quadrature nodes by a GEMM of factored phases, so
+        # they are pinned only to rtol 1e-10.
         # fig4b and fig4c run the finite-time inverter end to end, with the
         # refused first window as a nan row. Their windows have cond(G) up
         # to 2e8, so the rounding of R^-1, which moves with the BLAS thread

@@ -1,14 +1,16 @@
 import itertools
 import math
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
 
+from hamshadow import rdu
 from hamshadow.models import RydbergParams, random_positions, rydberg_hamiltonian
 from hamshadow.rdu import (
     ENERGY_RESOLUTION,
+    QUAD_HALF_PHASE,
+    QUAD_NODES,
     DegeneracySpec,
     frame_potential_finite_time,
     frame_potential_rdu_exact,
@@ -19,6 +21,7 @@ from moments import (
     DiagonalDesign,
     compositions,
     diagonal_design,
+    frame_potential_direct_sum,
     frame_potential_mc_loop,
     multinomial,
     phi2_with_energies,
@@ -50,6 +53,11 @@ def oracle_spectra():
         yield f"generic-{d}", g.normal(size=d)
         yield f"degenerate-{d}", np.round(g.uniform(0, 3, size=d))
         yield f"flat-{d}", np.full(d, 0.7)
+
+
+def chain_energies():
+    """The d = 32 spectrum of a 5-atom Rydberg chain."""
+    return rydberg_hamiltonian(RydbergParams(random_positions(5, seed=1))).energies
 
 
 def mc_phase_average(m, k, d, num=20000, seed=0):
@@ -133,25 +141,43 @@ class TestEnergyAwareSecondMoment:
     ])
     def test_resonances_match_quadruple_loop(self, e):
         # every pair of index pairs whose energy sums agree within
-        # 2 * ENERGY_RESOLUTION, except where the multiset difference of
-        # the two pairs is one index on each side, at degenerate energies
+        # 2 * ENERGY_RESOLUTION, except where both pairs meet the same
+        # levels; a level is a run of sorted energies whose neighbours lie
+        # within ENERGY_RESOLUTION
         e = np.asarray(e, dtype=float)
+        srt = np.sort(e)
+        level = [sum(1 for a, b in zip(srt, srt[1:])
+                     if b <= x and b - a > ENERGY_RESOLUTION) for x in e]
         pairs = [(i, j) for i in range(len(e)) for j in range(i, len(e))]
         loop = set()
         for p, q in itertools.combinations(pairs, 2):
             if abs((e[p[0]] + e[p[1]]) - (e[q[0]] + e[q[1]])) > \
                     2 * ENERGY_RESOLUTION + 1e-15:
                 continue
-            rest_p = Counter(p) - Counter(q)
-            rest_q = Counter(q) - Counter(p)
-            if sum(rest_p.values()) == 1 and \
-                    abs(e[min(rest_p)] - e[min(rest_q)]) <= ENERGY_RESOLUTION:
-                continue
-            loop.add(frozenset([p, q]))
+            if sorted(level[i] for i in p) != sorted(level[i] for i in q):
+                loop.add(frozenset([p, q]))
         found = [frozenset([(a1, a2), (b1, b2)]) for a1, a2, b1, b2 in
                  DegeneracySpec(e).second_order_resonances()]
         assert len(found) == len(set(found))
         assert set(found) == loop
+
+    def test_relations_of_degenerate_levels_are_not_resonances(self):
+        # three 3-fold levels 0, 1.3, 2.6: 2 E_6 = 2 E_8 and E_6 + E_6 =
+        # E_7 + E_8 hold only because levels are degenerate, while
+        # 0 + 2.6 = 1.3 + 1.3 is a relation between levels
+        res = list(DegeneracySpec(np.repeat([0.0, 1.3, 2.6], 3))
+                   .second_order_resonances())
+        assert (0, 6, 3, 4) in res
+        assert not {(0, 0, 1, 1), (6, 6, 8, 8), (6, 6, 7, 8)} & set(res)
+        assert len(res) == 9 * 6  # {0, 2.6} x {1.3, 1.3} index pairs
+
+    def test_flat_spectrum_has_no_resonances_and_returns_at_once(self):
+        # one level: nothing to scan, where the index pairs of d = 256
+        # would form 5e8 pairs of pairs
+        spec = DegeneracySpec(np.full(256, 0.37))
+        start = time.perf_counter()
+        assert list(spec.second_order_resonances()) == []
+        assert time.perf_counter() - start < 0.1
 
 
 class TestDesigns:
@@ -256,6 +282,68 @@ class TestWindowQuadrature:
             val = frame_potential_finite_time(spec, k, *window)
             assert val == pytest.approx(ref, rel=1e-12, abs=0), name
 
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (2.0, 22.0), (100.0, 140.0),
+                                        (0.0, 3000.0)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_direct_sum(self, k, window):
+        spectra = [*oracle_spectra(), ("chain-32", chain_energies())]
+        for name, e in spectra:
+            spec = DegeneracySpec(e)
+            ref = frame_potential_direct_sum(spec, k, *window)
+            val = frame_potential_finite_time(spec, k, *window)
+            assert val == pytest.approx(ref, rel=1e-12, abs=0), name
+
+    @pytest.mark.parametrize("window", [(2.0, 22.0), (0.0, 3000.0)])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_panel_per_chunk_gives_the_same_value(self, monkeypatch, k, window):
+        # on (0, 3000) the chain has 11 455 panels at k = 1, 6 default chunks
+        specs = [DegeneracySpec(chain_energies()),
+                 DegeneracySpec(np.random.default_rng(4).normal(size=7))]
+        whole = [frame_potential_finite_time(spec, k, *window) for spec in specs]
+        monkeypatch.setattr(rdu, "QUAD_CHUNK_ENTRIES", 1)
+        for spec, ref in zip(specs, whole):
+            val = frame_potential_finite_time(spec, k, *window)
+            assert val == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("k,window", [(1, (0.0, 1.0)), (2, (2.0, 22.0)),
+                                          (3, (0.0, 3000.0))])
+    def test_exponentials_are_panels_plus_nodes_times_d(self, monkeypatch,
+                                                        k, window):
+        e = chain_energies()
+        t_min, t_max = window
+        panels = math.ceil(k * (e.max() - e.min()) * (t_max - t_min)
+                           / (2 * QUAD_HALF_PHASE))
+        exp = np.exp
+        counted = []
+
+        def counting_exp(x, *args, **kwargs):
+            counted.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        frame_potential_finite_time(DegeneracySpec(e), k, t_min, t_max)
+        assert 0 < sum(counted) <= (panels + QUAD_NODES) * len(e)
+
+    def test_rule_built_once_and_read_only(self, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rdu._panel_rule.cache_clear()
+        spec = DegeneracySpec(np.array([0.0, 1.3, 2.9, 4.1]))
+        for k in (1, 2, 3):
+            frame_potential_finite_time(spec, k, 2.0, 22.0)
+        assert calls == [(QUAD_NODES, QUAD_NODES)]
+        nodes, w = rdu._panel_rule()
+        assert not (nodes.flags.writeable or w.flags.writeable)
+        x, w_ref = np.polynomial.legendre.leggauss(QUAD_NODES)
+        np.testing.assert_allclose(nodes, (1 + x) / 2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_flat_spectrum_gives_d_to_2k(self, d, k):
@@ -274,9 +362,9 @@ class TestWindowQuadrature:
         assert elapsed < 1.0
 
     def test_absurd_window_refused_before_nodes(self, monkeypatch):
-        def no_nodes(n):
+        def no_nodes():
             raise AssertionError("quadrature nodes built before the guard")
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_nodes)
+        monkeypatch.setattr(rdu, "_panel_rule", no_nodes)
         spec = DegeneracySpec(np.array([0.0, 1.3, 2.9, 4.1]))
         with pytest.raises(ValueError, match="enumeration guard"):
             frame_potential_finite_time(spec, 3, 0.0, 1e12)

@@ -141,6 +141,9 @@ class TestDiagnosis:
         assert diag.zero_offdiagonal == [(0, j) for j in range(16, 24)]
         assert not diag.complete
         assert peak < 40e6
+        assert diag.resonances is None
+        assert ("  note: second-order resonances not enumerated above d = 256"
+                in diag.summary().splitlines())
 
     def test_flat_basis_singular(self):
         diag = diagnose_detection(hamiltonian_from_unitary(hadamard_basis(2)))
@@ -199,6 +202,10 @@ class TestDiagnosis:
         assert not diag.complete
         assert peak < 40e6
         assert len(diag.summary()) < 1000
+        # above d = 256 the resonances are not enumerated, and summary() says so
+        assert diag.resonances is None
+        assert ("  note: second-order resonances not enumerated above d = 256"
+                in diag.summary().splitlines())
 
     def test_resonances_informational_only(self):
         h0 = gue_hamiltonian(4, 4)
