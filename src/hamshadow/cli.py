@@ -355,6 +355,12 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
     if snaps.hamiltonian_fingerprint != hamiltonian_fingerprint(h):
         _fail(EXIT_FINGERPRINT,
               "snapshot fingerprint does not match the configured Hamiltonian")
+    # every row but a wrong-postprocessing one applies the inverse, and the
+    # ideal-phase inverse is biased on window data
+    inverts = not wrong_postprocessing or any(isinstance(o, Purity) for o in obs)
+    if snaps.time_model.kind == "uniform-window" and inverts and not finite_time:
+        _fail(EXIT_CONFIG, f"snapshot error: the snapshots were drawn with "
+              f"{snaps.time_model.describe()!r}; estimate them with --finite-time")
     try:
         if finite_time:
             tm = _snapshot_window(cfg, snaps.time_model)
@@ -363,6 +369,8 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
             inv = build_inverter(h)
     except (np.linalg.LinAlgError, IncompleteInverterError) as e:
         _fail(EXIT_INCOMPLETE, str(e))
+    except ValueError as e:  # the finite-time memory guard
+        _fail(EXIT_CONFIG, f"inverter error: {e}")
     rows = []
     try:
         for o in obs:

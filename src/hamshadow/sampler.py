@@ -8,12 +8,20 @@ arguments regardless of evaluation order. That stream is computed in
 closed form for a block of shots at once: the SeedSequence keys, the
 Philox4x64-10 blocks and the Generator's conversions to doubles and
 bounded integers run as numpy array arithmetic, and a test pins the
-result to ``substream(seed, i)`` draw for draw. One matrix product per
-chunk of the block then gives the Born distributions of its shots.
+result to ``substream(seed, i)`` draw for draw. The Born distributions
+of a chunk of shots then come from one row-ordered product: the unit
+phasors e^{i phi} of its phase vectors, formed by ``_unit_phasors`` from a
+256-entry table and short polynomials rather than a complex ``exp``, times
+the (d, rank x d) factor of the state and the eigenbasis, built once per
+batch. The phasors agree with ``np.exp(1j * phi)`` to within 2e-15, so the
+probabilities differ from an ``exp`` kernel's at rounding level only, which
+could move an outcome only if its uniform variate fell within rounding
+distance of a cdf boundary.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -28,6 +36,42 @@ BORN_TOL = 1e-9
 # multiplies by V, and about the 64-bit words of one block of shot streams:
 # 256 KiB per work array, whatever d and the state's rank.
 CHUNK_ENTRIES = 2**14
+
+# _unit_phasors: e^{i phi} = T[n mod 256] e^{i r} with n = rint(phi / STEP),
+# STEP = 2 pi / 256 and |r| <= STEP / 2. STEP splits into three parts (Cody
+# and Waite): the first two hold 21 significant bits each, so n times them is
+# exact while |n| < 2**32 (|phi| below about 1e8), and the last holds the rest
+# of fl(2 pi) / 256 together with (2 pi - fl(2 pi)) / 256.
+_TABLE_SIZE = 256
+_TWO_PI_LOW = 2.4492935982947064e-16  # 2 pi - fl(2 pi)
+
+
+def _leading_bits(x: float, bits: int) -> float:
+    m, e = math.frexp(x)
+    return math.ldexp(math.floor(math.ldexp(m, bits)), e - bits)
+
+
+_STEP = 2 * math.pi / _TABLE_SIZE
+_STEP_1 = _leading_bits(_STEP, 21)
+_STEP_2 = _leading_bits(_STEP - _STEP_1, 21)
+_STEP_3 = (_STEP - _STEP_1 - _STEP_2) + _TWO_PI_LOW / _TABLE_SIZE
+# Taylor coefficients of cos r (degree 8) and sin r (degree 7), highest
+# first; on |r| <= pi / 256 the truncation error is below 1e-22.
+_COS_COEFFS = (1 / 40320, -1 / 720, 1 / 24, -1 / 2)
+_SIN_COEFFS = (-1 / 5040, 1 / 120, -1 / 6)
+
+
+def _phasor_table() -> np.ndarray:
+    """T[j] = e^{2 pi i j / 256}: cos and sin of the rounded angle j STEP,
+    corrected to first order by its residual from the split parts."""
+    j = np.arange(_TABLE_SIZE, dtype=float)
+    angle = j * _STEP
+    residual = ((j * _STEP_1 - angle) + j * _STEP_2) + j * _STEP_3
+    cos, sin = np.cos(angle), np.sin(angle)
+    return (cos - sin * residual) + 1j * (sin + cos * residual)
+
+
+_PHASOR_TABLE = _phasor_table()
 
 _M32 = 0xFFFFFFFF
 # SeedSequence (numpy/random/bit_generator.pyx): pool size and hash constants.
@@ -324,25 +368,69 @@ def _factor_state(rho_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[keep], l[:, keep]
 
 
-def _born_rows(v: np.ndarray, w: np.ndarray, l: np.ndarray,
+def _unit_phasors(phi: np.ndarray) -> np.ndarray:
+    """e^{i phi} elementwise, complex, within 2e-15 of np.exp(1j * phi).
+
+    The error bound holds for |phi| below about 1e8 (see _STEP_1); 0 maps
+    to exactly 1, and a non-finite phase to nan, with no warning.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        n = phi * (1 / _STEP)
+        np.rint(n, out=n)
+        r = n * -_STEP_1
+        r += phi  # exact: n STEP_1 is exact and close to phi
+        part = n * _STEP_2
+        r -= part
+        r -= np.multiply(n, _STEP_3, out=part)
+        index = n.astype(np.int64)
+    index &= _TABLE_SIZE - 1
+    r2 = np.multiply(r, r, out=n)
+    c = r2 * _COS_COEFFS[0]
+    for coeff in _COS_COEFFS[1:]:
+        c += coeff
+        c *= r2
+    c += 1.0
+    s = np.multiply(r2, _SIN_COEFFS[0], out=part)
+    for coeff in _SIN_COEFFS[1:]:
+        s += coeff
+        s *= r2
+    s *= r
+    s += r
+    rot = np.empty(phi.shape, dtype=complex)
+    rot.real, rot.imag = c, s
+    out = _PHASOR_TABLE[index]
+    out *= rot
+    return out
+
+
+def _born_factor(v: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """(d, r d) B with (e^{i phi} @ B)[r d + b] = (V diag(e^{i phi}) l_r)_b."""
+    d, r = l.shape
+    return (l[:, :, None] * v.T[:, None, :]).reshape(d, r * d)
+
+
+def _born_rows(factor: np.ndarray, w: np.ndarray,
                phases: np.ndarray) -> np.ndarray:
     """Checked Born distributions, one row per phase vector of (K, d) phases.
 
-    p[k, b] = sum_r w_r |(V diag(e^{i phi_k}) l_r)_b|^2, all K rows from one
-    (d, d) @ (d, K r) product.
+    p[k, b] = sum_r w_r |(e^{i phi_k} @ B)[r d + b]|^2 for the factor B of
+    _born_factor, all K rows from one (K, d) @ (d, r d) product.
     """
     k, d = phases.shape
-    r = len(w)
-    m = np.exp(1j * phases).T[:, :, None] * l[:, None, :]
-    a = (v @ m.reshape(d, k * r)).reshape(d, k, r)
-    p = np.ascontiguousarray(((a.real ** 2 + a.imag ** 2) @ w).T)
+    a = (_unit_phasors(phases) @ factor).view(float)
+    a *= a
+    sq = a[:, ::2] + a[:, 1::2]
+    terms = sq.reshape(k, len(w), d)
+    terms *= w[:, None]
+    p = terms.sum(axis=1)
     total = p.sum(axis=1)
     bad = ~(np.abs(total - 1.0) < BORN_TOL)
     if bad.any():
         raise ValueError(f"Born distribution sums to {float(total[bad][0])!r}; "
                          "input is corrupted")
-    p = np.clip(p, 0.0, None)
-    return p / p.sum(axis=1, keepdims=True)
+    np.clip(p, 0.0, None, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def _choose(p: np.ndarray, u) -> np.ndarray:
@@ -377,6 +465,7 @@ def _sample(h: SpectralHamiltonian, rho, tm: TimeModel, num_shots: int,
     window = tm.kind == "uniform-window"
     width = 1 if window else h.dim
     w, l = _factor_state(v.conj().T @ rho @ v)
+    factor = _born_factor(v, l)
     chunk = max(1, CHUNK_ENTRIES // (h.dim * max(1, len(w))))
     block = max(chunk, CHUNK_ENTRIES // (width + 1))
     # filled in place, so the draws never exist twice (as blocks and joined)
@@ -389,7 +478,7 @@ def _sample(h: SpectralHamiltonian, rho, tm: TimeModel, num_shots: int,
         for j in range(0, len(shots), chunk):
             phases = -h.energies * x[j:j + chunk] if window else x[j:j + chunk]
             outcomes[start + j:start + min(j + chunk, len(shots))] = _choose(
-                _born_rows(v, w, l, phases), u[j:j + chunk])
+                _born_rows(factor, w, phases), u[j:j + chunk])
     return draws, outcomes
 
 
@@ -401,7 +490,8 @@ def born_probabilities(h: SpectralHamiltonian, rho_h: np.ndarray,
     the same shape, one distribution per phase vector.
     """
     phases = np.asarray(phases, dtype=float)
-    p = _born_rows(h.eigenbasis, *_factor_state(rho_h), np.atleast_2d(phases))
+    w, l = _factor_state(rho_h)
+    p = _born_rows(_born_factor(h.eigenbasis, l), w, np.atleast_2d(phases))
     return p[0] if phases.ndim == 1 else p
 
 

@@ -28,6 +28,9 @@ BLOCK_ENTRIES = 2**14  # entries per block of the d^4 passes of finite_time_choi
 PACKED_BLOCK_ENTRIES = 2**18  # packed real rho-hat entries per block, finite time
 SIGMA_BLOCK_ENTRIES = 2**14  # complex sigma-hat entries per packing step
 INVERSE_BLOCK = 128  # pivot rows per block of finite_time_choi's inverse
+# entries d^4 of the real d^2 x d^2 array finite_time_choi holds: 2 GiB, so
+# d = 128 builds and d = 256 (32 GiB) is refused before anything is allocated
+MAX_WINDOW_ENTRIES = 2**28
 ZERO_DIAG_TOL = 1e-10
 
 
@@ -557,7 +560,13 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float,
     (which gave the same verdicts and accuracy), and the inverter holds
     one real d^2 x d^2 array from the window build to the end. A singular
     pivot block or a non-finite entry of the result reports cond = inf.
+    ValueError, before any allocation, if d^4 exceeds MAX_WINDOW_ENTRIES.
     """
+    entries = h.dim**4
+    if entries > MAX_WINDOW_ENTRIES:
+        raise ValueError(f"the finite-time superoperator of d = {h.dim} holds "
+                         f"d^4 = {entries} doubles ({entries / 2**27:g} GiB), "
+                         f"above MAX_WINDOW_ENTRIES = {MAX_WINDOW_ENTRIES}")
     r, col_sums = _window_superoperator(h, t_min, t_max)
     # exact 1-norm condition number from the inverse the apply path needs
     # anyway; a full SVD for the 2-norm value cost more than the inverse

@@ -12,7 +12,7 @@ import numpy as np
 
 from hamshadow.estimators import EstimateReport, Observable, median_of_means
 from hamshadow.qmatrix import check_density
-from hamshadow.sampler import _born_rows, _factor_state, substream
+from hamshadow.sampler import _born_factor, _born_rows, _factor_state, substream
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -40,7 +40,7 @@ def global_shadow_values(rho, o: Observable, num_shots: int, seed: int) -> np.nd
     for i in range(num_shots):
         rng = substream(seed, i)
         u = haar_unitary(d, rng)
-        b = int(rng.choice(d, p=_born_rows(u, w, l, no_phases)[0]))
+        b = int(rng.choice(d, p=_born_rows(_born_factor(u, l), w, no_phases)[0]))
         row = u[b, :]
         vals[i] = ((row @ o.matrix @ row.conj()).real) * (d + 1) - tr_o
     return vals

@@ -428,6 +428,44 @@ class TestEstimateInputChecks:
         assert "numerically singular (cond=" in res.output
         assert len(res.output.strip().splitlines()) == 1
 
+    def test_window_data_without_finite_time_code_2(self, tmp_path):
+        # the ideal-phase inverse on [2, 22] us data of the 5-atom chain wrote
+        # a GHZ fidelity 13 SE above the truth at 200 000 shots, with exit 0
+        p = simulated(tmp_path, dict(rydberg_window_cfg(tmp_path, 22.0), shots=50))
+        res = estimate_from(p, tmp_path / "snaps.txt")
+        assert res.exit_code == 2
+        assert "uniform-window t_min=2.0 t_max=22.0" in res.output
+        assert "--finite-time" in res.output
+        assert len(res.output.strip().splitlines()) == 1
+
+    def test_window_data_wrong_postprocessing_still_runs(self, tmp_path):
+        # the labelled baseline applies no inverse, so it needs no window map
+        p = simulated(tmp_path, dict(rydberg_window_cfg(tmp_path, 22.0), shots=50))
+        res = estimate_from(p, tmp_path / "snaps.txt", "--wrong-postprocessing")
+        assert res.exit_code == 0, res.output
+        assert "ghz(wrong-postprocessing)" in res.output
+
+    def test_window_purity_wrong_postprocessing_code_2(self, tmp_path):
+        # the purity row has no baseline and would take the ideal inverse
+        cfg = rydberg_window_cfg(tmp_path, 22.0)
+        cfg["estimators"]["observables"].append({"kind": "purity"})
+        p = simulated(tmp_path, dict(cfg, shots=50))
+        res = estimate_from(p, tmp_path / "snaps.txt", "--wrong-postprocessing")
+        assert res.exit_code == 2
+        assert "--finite-time" in res.output
+
+    def test_finite_time_memory_guard_code_2(self, tmp_path, monkeypatch):
+        # the guard is lowered so that the 4-atom chain (d = 16, d^4 = 65536)
+        # stands for the 8-atom one (d = 256, 32 GiB)
+        p = simulated(tmp_path, dict(rydberg_window_cfg(tmp_path, 22.0), shots=50))
+        monkeypatch.setattr(shadowmap, "MAX_WINDOW_ENTRIES", 16**4 - 1)
+        res = estimate_from(p, tmp_path / "snaps.txt", "--finite-time")
+        assert res.exit_code == 2
+        assert res.output.startswith("inverter error: the finite-time "
+                                     "superoperator of d = 16 holds d^4 = 65536")
+        assert "MAX_WINDOW_ENTRIES = 65535" in res.output
+        assert len(res.output.strip().splitlines()) == 1
+
     def test_finite_time_on_phase_data_code_2(self, tmp_path):
         p = simulated(tmp_path, base_cfg(tmp_path))
         res = estimate_from(p, tmp_path / "snaps.txt", "--finite-time")
@@ -460,7 +498,7 @@ class TestEstimateInputChecks:
         cfg = rydberg_window_cfg(tmp_path, 22.0)
         p = simulated(tmp_path, dict(cfg, shots=20))
         rewrite_rows(tmp_path / "snaps.txt", 19, ["t_us=3.0 b=99"])
-        res = estimate_from(p, tmp_path / "snaps.txt")
+        res = estimate_from(p, tmp_path / "snaps.txt", "--finite-time")
         assert res.exit_code == 2
         assert "exceeds Hilbert-space dimension" in res.output
         assert len(res.output.strip().splitlines()) == 1

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from born import exp_born_rows
 from hamshadow import sampler
-from hamshadow.models import gue_hamiltonian
+from hamshadow.models import gue_hamiltonian, random_pure_state
 from hamshadow.qmatrix import hermitian_spectral
 from hamshadow.sampler import (
     CHUNK_ENTRIES,
@@ -14,6 +17,7 @@ from hamshadow.sampler import (
     TimeModel,
     _evolution_draws,
     _factor_state,
+    _unit_phasors,
     born_probabilities,
     load_snapshots,
     run_batch,
@@ -346,6 +350,82 @@ class TestSampling:
                 if s.phases is not None:
                     np.testing.assert_array_equal(s.phases,
                                                   batch.snapshots[i].phases)
+
+
+class TestPhasorKernel:
+    """_unit_phasors and the row-ordered product against np.exp and the
+    (d, d) @ (d, K r) kernel of tests/born.py."""
+
+    def test_unit_phasors_match_exp(self):
+        rng = np.random.default_rng(70)
+        step = 2 * np.pi / 256
+        edges = np.arange(-2000, 2001) * step / 2  # table nodes and midpoints
+        for phi in (rng.uniform(-2 * np.pi, 2 * np.pi, 200_000),
+                    rng.uniform(-1e5, 1e5, 200_000), edges,
+                    np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                    np.array([1e5, -1e5, 5e-324, -1e-300, np.pi, -np.pi])):
+            err = np.abs(_unit_phasors(phi) - np.exp(1j * phi)).max()
+            assert err <= 2e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e5, 1e5))
+    def test_unit_phasor_of_any_phase(self, phi):
+        assert abs(_unit_phasors(np.array([phi]))[0] - np.exp(1j * phi)) <= 2e-15
+
+    def test_zero_phase_is_exactly_one(self):
+        out = _unit_phasors(np.array([[0.0, -0.0], [0.0, 0.0]]))
+        assert out.dtype == complex and out.shape == (2, 2)
+        assert np.all(out.real == 1.0) and np.all(out.imag == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_refused_without_warning(self, bad):
+        h = gue_hamiltonian(4, 71)
+        v = h.eigenbasis
+        rho_h = v.conj().T @ random_density(4, 72) @ v
+        phases = np.zeros((3, 4))
+        phases[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Born distribution sums to nan"):
+                born_probabilities(h, rho_h, phases)
+            with pytest.raises(ValueError, match="Born distribution sums to nan"):
+                born_probabilities(h, rho_h, phases[1])
+
+    @pytest.mark.parametrize("rank", [1, 3, 16])
+    def test_probabilities_match_exp_kernel(self, rank):
+        h = gue_hamiltonian(16, 73)
+        v = h.eigenbasis
+        rho_h = v.conj().T @ random_density(16, 74, rank) @ v
+        phases = np.random.default_rng(75).uniform(-300, 300, size=(200, 16))
+        np.testing.assert_allclose(born_probabilities(h, rho_h, phases),
+                                   exp_born_rows(v, *_factor_state(rho_h), phases),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [4, 16])
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("tm", [
+        TimeModel("ideal-rdu"),
+        TimeModel("uniform-window", t_min=0.5, t_max=3.0),
+        TimeModel("uniform-window", t_min=2.0, t_max=22.0),
+        TimeModel("design", k=2)], ids=lambda tm: tm.describe())
+    def test_batch_equals_exp_oracle(self, tm, d, pure):
+        # each shot drawn from its own Generator, its distribution from the
+        # np.exp kernel, its outcome by Generator.choice; 80 shots of a
+        # full-rank d = 16 state span two Born chunks
+        h = gue_hamiltonian(d, 76 + d)
+        v = h.eigenbasis
+        window = tm.kind == "uniform-window"
+        for seed in range(50):
+            rho = (random_pure_state(d, seed) if pure
+                   else random_density(d, seed))
+            w, l = _factor_state(v.conj().T @ rho @ v)
+            rngs = [substream(seed, i) for i in range(80)]
+            x = np.array([draw_evolution(d, tm, rng) for rng in rngs])
+            p = exp_born_rows(v, w, l, -np.outer(x, h.energies) if window else x)
+            bits = [int(rng.choice(d, p=row)) for rng, row in zip(rngs, p)]
+            batch = run_batch(h, rho, tm, 80, seed)
+            assert batch.bits.tolist() == bits
+            assert same_bytes(batch.times if window else batch.phases, x)
 
 
 class TestSnapshotSet:

@@ -358,6 +358,30 @@ class TestFiniteTimeMap:
         with pytest.raises(ValueError, match="finite"):
             finite_time_choi(gue_hamiltonian(4, 1), 2.0, t_max)
 
+    def test_memory_guard_refuses_before_allocating(self, monkeypatch):
+        # the guard is lowered so that d = 16 (d^4 = 65536) stands for an
+        # 8-atom chain (d = 256, 32 GiB); no window build may start
+        def no_build(*args):
+            raise AssertionError("window build started")
+
+        h = gue_hamiltonian(16, 5)
+        monkeypatch.setattr(shadowmap, "MAX_WINDOW_ENTRIES", 16**4 - 1)
+        monkeypatch.setattr(shadowmap, "_window_superoperator", no_build)
+        with pytest.raises(ValueError, match=r"d = 16 holds d\^4 = 65536 doubles "
+                           r"\(0.000488281 GiB\), above MAX_WINDOW_ENTRIES = 65535"):
+            build_inverter(h, mode="finite-time", t_min=2.0, t_max=22.0)
+
+    def test_memory_guard_admits_its_limit(self, monkeypatch):
+        monkeypatch.setattr(shadowmap, "MAX_WINDOW_ENTRIES", 4**4)
+        assert finite_time_choi(gue_hamiltonian(4, 5), 2.0, 22.0).packed_inverse.shape \
+            == (16, 16)
+        with pytest.raises(ValueError, match="MAX_WINDOW_ENTRIES = 256"):
+            finite_time_choi(gue_hamiltonian(5, 5), 2.0, 22.0)
+
+    def test_memory_guard_default_admits_seven_atoms_only(self):
+        assert 128**4 * 8 == 2 * 2**30 and 128**4 <= shadowmap.MAX_WINDOW_ENTRIES
+        assert 256**4 > shadowmap.MAX_WINDOW_ENTRIES
+
     def test_superoperator_matches_einsum_definition(self):
         d, t_min, t_max = 8, 2.0, 22.0
         h = gue_hamiltonian(d, 5)
