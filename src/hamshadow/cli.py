@@ -42,6 +42,7 @@ from .sampler import (
 )
 from .shadowmap import (
     IncompleteInverterError,
+    ShadowInverter,
     apply_n_inverse,
     build_inverter,
     diagnose_detection,
@@ -228,8 +229,9 @@ def _config_int(name: str, value, minimum: int) -> int:
     return value
 
 
-def _snapshot_window(cfg: dict, recorded: TimeModel) -> TimeModel:
-    """The window the snapshots were drawn on, if the config declares it too.
+def _check_snapshot_window(cfg: dict, recorded: TimeModel) -> None:
+    """ConfigError unless the snapshots were drawn on a uniform window that
+    the config declares too.
 
     The finite-time inverse is unbiased only for the window that produced
     the data, so any other recorded ensemble is refused.
@@ -241,7 +243,23 @@ def _snapshot_window(cfg: dict, recorded: TimeModel) -> TimeModel:
     if declared.describe() != recorded.describe():
         raise ConfigError(f"snapshots were drawn with {recorded.describe()!r} "
                           f"but the config declares {declared.describe()!r}")
-    return recorded
+
+
+def _inverter(h: SpectralHamiltonian, tm: TimeModel) -> ShadowInverter:
+    """The inverse of the map that data drawn under tm went through.
+
+    A uniform window gets its finite-time map. Ideal phases, and a design of
+    order k >= 2, which matches their second moments, get the ideal map. A
+    k = 1 design is refused: its 2-point phase grid is not a 2-design, and
+    the ideal map is biased on it.
+    """
+    if tm.kind == "uniform-window":
+        return build_inverter(h, mode="finite-time", t_min=tm.t_min, t_max=tm.t_max)
+    if tm.kind == "design" and tm.k < 2:
+        raise ConfigError(f"{tm.describe()} snapshots cannot be inverted: a "
+                          "2-point phase grid is not a 2-design, so the ideal "
+                          "map is biased on them")
+    return build_inverter(h)
 
 
 class _Commands(click.Group):
@@ -338,11 +356,13 @@ def simulate(config_path, seed, shots, allow_incomplete):
 @click.option("--snapshots", "snap_path", required=True, type=click.Path())
 @click.option("--out", "out_path", default=None, type=click.Path())
 @click.option("--finite-time", is_flag=True,
-              help="Invert with the time-window-corrected map.")
+              help="Redundant: the snapshot header's time model picks the "
+                   "inverse map. Refuses snapshots not drawn on a uniform window.")
 @click.option("--wrong-postprocessing", is_flag=True,
               help="Biased comparison baseline; for figure reproduction only.")
 def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing):
-    """Estimate configured observables from a snapshot file."""
+    """Estimate configured observables from a snapshot file, inverting the
+    map of the time model its header records."""
     cfg = load_config(config_path)
     h = build_model(cfg)
     rho = build_state(cfg, h) if "state" in cfg else None
@@ -355,18 +375,10 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
     if snaps.hamiltonian_fingerprint != hamiltonian_fingerprint(h):
         _fail(EXIT_FINGERPRINT,
               "snapshot fingerprint does not match the configured Hamiltonian")
-    # every row but a wrong-postprocessing one applies the inverse, and the
-    # ideal-phase inverse is biased on window data
-    inverts = not wrong_postprocessing or any(isinstance(o, Purity) for o in obs)
-    if snaps.time_model.kind == "uniform-window" and inverts and not finite_time:
-        _fail(EXIT_CONFIG, f"snapshot error: the snapshots were drawn with "
-              f"{snaps.time_model.describe()!r}; estimate them with --finite-time")
+    if finite_time or snaps.time_model.kind == "uniform-window":
+        _check_snapshot_window(cfg, snaps.time_model)
     try:
-        if finite_time:
-            tm = _snapshot_window(cfg, snaps.time_model)
-            inv = build_inverter(h, mode="finite-time", t_min=tm.t_min, t_max=tm.t_max)
-        else:
-            inv = build_inverter(h)
+        inv = _inverter(h, snaps.time_model)
     except (np.linalg.LinAlgError, IncompleteInverterError) as e:
         _fail(EXIT_INCOMPLETE, str(e))
     except ValueError as e:  # the finite-time memory guard
@@ -524,8 +536,9 @@ def _window_sweep(seed, rho, o, header):
     for dt in [2.0, 5.0, 10.0, 20.0]:
         tm = TimeModel("uniform-window", t_min=2.0, t_max=2.0 + dt)
         try:
-            inv = build_inverter(h, mode="finite-time", t_min=2.0, t_max=2.0 + dt)
-        except np.linalg.LinAlgError:  # numerically singular window
+            inv = _inverter(h, tm)
+        except np.linalg.LinAlgError as e:  # numerically singular window
+            click.echo(f"window dt={dt!r} us refused, its row is nan: {e}", err=True)
             rows.append((dt, float("nan"), float("nan")))
             continue
         rep = estimate_linear(inv, run_batch(h, rho, tm, 4000, seed), o)

@@ -1,4 +1,5 @@
-"""Energy degeneracies and frame potentials of random diagonal unitaries.
+"""Frame potentials of random diagonal unitaries, and the package's energy
+resolution.
 
 Frame potentials, both exact: the ideal closed form and the
 finite-window value. The moment maps, finite phase designs and
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,59 +34,21 @@ MAX_FP_TERMS = 10**8  # terms panels x nodes x d of S(tau) in frame_potential_fi
 QUAD_NODES = 20  # Gauss-Legendre nodes per panel of the window frame potential
 QUAD_HALF_PHASE = 6.0  # radians of the top frequency per half panel
 QUAD_CHUNK_ENTRIES = 2**16  # complex panel phases, or S values, per chunk
-ENERGY_RESOLUTION = 1e-9  # energies, and sums or gaps of them, this close are equal
+ENERGY_RESOLUTION = 1e-9  # energies, and residual phase rates, this close are equal
 
 
 @dataclass(frozen=True)
 class DegeneracySpec:
-    """Energy list whose resonances are found within ENERGY_RESOLUTION."""
+    """The energies of a Hamiltonian, as frame_potential_finite_time takes them.
+
+    A float array and nothing more: the window map of time data gives every
+    resonant element weight 1 itself, so the spectrum needs no scan.
+    """
 
     energies: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
-
-    def second_order_resonances(self) -> Iterator[tuple[int, int, int, int]]:
-        """Quadruples (a1, a2, b1, b2), a1 <= a2 and b1 <= b2, with
-        E_a1 + E_a2 == E_b1 + E_b2, lazily, so a caller can stop early.
-
-        Energies whose sorted neighbours lie within ENERGY_RESOLUTION form
-        one level, and a quadruple is reported only if its level pairs
-        {L(a1), L(a2)} and {L(b1), L(b2)} differ: a relation that
-        degeneracies alone imply is not a resonance. The scan runs over
-        pairs of levels, so degeneracy does not lengthen it.
-        """
-        if len(self.energies) > 256:
-            raise ValueError("resonance enumeration capped at dimension 256")
-        order = np.argsort(self.energies, kind="stable")
-        gaps = np.diff(self.energies[order]) > ENERGY_RESOLUTION
-        levels = [m.tolist() for m in np.split(order, np.flatnonzero(gaps) + 1)
-                  if len(m)]
-        e = self.energies.tolist()
-        tol = 2 * ENERGY_RESOLUTION + 1e-15
-
-        def index_pairs(x, y):  # (i, j), i <= j, one in level x, one in y
-            return [(min(i, j), max(i, j)) for i in levels[x] for j in levels[y]
-                    if x != y or i <= j]
-
-        # level pairs (x, y) by their lowest index sum: pair j can resonate
-        # with an earlier pair i only while its lowest sum is within tol of
-        # the highest sum of pair i (twice tol here, against rounding)
-        first = self.energies[[m[0] for m in levels]]
-        last = self.energies[[m[-1] for m in levels]]
-        x, y = np.triu_indices(len(levels))
-        lo = first[x] + first[y]
-        by_lo = np.argsort(lo, kind="stable")
-        lo = lo[by_lo]
-        ends = np.searchsorted(lo, (last[x] + last[y])[by_lo] + 2 * tol,
-                               side="right").tolist()
-        pairs = list(zip(x[by_lo].tolist(), y[by_lo].tolist()))
-        for i, end in enumerate(ends):
-            for j in range(i + 1, end):
-                for a1, a2 in index_pairs(*pairs[i]):
-                    for b1, b2 in index_pairs(*pairs[j]):
-                        if abs((e[a1] + e[a2]) - (e[b1] + e[b2])) <= tol:
-                            yield (a1, a2, b1, b2)
 
 
 def frame_potential_rdu_exact(k: int, d: int) -> float:

@@ -557,10 +557,10 @@ def _parse_row(line: str) -> tuple:
 def load_snapshots(path) -> SnapshotSet:
     """Read a snapshot file into columns.
 
-    ValueError on a short file, and, naming the line, on a malformed row, a
-    row of the kind the time_model header does not record (t_us= for
-    uniform-window, phases= otherwise) or a phase vector whose length
-    differs from the first row's.
+    ValueError on a short file, on one with no time_model header, and,
+    naming the line, on a malformed row, a row of the kind the time_model
+    header does not record (t_us= for uniform-window, phases= otherwise) or
+    a phase vector whose length differs from the first row's.
     """
     meta = {}
     rows = []  # (line number, bitstring, field, value)
@@ -583,8 +583,10 @@ def load_snapshots(path) -> SnapshotSet:
     if meta.get("shots") != str(len(rows)):
         raise ValueError(f"{path}: header declares shots={meta.get('shots')} "
                          f"but the file holds {len(rows)} rows")
+    if "time_model" not in meta:  # it picks the inverse map: no default
+        raise ValueError(f"{path}: no time_model header")
     try:
-        tm = TimeModel.parse(meta.get("time_model", "ideal-rdu"))
+        tm = TimeModel.parse(meta["time_model"])
     except (IndexError, KeyError, ValueError) as e:
         raise ValueError(f"{path}: bad time_model header "
                          f"{meta.get('time_model')!r}") from e

@@ -16,12 +16,12 @@ import functools
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .qmatrix import SpectralHamiltonian, as_complex
-from .rdu import ENERGY_RESOLUTION, DegeneracySpec, check_window
+from .rdu import ENERGY_RESOLUTION, check_window
 
 SINGULAR_CONDITION = 1e12
 BLOCK_ENTRIES = 2**14  # entries per block of the d^4 passes of finite_time_choi
@@ -55,8 +55,6 @@ class CompletenessDiagnosis:
     basis_aligned: list
     condition_number: float      # cond(X_H), 2-norm
     map_condition_number: float  # cond(N), 2-norm: the amplification of N^-1
-    # the first 8; informational. None: not enumerated, as d is above 256
-    resonances: list | None = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
@@ -82,10 +80,6 @@ class CompletenessDiagnosis:
                 lines.append("  X_H singular")
             if self.zero_offdiagonal:
                 lines.append(f"  zero off-diagonals of X_H: {self.zero_offdiagonal}")
-        if self.resonances is None:
-            lines.append("  note: second-order resonances not enumerated above d = 256")
-        elif self.resonances:
-            lines.append(f"  note: second-order resonances (harmless): {self.resonances}")
         return "\n".join(lines)
 
 
@@ -190,11 +184,6 @@ def _diagnose(h: SpectralHamiltonian, v_sq: np.ndarray,
     del gaps
     # eigenvector columns that coincide with a computational basis vector
     aligned = np.flatnonzero(v_sq.max(axis=0) >= 1.0 - 1e-10).tolist()
-    try:  # the first 8, all that summary() reports
-        resonances = list(itertools.islice(
-            DegeneracySpec(h.energies).second_order_resonances(), 8))
-    except ValueError:  # the enumeration's cap on d
-        resonances = None
     # N applies X_H to the diagonal and scales each off-diagonal (m, n) by
     # X_mn, so its singular values are those of X_H and the |X_mn|. The
     # largest is sv[0] = 1: X_H is doubly stochastic, and positive
@@ -208,7 +197,6 @@ def _diagnose(h: SpectralHamiltonian, v_sq: np.ndarray,
         basis_aligned=aligned,
         condition_number=_ratio(sv[0], sv[-1]),
         map_condition_number=_ratio(sv[0], min(sv[-1], x_off.min())),
-        resonances=resonances,
     )
 
 
@@ -466,7 +454,8 @@ def _window_superoperator(h: SpectralHamiltonian, t_min: float,
     R satisfies _pack(G vec(sigma)) = R _pack(sigma) for Hermitian sigma.
     Each element of G carries the uniform-window average of the residual
     phase e^{-i w t} with w = E_p + E_n - E_q - E_m; resonant elements (|w|
-    below ENERGY_RESOLUTION) keep weight 1 and match the ideal map exactly.
+    below ENERGY_RESOLUTION) keep weight 1 at every window length, where
+    ideal phases keep only (p, q) = (m, n) and m = n, p = q.
     Only the rows (m, n), m <= n, of G are formed, BLOCK_ENTRIES entries at
     a time: row (n, m) is the conjugate of row (m, n) with its columns
     permuted by t, so one row gives both packed rows of R.

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,15 +13,29 @@ from click.testing import CliRunner
 import hamshadow
 from hamshadow import cli, models, qmatrix, shadowmap
 from hamshadow.cli import build_model, build_state, config_digest, main
-from hamshadow.estimators import CSV_HEADER, Observable, estimate_purity
+from hamshadow.estimators import (
+    CSV_HEADER,
+    Observable,
+    estimate_linear,
+    estimate_purity,
+)
 from hamshadow.models import pauli_tensor
-from hamshadow.sampler import load_snapshots
-from hamshadow.shadowmap import build_inverter, hamiltonian_fingerprint
+from hamshadow.sampler import TimeModel, load_snapshots, run_batch
+from hamshadow.shadowmap import (
+    _apply_packed,
+    apply_n_inverse,
+    build_inverter,
+    hamiltonian_fingerprint,
+)
 from hamshadow.variance import (
     VARIANCE_CSV_HEADER,
     purity_variance_report,
     variance_report,
 )
+
+from moments import DiagonalDesign
+from states import exact_average_state
+from superoperators import dense_window_superoperator
 
 DATA = Path(__file__).parent / "data"
 
@@ -401,13 +416,15 @@ def rewrite_rows(snap_path, keep_rows, extra_rows=()):
 class TestEstimateInputChecks:
     def test_finite_time_window_mismatch_code_2(self, tmp_path):
         # data on [2, 22] us inverted with a [2, 4] us map gave a GHZ
-        # fidelity of order 1e7 and exit 0
+        # fidelity of order 1e7 and exit 0; with or without the flag, the
+        # header's window must be the config's
         simulated(tmp_path, rydberg_window_cfg(tmp_path, 22.0))
         narrow = write_cfg(tmp_path / "narrow.yaml",
                            rydberg_window_cfg(tmp_path, 4.0))
-        res = estimate_from(narrow, tmp_path / "snaps.txt", "--finite-time")
-        assert res.exit_code == 2
-        assert "t_max=22.0" in res.output and "t_max=4.0" in res.output
+        for flags in [("--finite-time",), ()]:
+            res = estimate_from(narrow, tmp_path / "snaps.txt", *flags)
+            assert res.exit_code == 2
+            assert "t_max=22.0" in res.output and "t_max=4.0" in res.output
 
     def test_finite_time_matching_window_succeeds(self, tmp_path):
         p = simulated(tmp_path, rydberg_window_cfg(tmp_path, 22.0))
@@ -428,31 +445,40 @@ class TestEstimateInputChecks:
         assert "numerically singular (cond=" in res.output
         assert len(res.output.strip().splitlines()) == 1
 
-    def test_window_data_without_finite_time_code_2(self, tmp_path):
-        # the ideal-phase inverse on [2, 22] us data of the 5-atom chain wrote
-        # a GHZ fidelity 13 SE above the truth at 200 000 shots, with exit 0
-        p = simulated(tmp_path, dict(rydberg_window_cfg(tmp_path, 22.0), shots=50))
-        res = estimate_from(p, tmp_path / "snaps.txt")
-        assert res.exit_code == 2
-        assert "uniform-window t_min=2.0 t_max=22.0" in res.output
-        assert "--finite-time" in res.output
-        assert len(res.output.strip().splitlines()) == 1
+    def test_window_data_without_the_flag_is_finite_time(self, tmp_path):
+        # the header's window picks the map: the ideal-phase inverse wrote a
+        # GHZ fidelity 13 SE above the truth on the 5-atom chain at 200 000
+        # shots, and then exited 2 unless --finite-time was given
+        p = simulated(tmp_path, rydberg_window_cfg(tmp_path, 22.0))
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        res = estimate_from(p, tmp_path / "snaps.txt", "--out", str(plain))
+        assert res.exit_code == 0, res.output
+        res = estimate_from(p, tmp_path / "snaps.txt", "--out", str(flagged),
+                            "--finite-time")
+        assert res.exit_code == 0, res.output
+        assert plain.read_bytes() == flagged.read_bytes()
 
     def test_window_data_wrong_postprocessing_still_runs(self, tmp_path):
-        # the labelled baseline applies no inverse, so it needs no window map
+        # the labelled baseline applies no inverse
         p = simulated(tmp_path, dict(rydberg_window_cfg(tmp_path, 22.0), shots=50))
         res = estimate_from(p, tmp_path / "snaps.txt", "--wrong-postprocessing")
         assert res.exit_code == 0, res.output
         assert "ghz(wrong-postprocessing)" in res.output
 
-    def test_window_purity_wrong_postprocessing_code_2(self, tmp_path):
-        # the purity row has no baseline and would take the ideal inverse
+    def test_window_purity_wrong_postprocessing_is_finite_time(self, tmp_path):
+        # the purity row has no baseline; it took the ideal inverse, and
+        # then exited 2 unless --finite-time was given
         cfg = rydberg_window_cfg(tmp_path, 22.0)
         cfg["estimators"]["observables"].append({"kind": "purity"})
         p = simulated(tmp_path, dict(cfg, shots=50))
         res = estimate_from(p, tmp_path / "snaps.txt", "--wrong-postprocessing")
-        assert res.exit_code == 2
-        assert "--finite-time" in res.output
+        assert res.exit_code == 0, res.output
+        h = build_model(cfg)
+        snaps = load_snapshots(tmp_path / "snaps.txt")
+        inv = build_inverter(h, mode="finite-time", t_min=2.0, t_max=22.0)
+        row = estimate_purity(inv, snaps).csv_row(
+            "purity", snaps.seed, snaps.hamiltonian_fingerprint)
+        assert res.output.splitlines()[3] == row
 
     def test_finite_time_memory_guard_code_2(self, tmp_path, monkeypatch):
         # the guard is lowered so that the 4-atom chain (d = 16, d^4 = 65536)
@@ -520,6 +546,81 @@ class TestEstimateInputChecks:
         # five header lines, then the 20th row
         assert "line 25" in res.output
         assert len(res.output.strip().splitlines()) == 1
+
+
+def resonant_case():
+    """E_0 + E_2 = 2 E_1 in the eigenbasis of a d = 4 GUE, with XZ and a
+    random mixed state (truth -0.2082): ideal phases average the resonant
+    elements of the map to 0, a long window keeps them at weight 1."""
+    h = models.hamiltonian_from_unitary(models.gue_hamiltonian(4, 3).eigenbasis,
+                                        [0.0, 1.0, 2.0, 3.7])
+    a = models.random_hermitian(4, 5)
+    rho = a @ a / np.trace(a @ a).real
+    o = pauli_tensor("XZ")
+    return h, rho, o, float(np.trace(o @ rho).real)
+
+
+LONG_WINDOW = TimeModel("uniform-window", t_min=0.0, t_max=1e4)
+
+
+class TestRecordChoosesTheMap:
+    def test_ideal_phases_get_the_ideal_map(self):
+        h, _, _, _ = resonant_case()
+        assert cli._inverter(h, TimeModel("ideal-rdu")).mode == "ideal"
+
+    def test_long_window_mean_is_exact(self):
+        h, rho, o, truth = resonant_case()
+        v = h.eigenbasis
+        r, _ = dense_window_superoperator(h, LONG_WINDOW.t_min, LONG_WINDOW.t_max)
+        mean_sigma = _apply_packed(r, v.conj().T @ rho @ v)  # eigenframe
+
+        def mean(inv):
+            return np.trace(v.conj().T @ o @ v
+                            @ apply_n_inverse(inv, mean_sigma)).real
+
+        inv = cli._inverter(h, LONG_WINDOW)
+        assert inv.mode == "finite-time"
+        assert mean(inv) == pytest.approx(truth, abs=1e-12)
+        # the resonance keeps the ideal map biased at every window length
+        assert mean(build_inverter(h)) == pytest.approx(-0.2633, abs=1e-4)
+
+    def test_long_window_sample_mean(self):
+        # 100 000 shots: the chosen map lands within 4 SE of the truth, the
+        # ideal map (9.5 SE off at this seed) does not
+        h, rho, o, truth = resonant_case()
+        snaps = run_batch(h, rho, LONG_WINDOW, 100_000, 9)
+        obs = Observable(o, name="XZ")
+        rep = estimate_linear(cli._inverter(h, LONG_WINDOW), snaps, obs)
+        assert abs(rep.value - truth) < 4 * rep.std_error
+        ideal = estimate_linear(build_inverter(h), snaps, obs)
+        assert abs(ideal.value - truth) > 4 * ideal.std_error
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_design_grid_average_is_exact(self, k):
+        h, rho, o, truth = resonant_case()
+        inv = cli._inverter(h, TimeModel("design", k=k))
+        avg = exact_average_state(inv, rho, DiagonalDesign(k, 4).enumerate_phases())
+        assert np.trace(o @ avg).real == pytest.approx(truth, abs=1e-12)
+
+    def test_design_k1_refused(self):
+        # on its 2-point grid e^{2i(phi_m - phi_n)} = 1, so the ideal map's
+        # exact average over all 16 grid points is biased
+        h, rho, o, _ = resonant_case()
+        avg = exact_average_state(build_inverter(h), rho,
+                                  DiagonalDesign(1, 4).enumerate_phases())
+        assert np.trace(o @ avg).real == pytest.approx(-0.1857, abs=1e-4)
+        with pytest.raises(cli.ConfigError, match="not a 2-design"):
+            cli._inverter(h, TimeModel("design", k=1))
+
+    @pytest.mark.parametrize("k,code", [(1, 2), (2, 0), (3, 0)])
+    def test_design_snapshots(self, tmp_path, k, code):
+        p = simulated(tmp_path, base_cfg(tmp_path, time_model={"kind": "design",
+                                                               "k": k}))
+        res = estimate_from(p, tmp_path / "snaps.txt")
+        assert res.exit_code == code, res.output
+        if code:
+            assert res.output.startswith("config error: design k=1 snapshots "
+                                         "cannot be inverted")
 
 
 class TestVarianceCommand:
@@ -786,6 +887,21 @@ class TestReproduce:
         assert rows[0] == ["2.0", "nan", "nan"]
         assert [r[0] for r in rows] == ["2.0", "5.0", "10.0", "20.0"]
         assert all(np.isfinite(float(x)) for r in rows[1:] for x in r)
+
+    def test_refused_window_is_explained(self, tmp_path):
+        # the sweep wrote 2.0,nan,nan and gave no reason; the reason goes to
+        # stderr, so the CSV keeps its bytes
+        out = tmp_path / "fig4b.csv"
+        res = CliRunner().invoke(main, ["reproduce", "--figure", "fig4b",
+                                        "--seed", "3", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert out.read_text().splitlines()[:3] == [
+            "# figure=fig4b seed=3 scale=desk",
+            "window_dt_us,fidelity,std_error", "2.0,nan,nan"]
+        [line] = res.output.splitlines()
+        assert re.fullmatch(r"window dt=2\.0 us refused, its row is nan: "
+                            r"finite-time superoperator is numerically singular "
+                            r"\(cond=\d\.\d{3}e\+12, 1-norm\)", line), line
 
     @pytest.mark.parametrize("figure", ["fig3a", "fig3b", "fig10", "fig8",
                                         "fig13", "fig4b", "fig4c", "fig6",

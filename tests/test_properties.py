@@ -1,7 +1,10 @@
 """Property tests over random small Hamiltonians and snapshot columns."""
 
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -179,3 +182,30 @@ def test_quadratic_values_match_einsum(d, k, data):
     assert out.dtype == np.float64 and out.shape == (k,)
     bound = ((np.abs(z) @ np.abs(b)) * np.abs(z)).sum(axis=1)
     assert np.all(np.abs(out - ref.real) <= 1e-14 * bound)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+"""
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # on failure hypothesis imports libcst, whose mypy_extensions.TypedDict
+    # warning the project's error::DeprecationWarning turned into an
+    # INTERNALERROR that hid the falsifying example
+    config = Path(__file__).parent.parent / "pyproject.toml"
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    res = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = res.stdout + res.stderr
+    assert res.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out

@@ -8,7 +8,6 @@ import pytest
 from hamshadow import rdu
 from hamshadow.models import RydbergParams, random_positions, rydberg_hamiltonian
 from hamshadow.rdu import (
-    ENERGY_RESOLUTION,
     QUAD_HALF_PHASE,
     QUAD_NODES,
     DegeneracySpec,
@@ -121,63 +120,6 @@ class TestEnergyAwareSecondMoment:
         assert out[0 * 3 + 2, 1 * 3 + 2] == 1.0
         ideal = phi_k_diagonal(m, 2)
         assert ideal[0 * 3 + 2, 1 * 3 + 2] == 0.0
-
-    def test_second_order_resonance_detected(self):
-        # 0 + 3 == 1 + 2 is a resonance with all energies distinct
-        spec = DegeneracySpec(np.array([0.0, 1.0, 2.0, 3.0]))
-        res = list(spec.second_order_resonances())
-        assert any({a, b} == {0, 3} and {c, e} == {1, 2}
-                   or {a, b} == {1, 2} and {c, e} == {0, 3}
-                   for a, b, c, e in res)
-
-    def test_no_false_resonances(self):
-        spec = DegeneracySpec(np.array([0.0, 1.0, np.e, np.pi]))
-        assert list(spec.second_order_resonances()) == []
-
-    @pytest.mark.parametrize("e", [
-        [0.0, 1.0, 1.0, 2.0, 3.0, 3.0 + 5e-10, 4.7],
-        [2.0, 1.0 + 5e-10, 1.0, 0.5, 2.5 + 1.5e-9, 3.0 + 3e-9],
-        np.repeat([0.0, 1.3, 2.6], 3),
-    ])
-    def test_resonances_match_quadruple_loop(self, e):
-        # every pair of index pairs whose energy sums agree within
-        # 2 * ENERGY_RESOLUTION, except where both pairs meet the same
-        # levels; a level is a run of sorted energies whose neighbours lie
-        # within ENERGY_RESOLUTION
-        e = np.asarray(e, dtype=float)
-        srt = np.sort(e)
-        level = [sum(1 for a, b in zip(srt, srt[1:])
-                     if b <= x and b - a > ENERGY_RESOLUTION) for x in e]
-        pairs = [(i, j) for i in range(len(e)) for j in range(i, len(e))]
-        loop = set()
-        for p, q in itertools.combinations(pairs, 2):
-            if abs((e[p[0]] + e[p[1]]) - (e[q[0]] + e[q[1]])) > \
-                    2 * ENERGY_RESOLUTION + 1e-15:
-                continue
-            if sorted(level[i] for i in p) != sorted(level[i] for i in q):
-                loop.add(frozenset([p, q]))
-        found = [frozenset([(a1, a2), (b1, b2)]) for a1, a2, b1, b2 in
-                 DegeneracySpec(e).second_order_resonances()]
-        assert len(found) == len(set(found))
-        assert set(found) == loop
-
-    def test_relations_of_degenerate_levels_are_not_resonances(self):
-        # three 3-fold levels 0, 1.3, 2.6: 2 E_6 = 2 E_8 and E_6 + E_6 =
-        # E_7 + E_8 hold only because levels are degenerate, while
-        # 0 + 2.6 = 1.3 + 1.3 is a relation between levels
-        res = list(DegeneracySpec(np.repeat([0.0, 1.3, 2.6], 3))
-                   .second_order_resonances())
-        assert (0, 6, 3, 4) in res
-        assert not {(0, 0, 1, 1), (6, 6, 8, 8), (6, 6, 7, 8)} & set(res)
-        assert len(res) == 9 * 6  # {0, 2.6} x {1.3, 1.3} index pairs
-
-    def test_flat_spectrum_has_no_resonances_and_returns_at_once(self):
-        # one level: nothing to scan, where the index pairs of d = 256
-        # would form 5e8 pairs of pairs
-        spec = DegeneracySpec(np.full(256, 0.37))
-        start = time.perf_counter()
-        assert list(spec.second_order_resonances()) == []
-        assert time.perf_counter() - start < 0.1
 
 
 class TestDesigns:

@@ -527,6 +527,9 @@ class TestSerialization:
         ("# time_model=ideal-rdu",
          "# time_model=uniform-window t_min=1.0 t_max=2.0",
          "line 6: phases= row, but time_model=uniform-window"),
+        # the header picks the inverse map, so a file without one was taken
+        # as ideal-rdu and inverted with the ideal map whatever its data
+        ("# time_model=ideal-rdu\n", "", "snaps.txt: no time_model header"),
     ])
     def test_malformed_file_rejected(self, tmp_path, old, new, message):
         h = gue_hamiltonian(2, 33)

@@ -20,7 +20,7 @@ from hamshadow.estimators import (
     transformed_observable,
 )
 from hamshadow.qmatrix import SpectralHamiltonian, hermitian_spectral
-from hamshadow.rdu import ENERGY_RESOLUTION, DegeneracySpec
+from hamshadow.rdu import ENERGY_RESOLUTION
 from hamshadow.sampler import Snapshot
 from hamshadow.shadowmap import (
     IncompleteInverterError,
@@ -141,9 +141,6 @@ class TestDiagnosis:
         assert diag.zero_offdiagonal == [(0, j) for j in range(16, 24)]
         assert not diag.complete
         assert peak < 40e6
-        assert diag.resonances is None
-        assert ("  note: second-order resonances not enumerated above d = 256"
-                in diag.summary().splitlines())
 
     def test_flat_basis_singular(self):
         diag = diagnose_detection(hamiltonian_from_unitary(hadamard_basis(2)))
@@ -202,47 +199,18 @@ class TestDiagnosis:
         assert not diag.complete
         assert peak < 40e6
         assert len(diag.summary()) < 1000
-        # above d = 256 the resonances are not enumerated, and summary() says so
-        assert diag.resonances is None
-        assert ("  note: second-order resonances not enumerated above d = 256"
-                in diag.summary().splitlines())
 
     def test_resonances_informational_only(self):
+        # 0 + 3 = 1 + 2 does not stop the ideal map, which ideal phases
+        # need; the window map of time data weights resonant elements
+        # itself, so the diagnosis no longer lists them in a note line
         h0 = gue_hamiltonian(4, 4)
         h = hamiltonian_from_unitary(h0.eigenbasis, [0.0, 1.0, 2.0, 3.0])
         diag = diagnose_detection(h)
-        assert diag.resonances
-        assert diag.complete  # resonances alone do not break first moments
-
-    @pytest.mark.parametrize("h", [
-        hamiltonian_from_unitary(gue_hamiltonian(4, 4).eigenbasis,
-                                 [0.0, 1.0, 2.0, 3.0]),
-        hamiltonian_from_unitary(exp_family_vh(16, 2.0, 1)),
-        hamiltonian_from_unitary(hadamard_basis(3)),
-        hamiltonian_from_unitary(gue_hamiltonian(4, 3).eigenbasis,
-                                 [0.0, 1.0, 1.0, 2.0]),
-        gue_hamiltonian(8, 2),
-    ], ids=["d4-ladder", "d16-ladder", "flat", "degenerate", "gue"])
-    def test_keeps_the_first_eight_resonances(self, h):
-        diag = diagnose_detection(h)
-        full = list(DegeneracySpec(h.energies).second_order_resonances())
-        assert diag.resonances == full[:8]
-        # the summary line reads as it did when the full list was stored
-        line = f"  note: second-order resonances (harmless): {full[:8]}"
-        assert (line in diag.summary().splitlines()) == bool(full)
-
-    def test_resonance_enumeration_stops_at_eight(self):
-        # an evenly spaced d = 64 spectrum has 21 328 resonances, a 2.1 MB
-        # traced peak when they were all stored
-        h = hamiltonian_from_unitary(exp_family_vh(64, 2.0, 1))
-        tracemalloc.start()
-        try:
-            diag = diagnose_detection(h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(diag.resonances) == 8
-        assert peak < 1e6
+        assert diag.complete
+        assert diag.summary().splitlines() == [
+            "complete", f"  cond(X_H)={diag.condition_number:.3e}, "
+                        f"cond(N)={diag.map_condition_number:.3e}"]
 
     def test_build_inverter_diagnoses_once(self, monkeypatch):
         h = gue_hamiltonian(8, 2)
