@@ -18,11 +18,9 @@ import yaml
 
 from . import models
 from .estimators import (
-    CSV_HEADER,
     Observable,
     estimate_linear,
     estimate_purity,
-    median_of_means,
     snapshot_amplitudes,
     snapshot_values,
     wrong_postprocessing_values,
@@ -50,7 +48,6 @@ from .shadowmap import (
     snapshot_sigmas,
 )
 from .variance import (
-    VARIANCE_CSV_HEADER,
     empirical_variance,
     purity_variance_proxy,
     purity_variance_report,
@@ -179,6 +176,18 @@ class Purity:
     name: str = "purity"
 
 
+def _check_name(name, where: str) -> None:
+    """ConfigError unless name heads a CSV row as one plain field, which a
+    comma, double quote or line break breaks, and a leading # hides."""
+    text = str(name)
+    # any line break splits text + "." in two, a trailing one included
+    if (text.startswith("#") or "," in text or '"' in text
+            or len((text + ".").splitlines()) > 1):
+        raise ConfigError(f"{where}.name {text!r} would break its CSV row: "
+                          "no comma, double quote or line break, and no "
+                          "leading #")
+
+
 def build_observables(cfg: dict, rho: np.ndarray | None, d: int) -> list:
     """One Observable per configured one-copy entry, one Purity per purity."""
     e = cfg.get("estimators", {})
@@ -186,8 +195,10 @@ def build_observables(cfg: dict, rho: np.ndarray | None, d: int) -> list:
                   "config.estimators")
     out = []
     for i, spec in enumerate(e.get("observables", [])):
-        _require_keys(spec, {"name", "kind", "labels"}, {"kind"},
-                      f"config.estimators.observables[{i}]")
+        where = f"config.estimators.observables[{i}]"
+        _require_keys(spec, {"name", "kind", "labels"}, {"kind"}, where)
+        if "name" in spec:
+            _check_name(spec["name"], where)
         kind = spec["kind"]
         if kind == "pauli":
             labels = spec.get("labels")
@@ -302,8 +313,22 @@ def _require_writable(paths):
             _output_error(path, e)
 
 
-def _emit(out_path, text: str):
-    """Write text to out_path, or echo it when no path is given."""
+# The CSV outputs are written here only; the estimate CSV's comment line
+# names its format version, which a change to its columns or rows bumps.
+ESTIMATE_CSV_HEADER = "observable,value,std_error,num_snapshots,method,seed,fingerprint"
+VARIANCE_CSV_HEADER = ("observable,exact_second_moment,shadow_norm_sq,approx_f,"
+                       "empirical_variance,dims_note,seed,fingerprint")
+
+
+def _csv_row(*fields) -> str:
+    """One CSV row: a float by repr(float(x)), None empty, the rest by str."""
+    return ",".join("" if x is None else repr(float(x)) if isinstance(x, float)
+                    else str(x) for x in fields)
+
+
+def _emit(out_path, lines: list):
+    """Write the lines to out_path, or echo them when no path is given."""
+    text = "".join(line + "\n" for line in lines)
     if not out_path:
         click.echo(text, nl=False)
         return
@@ -358,9 +383,7 @@ def simulate(config_path, seed, shots, allow_incomplete):
 @click.option("--finite-time", is_flag=True,
               help="Redundant: the snapshot header's time model picks the "
                    "inverse map. Refuses snapshots not drawn on a uniform window.")
-@click.option("--wrong-postprocessing", is_flag=True,
-              help="Biased comparison baseline; for figure reproduction only.")
-def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing):
+def estimate(config_path, snap_path, out_path, finite_time):
     """Estimate configured observables from a snapshot file, inverting the
     map of the time model its header records."""
     cfg = load_config(config_path)
@@ -383,26 +406,18 @@ def estimate(config_path, snap_path, out_path, finite_time, wrong_postprocessing
         _fail(EXIT_INCOMPLETE, str(e))
     except ValueError as e:  # the finite-time memory guard
         _fail(EXIT_CONFIG, f"inverter error: {e}")
-    rows = []
+    lines = [f"# hamshadow estimates v3 seed={snaps.seed} "
+             f"config_digest={config_digest(cfg)}", ESTIMATE_CSV_HEADER]
     try:
         for o in obs:
-            if isinstance(o, Purity):
-                rep = estimate_purity(inv, snaps)
-                name = o.name
-            elif wrong_postprocessing:
-                vals = wrong_postprocessing_values(inv, snaps, o)
-                rep = median_of_means(vals, batches)
-                name = o.name + "(wrong-postprocessing)"
-            else:
-                rep = estimate_linear(inv, snaps, o, num_batches=batches)
-                name = o.name
-            rows.append(rep.csv_row(name, snaps.seed, snaps.hamiltonian_fingerprint))
+            rep = (estimate_purity(inv, snaps) if isinstance(o, Purity)
+                   else estimate_linear(inv, snaps, o, num_batches=batches))
+            lines.append(_csv_row(o.name, rep.value, rep.std_error,
+                                  rep.num_snapshots, rep.method, snaps.seed,
+                                  snaps.hamiltonian_fingerprint))
     except ValueError as e:
         _fail(EXIT_CONFIG, f"snapshot error: {e}")
-    text = (f"# hamshadow estimates v3 seed={snaps.seed} "
-            f"config_digest={config_digest(cfg)}\n"
-            + CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-    _emit(out_path, text)
+    _emit(out_path, lines)
 
 
 @main.command()
@@ -414,18 +429,21 @@ def variance(config_path, out_path):
     h = build_model(cfg)
     rho = build_state(cfg, h) if "state" in cfg else None
     obs = build_observables(cfg, rho, h.dim)
+    seed = _config_int("seed", cfg.get("seed", 0), 0)
     try:
         inv = build_inverter(h)
     except IncompleteInverterError as e:
         _fail(EXIT_INCOMPLETE, str(e))
     fp = hamiltonian_fingerprint(h)
-    seed = cfg.get("seed", 0)
-    rows = [(purity_variance_report(inv) if isinstance(o, Purity)
-             else variance_report(inv, o, rho=rho)).csv_row(o.name, seed, fp)
-            for o in obs]
-    text = (f"# config_digest={config_digest(cfg)}\n"
-            + VARIANCE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-    _emit(out_path, text)
+    note = f"d={inv.dim};mode={inv.mode}"
+    lines = [f"# config_digest={config_digest(cfg)}", VARIANCE_CSV_HEADER]
+    for o in obs:
+        rep = (purity_variance_report(inv) if isinstance(o, Purity)
+               else variance_report(inv, o, rho=rho))
+        # no snapshots are drawn here, so empirical_variance stays empty
+        lines.append(_csv_row(o.name, rep.exact_second_moment, rep.shadow_norm_sq,
+                              rep.approx_f, None, note, seed, fp))
+    _emit(out_path, lines)
 
 
 @main.command("frame-potential")
@@ -689,9 +707,7 @@ def reproduce(figure_key, seed, out_path):
         _require_writable([out_path])
     header, rows = FIGURES[figure_key](seed)
     lines = [f"# figure={figure_key} seed={seed} scale=desk", header]
-    lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in r)
-              for r in rows]
-    _emit(out_path, "\n".join(lines) + "\n")
+    _emit(out_path, lines + [_csv_row(*r) for r in rows])
 
 
 if __name__ == "__main__":

@@ -64,13 +64,6 @@ class EstimateReport:
         if self.std_error < 0:
             raise ValueError("std_error must be non-negative")
 
-    def csv_row(self, name: str, seed, fingerprint: str) -> str:
-        return (f"{name},{self.value!r},{self.std_error!r},"
-                f"{self.num_snapshots},{self.method},{seed},{fingerprint}")
-
-
-CSV_HEADER = "observable,value,std_error,num_snapshots,method,seed,fingerprint"
-
 
 def _eigenframe_observable(inv: ShadowInverter, o: Observable) -> np.ndarray:
     v = inv.hamiltonian.eigenbasis
@@ -177,8 +170,7 @@ def median_of_means(per_snapshot_values, num_batches: int) -> EstimateReport:
 
 def estimate_linear(inv: ShadowInverter, snaps, o: Observable,
                     num_batches: int = 1) -> EstimateReport:
-    vals = snapshot_values(inv, snaps, o)
-    return median_of_means(vals, num_batches)
+    return median_of_means(snapshot_values(inv, snaps, o), num_batches)
 
 
 def estimate_nonlinear(inv: ShadowInverter, snaps, o: Observable) -> EstimateReport:

@@ -247,6 +247,12 @@ class TimeModel:
                 raise ValueError("uniform-window requires t_min >= 0")
         if self.kind == "design" and self.k not in (1, 2, 3):
             raise ValueError("design order must be 1, 2, or 3")
+        # fields as describe() writes and parse() reads them: the ones the
+        # kind does not read take their defaults
+        window = self.kind == "uniform-window"
+        object.__setattr__(self, "t_min", float(self.t_min) if window else 0.0)
+        object.__setattr__(self, "t_max", float(self.t_max) if window else 0.0)
+        object.__setattr__(self, "k", int(self.k) if self.kind == "design" else 2)
 
     def describe(self) -> str:
         if self.kind == "uniform-window":
@@ -293,8 +299,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SnapshotSet:
-    """K snapshots as columns: outcome indices ``bits`` (K,) and exactly one
-    of the evolution ``times`` (K,), in us, or ``phases`` (K, d).
+    """K >= 1 snapshots as columns: outcome indices ``bits`` (K,) and the
+    one its time model records, ``times`` (K,), in us, for a uniform window,
+    else ``phases`` (K, d); an integer seed, a fingerprint without whitespace.
 
     The columns are read-only C-ordered copies of the arrays passed in (an
     array that is already read-only and owns its memory is kept as it is),
@@ -313,16 +320,20 @@ class SnapshotSet:
     _amplitudes: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if (self.times is None) == (self.phases is None):
-            raise ValueError("exactly one of times/phases must be set")
-        timed = self.phases is None
+        timed = self.time_model.kind == "uniform-window"
+        if (self.times is None) == timed or (self.phases is None) != timed:
+            raise ValueError(f"time_model={self.time_model.describe()} records "
+                             f"{'times' if timed else 'phases'} and nothing else")
+        if any(c.isspace() for c in self.hamiltonian_fingerprint):
+            raise ValueError("the fingerprint holds whitespace")
+        object.__setattr__(self, "seed", operator.index(self.seed))
         bits = _sealed(self.bits, np.int64)
         evolution = _sealed(self.times if timed else self.phases, float)
         if (bits.ndim != 1 or evolution.ndim != (1 if timed else 2)
-                or len(evolution) != len(bits)):
-            raise ValueError(f"outcomes of shape {bits.shape} do not match "
-                             f"evolutions of shape {evolution.shape}")
-        if bits.size and bits.min() < 0:
+                or len(evolution) != len(bits) or not evolution.size):
+            raise ValueError(f"outcomes of shape {bits.shape} and evolutions of "
+                             f"shape {evolution.shape} are not K >= 1 records")
+        if bits.min() < 0:
             raise ValueError("bitstring must be a non-negative basis index")
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "times" if timed else "phases", evolution)
@@ -526,15 +537,18 @@ def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
 #   t_us=<float> b=<int>          (or)   phases=<r1,r2,...> b=<int>
 # ---------------------------------------------------------------------------
 
+def _record_fields(snaps: SnapshotSet) -> list:
+    """The key=value lines a snapshot file's header and a manifest share."""
+    return [f"fingerprint={snaps.hamiltonian_fingerprint}", f"seed={snaps.seed}",
+            f"time_model={snaps.time_model.describe()}", f"shots={len(snaps)}"]
+
+
 def save_snapshots(path, snaps: SnapshotSet) -> None:
     bits = snaps.bits.tolist()
     with open(path, "w") as f:
         f.write("# hamshadow snapshots v1\n")
-        f.write(f"# fingerprint={snaps.hamiltonian_fingerprint}\n")
-        f.write(f"# seed={snaps.seed}\n")
-        f.write(f"# time_model={snaps.time_model.describe()}\n")
-        f.write(f"# shots={len(snaps)}\n")
-        if snaps.times is not None:
+        f.writelines(f"# {field}\n" for field in _record_fields(snaps))
+        if snaps.time_model.kind == "uniform-window":
             f.writelines(f"t_us={t!r} b={b}\n"
                          for t, b in zip(snaps.times.tolist(), bits))
         else:
@@ -557,10 +571,10 @@ def _parse_row(line: str) -> tuple:
 def load_snapshots(path) -> SnapshotSet:
     """Read a snapshot file into columns.
 
-    ValueError on a short file, on one with no time_model header, and,
-    naming the line, on a malformed row, a row of the kind the time_model
-    header does not record (t_us= for uniform-window, phases= otherwise) or
-    a phase vector whose length differs from the first row's.
+    ValueError on a short or empty file, on one with no time_model header,
+    and, naming the line, on a malformed row, a row of the kind the
+    time_model header does not record (t_us= for uniform-window, phases=
+    otherwise) or a phase vector whose length differs from the first row's.
     """
     meta = {}
     rows = []  # (line number, bitstring, field, value)
@@ -583,6 +597,8 @@ def load_snapshots(path) -> SnapshotSet:
     if meta.get("shots") != str(len(rows)):
         raise ValueError(f"{path}: header declares shots={meta.get('shots')} "
                          f"but the file holds {len(rows)} rows")
+    if not rows:
+        raise ValueError(f"{path}: no snapshot rows")
     if "time_model" not in meta:  # it picks the inverse map: no default
         raise ValueError(f"{path}: no time_model header")
     try:
@@ -599,8 +615,6 @@ def load_snapshots(path) -> SnapshotSet:
             raise ValueError(f"{path}: line {lineno}: {len(value)} phases, but "
                              f"line {rows[0][0]} holds {len(rows[0][3])}")
     col = np.array([r[3] for r in rows], dtype=float)
-    if want == "phases" and not rows:
-        col = np.empty((0, 0))
     bits = np.array([r[1] for r in rows], dtype=np.int64)
     return SnapshotSet(_read_only(bits), meta.get("fingerprint", ""),
                        int(meta.get("seed", 0)), tm, **_evolution_columns(tm, col))
@@ -609,10 +623,7 @@ def load_snapshots(path) -> SnapshotSet:
 def write_manifest(path, snaps: SnapshotSet, extra: dict | None = None) -> None:
     with open(path, "w") as f:
         f.write("hamshadow manifest v1\n")
-        f.write(f"fingerprint={snaps.hamiltonian_fingerprint}\n")
-        f.write(f"seed={snaps.seed}\n")
-        f.write(f"time_model={snaps.time_model.describe()}\n")
-        f.write(f"shots={len(snaps)}\n")
+        f.writelines(f"{field}\n" for field in _record_fields(snaps))
         f.write("rng=philox seed-sequence substream per shot index\n")
         for k, v in (extra or {}).items():
             f.write(f"{k}={v}\n")

@@ -43,28 +43,14 @@ CONTRACTION_GUARD = 2**24  # limit on d^3, the entries of the real third moment 
 @dataclass(frozen=True)
 class VarianceReport:
     approx_f: float
-    dims_note: str
     exact_second_moment: float | None = None
     shadow_norm_sq: float | None = None
-    empirical_variance: float | None = None
 
     def __post_init__(self):
-        for name in ("approx_f", "exact_second_moment", "shadow_norm_sq",
-                     "empirical_variance"):
+        for name in ("approx_f", "exact_second_moment", "shadow_norm_sq"):
             val = getattr(self, name)
             if val is not None and val < -1e-12:
                 raise ValueError(f"{name} must be non-negative, got {val}")
-
-    def csv_row(self, name: str, seed, fingerprint: str) -> str:
-        def fmt(x):
-            return "" if x is None else repr(x)
-        return (f"{name},{fmt(self.exact_second_moment)},{fmt(self.shadow_norm_sq)},"
-                f"{self.approx_f!r},{fmt(self.empirical_variance)},"
-                f"{self.dims_note},{seed},{fingerprint}")
-
-
-VARIANCE_CSV_HEADER = ("observable,exact_second_moment,shadow_norm_sq,approx_f,"
-                      "empirical_variance,dims_note,seed,fingerprint")
 
 
 def _check_guard(d: int) -> None:
@@ -238,8 +224,7 @@ def sample_complexity(epsilon: float, num_observables: int,
                          / epsilon**2))
 
 
-def variance_report(inv: ShadowInverter, o: Observable, rho=None,
-                    per_snapshot_values=None) -> VarianceReport:
+def variance_report(inv: ShadowInverter, o: Observable, rho=None) -> VarianceReport:
     if o.copies != 1:
         raise ValueError("variance_report takes one-copy observables; "
                          "purity_variance_report gives the purity row")
@@ -247,15 +232,10 @@ def variance_report(inv: ShadowInverter, o: Observable, rho=None,
     # one kernel for both fields: the same numbers as the separate calls
     kern = _second_moment_kernel(inv, transformed_observable(inv, o))
     exact = None if rho is None else _state_moment(inv, kern, check_density(rho))
-    norm = _top_eigenvalue(kern)
-    emp = None if per_snapshot_values is None else empirical_variance(per_snapshot_values)
-    note = f"d={inv.dim};mode={inv.mode}"
-    return VarianceReport(approx_f=approx, dims_note=note,
-                          exact_second_moment=exact, shadow_norm_sq=norm,
-                          empirical_variance=emp)
+    return VarianceReport(approx_f=approx, exact_second_moment=exact,
+                          shadow_norm_sq=_top_eigenvalue(kern))
 
 
 def purity_variance_report(inv: ShadowInverter) -> VarianceReport:
     """variance_report of the purity, with no SWAP matrix built."""
-    return VarianceReport(approx_f=purity_variance_proxy(inv),
-                          dims_note=f"d={inv.dim};mode={inv.mode}")
+    return VarianceReport(approx_f=purity_variance_proxy(inv))

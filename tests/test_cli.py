@@ -12,9 +12,16 @@ from click.testing import CliRunner
 
 import hamshadow
 from hamshadow import cli, models, qmatrix, shadowmap
-from hamshadow.cli import build_model, build_state, config_digest, main
+from hamshadow.cli import (
+    ESTIMATE_CSV_HEADER,
+    VARIANCE_CSV_HEADER,
+    _csv_row,
+    build_model,
+    build_state,
+    config_digest,
+    main,
+)
 from hamshadow.estimators import (
-    CSV_HEADER,
     Observable,
     estimate_linear,
     estimate_purity,
@@ -28,7 +35,6 @@ from hamshadow.shadowmap import (
     hamiltonian_fingerprint,
 )
 from hamshadow.variance import (
-    VARIANCE_CSV_HEADER,
     purity_variance_report,
     variance_report,
 )
@@ -318,7 +324,7 @@ class TestEstimate:
         assert res.exit_code == 0, res.output
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# hamshadow estimates v3 seed=5 config_digest=")
-        assert lines[1] == CSV_HEADER
+        assert lines[1] == ESTIMATE_CSV_HEADER
         fields = lines[2].split(",")
         assert fields[0] == "XZ"
         assert abs(float(fields[1])) <= 1.5  # Pauli expectation, noisy
@@ -334,16 +340,13 @@ class TestEstimate:
                                    "--snapshots", str(tmp_path / "snaps.txt")])
         assert res.exit_code == 4
 
-    def test_wrong_postprocessing_labeled(self, tmp_path):
-        cfg = base_cfg(tmp_path)
-        p = write_cfg(tmp_path / "cfg.yaml", cfg)
-        runner = CliRunner()
-        runner.invoke(main, ["simulate", "--config", p])
-        res = runner.invoke(main, ["estimate", "--config", p,
-                                   "--snapshots", str(tmp_path / "snaps.txt"),
-                                   "--wrong-postprocessing"])
-        assert res.exit_code == 0
-        assert "wrong-postprocessing" in res.output
+    def test_wrong_postprocessing_is_no_option(self, tmp_path):
+        # the biased baseline lives in reproduce --figure fig6 only
+        p = simulated(tmp_path, base_cfg(tmp_path))
+        res = estimate_from(p, tmp_path / "snaps.txt", "--wrong-postprocessing")
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+        assert "--wrong-postprocessing" in res.output
 
     def test_purity_observable(self, tmp_path):
         cfg = base_cfg(tmp_path, shots=500)
@@ -449,7 +452,9 @@ class TestEstimateInputChecks:
         # the header's window picks the map: the ideal-phase inverse wrote a
         # GHZ fidelity 13 SE above the truth on the 5-atom chain at 200 000
         # shots, and then exited 2 unless --finite-time was given
-        p = simulated(tmp_path, rydberg_window_cfg(tmp_path, 22.0))
+        cfg = rydberg_window_cfg(tmp_path, 22.0)
+        cfg["estimators"]["observables"].append({"kind": "purity"})
+        p = simulated(tmp_path, cfg)
         plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
         res = estimate_from(p, tmp_path / "snaps.txt", "--out", str(plain))
         assert res.exit_code == 0, res.output
@@ -457,28 +462,14 @@ class TestEstimateInputChecks:
                             "--finite-time")
         assert res.exit_code == 0, res.output
         assert plain.read_bytes() == flagged.read_bytes()
-
-    def test_window_data_wrong_postprocessing_still_runs(self, tmp_path):
-        # the labelled baseline applies no inverse
-        p = simulated(tmp_path, dict(rydberg_window_cfg(tmp_path, 22.0), shots=50))
-        res = estimate_from(p, tmp_path / "snaps.txt", "--wrong-postprocessing")
-        assert res.exit_code == 0, res.output
-        assert "ghz(wrong-postprocessing)" in res.output
-
-    def test_window_purity_wrong_postprocessing_is_finite_time(self, tmp_path):
-        # the purity row has no baseline; it took the ideal inverse, and
-        # then exited 2 unless --finite-time was given
-        cfg = rydberg_window_cfg(tmp_path, 22.0)
-        cfg["estimators"]["observables"].append({"kind": "purity"})
-        p = simulated(tmp_path, dict(cfg, shots=50))
-        res = estimate_from(p, tmp_path / "snaps.txt", "--wrong-postprocessing")
-        assert res.exit_code == 0, res.output
-        h = build_model(cfg)
+        # the purity row, too, takes the window's map
         snaps = load_snapshots(tmp_path / "snaps.txt")
-        inv = build_inverter(h, mode="finite-time", t_min=2.0, t_max=22.0)
-        row = estimate_purity(inv, snaps).csv_row(
-            "purity", snaps.seed, snaps.hamiltonian_fingerprint)
-        assert res.output.splitlines()[3] == row
+        inv = build_inverter(build_model(cfg), mode="finite-time",
+                             t_min=2.0, t_max=22.0)
+        pur = estimate_purity(inv, snaps)
+        assert plain.read_text().splitlines()[3] == (
+            f"purity,{pur.value!r},{pur.std_error!r},{pur.num_snapshots},"
+            f"u-statistic,{snaps.seed},{snaps.hamiltonian_fingerprint}")
 
     def test_finite_time_memory_guard_code_2(self, tmp_path, monkeypatch):
         # the guard is lowered so that the 4-atom chain (d = 16, d^4 = 65536)
@@ -650,9 +641,73 @@ class TestVarianceCommand:
         inv = build_inverter(h)
         reports = [variance_report(inv, Observable(pauli_tensor("XZ")), rho=rho),
                    purity_variance_report(inv)]
-        expected = [rep.csv_row(name, cfg["seed"], hamiltonian_fingerprint(h))
+        expected = [variance_row(name, rep, "d=4;mode=ideal", cfg["seed"],
+                                 hamiltonian_fingerprint(h))
                     for rep, name in zip(reports, ["XZ", "pur"])]
         assert out.read_text().splitlines()[2:] == expected
+
+    @pytest.mark.parametrize("seed", [[1, 2], -1, 1.5, "x", True])
+    def test_bad_seed_code_2(self, tmp_path, seed):
+        # a list seed was written raw: 9 fields under the 8-column header
+        p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path, seed=seed))
+        out = tmp_path / "var.csv"
+        res = CliRunner().invoke(main, ["variance", "--config", p,
+                                        "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.output.startswith("config error: seed must be a "
+                                     f"non-negative integer, got {seed!r}")
+        assert not out.exists()
+
+
+def variance_row(name, rep, note, seed, fingerprint) -> str:
+    """The variance CSV row of a report; empirical_variance is empty."""
+    def field(x):
+        return "" if x is None else repr(x)
+    return ",".join([name, field(rep.exact_second_moment),
+                     field(rep.shadow_norm_sq), repr(rep.approx_f), "", note,
+                     str(seed), fingerprint])
+
+
+class TestCsvRow:
+    def test_field_formats(self):
+        assert _csv_row("XZ", 0.1, np.float64(1 / 3), None, 7, np.int64(3),
+                        float("nan"), "ab") == \
+            f"XZ,0.1,{1 / 3!r},,7,3,nan,ab"
+
+
+class TestObservableNames:
+    # a comma in a name wrote 8 fields under the estimate CSV's 7 columns
+    # and exited 0; a leading # hid the row from comment-skipping readers
+    @pytest.mark.parametrize("name", ["X,Z", 'say "XZ"', "XZ\n", "a\rb",
+                                      "a\u2028b", "#XZ"])
+    @pytest.mark.parametrize("command", ["estimate", "variance"])
+    def test_row_breaking_name_code_2(self, tmp_path, command, name):
+        simulated(tmp_path, base_cfg(tmp_path))
+        cfg = base_cfg(tmp_path)
+        cfg["estimators"]["observables"] = [
+            {"kind": "purity"},
+            {"kind": "pauli", "labels": "XZ", "name": name}]
+        out = tmp_path / "out.csv"
+        args = [command, "--config", write_cfg(tmp_path / "bad.yaml", cfg),
+                "--out", str(out)]
+        if command == "estimate":
+            args += ["--snapshots", str(tmp_path / "snaps.txt")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2
+        assert res.output.startswith(
+            f"config error: config.estimators.observables[1].name {name!r} "
+            "would break its CSV row")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["X Z", "<XZ>#", "fidélité", 12])
+    def test_plain_name_heads_its_row(self, tmp_path, name):
+        p = simulated(tmp_path, base_cfg(tmp_path))
+        cfg = base_cfg(tmp_path)
+        cfg["estimators"]["observables"][0]["name"] = name
+        res = estimate_from(write_cfg(tmp_path / "named.yaml", cfg),
+                            tmp_path / "snaps.txt")
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[2].split(",")[0] == str(name)
 
 
 class TestPauliLabels:
@@ -725,14 +780,16 @@ class TestPurityBuildsNoSwap:
         rho = build_state(cfg, h)
         inv = build_inverter(h)
         snaps = load_snapshots(tmp_path / "snaps.txt")
-        purity_row = estimate_purity(inv, snaps).csv_row(
-            "pur", snaps.seed, snaps.hamiltonian_fingerprint)
+        pur = estimate_purity(inv, snaps)
+        purity_row = (f"pur,{pur.value!r},{pur.std_error!r},{pur.num_snapshots},"
+                      f"u-statistic,{snaps.seed},{snaps.hamiltonian_fingerprint}")
         reports = [variance_report(inv, Observable(pauli_tensor("XZ")), rho=rho),
                    purity_variance_report(inv)]
         variance_text = "".join(
             line + "\n" for line in
             [f"# config_digest={config_digest(cfg)}", VARIANCE_CSV_HEADER]
-            + [rep.csv_row(name, cfg["seed"], hamiltonian_fingerprint(h))
+            + [variance_row(name, rep, "d=4;mode=ideal", cfg["seed"],
+                            hamiltonian_fingerprint(h))
                for rep, name in zip(reports, ["XZ", "pur"])])
 
         def refuse(d):

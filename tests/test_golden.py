@@ -1,13 +1,17 @@
 """Byte-for-byte comparison of sampler output with committed golden files.
 
 The files under ``tests/data/golden/`` pin the exact snapshot bytes,
-manifest and ``estimate`` CSV that fixed seeds produce, so a change to the
-sampling code that alters a single draw or outcome shows here.
-Regenerate them (only when a format change is intended) with
+manifest, ``estimate`` CSV and ``variance`` CSV that fixed seeds produce, so
+a change to the sampling code that alters a single draw or outcome shows
+here. Regenerate them (only when a format change is intended) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [name ...]
+
+which rewrites only the named files, or all of them when none is named.
 """
 
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -68,24 +72,39 @@ CLI_CONFIG = {
 CLI_FILES = ["cli_snaps.txt", "cli_manifest.txt", "cli_estimate.csv"]
 
 
-def write_cli(out_dir: Path) -> list:
-    """Run simulate then estimate with relative output paths; copy to out_dir."""
+def run_cli(out_dir: Path, invocations: list, names: list) -> list:
+    """Run CLI invocations on CLI_CONFIG with relative output paths; copy
+    the named outputs to out_dir."""
     runner = CliRunner()
     with runner.isolated_filesystem() as cwd:
         with open("cfg.yaml", "w") as f:
             yaml.safe_dump(CLI_CONFIG, f)
-        res = runner.invoke(main, ["simulate", "--config", "cfg.yaml"])
-        assert res.exit_code == 0, res.output
-        res = runner.invoke(main, ["estimate", "--config", "cfg.yaml",
-                                   "--snapshots", "cli_snaps.txt",
-                                   "--out", "cli_estimate.csv"])
-        assert res.exit_code == 0, res.output
-        for name in CLI_FILES:
+        for args in invocations:
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+        for name in names:
             (out_dir / name).write_bytes((Path(cwd) / name).read_bytes())
-    return CLI_FILES
+    return names
 
 
-@pytest.mark.parametrize("writer", [write_batches, write_cli])
+def write_cli(out_dir: Path) -> list:
+    """Run simulate then estimate."""
+    return run_cli(out_dir, [["simulate", "--config", "cfg.yaml"],
+                             ["estimate", "--config", "cfg.yaml",
+                              "--snapshots", "cli_snaps.txt",
+                              "--out", "cli_estimate.csv"]], CLI_FILES)
+
+
+def write_cli_variance(out_dir: Path) -> list:
+    """Run variance."""
+    return run_cli(out_dir, [["variance", "--config", "cfg.yaml",
+                              "--out", "cli_variance.csv"]], ["cli_variance.csv"])
+
+
+WRITERS = [write_batches, write_cli, write_cli_variance]
+
+
+@pytest.mark.parametrize("writer", WRITERS)
 def test_matches_golden_bytes(tmp_path, writer):
     names = writer(tmp_path)
     for name in names:
@@ -94,11 +113,26 @@ def test_matches_golden_bytes(tmp_path, writer):
 
 def test_golden_files_have_writers(tmp_path):
     # a golden file whose writer is gone would otherwise sit unchecked
-    written = {*write_batches(tmp_path), *write_cli(tmp_path)}
+    written = {name for writer in WRITERS for name in writer(tmp_path)}
     assert {p.name for p in GOLDEN.iterdir()} == written
 
 
-if __name__ == "__main__":
+def regenerate(names: list) -> None:
+    """Rewrite the named golden files, or all of them when names is empty.
+
+    Each writer runs in a scratch directory; only the files asked for are
+    copied over, so the others keep their committed bytes.
+    """
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name in write_batches(GOLDEN) + write_cli(GOLDEN):
-        print(GOLDEN / name)
+    with tempfile.TemporaryDirectory() as tmp:
+        written = [name for writer in WRITERS for name in writer(Path(tmp))]
+        unknown = set(names) - set(written)
+        if unknown:
+            sys.exit(f"no writer for {sorted(unknown)}; known: {written}")
+        for name in names or written:
+            (GOLDEN / name).write_bytes((Path(tmp) / name).read_bytes())
+            print(GOLDEN / name)
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])

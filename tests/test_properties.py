@@ -157,6 +157,53 @@ def test_save_load_save_is_exact(d_snaps):
         (snaps.hamiltonian_fingerprint, snaps.seed, snaps.time_model)
 
 
+@st.composite
+def time_models(draw):
+    """Any TimeModel, with every field drawn whether its kind reads it or not."""
+    kind = draw(st.sampled_from(["uniform-window", "ideal-rdu", "design"]))
+    try:
+        return TimeModel(kind, t_min=draw(st.floats()), t_max=draw(st.floats()),
+                         k=draw(st.integers(0, 4)))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(time_models(), st.sampled_from(["times", "phases", "both"]),
+       st.integers(0, 4), st.integers(0, 3), st.text(), st.integers(),
+       st.data())
+def test_every_accepted_set_round_trips(tm, column, k, d, fingerprint, seed,
+                                        data):
+    # the constructor refuses exactly what a snapshot file cannot carry, and
+    # whatever it accepts is read back field for field
+    bits = data.draw(hnp.arrays(np.int64, k,
+                                elements=st.integers(-1, 2**63 - 1)))
+    columns = {}
+    if column in ("times", "both"):
+        columns["times"] = data.draw(hnp.arrays(np.float64, k))
+    if column in ("phases", "both"):
+        columns["phases"] = data.draw(hnp.arrays(np.float64, (k, d)))
+    want = "times" if tm.kind == "uniform-window" else "phases"
+    valid = (column == want and k >= 1 and (want == "times" or d >= 1)
+             and bool(np.all(bits >= 0))
+             and not any(c.isspace() for c in fingerprint))
+    try:
+        snaps = SnapshotSet(bits, fingerprint, seed, tm, **columns)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snaps.txt")
+        save_snapshots(path, snaps)
+        loaded = load_snapshots(path)
+    assert np.array_equal(loaded.bits, bits)
+    assert np.array_equal(getattr(loaded, want), columns[want], equal_nan=True)
+    assert getattr(loaded, "phases" if want == "times" else "times") is None
+    assert (loaded.hamiltonian_fingerprint, loaded.seed, loaded.time_model) == \
+        (fingerprint, seed, tm)
+
+
 @settings(max_examples=50, deadline=None)
 @given(snapshot_sets(st.floats(-1e3, 1e3)), st.integers(0, 10))
 def test_amplitudes_of_set_equal_row_list(d_snaps, hseed):

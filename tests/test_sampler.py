@@ -202,6 +202,20 @@ class TestTimeModel:
                    TimeModel("uniform-window", t_min=0.5, t_max=2.5)]:
             assert TimeModel.parse(tm.describe()) == tm
 
+    def test_fields_as_describe_writes_them(self):
+        # describe() leaves the unread fields out, so a saved and reloaded
+        # model was unequal to the one that drew the snapshots
+        assert TimeModel("ideal-rdu", t_min=1.0, t_max=2.0, k=3) == \
+            TimeModel("ideal-rdu")
+        assert TimeModel("design", t_min=1.0, t_max=2.0, k=3) == \
+            TimeModel("design", k=3)
+        assert TimeModel("uniform-window", t_min=1.0, t_max=2.0, k=3).k == 2
+        # "design k=2.0" and "t_min=np.float64(0.5)" did not parse back
+        for tm in [TimeModel("design", k=2.0), TimeModel("design", k=True),
+                   TimeModel("uniform-window", t_min=np.float64(0.5), t_max=2)]:
+            assert TimeModel.parse(tm.describe()) == tm
+            assert type(tm.k) is int and type(tm.t_min) is float
+
 
 class TestSampling:
     def test_stationary_state_always_zero(self):
@@ -428,6 +442,12 @@ class TestPhasorKernel:
             assert same_bytes(batch.times if window else batch.phases, x)
 
 
+def recording(columns) -> TimeModel:
+    """A time model whose records are the given times or phases."""
+    return (TimeModel("uniform-window", t_min=0.0, t_max=1.0)
+            if "times" in columns else TimeModel("ideal-rdu"))
+
+
 class TestSnapshotSet:
     @pytest.mark.parametrize("bits, columns", [
         ([0, 1, 2], {}),
@@ -436,16 +456,48 @@ class TestSnapshotSet:
         ([0, 1, 2], {"phases": np.zeros(3)}),
         ([0, 1, 2], {"phases": np.zeros((2, 2))}),
         ([0, -1, 2], {"times": np.zeros(3)}),
+        # empty: a file of no rows, or rows of no phases, cannot be read back
+        ([], {"times": np.zeros(0)}),
+        ([], {"phases": np.zeros((0, 2))}),
+        ([0, 1], {"phases": np.zeros((2, 0))}),
     ])
     def test_refuses_bad_columns(self, bits, columns):
         with pytest.raises(ValueError):
-            SnapshotSet(bits, "", 0, TimeModel("ideal-rdu"), **columns)
+            SnapshotSet(bits, "", 0, recording(columns), **columns)
+
+    @pytest.mark.parametrize("tm, columns", [
+        (TimeModel("uniform-window", t_min=0.0, t_max=1.0),
+         {"phases": np.zeros((2, 2))}),
+        (TimeModel("ideal-rdu"), {"times": np.zeros(2)}),
+        (TimeModel("design", k=2), {"times": np.zeros(2)}),
+    ], ids=["window-phases", "ideal-times", "design-times"])
+    def test_column_is_the_time_models(self, tm, columns):
+        # a window set of phases was saved, and load_snapshots then refused
+        # its file at the first phases= row
+        with pytest.raises(ValueError, match=f"time_model={tm.describe()} records"):
+            SnapshotSet([0, 1], "ab", 0, tm, **columns)
+
+    @pytest.mark.parametrize("fingerprint", ["a b", "ab\n", " ab"])
+    def test_fingerprint_without_whitespace(self, fingerprint):
+        # the header line would break or lose it
+        with pytest.raises(ValueError, match="whitespace"):
+            SnapshotSet([0], fingerprint, 0, TimeModel("ideal-rdu"),
+                        phases=np.zeros((1, 2)))
+
+    def test_integer_seed(self):
+        # a seed of 1.5 was saved as "# seed=1.5", which int() then refused
+        phases = np.zeros((1, 2))
+        with pytest.raises(TypeError):
+            SnapshotSet([0], "ab", 1.5, TimeModel("ideal-rdu"), phases=phases)
+        seed = SnapshotSet([0], "ab", np.int64(3), TimeModel("ideal-rdu"),
+                           phases=phases).seed
+        assert seed == 3 and type(seed) is int
 
     @pytest.mark.parametrize("column", ["times", "phases"])
     def test_columns_are_read_only_copies(self, column):
         bits = np.array([0, 1, 2])
         evolution = np.zeros(3) if column == "times" else np.zeros((3, 4))
-        snaps = SnapshotSet(bits, "", 0, TimeModel("ideal-rdu"),
+        snaps = SnapshotSet(bits, "", 0, recording([column]),
                             **{column: evolution})
         # a later write by the caller reaches neither column nor its checks
         bits[0] = -1
@@ -530,6 +582,7 @@ class TestSerialization:
         # the header picks the inverse map, so a file without one was taken
         # as ideal-rdu and inverted with the ideal map whatever its data
         ("# time_model=ideal-rdu\n", "", "snaps.txt: no time_model header"),
+        ("# shots=10\n", "# shots=0\n", "shots=0 but the file holds 10 rows"),
     ])
     def test_malformed_file_rejected(self, tmp_path, old, new, message):
         h = gue_hamiltonian(2, 33)
@@ -539,6 +592,29 @@ class TestSerialization:
         p.write_text(p.read_text().replace(old, new, 1))
         with pytest.raises(ValueError, match=message):
             load_snapshots(p)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        h = gue_hamiltonian(2, 33)
+        snaps = run_batch(h, np.eye(2) / 2, TimeModel("ideal-rdu"), 10, seed=34)
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, snaps)
+        header = [line for line in p.read_text().splitlines(keepends=True)
+                  if line.startswith("#")]
+        p.write_text("".join(header).replace("# shots=10", "# shots=0"))
+        with pytest.raises(ValueError, match="snaps.txt: no snapshot rows"):
+            load_snapshots(p)
+
+    def test_manifest_shares_the_header_fields(self, tmp_path):
+        snaps = run_batch(gue_hamiltonian(2, 35), np.eye(2) / 2,
+                          TimeModel("uniform-window", t_min=0.5, t_max=3.0),
+                          4, seed=36)
+        save_snapshots(tmp_path / "snaps.txt", snaps)
+        write_manifest(tmp_path / "manifest.txt", snaps)
+        header = (tmp_path / "snaps.txt").read_text().splitlines()[1:5]
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()[1:5]
+        assert [line.removeprefix("# ") for line in header] == manifest
+        assert [line.split("=")[0] for line in manifest] == \
+            ["fingerprint", "seed", "time_model", "shots"]
 
     def test_manifest_contents(self, tmp_path):
         h = gue_hamiltonian(2, 35)

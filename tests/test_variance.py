@@ -388,14 +388,14 @@ class TestReport:
         inv = build_inverter(h)
         o = Observable(random_hermitian(3, 25), name="obs")
         rho = random_density(3, 26)
-        rep = variance_report(inv, o, rho=rho, per_snapshot_values=[1.0, 2.0, 3.0])
+        rep = variance_report(inv, o, rho=rho)
         # one kernel serves both fields, bit for bit the separate calls
         assert rep.exact_second_moment == second_moment_exact(inv, o, rho)
         assert rep.shadow_norm_sq == shadow_norm_sq(inv, o)
-        assert rep.empirical_variance == pytest.approx(1.0)
-        assert "d=3" in rep.dims_note
-        row = rep.csv_row("obs", 1, "ff")
-        assert row.endswith("1,ff")
+        assert rep.approx_f == variance_approx_linear(inv, o)
+        # without a state there is no exact moment, and the bound remains
+        assert variance_report(inv, o) == VarianceReport(
+            approx_f=rep.approx_f, shadow_norm_sq=rep.shadow_norm_sq)
 
     def test_builds_one_kernel(self, monkeypatch):
         from hamshadow import variance
@@ -414,7 +414,7 @@ class TestReport:
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            VarianceReport(approx_f=-1.0, dims_note="x")
+            VarianceReport(approx_f=-1.0)
 
     def test_two_copy_observable_refused(self):
         inv = build_inverter(gue_hamiltonian(2, 30))
