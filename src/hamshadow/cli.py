@@ -313,11 +313,12 @@ def _require_writable(paths):
             _output_error(path, e)
 
 
-# The CSV outputs are written here only; the estimate CSV's comment line
-# names its format version, which a change to its columns or rows bumps.
+# The CSV outputs are written here only; the estimate and variance CSVs'
+# comment lines name their format versions, which a change to their columns
+# or rows bumps.
 ESTIMATE_CSV_HEADER = "observable,value,std_error,num_snapshots,method,seed,fingerprint"
 VARIANCE_CSV_HEADER = ("observable,exact_second_moment,shadow_norm_sq,approx_f,"
-                       "empirical_variance,dims_note,seed,fingerprint")
+                       "dims_note,seed,fingerprint")
 
 
 def _csv_row(*fields) -> str:
@@ -436,13 +437,13 @@ def variance(config_path, out_path):
         _fail(EXIT_INCOMPLETE, str(e))
     fp = hamiltonian_fingerprint(h)
     note = f"d={inv.dim};mode={inv.mode}"
-    lines = [f"# config_digest={config_digest(cfg)}", VARIANCE_CSV_HEADER]
+    lines = [f"# hamshadow variance v2 seed={seed} "
+             f"config_digest={config_digest(cfg)}", VARIANCE_CSV_HEADER]
     for o in obs:
         rep = (purity_variance_report(inv) if isinstance(o, Purity)
                else variance_report(inv, o, rho=rho))
-        # no snapshots are drawn here, so empirical_variance stays empty
         lines.append(_csv_row(o.name, rep.exact_second_moment, rep.shadow_norm_sq,
-                              rep.approx_f, None, note, seed, fp))
+                              rep.approx_f, note, seed, fp))
     _emit(out_path, lines)
 
 

@@ -21,8 +21,13 @@ distance of a cdf boundary.
 
 from __future__ import annotations
 
+import base64
+import itertools
 import math
 import operator
+import os
+import re
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -529,13 +534,22 @@ def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
 # ---------------------------------------------------------------------------
 # Snapshot text format
 #
-#   # hamshadow snapshots v1
+#   # hamshadow snapshots v2
 #   # fingerprint=<hex16>
 #   # seed=<int>
 #   # time_model=<description>
 #   # shots=<int>
-#   t_us=<float> b=<int>          (or)   phases=<r1,r2,...> b=<int>
+#   t_us=<float> b=<int>          (or)   phases=<base64> b=<int>
+#
+# A v2 phase row holds the standard base64 of its d little-endian IEEE-754
+# doubles, so it is written and read without formatting or parsing a float
+# and round-trips bit for bit. v1 files, whose phase rows are the reprs
+# r1,r2,... of the doubles, still load; no other version does.
 # ---------------------------------------------------------------------------
+
+_VERSION_PREFIX = "# hamshadow snapshots "
+_HEADER_FIELDS = ("fingerprint", "seed", "time_model", "shots")
+
 
 def _record_fields(snaps: SnapshotSet) -> list:
     """The key=value lines a snapshot file's header and a manifest share."""
@@ -546,78 +560,151 @@ def _record_fields(snaps: SnapshotSet) -> list:
 def save_snapshots(path, snaps: SnapshotSet) -> None:
     bits = snaps.bits.tolist()
     with open(path, "w") as f:
-        f.write("# hamshadow snapshots v1\n")
+        f.write(f"{_VERSION_PREFIX}v2\n")
         f.writelines(f"# {field}\n" for field in _record_fields(snaps))
         if snaps.time_model.kind == "uniform-window":
             f.writelines(f"t_us={t!r} b={b}\n"
                          for t, b in zip(snaps.times.tolist(), bits))
         else:
-            # row by row, so that K*d float objects never exist at once
-            f.writelines(f"phases={','.join(map(repr, ph.tolist()))} b={b}\n"
-                         for ph, b in zip(snaps.phases, bits))
+            rows = np.ascontiguousarray(snaps.phases, dtype="<f8")
+            f.writelines(f"phases={base64.b64encode(ph).decode('ascii')} b={b}\n"
+                         for ph, b in zip(rows, bits))
 
 
-def _parse_row(line: str) -> tuple:
-    """(bitstring, field, value): "t_us" with a float or "phases" with an array."""
-    fields = dict(p.split("=", 1) for p in line.split())
-    b = int(fields["b"])
-    if b < 0:
-        raise ValueError("bitstring must be a non-negative basis index")
-    if "t_us" in fields:
-        return b, "t_us", float(fields["t_us"])
-    return b, "phases", np.array([float(x) for x in fields["phases"].split(",")])
+def _v1_phases(payload: str) -> bytes:
+    """The little-endian doubles of a v1 payload r1,r2,..."""
+    return np.array([float(x) for x in payload.split(",")], dtype="<f8").tobytes()
 
 
-def load_snapshots(path) -> SnapshotSet:
-    """Read a snapshot file into columns.
+def _v2_phases(payload: str) -> bytes:
+    """The little-endian doubles of a v2 payload; ValueError unless it is
+    strict base64 of a whole, non-zero number of doubles."""
+    raw = base64.b64decode(payload, validate=True)
+    if not raw or len(raw) % 8:
+        raise ValueError(f"{len(raw)} bytes are not whole doubles")
+    return raw
 
-    ValueError on a short or empty file, on one with no time_model header,
-    and, naming the line, on a malformed row, a row of the kind the
-    time_model header does not record (t_us= for uniform-window, phases=
-    otherwise) or a phase vector whose length differs from the first row's.
+
+_PHASE_DECODERS = {"v1": _v1_phases, "v2": _v2_phases}
+
+
+def _content_lines(f):
+    """(line number, stripped line) of each non-blank line of f."""
+    for lineno, line in enumerate(f, start=1):
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
+def _parse_header(path, lines) -> tuple:
+    """(version, header fields, time model, first row) of a snapshot file's
+    non-blank (line number, line) pairs; the first row is None when there is
+    none, and seed and shots are ints.
+
+    The header is the version line and the comment lines before the first
+    row. ValueError, naming the file, unless it holds a v1 or v2 version
+    line and the fingerprint, seed, shots and time_model fields, with an
+    integer seed, a non-negative integer shots and a time model that parses.
     """
-    meta = {}
-    rows = []  # (line number, bitstring, field, value)
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("# ").strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v.strip()
-                continue
-            try:
-                rows.append((lineno, *_parse_row(line)))
-            except (KeyError, ValueError) as e:
-                raise ValueError(f"{path}: line {lineno}: malformed snapshot row "
-                                 f"{line[:60]!r}") from e
-    if meta.get("shots") != str(len(rows)):
-        raise ValueError(f"{path}: header declares shots={meta.get('shots')} "
-                         f"but the file holds {len(rows)} rows")
-    if not rows:
-        raise ValueError(f"{path}: no snapshot rows")
-    if "time_model" not in meta:  # it picks the inverse map: no default
-        raise ValueError(f"{path}: no time_model header")
+    first = next(lines, (0, ""))[1]
+    if not first.startswith(_VERSION_PREFIX):
+        raise ValueError(f"{path}: no '{_VERSION_PREFIX}v<n>' version line")
+    version = first[len(_VERSION_PREFIX):].strip()
+    if version not in _PHASE_DECODERS:
+        raise ValueError(f"{path}: unknown snapshot format version "
+                         f"{version!r}; this reader knows v1 and v2")
+    meta, row = {}, None
+    for lineno, line in lines:
+        if not line.startswith("#"):
+            row = (lineno, line)
+            break
+        body = line.lstrip("# ").strip()
+        if "=" in body:
+            k, v = body.split("=", 1)
+            meta[k.strip()] = v.strip()
+    # no defaults: the time model picks the inverse map, and the seed and
+    # fingerprint reach every CSV row
+    for key in _HEADER_FIELDS:
+        if key not in meta:
+            raise ValueError(f"{path}: no {key} header")
+    for key, pattern, kind in (("seed", "-?[0-9]+", "an integer"),
+                               ("shots", "[0-9]+", "a non-negative integer")):
+        if not re.fullmatch(pattern, meta[key]):
+            raise ValueError(f"{path}: bad {key} header {meta[key]!r}: not {kind}")
+        meta[key] = int(meta[key])
     try:
         tm = TimeModel.parse(meta["time_model"])
     except (IndexError, KeyError, ValueError) as e:
         raise ValueError(f"{path}: bad time_model header "
-                         f"{meta.get('time_model')!r}") from e
-    want = "t_us" if tm.kind == "uniform-window" else "phases"
-    for lineno, _, field, value in rows:
-        if field != want:
-            raise ValueError(f"{path}: line {lineno}: {field}= row, but "
-                             f"time_model={tm.describe()} records {want}=")
-        if field == "phases" and len(value) != len(rows[0][3]):
-            raise ValueError(f"{path}: line {lineno}: {len(value)} phases, but "
-                             f"line {rows[0][0]} holds {len(rows[0][3])}")
-    col = np.array([r[3] for r in rows], dtype=float)
-    bits = np.array([r[1] for r in rows], dtype=np.int64)
-    return SnapshotSet(_read_only(bits), meta.get("fingerprint", ""),
-                       int(meta.get("seed", 0)), tm, **_evolution_columns(tm, col))
+                         f"{meta['time_model']!r}") from e
+    return version, meta, tm, row
+
+
+def _parse_row(line: str) -> tuple:
+    """(bitstring, field, payload): field "t_us" or "phases", payload undecoded."""
+    fields = dict(p.split("=", 1) for p in line.split())
+    b = int(fields["b"])
+    if b < 0:
+        raise ValueError("bitstring must be a non-negative basis index")
+    field = "t_us" if "t_us" in fields else "phases"
+    return b, field, fields[field]
+
+
+def load_snapshots(path) -> SnapshotSet:
+    """Read a v1 or v2 snapshot file into columns.
+
+    ValueError on a header that _parse_header refuses, on a file without rows
+    or whose row count differs from its shots header, and, naming the line,
+    on a malformed row, a row of the kind the time_model header does not
+    record (t_us= for uniform-window, phases= otherwise), which is checked
+    before its payload is decoded, or a phase vector whose length differs
+    from the first row's. Phase rows are decoded straight into one (K, d)
+    array, sized by the shots header.
+    """
+    with open(path) as f:
+        st = os.fstat(f.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else math.inf  # a pipe's is 0
+        lines = _content_lines(f)
+        version, meta, tm, row = _parse_header(path, lines)
+        want = "t_us" if tm.kind == "uniform-window" else "phases"
+        decode = float if want == "t_us" else _PHASE_DECODERS[version]
+        bits, times, phases = [], [], None
+        for lineno, line in itertools.chain([row] if row else [], lines):
+            try:
+                b, field, payload = _parse_row(line)
+                if field == want:
+                    value = decode(payload)
+            except (KeyError, ValueError) as e:
+                raise ValueError(f"{path}: line {lineno}: malformed snapshot row "
+                                 f"{line[:60]!r}") from e
+            if field != want:
+                raise ValueError(f"{path}: line {lineno}: {field}= row, but "
+                                 f"time_model={tm.describe()} records {want}=")
+            if want == "t_us":
+                times.append(value)
+            else:
+                if phases is None:
+                    # a row of d phases takes at least 2 d bytes of a regular
+                    # file, which bounds what a false shots header can allocate
+                    first_line, width = lineno, len(value)
+                    phases = np.empty((min(meta["shots"], size // (width // 4)),
+                                       width // 8), dtype="<f8")
+                    dest = memoryview(phases.reshape(-1).view(np.uint8))
+                elif len(value) != width:
+                    raise ValueError(f"{path}: line {lineno}: {len(value) // 8} phases, "
+                                     f"but line {first_line} holds {width // 8}")
+                k = len(bits)
+                if k < len(phases):  # a row beyond shots= is refused below
+                    dest[k * width:(k + 1) * width] = value
+            bits.append(b)
+    if meta["shots"] != len(bits):
+        raise ValueError(f"{path}: header declares shots={meta['shots']} "
+                         f"but the file holds {len(bits)} rows")
+    if not bits:
+        raise ValueError(f"{path}: no snapshot rows")
+    col = np.array(times, dtype=float) if want == "t_us" else phases.astype(float, copy=False)
+    return SnapshotSet(_read_only(np.array(bits, dtype=np.int64)), meta["fingerprint"],
+                       meta["seed"], tm, **_evolution_columns(tm, col))
 
 
 def write_manifest(path, snaps: SnapshotSet, extra: dict | None = None) -> None:

@@ -40,6 +40,7 @@ from hamshadow.variance import (
 )
 
 from moments import DiagonalDesign
+from snapfiles import HEADER_EDITS, b64, edit_header
 from states import exact_average_state
 from superoperators import dense_window_superoperator
 
@@ -521,12 +522,34 @@ class TestEstimateInputChecks:
         assert len(res.output.strip().splitlines()) == 1
 
     def test_phase_row_in_window_file_code_2(self, tmp_path):
+        # the row's kind is checked before its payload is decoded, so a
+        # decimal phase row in a v1 file and a base64 one in a v2 file give
+        # the same refusal
         cfg = rydberg_window_cfg(tmp_path, 22.0)
         p = simulated(tmp_path, dict(cfg, shots=20))
-        rewrite_rows(tmp_path / "snaps.txt", 19, ["phases=0.1,0.2 b=0"])
+        snap_path = tmp_path / "snaps.txt"
+        rows = {"v1": "phases=0.1,0.2 b=0",
+                "v2": f"phases={b64([0.1, 0.2])} b=0"}
+        original = snap_path.read_text()
+        for version, row in rows.items():
+            snap_path.write_text(original.replace("snapshots v2",
+                                                  f"snapshots {version}", 1))
+            rewrite_rows(snap_path, 19, [row])
+            res = estimate_from(p, snap_path)
+            assert res.exit_code == 2
+            assert "line 25: phases= row" in res.output
+            assert len(res.output.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("pattern, replacement, message", HEADER_EDITS)
+    def test_incomplete_header_code_2(self, tmp_path, pattern, replacement,
+                                      message):
+        # a file without its seed header wrote seed 0 into every CSV row
+        p = simulated(tmp_path, base_cfg(tmp_path, shots=10, seed=34))
+        edit_header(tmp_path / "snaps.txt", pattern, replacement)
         res = estimate_from(p, tmp_path / "snaps.txt")
         assert res.exit_code == 2
-        assert "line 25: phases= row" in res.output
+        assert res.output.startswith("snapshot error: ")
+        assert re.search(message, res.output)
         assert len(res.output.strip().splitlines()) == 1
 
     def test_row_without_outcome_code_2(self, tmp_path):
@@ -623,8 +646,11 @@ class TestVarianceCommand:
                                         "--out", str(out)])
         assert res.exit_code == 0, res.output
         lines = out.read_text().splitlines()
+        assert lines[0] == (f"# hamshadow variance v2 seed={cfg['seed']} "
+                            f"config_digest={config_digest(cfg)}")
         assert lines[1] == VARIANCE_CSV_HEADER
         fields = lines[2].split(",")
+        assert len(fields) == len(VARIANCE_CSV_HEADER.split(","))
         # exact second moment present and below the shadow-norm bound
         assert float(fields[1]) <= float(fields[2]) + 1e-9
 
@@ -648,7 +674,7 @@ class TestVarianceCommand:
 
     @pytest.mark.parametrize("seed", [[1, 2], -1, 1.5, "x", True])
     def test_bad_seed_code_2(self, tmp_path, seed):
-        # a list seed was written raw: 9 fields under the 8-column header
+        # a list seed was written raw: one field more than the header's columns
         p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path, seed=seed))
         out = tmp_path / "var.csv"
         res = CliRunner().invoke(main, ["variance", "--config", p,
@@ -660,11 +686,11 @@ class TestVarianceCommand:
 
 
 def variance_row(name, rep, note, seed, fingerprint) -> str:
-    """The variance CSV row of a report; empirical_variance is empty."""
+    """The variance CSV row of a report."""
     def field(x):
         return "" if x is None else repr(x)
     return ",".join([name, field(rep.exact_second_moment),
-                     field(rep.shadow_norm_sq), repr(rep.approx_f), "", note,
+                     field(rep.shadow_norm_sq), repr(rep.approx_f), note,
                      str(seed), fingerprint])
 
 
@@ -787,7 +813,8 @@ class TestPurityBuildsNoSwap:
                    purity_variance_report(inv)]
         variance_text = "".join(
             line + "\n" for line in
-            [f"# config_digest={config_digest(cfg)}", VARIANCE_CSV_HEADER]
+            [f"# hamshadow variance v2 seed={cfg['seed']} "
+             f"config_digest={config_digest(cfg)}", VARIANCE_CSV_HEADER]
             + [variance_row(name, rep, "d=4;mode=ideal", cfg["seed"],
                             hamiltonian_fingerprint(h))
                for rep, name in zip(reports, ["XZ", "pur"])])

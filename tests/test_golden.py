@@ -8,6 +8,8 @@ here. Regenerate them (only when a format change is intended) with
     PYTHONPATH=src python tests/test_golden.py [name ...]
 
 which rewrites only the named files, or all of them when none is named.
+The snapshot files under ``tests/data/v1/`` are the same runs in format v1,
+which nothing here rewrites: they pin that v1 files still load.
 """
 
 import sys
@@ -21,9 +23,10 @@ from click.testing import CliRunner
 
 from hamshadow.cli import main
 from hamshadow.models import gue_hamiltonian
-from hamshadow.sampler import TimeModel, run_batch, save_snapshots
+from hamshadow.sampler import TimeModel, load_snapshots, run_batch, save_snapshots
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+V1 = Path(__file__).parent / "data" / "v1"
 SHOTS = 300
 
 
@@ -115,6 +118,27 @@ def test_golden_files_have_writers(tmp_path):
     # a golden file whose writer is gone would otherwise sit unchecked
     written = {name for writer in WRITERS for name in writer(tmp_path)}
     assert {p.name for p in GOLDEN.iterdir()} == written
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in V1.iterdir()))
+def test_v1_file_loads_as_its_golden(name):
+    assert (V1 / name).read_text().startswith("# hamshadow snapshots v1\n")
+    v1, golden = load_snapshots(V1 / name), load_snapshots(GOLDEN / name)
+    assert (v1.hamiltonian_fingerprint, v1.seed, v1.time_model) == \
+        (golden.hamiltonian_fingerprint, golden.seed, golden.time_model)
+    assert v1.bits.tolist() == golden.bits.tolist()
+    for col in ("times", "phases"):
+        a, b = getattr(v1, col), getattr(golden, col)
+        assert (a is None) == (b is None)
+        assert a is None or a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+
+
+def test_estimate_of_v1_file_matches_golden(tmp_path):
+    run_cli(tmp_path, [["estimate", "--config", "cfg.yaml",
+                        "--snapshots", str(V1 / "cli_snaps.txt"),
+                        "--out", "cli_estimate.csv"]], ["cli_estimate.csv"])
+    assert (tmp_path / "cli_estimate.csv").read_bytes() == \
+        (GOLDEN / "cli_estimate.csv").read_bytes()
 
 
 def regenerate(names: list) -> None:

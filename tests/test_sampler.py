@@ -1,3 +1,5 @@
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from born import exp_born_rows
+from snapfiles import HEADER_EDITS, b64, edit_header, rewrite_phase_rows
 from hamshadow import sampler
 from hamshadow.models import gue_hamiltonian, random_pure_state
 from hamshadow.qmatrix import hermitian_spectral
@@ -540,6 +543,12 @@ class TestSnapshotSet:
                 np.testing.assert_array_equal([s.phases for s in rows], snaps.phases)
 
 
+def two_phase_batch() -> SnapshotSet:
+    """Ten ideal-phase snapshots of d = 2: rows on lines 6 to 15 of a file."""
+    return run_batch(gue_hamiltonian(2, 33), np.eye(2) / 2, TimeModel("ideal-rdu"),
+                     10, seed=34)
+
+
 class TestSerialization:
     def test_roundtrip_time_snapshots(self, tmp_path):
         h = gue_hamiltonian(4, 30)
@@ -583,15 +592,23 @@ class TestSerialization:
         # as ideal-rdu and inverted with the ideal map whatever its data
         ("# time_model=ideal-rdu\n", "", "snaps.txt: no time_model header"),
         ("# shots=10\n", "# shots=0\n", "shots=0 but the file holds 10 rows"),
+        ("# shots=10\n", "# shots=9\n", "shots=9 but the file holds 10 rows"),
+        # a column of 10^13 rows would not fit in memory
+        ("# shots=10\n", "# shots=10000000000000\n",
+         "shots=10000000000000 but the file holds 10 rows"),
     ])
     def test_malformed_file_rejected(self, tmp_path, old, new, message):
-        h = gue_hamiltonian(2, 33)
-        snaps = run_batch(h, np.eye(2) / 2, TimeModel("ideal-rdu"), 10, seed=34)
+        # the edit is made on the v1 form of the file, whose phase rows are
+        # decimal; the same file with its phase rows in v2 base64 is refused
+        # with the same message
         p = tmp_path / "snaps.txt"
-        save_snapshots(p, snaps)
+        save_snapshots(p, two_phase_batch())
+        rewrite_phase_rows(p, "v1")
         p.write_text(p.read_text().replace(old, new, 1))
-        with pytest.raises(ValueError, match=message):
-            load_snapshots(p)
+        for version in ("v1", "v2"):
+            rewrite_phase_rows(p, version)
+            with pytest.raises(ValueError, match=message):
+                load_snapshots(p)
 
     def test_header_only_file_rejected(self, tmp_path):
         h = gue_hamiltonian(2, 33)
@@ -627,3 +644,112 @@ class TestSerialization:
         assert "shots=4" in text
         assert "note=x" in text
         assert "\nrng=philox seed-sequence substream per shot index\n" in text
+
+
+def edit_phase_row(path, lineno, payload):
+    """Put payload in place of the phase payload on line lineno."""
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[lineno - 1].startswith("phases=")
+    lines[lineno - 1] = f"phases={payload} {lines[lineno - 1].split(' ', 1)[1]}"
+    path.write_text("".join(lines))
+
+
+def row_payload(path, lineno) -> str:
+    return path.read_text().splitlines()[lineno - 1].split()[0][len("phases="):]
+
+
+class TestSnapshotFileV2:
+    def test_phase_rows_are_base64_doubles(self, tmp_path):
+        snaps = two_phase_batch()
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, snaps)
+        lines = p.read_text().splitlines()
+        assert lines[0] == "# hamshadow snapshots v2"
+        assert lines[5:] == [f"phases={b64(ph)} b={b}"
+                             for ph, b in zip(snaps.phases, snaps.bits.tolist())]
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        # -0.0, the least subnormal, 2 pi - ulp and two NaNs, the second with
+        # the sign bit and a payload, which a repr written and read back as
+        # float("nan") would lose
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000001234],
+                        dtype=np.uint64).view(float)
+        phases = np.array([[-0.0, 5e-324, np.nextafter(2 * np.pi, 0), nans[0]],
+                           [nans[1], 0.0, -np.inf, 1e308]])
+        snaps = SnapshotSet([1, 3], "ab", 7, TimeModel("ideal-rdu"), phases=phases)
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, snaps)
+        loaded = load_snapshots(p)
+        assert loaded.phases.view(np.uint64).tolist() == \
+            phases.view(np.uint64).tolist()
+        assert loaded.bits.tolist() == [1, 3]
+
+    @pytest.mark.parametrize("edit, message", [
+        # "-" belongs to the URL-safe alphabet, not the standard one
+        (lambda payload: "-" + payload[1:], "line 7: malformed snapshot row"),
+        (lambda payload: payload[:-1], "line 7: malformed snapshot row"),
+        (lambda payload: payload + "=", "line 7: malformed snapshot row"),
+        (lambda payload: b64([0.5])[:-1] + "A", "line 7: malformed snapshot row"),
+        (lambda payload: "", "line 7: malformed snapshot row"),
+        (lambda payload: b64([0.5, 1.5, 2.5]), "line 7: 3 phases, but line 6 holds 2"),
+    ], ids=["non-alphabet", "bad-padding", "extra-padding", "partial-double",
+            "empty", "phase-count"])
+    def test_bad_payload_rejected(self, tmp_path, edit, message):
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, two_phase_batch())
+        edit_phase_row(p, 7, edit(row_payload(p, 7)))
+        with pytest.raises(ValueError, match=message):
+            load_snapshots(p)
+
+    @pytest.mark.parametrize("tm", [TimeModel("ideal-rdu"), TimeModel("design", k=3),
+                                    TimeModel("uniform-window", t_min=0.5, t_max=3.0)],
+                             ids=lambda tm: tm.kind)
+    def test_shorter_run_is_a_prefix(self, tmp_path, tm):
+        h, rho = gue_hamiltonian(4, 70), random_density(4, 71)
+        rows = {}
+        for k in (20, 50):
+            save_snapshots(tmp_path / f"{k}.txt", run_batch(h, rho, tm, k, seed=72))
+            rows[k] = (tmp_path / f"{k}.txt").read_bytes().splitlines(keepends=True)[5:]
+        assert len(rows[20]) == 20
+        assert rows[50][:20] == rows[20]
+
+    @pytest.mark.parametrize("pattern, replacement, message", HEADER_EDITS)
+    def test_incomplete_header_rejected(self, tmp_path, pattern, replacement,
+                                        message):
+        # a missing seed was read as 0 and a missing fingerprint as ""
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, two_phase_batch())
+        edit_header(p, pattern, replacement)
+        with pytest.raises(ValueError, match=message):
+            load_snapshots(p)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        # a pipe reports size 0, which must not cap the rows that are kept
+        snaps = two_phase_batch()
+        save_snapshots(tmp_path / "snaps.txt", snaps)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=((tmp_path / "snaps.txt").read_bytes(),))
+        writer.start()
+        try:
+            loaded = load_snapshots(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(loaded.phases, snaps.phases)
+
+    def test_empty_file_rejected(self, tmp_path):
+        p = tmp_path / "snaps.txt"
+        p.write_text("")
+        with pytest.raises(ValueError, match="snaps.txt: no '# hamshadow snapshots"):
+            load_snapshots(p)
+
+    def test_header_line_after_rows_rejected(self, tmp_path):
+        # the header is the comment lines before the first row
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, two_phase_batch())
+        p.write_text(p.read_text() + "# seed=3\n")
+        with pytest.raises(ValueError, match="line 16: malformed snapshot row"):
+            load_snapshots(p)
