@@ -104,26 +104,28 @@ def build_model(cfg: dict) -> SpectralHamiltonian:
                   "config.model")
     kind = m["kind"]
     try:
+        seed = _config_int("seed", m.get("seed", 0), 0)
         if kind == "rydberg":
             if "positions" in m:
                 pos = np.asarray(m["positions"], dtype=float)
             else:
                 pos = models.random_positions(
-                    int(m["num_atoms"]), m.get("spacing", models.DEFAULT_SPACING),
-                    m.get("jitter", models.DEFAULT_JITTER), int(m.get("seed", 0)))
+                    _config_int("num_atoms", m["num_atoms"], 1),
+                    m.get("spacing", models.DEFAULT_SPACING),
+                    m.get("jitter", models.DEFAULT_JITTER), seed)
             return models.rydberg_hamiltonian(models.RydbergParams(pos))
         if kind == "gue":
-            return models.gue_hamiltonian(int(m["dim"]), int(m.get("seed", 0)))
+            return models.gue_hamiltonian(_config_int("dim", m["dim"], 1), seed)
         if kind == "exp-family":
-            v = models.exp_family_vh(int(m["dim"]), float(m["theta"]),
-                                     int(m.get("seed", 0)))
+            v = models.exp_family_vh(_config_int("dim", m["dim"], 1),
+                                     float(m["theta"]), seed)
             return models.hamiltonian_from_unitary(v)
         if kind == "single-qubit-theta":
             return models.single_qubit_theta(float(m["theta"]))
         if kind == "hadamard":
             return models.hamiltonian_from_unitary(
-                models.hadamard_basis(int(m["n"])))
-    except (KeyError, TypeError, ValueError) as e:
+                models.hadamard_basis(_config_int("n", m["n"], 0)))
+    except (ConfigError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad model section: {e}")
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -136,8 +138,8 @@ def build_state(cfg: dict, h: SpectralHamiltonian) -> np.ndarray:
                   {"kind"}, "config.state")
     kind = s["kind"]
     try:
-        n, seed = int(s.get("n", 0)), int(s.get("seed", 0))
-        n_zero, n_one = int(s.get("n_zero", 0)), int(s.get("n_one", 0))
+        n, seed, n_zero, n_one = (_config_int(key, s.get(key, 0), 0)
+                                  for key in ("n", "seed", "n_zero", "n_one"))
         beta = float(s.get("beta", 1.0))
         if kind == "ghz":
             return models.ghz_state(n)
@@ -149,7 +151,7 @@ def build_state(cfg: dict, h: SpectralHamiltonian) -> np.ndarray:
             return models.random_pure_state(2**n, seed)
         if kind == "thermal":
             return models.thermal_state(h, beta)
-    except (TypeError, ValueError) as e:
+    except (ConfigError, TypeError, ValueError) as e:
         raise ConfigError(f"bad state section: {e}")
     raise ConfigError(f"bad state section: unknown state kind {kind!r}")
 
@@ -163,8 +165,8 @@ def build_time_model(cfg: dict) -> TimeModel:
     try:
         return TimeModel(t["kind"], t_min=float(t.get("t_min", 0.0)),
                          t_max=float(t.get("t_max", 0.0)),
-                         k=int(t.get("k", 2)))
-    except (TypeError, ValueError) as e:
+                         k=_config_int("k", t.get("k", 2), 1))
+    except (ConfigError, TypeError, ValueError) as e:
         raise ConfigError(f"bad time_model section: {e}")
 
 

@@ -22,7 +22,6 @@ distance of a cdf boundary.
 from __future__ import annotations
 
 import base64
-import itertools
 import math
 import operator
 import os
@@ -229,6 +228,11 @@ def _evolution_draws(seed: int, shots: np.ndarray, tm: TimeModel,
     return x, u
 
 
+# the fields each kind of TimeModel reads, in describe() order, and their types
+_KIND_FIELDS = {"uniform-window": {"t_min": float, "t_max": float},
+                "ideal-rdu": {}, "design": {"k": int}}
+
+
 @dataclass(frozen=True)
 class TimeModel:
     """How the random evolution is drawn for each shot.
@@ -244,7 +248,7 @@ class TimeModel:
     k: int = 2
 
     def __post_init__(self):
-        if self.kind not in ("uniform-window", "ideal-rdu", "design"):
+        if self.kind not in _KIND_FIELDS:
             raise ValueError(f"unknown time model {self.kind!r}")
         if self.kind == "uniform-window":
             check_window(self.t_min, self.t_max)
@@ -260,22 +264,22 @@ class TimeModel:
         object.__setattr__(self, "k", int(self.k) if self.kind == "design" else 2)
 
     def describe(self) -> str:
-        if self.kind == "uniform-window":
-            return f"uniform-window t_min={self.t_min!r} t_max={self.t_max!r}"
-        if self.kind == "design":
-            return f"design k={self.k}"
-        return "ideal-rdu"
+        return " ".join([self.kind, *(f"{key}={getattr(self, key)!r}"
+                                      for key in _KIND_FIELDS[self.kind])])
 
     @staticmethod
     def parse(text: str) -> "TimeModel":
-        parts = text.split()
-        kind = parts[0]
-        kw = dict(p.split("=", 1) for p in parts[1:])
-        if kind == "uniform-window":
-            return TimeModel(kind, t_min=float(kw["t_min"]), t_max=float(kw["t_max"]))
-        if kind == "design":
-            return TimeModel(kind, k=int(kw["k"]))
-        return TimeModel(kind)
+        """The model whose describe() is text; ValueError on any other text."""
+        kind, *tokens = text.split(" ")
+        types = _KIND_FIELDS.get(kind, {})  # TimeModel refuses an unknown kind
+        fields = [token.partition("=") for token in tokens]
+        if [(key, sep) for key, sep, _ in fields] != [(key, "=") for key in types]:
+            form = " ".join([kind, *(f"{key}=<{key}>" for key in types)])
+            raise ValueError(f"time model {text!r} is not of the form {form!r}")
+        tm = TimeModel(kind, **{key: types[key](value) for key, _, value in fields})
+        if tm.describe() != text:  # float() and int() also read "1", "2e1", "+2"
+            raise ValueError(f"time model {text!r} is not as describe() writes it")
+        return tm
 
 
 @dataclass(frozen=True)
@@ -306,7 +310,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class SnapshotSet:
     """K >= 1 snapshots as columns: outcome indices ``bits`` (K,) and the
     one its time model records, ``times`` (K,), in us, for a uniform window,
-    else ``phases`` (K, d); an integer seed, a fingerprint without whitespace.
+    else ``phases`` (K, d), times within the window; an integer seed, and a
+    fingerprint of printable ASCII without whitespace.
 
     The columns are read-only C-ordered copies of the arrays passed in (an
     array that is already read-only and owns its memory is kept as it is),
@@ -329,8 +334,9 @@ class SnapshotSet:
         if (self.times is None) == timed or (self.phases is None) != timed:
             raise ValueError(f"time_model={self.time_model.describe()} records "
                              f"{'times' if timed else 'phases'} and nothing else")
-        if any(c.isspace() for c in self.hamiltonian_fingerprint):
-            raise ValueError("the fingerprint holds whitespace")
+        pattern, kind = _HEADER_FIELDS["fingerprint"]  # as a file's header holds it
+        if not re.fullmatch(pattern, self.hamiltonian_fingerprint):
+            raise ValueError(f"the fingerprint is not {kind}")
         object.__setattr__(self, "seed", operator.index(self.seed))
         bits = _sealed(self.bits, np.int64)
         evolution = _sealed(self.times if timed else self.phases, float)
@@ -340,6 +346,9 @@ class SnapshotSet:
                              f"shape {evolution.shape} are not K >= 1 records")
         if bits.min() < 0:
             raise ValueError("bitstring must be a non-negative basis index")
+        lo, hi = self.time_model.t_min, self.time_model.t_max
+        if timed and not np.all((lo <= evolution) & (evolution <= hi)):
+            raise ValueError(f"a time lies outside the window [{lo!r}, {hi!r}] us")
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "times" if timed else "phases", evolution)
 
@@ -532,15 +541,16 @@ def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
 
 
 # ---------------------------------------------------------------------------
-# Snapshot text format
+# Snapshot text format: ASCII lines, each ending in "\n", exactly
 #
 #   # hamshadow snapshots v2
-#   # fingerprint=<hex16>
+#   # fingerprint=<printable ASCII>       the _HEADER_FIELDS lines, in order
 #   # seed=<int>
-#   # time_model=<description>
-#   # shots=<int>
-#   t_us=<float> b=<int>          (or)   phases=<base64> b=<int>
+#   # time_model=<TimeModel.describe()>
+#   # shots=<K>
+#   t_us=<float> b=<int>   (or)   phases=<base64> b=<int>     (K rows of one kind)
 #
+# with no blank line, no other field and no other whitespace.
 # A v2 phase row holds the standard base64 of its d little-endian IEEE-754
 # doubles, so it is written and read without formatting or parsing a float
 # and round-trips bit for bit. v1 files, whose phase rows are the reprs
@@ -548,18 +558,25 @@ def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
 # ---------------------------------------------------------------------------
 
 _VERSION_PREFIX = "# hamshadow snapshots "
-_HEADER_FIELDS = ("fingerprint", "seed", "time_model", "shots")
+# the header lines in order, which the manifest shares: each key, the pattern
+# of its value and what that reads (the time model is then parsed)
+_HEADER_FIELDS = {"fingerprint": ("[!-~]*", "printable ASCII without whitespace"),
+                  "seed": ("-?[0-9]+", "an integer"),
+                  "time_model": ("[ -~]*", "printable ASCII"),
+                  "shots": ("[0-9]+", "a non-negative integer")}
+_ROW = re.compile(r"(t_us|phases)=([!-~]+) b=([0-9]+)\n")
 
 
 def _record_fields(snaps: SnapshotSet) -> list:
     """The key=value lines a snapshot file's header and a manifest share."""
-    return [f"fingerprint={snaps.hamiltonian_fingerprint}", f"seed={snaps.seed}",
-            f"time_model={snaps.time_model.describe()}", f"shots={len(snaps)}"]
+    values = (snaps.hamiltonian_fingerprint, snaps.seed,
+              snaps.time_model.describe(), len(snaps))
+    return [f"{key}={value}" for key, value in zip(_HEADER_FIELDS, values)]
 
 
 def save_snapshots(path, snaps: SnapshotSet) -> None:
     bits = snaps.bits.tolist()
-    with open(path, "w") as f:
+    with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(f"{_VERSION_PREFIX}v2\n")
         f.writelines(f"# {field}\n" for field in _record_fields(snaps))
         if snaps.time_model.kind == "uniform-window":
@@ -588,106 +605,85 @@ def _v2_phases(payload: str) -> bytes:
 _PHASE_DECODERS = {"v1": _v1_phases, "v2": _v2_phases}
 
 
-def _content_lines(f):
-    """(line number, stripped line) of each non-blank line of f."""
-    for lineno, line in enumerate(f, start=1):
-        line = line.strip()
-        if line:
-            yield lineno, line
-
-
 def _parse_header(path, lines) -> tuple:
-    """(version, header fields, time model, first row) of a snapshot file's
-    non-blank (line number, line) pairs; the first row is None when there is
-    none, and seed and shots are ints.
-
-    The header is the version line and the comment lines before the first
-    row. ValueError, naming the file, unless it holds a v1 or v2 version
-    line and the fingerprint, seed, shots and time_model fields, with an
-    integer seed, a non-negative integer shots and a time model that parses.
-    """
-    first = next(lines, (0, ""))[1]
-    if not first.startswith(_VERSION_PREFIX):
+    """(version, fingerprint, seed, time model, shots) of a snapshot file's
+    first five (line number, line) pairs: a v1 or v2 version line, then the
+    _HEADER_FIELDS lines in order. ValueError, naming the file, on any other."""
+    line = next(lines, (1, ""))[1]
+    if not line.startswith(_VERSION_PREFIX):
         raise ValueError(f"{path}: no '{_VERSION_PREFIX}v<n>' version line")
-    version = first[len(_VERSION_PREFIX):].strip()
+    version = line[len(_VERSION_PREFIX):].removesuffix("\n")
     if version not in _PHASE_DECODERS:
         raise ValueError(f"{path}: unknown snapshot format version "
                          f"{version!r}; this reader knows v1 and v2")
-    meta, row = {}, None
-    for lineno, line in lines:
-        if not line.startswith("#"):
-            row = (lineno, line)
-            break
-        body = line.lstrip("# ").strip()
-        if "=" in body:
-            k, v = body.split("=", 1)
-            meta[k.strip()] = v.strip()
-    # no defaults: the time model picks the inverse map, and the seed and
-    # fingerprint reach every CSV row
-    for key in _HEADER_FIELDS:
-        if key not in meta:
-            raise ValueError(f"{path}: no {key} header")
-    for key, pattern, kind in (("seed", "-?[0-9]+", "an integer"),
-                               ("shots", "[0-9]+", "a non-negative integer")):
-        if not re.fullmatch(pattern, meta[key]):
-            raise ValueError(f"{path}: bad {key} header {meta[key]!r}: not {kind}")
-        meta[key] = int(meta[key])
+    values = []
+    for lineno, (key, (pattern, kind)) in enumerate(_HEADER_FIELDS.items(), start=2):
+        header = re.fullmatch(f"# {key}=(.*)\n", next(lines, (lineno, ""))[1])
+        if header is None:
+            raise ValueError(f"{path}: no {key} header on line {lineno}")
+        value = header[1]
+        if not re.fullmatch(pattern, value):
+            raise ValueError(f"{path}: bad {key} header {value!r}: not {kind}")
+        values.append(value)
+    fingerprint, seed, time_model, shots = values
     try:
-        tm = TimeModel.parse(meta["time_model"])
-    except (IndexError, KeyError, ValueError) as e:
-        raise ValueError(f"{path}: bad time_model header "
-                         f"{meta['time_model']!r}") from e
-    return version, meta, tm, row
+        tm = TimeModel.parse(time_model)
+    except ValueError as e:
+        raise ValueError(f"{path}: bad time_model header {time_model!r}") from e
+    return version, fingerprint, int(seed), tm, int(shots)
 
 
-def _parse_row(line: str) -> tuple:
-    """(bitstring, field, payload): field "t_us" or "phases", payload undecoded."""
-    fields = dict(p.split("=", 1) for p in line.split())
-    b = int(fields["b"])
-    if b < 0:
-        raise ValueError("bitstring must be a non-negative basis index")
-    field = "t_us" if "t_us" in fields else "phases"
-    return b, field, fields[field]
+def _malformed(path, lineno: int, line: str) -> ValueError:
+    return ValueError(f"{path}: line {lineno}: malformed snapshot row {line[:60]!r}")
 
 
 def load_snapshots(path) -> SnapshotSet:
     """Read a v1 or v2 snapshot file into columns.
 
     ValueError on a header that _parse_header refuses, on a file without rows
-    or whose row count differs from its shots header, and, naming the line,
-    on a malformed row, a row of the kind the time_model header does not
-    record (t_us= for uniform-window, phases= otherwise), which is checked
-    before its payload is decoded, or a phase vector whose length differs
-    from the first row's. Phase rows are decoded straight into one (K, d)
-    array, sized by the shots header.
+    or other than shots= of them, and, naming the line, on a row that _ROW
+    does not match (a byte outside ASCII reads as a lone surrogate), of the
+    kind the time model does not record (checked before its payload is
+    decoded), whose payload does not decode, whose time lies outside the
+    window, whose outcome exceeds 64 bits or whose phase count differs from
+    the first row's. Phase rows are decoded into one (K, d) array.
     """
-    with open(path) as f:
+    with open(path, encoding="ascii", errors="surrogateescape", newline="\n") as f:
         st = os.fstat(f.fileno())
         size = st.st_size if stat.S_ISREG(st.st_mode) else math.inf  # a pipe's is 0
-        lines = _content_lines(f)
-        version, meta, tm, row = _parse_header(path, lines)
-        want = "t_us" if tm.kind == "uniform-window" else "phases"
-        decode = float if want == "t_us" else _PHASE_DECODERS[version]
+        lines = enumerate(f, start=1)
+        version, fingerprint, seed, tm, shots = _parse_header(path, lines)
+        window = tm.kind == "uniform-window"
+        want = "t_us" if window else "phases"
+        decode = float if window else _PHASE_DECODERS[version]
         bits, times, phases = [], [], None
-        for lineno, line in itertools.chain([row] if row else [], lines):
-            try:
-                b, field, payload = _parse_row(line)
-                if field == want:
-                    value = decode(payload)
-            except (KeyError, ValueError) as e:
-                raise ValueError(f"{path}: line {lineno}: malformed snapshot row "
-                                 f"{line[:60]!r}") from e
-            if field != want:
-                raise ValueError(f"{path}: line {lineno}: {field}= row, but "
+        for lineno, line in lines:
+            row = _ROW.fullmatch(line)
+            if row is None:
+                raise _malformed(path, lineno, line)
+            kind, payload, b = row.groups()
+            if kind != want:
+                raise ValueError(f"{path}: line {lineno}: {kind}= row, but "
                                  f"time_model={tm.describe()} records {want}=")
-            if want == "t_us":
+            try:
+                value = decode(payload)
+            except ValueError as e:
+                raise _malformed(path, lineno, line) from e
+            b = int(b)
+            if b >= 2**63:
+                raise ValueError(f"{path}: line {lineno}: outcome b={b} "
+                                 "exceeds 64 bits")
+            if window:
+                if not tm.t_min <= value <= tm.t_max:
+                    raise ValueError(f"{path}: line {lineno}: t_us={payload} lies "
+                                     f"outside the window [{tm.t_min!r}, {tm.t_max!r}] us")
                 times.append(value)
             else:
                 if phases is None:
                     # a row of d phases takes at least 2 d bytes of a regular
                     # file, which bounds what a false shots header can allocate
                     first_line, width = lineno, len(value)
-                    phases = np.empty((min(meta["shots"], size // (width // 4)),
+                    phases = np.empty((min(shots, size // (width // 4)),
                                        width // 8), dtype="<f8")
                     dest = memoryview(phases.reshape(-1).view(np.uint8))
                 elif len(value) != width:
@@ -697,14 +693,14 @@ def load_snapshots(path) -> SnapshotSet:
                 if k < len(phases):  # a row beyond shots= is refused below
                     dest[k * width:(k + 1) * width] = value
             bits.append(b)
-    if meta["shots"] != len(bits):
-        raise ValueError(f"{path}: header declares shots={meta['shots']} "
+    if shots != len(bits):
+        raise ValueError(f"{path}: header declares shots={shots} "
                          f"but the file holds {len(bits)} rows")
     if not bits:
         raise ValueError(f"{path}: no snapshot rows")
-    col = np.array(times, dtype=float) if want == "t_us" else phases.astype(float, copy=False)
-    return SnapshotSet(_read_only(np.array(bits, dtype=np.int64)), meta["fingerprint"],
-                       meta["seed"], tm, **_evolution_columns(tm, col))
+    col = np.array(times, dtype=float) if window else phases.astype(float, copy=False)
+    return SnapshotSet(_read_only(np.array(bits, dtype=np.int64)), fingerprint,
+                       seed, tm, **_evolution_columns(tm, col))
 
 
 def write_manifest(path, snaps: SnapshotSet, extra: dict | None = None) -> None:

@@ -2,7 +2,7 @@
 
 A saved file is rewritten between the v1 and v2 forms of its phase rows
 (comma-separated reprs of the doubles, or the base64 of their little-endian
-bytes), or has a header line changed, so that a test can check how
+bytes), or has one of its lines edited, so that a test can check how
 ``load_snapshots`` reads or refuses the result.
 """
 
@@ -64,7 +64,8 @@ HEADER_EDITS = [
 ]
 
 
-def edit_header(path, pattern, replacement):
+def edit_file(path, pattern, replacement):
+    """Replace the first match of the regex pattern in the file at path."""
     text = path.read_text()
     assert re.search(pattern, text)
     path.write_text(re.sub(pattern, replacement, text, count=1))

@@ -40,7 +40,7 @@ from hamshadow.variance import (
 )
 
 from moments import DiagonalDesign
-from snapfiles import HEADER_EDITS, b64, edit_header
+from snapfiles import HEADER_EDITS, b64, edit_file
 from states import exact_average_state
 from superoperators import dense_window_superoperator
 
@@ -240,6 +240,34 @@ class TestConfigSections:
         res = CliRunner().invoke(main, ["simulate", "--config", p])
         assert res.exit_code == 2, res.output
         assert res.output.startswith(f"config error: bad {section} section: ")
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("model", {"kind": "gue", "dim": 8.9, "seed": 1}, "dim must be a positive"),
+        ("model", {"kind": "exp-family", "dim": 4.5, "theta": 0.3},
+         "dim must be a positive"),
+        ("model", {"kind": "rydberg", "num_atoms": 3.7},
+         "num_atoms must be a positive"),
+        ("model", {"kind": "gue", "dim": 4, "seed": 1.5},
+         "seed must be a non-negative"),
+        ("model", {"kind": "hadamard", "n": 2.5}, "n must be a non-negative"),
+        ("state", {"kind": "ghz", "n": 3.7}, "n must be a non-negative"),
+        ("state", {"kind": "ladder-product", "n_zero": 1.5, "n_one": 1},
+         "n_zero must be a non-negative"),
+        ("state", {"kind": "ladder-product", "n_zero": 1, "n_one": 1.5},
+         "n_one must be a non-negative"),
+        ("state", {"kind": "random-pure", "n": 2, "seed": 2.5},
+         "seed must be a non-negative"),
+        ("time_model", {"kind": "design", "k": 2.9}, "k must be a positive"),
+    ], ids=["gue-dim", "exp-family-dim", "num_atoms", "model-seed", "hadamard-n",
+            "state-n", "n_zero", "n_one", "state-seed", "k"])
+    def test_non_integer_count_code_2(self, tmp_path, section, value, message):
+        # int() truncated them: k: 2.9 drew a k = 2 design, and exit 0
+        p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path, **{section: value}))
+        res = CliRunner().invoke(main, ["simulate", "--config", p])
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith(f"config error: bad {section} section: "
+                                     f"{message} integer, got ")
+        assert not (tmp_path / "snaps.txt").exists()
 
     def test_output_reports_key_code_2(self, tmp_path):
         # accepted before, though nothing wrote a reports file
@@ -521,6 +549,18 @@ class TestEstimateInputChecks:
         assert "exceeds Hilbert-space dimension" in res.output
         assert len(res.output.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("time", ["1000.0", "nan"])
+    def test_time_outside_the_window_code_2(self, tmp_path, time):
+        # the row made estimate write fidelity,nan,nan and exit 0
+        p = simulated(tmp_path, dict(rydberg_window_cfg(tmp_path, 22.0), shots=20))
+        rewrite_rows(tmp_path / "snaps.txt", 19, [f"t_us={time} b=0"])
+        res = estimate_from(p, tmp_path / "snaps.txt")
+        assert res.exit_code == 2
+        assert res.output.startswith("snapshot error: ")
+        assert (f"line 25: t_us={time} lies outside the window [2.0, 22.0] us"
+                in res.output)
+        assert len(res.output.strip().splitlines()) == 1
+
     def test_phase_row_in_window_file_code_2(self, tmp_path):
         # the row's kind is checked before its payload is decoded, so a
         # decimal phase row in a v1 file and a base64 one in a v2 file give
@@ -545,7 +585,7 @@ class TestEstimateInputChecks:
                                       message):
         # a file without its seed header wrote seed 0 into every CSV row
         p = simulated(tmp_path, base_cfg(tmp_path, shots=10, seed=34))
-        edit_header(tmp_path / "snaps.txt", pattern, replacement)
+        edit_file(tmp_path / "snaps.txt", pattern, replacement)
         res = estimate_from(p, tmp_path / "snaps.txt")
         assert res.exit_code == 2
         assert res.output.startswith("snapshot error: ")

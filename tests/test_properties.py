@@ -1,6 +1,7 @@
 """Property tests over random small Hamiltonians and snapshot columns."""
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -122,13 +123,14 @@ def test_finite_time_map_is_the_window_average(h, t_min, dt, data):
 @st.composite
 def snapshot_sets(draw, elements):
     """(d, SnapshotSet) of K in [1, 30] outcomes below d in [2, 6], with a
-    time column or a (K, d) phase column of the given float elements."""
+    time column in its [0.5, 3] us window or a (K, d) phase column of the
+    given float elements."""
     d = draw(st.integers(2, 6))
     k = draw(st.integers(1, 30))
     bits = draw(hnp.arrays(np.int64, k, elements=st.integers(0, d - 1)))
     seed = draw(st.integers(0, 2**31))
     if draw(st.booleans()):
-        times = draw(hnp.arrays(np.float64, k, elements=elements))
+        times = draw(hnp.arrays(np.float64, k, elements=st.floats(0.5, 3.0)))
         return d, SnapshotSet(bits, "0123456789abcdef", seed,
                               TimeModel("uniform-window", t_min=0.5, t_max=3.0),
                               times=times)
@@ -186,7 +188,9 @@ def test_every_accepted_set_round_trips(tm, column, k, d, fingerprint, seed,
     want = "times" if tm.kind == "uniform-window" else "phases"
     valid = (column == want and k >= 1 and (want == "times" or d >= 1)
              and bool(np.all(bits >= 0))
-             and not any(c.isspace() for c in fingerprint))
+             and (want == "phases" or bool(np.all((tm.t_min <= columns["times"])
+                                                  & (columns["times"] <= tm.t_max))))
+             and re.fullmatch("[!-~]*", fingerprint) is not None)
     try:
         snaps = SnapshotSet(bits, fingerprint, seed, tm, **columns)
     except ValueError:

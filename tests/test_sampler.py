@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from born import exp_born_rows
-from snapfiles import HEADER_EDITS, b64, edit_header, rewrite_phase_rows
+from snapfiles import HEADER_EDITS, b64, edit_file, rewrite_phase_rows
 from hamshadow import sampler
 from hamshadow.models import gue_hamiltonian, random_pure_state
 from hamshadow.qmatrix import hermitian_spectral
@@ -204,6 +204,19 @@ class TestTimeModel:
                    TimeModel("design", k=3),
                    TimeModel("uniform-window", t_min=0.5, t_max=2.5)]:
             assert TimeModel.parse(tm.describe()) == tm
+
+    @pytest.mark.parametrize("text", [
+        "ideal-rdu k=5", "design k=2 k=3", "design k", "design 2", "design",
+        "uniform-window t_min=1.0 t_max=2.0 t_max=3.0",
+        "uniform-window t_max=2.0 t_min=1.0", "uniform-window t_min=1.0",
+        "design  k=2", "ideal-rdu ", "design k=2.0", "", "nope", "design k=+2",
+        "uniform-window t_min=1 t_max=2.0", "uniform-window t_min=1.0 t_max=2e1",
+        "uniform-window t_min=0_1.0 t_max=2.0"])
+    def test_parse_reads_only_what_describe_writes(self, text):
+        # "ideal-rdu k=5" parsed as ideal-rdu, and a repeated key took its
+        # last value
+        with pytest.raises(ValueError):
+            TimeModel.parse(text)
 
     def test_fields_as_describe_writes_them(self):
         # describe() leaves the unread fields out, so a saved and reloaded
@@ -487,6 +500,21 @@ class TestSnapshotSet:
             SnapshotSet([0], fingerprint, 0, TimeModel("ideal-rdu"),
                         phases=np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("fingerprint", ["\u00e9", "a\x00b", "ab\x7f"])
+    def test_fingerprint_is_printable_ascii(self, fingerprint):
+        # a snapshot file is ASCII
+        with pytest.raises(ValueError, match="printable ASCII"):
+            SnapshotSet([0], fingerprint, 0, TimeModel("ideal-rdu"),
+                        phases=np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("time", [0.4, 3.5, np.nan, np.inf, -np.inf])
+    def test_times_lie_in_the_window(self, time):
+        # a time outside the window, or nan, made every estimate nan
+        tm = TimeModel("uniform-window", t_min=0.5, t_max=3.0)
+        with pytest.raises(ValueError, match=r"outside the window \[0.5, 3.0\] us"):
+            SnapshotSet([0, 1], "ab", 0, tm, times=[1.0, time])
+        SnapshotSet([0, 1], "ab", 0, tm, times=[0.5, 3.0])
+
     def test_integer_seed(self):
         # a seed of 1.5 was saved as "# seed=1.5", which int() then refused
         phases = np.zeros((1, 2))
@@ -580,8 +608,8 @@ class TestSerialization:
         ("b=", "c=", "line 6: malformed snapshot row"),
         ("# time_model=ideal-rdu", "# time_model=uniform-window t_min=1.0",
          "bad time_model header"),
-        # a t_us= row among phases= rows
-        ("phases=", "t_us=1.0 x=",
+        # a well-formed t_us= row among phases= rows
+        ("phases=", "t_us=1.0 b=1\nphases=",
          "line 6: t_us= row, but time_model=ideal-rdu records phases="),
         # three phases on the first row, two on the others
         ("phases=", "phases=0.5,", "line 7: 2 phases, but line 6 holds 3"),
@@ -719,7 +747,7 @@ class TestSnapshotFileV2:
         # a missing seed was read as 0 and a missing fingerprint as ""
         p = tmp_path / "snaps.txt"
         save_snapshots(p, two_phase_batch())
-        edit_header(p, pattern, replacement)
+        edit_file(p, pattern, replacement)
         with pytest.raises(ValueError, match=message):
             load_snapshots(p)
 
@@ -747,9 +775,80 @@ class TestSnapshotFileV2:
             load_snapshots(p)
 
     def test_header_line_after_rows_rejected(self, tmp_path):
-        # the header is the comment lines before the first row
+        # the header is the first five lines
         p = tmp_path / "snaps.txt"
         save_snapshots(p, two_phase_batch())
         p.write_text(p.read_text() + "# seed=3\n")
         with pytest.raises(ValueError, match="line 16: malformed snapshot row"):
+            load_snapshots(p)
+
+
+def window_batch() -> SnapshotSet:
+    """Ten snapshots on a [0.5, 3] us window: rows on lines 6 to 15 of a file."""
+    return run_batch(gue_hamiltonian(2, 33), np.eye(2) / 2,
+                     TimeModel("uniform-window", t_min=0.5, t_max=3.0), 10, seed=34)
+
+
+BATCHES = {"phases": two_phase_batch, "window": window_batch}
+
+
+class TestSnapshotGrammar:
+    """A snapshot file is read by the grammar save_snapshots writes: the
+    version line, the four header lines in order, then one row pattern, in
+    ASCII with no other line or whitespace."""
+
+    @pytest.mark.parametrize("batch, pattern, replacement, message", [
+        ("phases", r"( b=[0-9]+)\n", r"\1 junk=1\n", "line 6: malformed snapshot row"),
+        ("window", r"(t_us=\S+)", r"\1 phases=0.5", "line 6: malformed snapshot row"),
+        ("phases", r"# seed=34\n", r"\g<0>\g<0>", "no time_model header on line 4"),
+        ("phases", r"(# fingerprint=.*\n)(# seed=.*\n)", r"\2\1",
+         "no fingerprint header on line 2"),
+        ("phases", r"# seed=34\n", r"\g<0># note=x\n", "no time_model header on line 4"),
+        ("phases", r"# shots=10\n", r"\g<0># note=x\n", "line 6: malformed snapshot row"),
+        ("phases", r"# seed=", "#seed=", "no seed header on line 3"),
+        ("phases", r"# shots=10\n", r"\g<0>\n", "line 6: malformed snapshot row"),
+        ("window", r"( b=[0-9]+\n)", r"\1\n", "line 7: malformed snapshot row"),
+        ("phases", r"\n\Z", "\n\n", "line 16: malformed snapshot row"),
+        ("phases", r"( b=[0-9]+)\n", r"\1 \n", "line 6: malformed snapshot row"),
+        ("window", r" b=", "\tb=", "line 6: malformed snapshot row"),
+        ("phases", r"( b=[0-9]+)\n", r"\1\r\n", "line 6: malformed snapshot row"),
+        ("phases", r"# seed=34", "# seed=34 ", "bad seed header '34 ': not an integer"),
+        # int() reads the Arabic-Indic digit one as 1
+        ("window", r" b=[0-9]+\n", " b=\u0661\n", "line 6: malformed snapshot row"),
+        ("phases", r"(# fingerprint=\w+)", "\\1\u00e9", "bad fingerprint header"),
+        # a file cut inside its last row
+        ("window", r"\n\Z", "", "line 15: malformed snapshot row"),
+    ], ids=["extra-field", "both-kinds", "duplicate-header", "swapped-headers",
+            "note-in-header", "note-after-header", "unspaced-header",
+            "blank-after-header", "blank-between-rows", "blank-at-end",
+            "trailing-space", "tab", "carriage-return", "header-trailing-space",
+            "non-ascii-digit", "non-ascii-fingerprint", "no-final-newline"])
+    def test_off_grammar_file_rejected(self, tmp_path, batch, pattern, replacement,
+                                       message):
+        # each of these files loaded before
+        p = tmp_path / "snaps.txt"
+        for version in ("v1", "v2"):
+            save_snapshots(p, BATCHES[batch]())
+            rewrite_phase_rows(p, version)
+            edit_file(p, pattern, replacement)
+            with pytest.raises(ValueError, match=f"snaps.txt: {message}"):
+                load_snapshots(p)
+
+    @pytest.mark.parametrize("time", ["1000.0", "nan", "inf", "0.4"])
+    def test_time_outside_the_window_rejected(self, tmp_path, time):
+        # a t_us=1000.0 or t_us=nan row made every estimate nan
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, window_batch())
+        edit_file(p, r"(\nt_us=\S+ b=[0-9]+\n)t_us=\S+", rf"\1t_us={time}")
+        with pytest.raises(ValueError, match=rf"snaps.txt: line 7: t_us={time} lies "
+                                             r"outside the window \[0.5, 3.0\] us"):
+            load_snapshots(p)
+
+    def test_outcome_beyond_64_bits_rejected(self, tmp_path):
+        # numpy's int64 conversion raised an OverflowError
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, window_batch())
+        edit_file(p, r" b=[0-9]+\n", f" b={2**63}\n")
+        with pytest.raises(ValueError, match=f"snaps.txt: line 6: outcome b={2**63} "
+                                             "exceeds 64 bits"):
             load_snapshots(p)
