@@ -550,7 +550,9 @@ def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
 #   # shots=<K>
 #   t_us=<float> b=<int>   (or)   phases=<base64> b=<int>     (K rows of one kind)
 #
-# with no blank line, no other field and no other whitespace.
+# with no blank line, no other field and no other whitespace. A <float> is
+# a string that repr() writes for a Python float, such as 2.5, -0.0, 1e-05
+# or nan, and no other that float() reads, such as 1_0.0, +2.0 or 2.
 # A v2 phase row holds the standard base64 of its d little-endian IEEE-754
 # doubles, so it is written and read without formatting or parsing a float
 # and round-trips bit for bit. v1 files, whose phase rows are the reprs
@@ -564,7 +566,14 @@ _HEADER_FIELDS = {"fingerprint": ("[!-~]*", "printable ASCII without whitespace"
                   "seed": ("-?[0-9]+", "an integer"),
                   "time_model": ("[ -~]*", "printable ASCII"),
                   "shots": ("[0-9]+", "a non-negative integer")}
-_ROW = re.compile(r"(t_us|phases)=([!-~]+) b=([0-9]+)\n")
+# what repr() writes for a float: a t_us= payload and each value of a v1 one
+_FLOAT = r"(?:-?[0-9]+\.[0-9]+(?:e[-+][0-9]+|)|-?[0-9]+e[-+][0-9]+|-?inf|nan)"
+# the row pattern of each (version, kind), with the groups payload and
+# outcome, compiled when a file needs it; a v2 phase payload is then checked
+# by its decoder
+_ROWS = {(version, kind): rf"{kind}=({payload}) b=([0-9]+)\n"
+         for version, phases in (("v1", rf"{_FLOAT}(?:,{_FLOAT})*"), ("v2", "[!-~]+"))
+         for kind, payload in (("t_us", _FLOAT), ("phases", phases))}
 
 
 def _record_fields(snaps: SnapshotSet) -> list:
@@ -641,12 +650,12 @@ def load_snapshots(path) -> SnapshotSet:
     """Read a v1 or v2 snapshot file into columns.
 
     ValueError on a header that _parse_header refuses, on a file without rows
-    or other than shots= of them, and, naming the line, on a row that _ROW
-    does not match (a byte outside ASCII reads as a lone surrogate), of the
-    kind the time model does not record (checked before its payload is
-    decoded), whose payload does not decode, whose time lies outside the
-    window, whose outcome exceeds 64 bits or whose phase count differs from
-    the first row's. Phase rows are decoded into one (K, d) array.
+    or other than shots= of them, and, naming the line, on a row that does
+    not match the _ROWS pattern of its version and of the kind the time
+    model records (a byte outside ASCII reads as a lone surrogate; a row of
+    the other kind is named as such), whose payload does not decode, whose
+    time lies outside the window, whose outcome exceeds 64 bits or whose
+    phase count differs from the first row's. Phase rows are decoded into one (K, d) array.
     """
     with open(path, encoding="ascii", errors="surrogateescape", newline="\n") as f:
         st = os.fstat(f.fileno())
@@ -654,17 +663,18 @@ def load_snapshots(path) -> SnapshotSet:
         lines = enumerate(f, start=1)
         version, fingerprint, seed, tm, shots = _parse_header(path, lines)
         window = tm.kind == "uniform-window"
-        want = "t_us" if window else "phases"
+        want, other = ("t_us", "phases") if window else ("phases", "t_us")
         decode = float if window else _PHASE_DECODERS[version]
+        match = re.compile(_ROWS[version, want]).fullmatch
         bits, times, phases = [], [], None
         for lineno, line in lines:
-            row = _ROW.fullmatch(line)
+            row = match(line)
             if row is None:
+                if re.fullmatch(_ROWS[version, other], line):
+                    raise ValueError(f"{path}: line {lineno}: {other}= row, but "
+                                     f"time_model={tm.describe()} records {want}=")
                 raise _malformed(path, lineno, line)
-            kind, payload, b = row.groups()
-            if kind != want:
-                raise ValueError(f"{path}: line {lineno}: {kind}= row, but "
-                                 f"time_model={tm.describe()} records {want}=")
+            payload, b = row.groups()
             try:
                 value = decode(payload)
             except ValueError as e:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,9 @@ SINGULAR_CONDITION = 1e12
 BLOCK_ENTRIES = 2**14  # entries per block of the d^4 passes of finite_time_choi
 PACKED_BLOCK_ENTRIES = 2**18  # packed real rho-hat entries per block, finite time
 SIGMA_BLOCK_ENTRIES = 2**14  # complex sigma-hat entries per packing step
-INVERSE_BLOCK = 128  # pivot rows per block of finite_time_choi's inverse
+# rows per block of finite_time_choi's Cholesky inverse: 64 to 96 rows ran
+# fastest at d = 32, and 96 to 192 at d = 64, with 1 BLAS thread
+INVERSE_BLOCK = 96
 # entries d^4 of the real d^2 x d^2 array finite_time_choi holds: 2 GiB, so
 # d = 128 builds and d = 256 (32 GiB) is refused before anything is allocated
 MAX_WINDOW_ENTRIES = 2**28
@@ -502,36 +503,58 @@ def _window_superoperator(h: SpectralHamiltonian, t_min: float,
     return r, col_sums
 
 
-def _invert_in_place(a: np.ndarray) -> None:
-    """Overwrite a with its inverse by a blocked Gauss-Jordan sweep without
-    pivoting; LinAlgError if a pivot block is singular.
+def _invert_spd_in_place(a: np.ndarray) -> None:
+    """Overwrite the symmetric positive-definite a, read from its upper
+    triangle, with its inverse; LinAlgError if a block Cholesky fails.
 
-    Pivot block K (INVERSE_BLOCK rows) becomes P = a_KK^-1, its rows P a_KJ,
-    its columns -a_JK P, and every other block a_IJ - a_IK P a_KJ, a
-    rank-INVERSE_BLOCK GEMM update one block of rows at a time. Beside a
-    the sweep holds one INVERSE_BLOCK x n buffer. Without pivoting it needs
-    every pivot block and Schur complement to be well-conditioned, which
-    holds for a symmetric positive-definite a and for any diagonal
-    similarity of one.
+    Three passes over the upper triangle in blocks of INVERSE_BLOCK rows
+    or columns, each about n^3/6 multiply-adds of GEMMs:
+    - a = U^T U, one block row of U at a time;
+    - U becomes V = U^-1, one block column j at a time, as
+      V_ij = -(sum over i <= l < j of V_il U_lj) V_jj reads U only in
+      column j and V only in the columns already finished;
+    - V becomes a^-1 = V V^T, one block column i at a time: its rows up to
+      block i are one GEMM of V's rows up to block i with V's row block i,
+      both over the columns from block i on, which are not yet overwritten.
+    Only diagonal blocks go to np.linalg.cholesky and np.linalg.inv, and
+    the lower triangle is mirrored from the upper at the end. Beside a the
+    passes hold one INVERSE_BLOCK x n buffer.
     """
     n = len(a)
-    buf = np.empty((min(INVERSE_BLOCK, n), n))
-    for k0 in range(0, n, INVERSE_BLOCK):
-        k = slice(k0, min(k0 + INVERSE_BLOCK, n))
-        piv = np.linalg.inv(a[k, k])
-        a[k, k] = 0.0  # so that the row updates below leave columns K alone
-        rows = buf[:k.stop - k0]
-        np.matmul(piv, a[k], out=rows)
-        a[k] = rows
-        for i0 in itertools.chain(range(0, k0, INVERSE_BLOCK),
-                                  range(k.stop, n, INVERSE_BLOCK)):
-            i = slice(i0, min(i0 + INVERSE_BLOCK, n))
-            col = a[i, k].copy()
-            update = buf[:i.stop - i0]
-            np.matmul(col, a[k], out=update)
-            a[i] -= update
-            a[i, k] = -(col @ piv)
-        a[k, k] = piv
+    blocks = [slice(k0, min(k0 + INVERSE_BLOCK, n))
+              for k0 in range(0, n, INVERSE_BLOCK)]
+    flat = np.empty(min(INVERSE_BLOCK, n) * n)
+
+    def scratch(rows: int, cols: int) -> np.ndarray:
+        return flat[:rows * cols].reshape(rows, cols)
+
+    def symmetric(block: np.ndarray) -> np.ndarray:
+        return np.triu(block) + np.triu(block, 1).T
+
+    for k in blocks:  # a = U^T U
+        rows = a[k, k.start:]
+        if k.start:
+            above = a[:k.start, k.start:]
+            rows -= np.matmul(above[:, :k.stop - k.start].T, above,
+                              out=scratch(*rows.shape))
+        low = np.linalg.cholesky(symmetric(a[k, k]))  # U_kk^T
+        right = a[k, k.stop:]
+        right[...] = np.matmul(np.linalg.inv(low), right, out=scratch(*right.shape))
+        a[k, k] = low.T
+    for j in blocks:  # U -> V = U^-1
+        v_jj = np.triu(np.linalg.inv(a[j, j]))
+        if j.start:
+            col = scratch(j.start, j.stop - j.start)
+            for i in blocks[:j.start // INVERSE_BLOCK]:
+                np.matmul(a[i, i.start:j.start], a[i.start:j.start, j], out=col[i])
+            np.matmul(col, -v_jj, out=a[:j.start, j])
+        a[j, j] = v_jj
+    for i in blocks:  # V -> V V^T
+        a[:i.stop, i] = np.matmul(a[:i.stop, i.start:], a[i, i.start:].T,
+                                  out=scratch(i.stop, i.stop - i.start))
+    for k in blocks:
+        a[k.stop:, k] = a[k, k.stop:].T
+        a[k, k] = symmetric(a[k, k])
 
 
 def finite_time_choi(h: SpectralHamiltonian, t_min: float,
@@ -542,13 +565,14 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float,
     outcomes b and the window times t, a Gram average, so it is Hermitian
     positive semidefinite under Tr(A^dag B), and positive definite when the
     window map is invertible. In packed coordinates that pairing is
-    sum w a b, so C = W^1/2 R W^-1/2 is symmetric positive definite and
-    R = W^-1/2 C W^1/2 is a diagonal similarity of it, whose pivot blocks
-    and Schur complements are similarities of C's. So _invert_in_place
-    overwrites R itself with R^-1, with no pivoting and no scaling into C
-    (which gave the same verdicts and accuracy), and the inverter holds
-    one real d^2 x d^2 array from the window build to the end. A singular
-    pivot block or a non-finite entry of the result reports cond = inf.
+    sum w a b, so S = W R is symmetric positive definite, and it is formed
+    exactly in place, as w holds only 1s and 2s (the similarity
+    W^1/2 R W^-1/2 would round by sqrt 2). _invert_spd_in_place overwrites
+    S with S^-1 by a blocked Cholesky inverse, about half the multiply-adds
+    of a general inverse and closer to the exact one, and R^-1 = S^-1 W.
+    So the inverter holds one real d^2 x d^2 array from the window build to
+    the end. A failed block Cholesky (S not numerically positive definite)
+    or a non-finite entry of the result reports cond = inf.
     ValueError, before any allocation, if d^4 exceeds MAX_WINDOW_ENTRIES.
     """
     entries = h.dim**4
@@ -557,13 +581,16 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float,
                          f"d^4 = {entries} doubles ({entries / 2**27:g} GiB), "
                          f"above MAX_WINDOW_ENTRIES = {MAX_WINDOW_ENTRIES}")
     r, col_sums = _window_superoperator(h, t_min, t_max)
+    w = _packed_weights(h.dim)
+    r *= w[:, None]  # S = W R, exactly, as w holds 1s and 2s
     # exact 1-norm condition number from the inverse the apply path needs
     # anyway; a full SVD for the 2-norm value cost more than the inverse
     try:
-        _invert_in_place(r)
+        _invert_spd_in_place(r)
     except np.linalg.LinAlgError:
         cond = np.inf
-    else:  # the norm is non-finite if any entry of R^-1 is
+    else:  # R^-1 = S^-1 W; the norm is non-finite if any entry of it is
+        r *= w
         cond = float(col_sums.max() * _inverse_one_norm(r))
     if not np.isfinite(cond):
         cond = np.inf

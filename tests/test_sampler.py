@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 import warnings
 
@@ -843,6 +844,48 @@ class TestSnapshotGrammar:
         with pytest.raises(ValueError, match=rf"snaps.txt: line 7: t_us={time} lies "
                                              r"outside the window \[0.5, 3.0\] us"):
             load_snapshots(p)
+
+    # float() read each of these, all in the [0.5, 3] us window, as a time
+    @pytest.mark.parametrize("time", ["1_0e-1", "+2.0", "2", "2.", ".5",
+                                      "2.0E+00", "2e0"])
+    def test_time_off_the_repr_grammar_rejected(self, tmp_path, time):
+        p = tmp_path / "snaps.txt"
+        for version in ("v1", "v2"):
+            save_snapshots(p, window_batch())
+            rewrite_phase_rows(p, version)
+            edit_file(p, r"\nt_us=\S+ ", f"\nt_us={time} ")
+            with pytest.raises(ValueError, match="snaps.txt: line 6: malformed "
+                                                 "snapshot row 't_us="):
+                load_snapshots(p)
+
+    # float() read each of these as a v1 phase
+    @pytest.mark.parametrize("value", ["+0.5", "0_0.5", "1", ".5", "0.5E+00",
+                                       "NaN", "-nan", "Infinity"])
+    def test_v1_phase_off_the_repr_grammar_rejected(self, tmp_path, value):
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, two_phase_batch())
+        rewrite_phase_rows(p, "v1")
+        values = row_payload(p, 7).split(",")
+        edit_phase_row(p, 7, ",".join([*values[:-1], value]))
+        with pytest.raises(ValueError, match="snaps.txt: line 7: malformed "
+                                             "snapshot row 'phases="):
+            load_snapshots(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_repr_grammar_reads_every_repr(self, x):
+        assert re.fullmatch(sampler._FLOAT, repr(x))
+
+    def test_v1_reprs_of_edge_doubles_load(self, tmp_path):
+        phases = np.array([[-0.0, 5e-324, 1e16, 1.5e-07],
+                           [np.nan, -np.inf, 1.7976931348623157e308,
+                            np.nextafter(2 * np.pi, 0)]])
+        p = tmp_path / "snaps.txt"
+        save_snapshots(p, SnapshotSet([1, 3], "ab", 7, TimeModel("ideal-rdu"),
+                                      phases=phases))
+        rewrite_phase_rows(p, "v1")
+        assert "phases=-0.0,5e-324,1e+16,1.5e-07 b=1" in p.read_text()
+        assert load_snapshots(p).phases.tobytes() == phases.tobytes()
 
     def test_outcome_beyond_64_bits_rejected(self, tmp_path):
         # numpy's int64 conversion raised an OverflowError

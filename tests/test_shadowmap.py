@@ -1,13 +1,14 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from hamshadow import shadowmap
+from hamshadow import cli, shadowmap
 from hamshadow.models import (
     RydbergParams,
     exp_family_vh,
+    ghz_state,
     gue_hamiltonian,
     hadamard_basis,
     hamiltonian_from_unitary,
@@ -16,21 +17,24 @@ from hamshadow.models import (
 )
 from hamshadow.estimators import (
     Observable,
+    estimate_linear,
     snapshot_amplitudes,
     transformed_observable,
 )
 from hamshadow.qmatrix import SpectralHamiltonian, hermitian_spectral
 from hamshadow.rdu import ENERGY_RESOLUTION
-from hamshadow.sampler import Snapshot
+from hamshadow.sampler import Snapshot, TimeModel, run_batch
 from hamshadow.shadowmap import (
     IncompleteInverterError,
     _apply_packed,
     _inverse_one_norm,
+    _invert_spd_in_place,
     _pack,
     _packed_weights,
     _packing,
     _unpack,
     _window_superoperator,
+    FiniteTimeChoi,
     SINGULAR_CONDITION,
     apply_n_inverse,
     build_inverter,
@@ -414,8 +418,8 @@ class TestFiniteTimeMap:
             finite_time_choi(h, 0.0, 10.0)
 
     def test_singular_pivot_block_reports_infinite_cond(self):
-        # d = 16: R is 256 x 256, two pivot blocks, and the off-diagonal
-        # rows of the first one are zero
+        # d = 16: R is 256 x 256, three blocks, and the off-diagonal rows of
+        # the first one are zero, so that block's Cholesky fails
         h = hermitian_spectral(np.diag(np.sqrt(np.arange(1.0, 17.0))))
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
@@ -423,11 +427,25 @@ class TestFiniteTimeMap:
 
     def test_non_finite_inverse_reports_infinite_cond(self, monkeypatch):
         # a nan in diagonal packed row (0, 0), at off-diagonal column (0, 1)
-        monkeypatch.setattr(shadowmap, "_invert_in_place",
+        monkeypatch.setattr(shadowmap, "_invert_spd_in_place",
                             lambda a: a.__setitem__((0, 1), np.nan))
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
             finite_time_choi(gue_hamiltonian(4, 5), 2.0, 22.0)
+
+    def test_indefinite_map_reports_infinite_cond(self, monkeypatch):
+        # W R stays symmetric and invertible, and an LU inverse would pass
+        # the 1-norm gate, but its last diagonal entry is negated: W R is
+        # not positive definite, so the Cholesky of the last block fails
+        h = gue_hamiltonian(12, 5)
+        r, col_sums = _window_superoperator(h, 2.0, 22.0)
+        r[-1, -1] *= -1
+        assert col_sums.max() * _inverse_one_norm(np.linalg.inv(r)) < SINGULAR_CONDITION
+        monkeypatch.setattr(shadowmap, "_window_superoperator",
+                            lambda *args: (r.copy(), col_sums))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"numerically singular \(cond=inf, 1-norm\)"):
+            finite_time_choi(h, 2.0, 22.0)
 
     # d = 4: flat index 5 is (1, 1), 6 is (1, 2) and 9 is (2, 1); each entry
     # reaches _inverse_one_norm by another branch than the test above
@@ -438,7 +456,7 @@ class TestFiniteTimeMap:
     ], ids=["inf", "nan-diagonal-row", "nan-diagonal-column"])
     def test_non_finite_entry_reports_infinite_cond(self, monkeypatch, entry,
                                                      value):
-        monkeypatch.setattr(shadowmap, "_invert_in_place",
+        monkeypatch.setattr(shadowmap, "_invert_spd_in_place",
                             lambda a: a.__setitem__(entry, value))
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
@@ -473,7 +491,7 @@ class TestInPlaceInverse:
         gue_hamiltonian(2, 5),
         gue_hamiltonian(5, 5),
         gue_hamiltonian(8, 5),
-        gue_hamiltonian(12, 5),  # 144 rows: a full pivot block and a ragged one
+        gue_hamiltonian(12, 5),  # 144 rows: a full block and a ragged one
         rydberg_chain(1, 1),
         rydberg_chain(3, 1),
         rydberg_chain(4, 1),
@@ -482,8 +500,8 @@ class TestInPlaceInverse:
             "rydberg4", "rydberg5"])
     def test_matches_lu(self, h):
         r, col_sums = _window_superoperator(h, 2.0, 22.0)
-        # the premise of the unpivoted sweep: W R is symmetric positive
-        # definite, so W^1/2 R W^-1/2 is too
+        # the premise of the Cholesky inverse: W R is symmetric positive
+        # definite
         wr = _packed_weights(h.dim)[:, None] * r
         np.testing.assert_allclose(wr, wr.T, rtol=0, atol=1e-15)
         assert np.linalg.eigvalsh(wr)[0] > 0
@@ -495,6 +513,51 @@ class TestInPlaceInverse:
         assert np.abs(fin.packed_inverse - lu).max() <= tol * np.abs(lu).max()
         assert fin.condition_number == pytest.approx(
             col_sums.max() * _inverse_one_norm(lu), rel=tol)
+
+    @pytest.mark.parametrize("n", [1, 5, 95, 96, 97, 200, 300])
+    def test_inverts_spd_from_upper_triangle(self, n):
+        g = np.random.default_rng(n)
+        x = g.normal(size=(n, n))
+        s = x @ x.T + n * np.eye(n)
+        a = s.copy()
+        a[np.tril_indices(n, -1)] = np.nan  # never read
+        _invert_spd_in_place(a)
+        assert np.array_equal(a, a.T)
+        lu = np.linalg.inv(s)
+        assert np.abs(a - lu).max() <= 1e-13 * np.abs(lu).max()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the reference needs an extended long double")
+    def test_fig4b_estimates_match_refined_inverse(self):
+        # the reference inverse: LU's, refined by two steps of
+        # X <- X + X (I - R X) in long double, so it does not depend on the
+        # inverse under test. Relative gaps of the GHZ fidelity on
+        # dt = 5, 10 and 20 us, with 1 | 2 BLAS threads: the Cholesky inverse
+        # 2.6e-10 | 2.8e-10, 7.4e-10 | 7.5e-10, 9.8e-11 | 1.3e-10; the
+        # Gauss-Jordan sweep it replaced 1.4e-9 | 7.4e-10, 3.5e-9 | 1.6e-9,
+        # 6.2e-10 | 1.7e-10. A rounding change of the reference alone moves
+        # the estimates by about 1e-10.
+        h = cli._rydberg_setup(4, 7)
+        rho = ghz_state(4)
+        fidelity = Observable(rho, name="fidelity")
+        gaps = []
+        for dt in (5.0, 10.0, 20.0):
+            tm = TimeModel("uniform-window", t_min=2.0, t_max=2.0 + dt)
+            inv = build_inverter(h, mode="finite-time", t_min=tm.t_min,
+                                 t_max=tm.t_max)
+            r = _window_superoperator(h, tm.t_min, tm.t_max)[0]
+            r_ld = r.astype(np.longdouble)
+            eye = np.eye(len(r), dtype=np.longdouble)
+            x = np.linalg.inv(r)
+            for _ in range(2):
+                x_ld = x.astype(np.longdouble)
+                x = (x_ld + x_ld @ (eye - r_ld @ x_ld)).astype(float)
+            refined = replace(inv, finite=FiniteTimeChoi(x, inv.finite.condition_number))
+            snaps = run_batch(h, rho, tm, 4000, 7)
+            value = estimate_linear(inv, snaps, fidelity).value
+            exact = estimate_linear(refined, snaps, fidelity).value
+            gaps.append(abs(value - exact) / abs(exact))
+        assert max(gaps) <= 1.2e-9, gaps
 
     @pytest.mark.parametrize("chain", list(LU_VERDICTS))
     def test_verdicts_match_lu(self, chain):
