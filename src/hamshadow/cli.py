@@ -403,6 +403,9 @@ def estimate(config_path, snap_path, out_path, finite_time):
               "snapshot fingerprint does not match the configured Hamiltonian")
     if finite_time or snaps.time_model.kind == "uniform-window":
         _check_snapshot_window(cfg, snaps.time_model)
+    if batches > len(snaps) and not all(isinstance(o, Purity) for o in obs):
+        raise ConfigError(f"estimators.batches={batches} exceeds the "
+                          f"{len(snaps)} snapshots in {snap_path}")
     try:
         inv = _inverter(h, snaps.time_model)
     except (np.linalg.LinAlgError, IncompleteInverterError) as e:

@@ -427,6 +427,26 @@ class TestEstimateSettings:
         assert res.output.startswith(
             f"config error: batches must be a positive integer, got {batches!r}")
 
+    @pytest.mark.parametrize("kinds,code", [(["fidelity"], 2),
+                                            (["fidelity", "purity"], 2),
+                                            (["purity"], 0)])
+    def test_more_batches_than_snapshots_is_a_config_error(self, tmp_path,
+                                                           kinds, code):
+        # the file is fine; the config asks for more batches than it has
+        # rows, which only the median-of-means of a linear estimate reads
+        cfg = base_cfg(tmp_path, shots=20)
+        simulated(tmp_path, cfg)
+        cfg["estimators"].update(
+            method="median-of-means", batches=50,
+            observables=[{"kind": kind} for kind in kinds])
+        snap_path = tmp_path / "snaps.txt"
+        res = estimate_from(write_cfg(tmp_path / "mom.yaml", cfg), snap_path)
+        assert res.exit_code == code, res.output
+        if code:
+            assert res.output == (
+                "config error: estimators.batches=50 exceeds the 20 "
+                f"snapshots in {snap_path}\n")
+
     def test_batches_used(self, tmp_path):
         simulated(tmp_path, base_cfg(tmp_path))
         cfg = base_cfg(tmp_path)

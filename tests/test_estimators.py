@@ -159,21 +159,60 @@ class TestLinear:
 
     @pytest.mark.parametrize("mode", ["ideal", "finite-time"])
     def test_row_blocks_match_one_pass(self, mode, monkeypatch):
-        # phase columns (ideal) and time columns (window); 3 rows per block
-        # at d = 4 leave a one-row block at the end of 100 rows. Patched
-        # before the set exists, so the one gather the set keeps is blocked.
-        monkeypatch.setattr(estimators, "ROW_BLOCK_ENTRIES", 12)
-        inv, snaps = mode_setup(mode, 100)
-        h = inv.hamiltonian
-        o = Observable(random_hermitian(4, 10))
-        phases = snaps.phases if snaps.times is None \
-            else -np.outer(snaps.times, h.energies)
-        z = h.eigenbasis[snaps.bits] * np.exp(1j * phases)
-        w = z @ transformed_observable(inv, o)
+        # phase columns (ideal) and time columns (window) at d = 4, 100 rows:
+        # the smallest blocks (one gather row, two GEMM rows), 3 rows per
+        # block with a lone last row, the default blocks, and one block of
+        # all 100 rows. Each set is made after the patch, so the one gather
+        # it keeps is blocked.
+        for entries in (1, 12, None, 400):
+            with monkeypatch.context() as m:
+                if entries is not None:
+                    m.setattr(estimators, "GATHER_BLOCK_ENTRIES", entries)
+                    m.setattr(estimators, "ROW_BLOCK_ENTRIES", entries)
+                inv, snaps = mode_setup(mode, 100)
+                h = inv.hamiltonian
+                o = Observable(random_hermitian(4, 10))
+                phases = snaps.phases if snaps.times is None \
+                    else -np.outer(snaps.times, h.energies)
+                z = h.eigenbasis[snaps.bits] * np.exp(1j * phases)
+                w = z @ transformed_observable(inv, o)
+                ref = np.einsum("kj,kj->k", w.view(float), z.view(float))
+                np.testing.assert_array_equal(snapshot_amplitudes(inv, snaps), z)
+                np.testing.assert_array_equal(snapshot_values(inv, snaps, o), ref)
+
+    @pytest.mark.parametrize("d,k", [(16, 33), (32, 7), (64, 2)])
+    @pytest.mark.parametrize("entries", [1, 2**5, 2**9, None])
+    def test_lone_row_has_one_pass_bits(self, d, k, entries, monkeypatch):
+        # numpy hands a one-row product to gemv, which can sum in another
+        # order than gemm (OpenBLAS does at d = 16 to 64); a block of one
+        # row must not reach it
+        g = np.random.default_rng(d)
+        z = g.normal(size=(k, d)) + 1j * g.normal(size=(k, d))
+        b = random_hermitian(d, 11)
+        w = z @ b
         ref = np.einsum("kj,kj->k", w.view(float), z.view(float))
-        np.testing.assert_array_equal(snapshot_amplitudes(inv, snaps), z)
-        np.testing.assert_allclose(snapshot_values(inv, snaps, o), ref,
-                                   rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        if entries is not None:
+            monkeypatch.setattr(estimators, "ROW_BLOCK_ENTRIES", entries * d)
+        np.testing.assert_array_equal(estimators._quadratic_values(z, b), ref)
+
+    def test_values_memory_beside_z(self):
+        # Z of 50 000 rows at d = 16 is 12.8 MB; a K x d temporary would
+        # add as much again, while one GEMM block is 0.5 MB
+        h = gue_hamiltonian(16, 5)
+        from hamshadow.shadowmap import build_inverter
+        inv = build_inverter(h)
+        snaps = run_batch(h, random_pure_state(16, 6), TimeModel("ideal-rdu"),
+                          50_000, 7)
+        assert snapshot_amplitudes(inv, snaps).nbytes == 12_800_000
+        o = Observable(random_hermitian(16, 8))
+        tracemalloc.start()
+        try:
+            snapshot_values(inv, snaps, o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the values are 0.4 MB
+        assert peak < 3e6
 
     def test_fast_path_equals_explicit_states(self):
         _, inv, _, snaps = make_setup()
