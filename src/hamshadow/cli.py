@@ -7,6 +7,7 @@ singular finite-time window), 4 fingerprint mismatch.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import sys
@@ -32,6 +33,7 @@ from .rdu import (
     frame_potential_rdu_exact,
 )
 from .sampler import (
+    SHOT_LIMIT,
     TimeModel,
     load_snapshots,
     run_batch,
@@ -131,6 +133,7 @@ def build_model(cfg: dict) -> SpectralHamiltonian:
 
 
 def build_state(cfg: dict, h: SpectralHamiltonian) -> np.ndarray:
+    """The configured state; ConfigError unless it has the model's dimension."""
     s = cfg.get("state")
     if s is None:
         raise ConfigError("config.state is required for this command")
@@ -142,18 +145,23 @@ def build_state(cfg: dict, h: SpectralHamiltonian) -> np.ndarray:
                                   for key in ("n", "seed", "n_zero", "n_one"))
         beta = float(s.get("beta", 1.0))
         if kind == "ghz":
-            return models.ghz_state(n)
-        if kind == "cluster":
-            return models.cluster_state(n)
-        if kind == "ladder-product":
-            return models.ladder_product_state(n_zero, n_one)
-        if kind == "random-pure":
-            return models.random_pure_state(2**n, seed)
-        if kind == "thermal":
-            return models.thermal_state(h, beta)
+            rho = models.ghz_state(n)
+        elif kind == "cluster":
+            rho = models.cluster_state(n)
+        elif kind == "ladder-product":
+            rho = models.ladder_product_state(n_zero, n_one)
+        elif kind == "random-pure":
+            rho = models.random_pure_state(2**n, seed)
+        elif kind == "thermal":
+            rho = models.thermal_state(h, beta)
+        else:
+            raise ConfigError(f"unknown state kind {kind!r}")
     except (ConfigError, TypeError, ValueError) as e:
         raise ConfigError(f"bad state section: {e}")
-    raise ConfigError(f"bad state section: unknown state kind {kind!r}")
+    if len(rho) != h.dim:
+        raise ConfigError(f"bad state section: the {kind} state has dimension "
+                          f"{len(rho)}, but the model has dimension {h.dim}")
+    return rho
 
 
 def build_time_model(cfg: dict) -> TimeModel:
@@ -195,8 +203,12 @@ def build_observables(cfg: dict, rho: np.ndarray | None, d: int) -> list:
     e = cfg.get("estimators", {})
     _require_keys(e, {"method", "batches", "observables"}, set(),
                   "config.estimators")
+    specs = e.get("observables", [])
+    if not isinstance(specs, list):
+        raise ConfigError("config.estimators.observables must be a list of "
+                          f"mappings, got {specs!r}")
     out = []
-    for i, spec in enumerate(e.get("observables", [])):
+    for i, spec in enumerate(specs):
         where = f"config.estimators.observables[{i}]"
         _require_keys(spec, {"name", "kind", "labels"}, {"kind"}, where)
         if "name" in spec:
@@ -304,15 +316,22 @@ def _discard(paths):
         os.remove(path)
 
 
+@contextlib.contextmanager
 def _require_writable(paths):
-    """Create each output file empty before the work that fills it, so an
-    unwritable path exits 2 at once, and leave none of them if one fails."""
+    """Create each output file empty before the work in the block that fills
+    them, so an unwritable path exits 2 at once, and leave none of them if
+    one cannot be created or the block fails in any way."""
     for i, path in enumerate(paths):
         try:
             open(path, "w").close()
         except OSError as e:
             _discard(paths[:i])
             _output_error(path, e)
+    try:
+        yield
+    except BaseException:  # an exit or interrupt too; re-raised
+        _discard(paths)
+        raise
 
 
 # The CSV outputs are written here only; the estimate and variance CSVs'
@@ -355,6 +374,8 @@ def simulate(config_path, seed, shots, allow_incomplete):
     tm = build_time_model(cfg)
     num_shots = _config_int(
         "shots", shots if shots is not None else cfg.get("shots", 1000), 1)
+    if num_shots >= SHOT_LIMIT:
+        raise ConfigError(f"shots must be below {SHOT_LIMIT}, got {num_shots}")
     the_seed = _config_int(
         "seed", seed if seed is not None else cfg.get("seed", 0), 0)
     out = cfg.get("output", {})
@@ -364,18 +385,17 @@ def simulate(config_path, seed, shots, allow_incomplete):
         _fail(EXIT_INCOMPLETE,
               "Hamiltonian is not tomography-complete:\n" + diag.summary())
     paths = [out[key] for key in ("snapshots", "manifest") if key in out]
-    _require_writable(paths)
-    snaps = run_batch(h, rho, tm, num_shots, the_seed)
-    path = out["snapshots"]
-    try:
-        save_snapshots(path, snaps)
-        if "manifest" in out:
-            path = out["manifest"]
-            write_manifest(path, snaps, {"config_digest": config_digest(cfg),
-                                         "completeness": diag.verdict})
-    except OSError as e:
-        _discard(paths)
-        _output_error(path, e)
+    with _require_writable(paths):
+        snaps = run_batch(h, rho, tm, num_shots, the_seed)
+        path = out["snapshots"]
+        try:
+            save_snapshots(path, snaps)
+            if "manifest" in out:
+                path = out["manifest"]
+                write_manifest(path, snaps, {"config_digest": config_digest(cfg),
+                                             "completeness": diag.verdict})
+        except OSError as e:
+            _output_error(path, e)
     click.echo(f"wrote {num_shots} snapshots to {out['snapshots']}")
 
 
@@ -709,11 +729,10 @@ def _repro_fig13(seed):
 @click.option("--out", "out_path", default=None, type=click.Path())
 def reproduce(figure_key, seed, out_path):
     """Emit the desk-scale data series behind a benchmark figure."""
-    if out_path:
-        _require_writable([out_path])
-    header, rows = FIGURES[figure_key](seed)
-    lines = [f"# figure={figure_key} seed={seed} scale=desk", header]
-    _emit(out_path, lines + [_csv_row(*r) for r in rows])
+    with _require_writable([out_path] if out_path else []):
+        header, rows = FIGURES[figure_key](seed)
+        lines = [f"# figure={figure_key} seed={seed} scale=desk", header]
+        _emit(out_path, lines + [_csv_row(*r) for r in rows])
 
 
 if __name__ == "__main__":

@@ -40,6 +40,9 @@ BORN_TOL = 1e-9
 # multiplies by V, and about the 64-bit words of one block of shot streams:
 # 256 KiB per work array, whatever d and the state's rank.
 CHUNK_ENTRIES = 2**14
+# Shot counts must stay below this: each shot index is one 32-bit word of its
+# substream's spawn key.
+SHOT_LIMIT = 2**32
 
 # _unit_phasors: e^{i phi} = T[n mod 256] e^{i r} with n = rint(phi / STEP),
 # STEP = 2 pi / 256 and |r| <= STEP / 2. STEP splits into three parts (Cody
@@ -483,7 +486,7 @@ def _sample(h: SpectralHamiltonian, rho, tm: TimeModel, num_shots: int,
     entries. The draws, and hence the outcomes, do not depend on either
     partition.
     """
-    if num_shots >= 2**32:
+    if num_shots >= SHOT_LIMIT:
         raise ValueError("num_shots must be below 2**32, so that each shot "
                          "index is one spawn-key word")
     v = h.eigenbasis

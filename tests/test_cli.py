@@ -11,7 +11,7 @@ import yaml
 from click.testing import CliRunner
 
 import hamshadow
-from hamshadow import cli, models, qmatrix, shadowmap
+from hamshadow import cli, models, qmatrix, sampler, shadowmap
 from hamshadow.cli import (
     ESTIMATE_CSV_HEADER,
     VARIANCE_CSV_HEADER,
@@ -216,7 +216,7 @@ class TestSimulate:
 
 class TestConfigSections:
     @pytest.mark.parametrize("state,expected", [
-        ({"kind": "ghz", "n": 3}, lambda h: models.ghz_state(3)),
+        ({"kind": "ghz", "n": 2}, lambda h: models.ghz_state(2)),
         ({"kind": "cluster", "n": 2}, lambda h: models.cluster_state(2)),
         ({"kind": "ladder-product", "n_zero": 1, "n_one": 1},
          lambda h: models.ladder_product_state(1, 1)),
@@ -338,6 +338,110 @@ class TestUnwritableOutput:
         res = CliRunner().invoke(main, ["reproduce", "--figure", "fig8",
                                         "--out", str(out)])
         self.assert_refused(res, out)
+
+
+class TestStateDimension:
+    """A state of another dimension than the model's is a config error."""
+
+    # on a gue dim: 8 model each ended in a matmul or run_batch traceback
+    # (exit 1), or in estimate's "snapshot error: matmul: ..."
+    STATES = [({"kind": "ghz", "n": 4}, "ghz", 16),
+              ({"kind": "ladder-product", "n_zero": 2, "n_one": 2},
+               "ladder-product", 16),
+              ({"kind": "cluster", "n": 2}, "cluster", 4)]
+
+    @staticmethod
+    def cfg(tmp_path, state):
+        return base_cfg(tmp_path, model={"kind": "gue", "dim": 8, "seed": 1},
+                        state=state,
+                        estimators={"observables": [{"kind": "fidelity"}]})
+
+    @pytest.mark.parametrize("state,kind,dim", STATES,
+                             ids=["ghz", "ladder-product", "cluster"])
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "variance"])
+    def test_mismatch_code_2(self, tmp_path, monkeypatch, command, state,
+                             kind, dim):
+        simulated(tmp_path, self.cfg(tmp_path, {"kind": "ghz", "n": 3}))
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        TestUnwritableOutput.refuse_work(monkeypatch, "run_batch")
+        cfg_path = write_cfg(tmp_path / "bad.yaml", self.cfg(tmp_path, state))
+        args = [command, "--config", cfg_path]
+        if command == "estimate":
+            args += ["--snapshots", str(tmp_path / "snaps.txt")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == (f"config error: bad state section: the {kind} state "
+                              f"has dimension {dim}, but the model has dimension 8\n")
+        # the refused simulate opened neither output: both keep their bytes
+        after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert after == dict(before, **{"bad.yaml": after["bad.yaml"]})
+
+    def test_refused_simulate_leaves_no_new_file(self, tmp_path, monkeypatch):
+        TestUnwritableOutput.refuse_work(monkeypatch, "run_batch")
+        p = write_cfg(tmp_path / "cfg.yaml",
+                      self.cfg(tmp_path, {"kind": "ghz", "n": 4}))
+        res = CliRunner().invoke(main, ["simulate", "--config", p])
+        assert res.exit_code == 2
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+class TestShotLimit:
+    # 2**32 shots passed the CLI and failed in the sampler, after both
+    # outputs were created: exit 1 with a traceback, and two empty files
+    @pytest.mark.parametrize("where", ["config", "option"])
+    def test_refused_before_sampling(self, tmp_path, monkeypatch, where):
+        TestUnwritableOutput.refuse_work(monkeypatch, "run_batch")
+        cfg = base_cfg(tmp_path, shots=2**32 if where == "config" else 10)
+        args = ["simulate", "--config", write_cfg(tmp_path / "cfg.yaml", cfg)]
+        if where == "option":
+            args += ["--shots", str(2**32)]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert res.output == (f"config error: shots must be below {2**32}, "
+                              f"got {2**32}\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    def test_limit_is_the_samplers(self):
+        assert cli.SHOT_LIMIT is sampler.SHOT_LIMIT == 2**32
+
+
+class TestFailedRunLeavesNoOutput:
+    """A failure after the outputs were created removes every one of them."""
+
+    def test_simulate(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("sampler failed")
+        monkeypatch.setattr(cli, "run_batch", fail)
+        p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path))
+        res = CliRunner().invoke(main, ["simulate", "--config", p])
+        assert isinstance(res.exception, RuntimeError)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    def test_reproduce(self, tmp_path, monkeypatch):
+        def fail(seed):
+            raise RuntimeError("figure failed")
+        monkeypatch.setitem(cli.FIGURES, "fig8", fail)
+        out = tmp_path / "fig8.csv"
+        res = CliRunner().invoke(main, ["reproduce", "--figure", "fig8",
+                                        "--out", str(out)])
+        assert isinstance(res.exception, RuntimeError)
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "variance"])
+def test_observables_string_names_the_list(tmp_path, command):
+    # "fidelity" was read as the list ["f", "i", ...]: "observables[0] must
+    # be a mapping"
+    simulated(tmp_path, base_cfg(tmp_path))
+    cfg = base_cfg(tmp_path, estimators={"observables": "fidelity"})
+    args = [command, "--config", write_cfg(tmp_path / "bad.yaml", cfg)]
+    if command == "estimate":
+        args += ["--snapshots", str(tmp_path / "snaps.txt")]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert res.output == ("config error: config.estimators.observables must be "
+                          "a list of mappings, got 'fidelity'\n")
 
 
 class TestEstimate:

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hamshadow.models import (
 )
 from hamshadow.qmatrix import swap_operator
 from hamshadow.sampler import TimeModel, run_batch
+from hamshadow import shadowmap, variance
 from hamshadow.shadowmap import IncompleteInverterError, build_inverter
 from hamshadow.variance import (
     VarianceReport,
@@ -126,14 +129,42 @@ def einsum_kernel(inv, o_t):
     return kern
 
 
+def loop_kernel(inv, o_t):
+    """The moment kernel as it was computed before the moment table: q, M
+    and T from the eigenbasis on every call, and the tr(w w r) term one row
+    at a time. The reference, bit for bit, for the table and the row blocks."""
+    d = inv.dim
+    q = np.abs(inv.hamiltonian.eigenbasis) ** 2
+    od = np.diagonal(o_t)
+    o_ot = o_t * o_t.T
+    tr_w = q @ od
+    tr_ww = np.sum((q @ o_ot) * q, axis=1)
+    m2 = (q * q).T @ q
+    t3 = (q.T @ (q[:, :, None] * q[:, None, :]).reshape(d, d * d)).reshape(d, d, d)
+    ww_u = np.empty((d, d), dtype=complex)
+    for m in range(d):
+        ww_u[m] = o_t[m] @ (t3[m] * o_t)
+    kern = 2 * (o_t * (q.T @ (tr_w[:, None] * q)) + ww_u).T
+    kern -= 2 * od[:, None] * o_t.T * m2
+    kern -= 2 * (od[:, None] * o_t * m2).T
+    diag = (tr_w * tr_w + tr_ww) @ q
+    diag -= np.sum(2 * (od[:, None] * od[None, :] + o_ot) * m2, axis=1)
+    diag -= (od * od) @ m2
+    diag += 4 * od * od * np.diagonal(m2)
+    kern[np.diag_indices(d)] += diag
+    return kern
+
+
 def inverter_in_mode(mode, d):
-    """A d-dimensional inverter; the pseudo-inverse on the flat Fourier basis."""
+    """A d-dimensional inverter; the pseudo-inverse on the flat Fourier basis.
+    The finite-time window is [0, 5], or [0, 5000] from d = 32 on, where the
+    short window's superoperator is singular."""
     if mode == "pseudo-inverse":
         fourier = np.fft.fft(np.eye(d)) / np.sqrt(d)
         return build_inverter(hamiltonian_from_unitary(fourier), mode=mode)
     if mode == "finite-time":
         return build_inverter(gue_hamiltonian(d, 30 + d), mode=mode,
-                              t_min=0.0, t_max=5.0)
+                              t_min=0.0, t_max=5.0 if d < 32 else 5000.0)
     return build_inverter(gue_hamiltonian(d, 30 + d))
 
 
@@ -220,6 +251,68 @@ class TestKernel:
         ref = brute_kernel(inv, o)
         np.testing.assert_allclose(v @ kern.T @ v.conj().T, ref,
                                    rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+class TestMomentTable:
+    @pytest.mark.parametrize("mode", ["ideal", "pseudo-inverse", "finite-time"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 32, 64])
+    def test_kernel_has_the_loop_bits(self, mode, d, monkeypatch):
+        # one row per block, the default blocks, and one block of all d rows
+        inv = inverter_in_mode(mode, d)
+        o_t = random_complex(d, 60 + d)
+        ref = loop_kernel(inv, o_t)
+        for entries in (1, variance.KERNEL_BLOCK_ENTRIES, d**3):
+            monkeypatch.setattr(variance, "KERNEL_BLOCK_ENTRIES", entries)
+            np.testing.assert_array_equal(_second_moment_kernel(inv, o_t), ref)
+
+    def test_built_once_per_inverter(self, monkeypatch):
+        builds = []
+
+        def counted(h):
+            builds.append(h)
+            return moment_table(h)
+
+        moment_table = shadowmap.moment_table
+        monkeypatch.setattr(shadowmap, "moment_table", counted)
+        inv = build_inverter(gue_hamiltonian(5, 61))
+        assert builds == [] and "moments" not in vars(inv)  # lazy
+        rho = random_density(5, 62)
+        for seed in (63, 64):
+            o = Observable(random_hermitian(5, seed))
+            second_moment_exact(inv, o, rho)
+            shadow_norm_sq(inv, o)
+            variance_report(inv, o, rho=rho)
+        assert builds == [inv.hamiltonian]
+
+    def test_read_only_and_per_inverter(self):
+        h = gue_hamiltonian(4, 65)
+        first, second = build_inverter(h), build_inverter(h)
+        table = first.moments
+        assert first.moments is table
+        for name in ("q", "m2", "t3"):
+            arr = getattr(table, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+            np.testing.assert_array_equal(getattr(second.moments, name), arr)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, name, arr.copy())
+        assert second.moments is not table
+
+    def test_kernel_memory_once_the_table_exists(self):
+        # at d = 64 T holds 2 MB and a (d, d, d) complex temporary would be
+        # 4 MB; a kernel call peaks at about 0.6 MB of (d, d) arrays and one
+        # 2^13-entry row block (one block of all rows: 4.4 MB)
+        d = 64
+        inv = build_inverter(gue_hamiltonian(d, 66))
+        o_t = random_complex(d, 67)
+        _second_moment_kernel(inv, o_t)
+        tracemalloc.start()
+        try:
+            _second_moment_kernel(inv, o_t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 class TestShadowNorm:
