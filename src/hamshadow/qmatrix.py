@@ -22,7 +22,8 @@ def as_complex(m) -> np.ndarray:
 
 def is_hermitian(m, tol: float = 1e-10) -> bool:
     m = as_complex(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
+    return (m.ndim == 2 and m.shape[0] == m.shape[1]
+            and np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def is_unitary(m, tol: float = 1e-10) -> bool:

@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,6 +34,44 @@ from haar import baseline_global_shadow, global_shadow_values, haar_unitary
 from moments import diagonal_design
 from states import exact_average_state, snapshot_states
 from superoperators import forward_superoperator
+
+
+def _is_swap_by_entry_count(m):
+    """The SWAP check by complex entry count, kept as the verdict's oracle."""
+    d = math.isqrt(m.shape[0])
+    i, j = np.indices((d, d))
+    return (m.shape == (d * d, d * d) and np.count_nonzero(m) == d * d
+            and bool(np.all(m.reshape(d, d, d, d)[i, j, j, i] == 1)))
+
+
+def _swap_with(d, row, col, value):
+    m = swap_operator(d)
+    m[row, col] = value
+    return m
+
+
+def _signed_zero_swap(d):
+    m = swap_operator(d)
+    off = m == 0
+    m.real[off] = -0.0
+    m.imag[::2] = -0.0
+    return m
+
+
+SWAP_CASES = {
+    **{f"swap{d}": (swap_operator(d), True) for d in (1, 2, 3, 4, 5, 8)},
+    "negative-zeros": (_signed_zero_swap(3), True),
+    "fortran": (np.asfortranarray(_signed_zero_swap(3)), True),
+    "transposed": (_signed_zero_swap(3).T, True),
+    "real": (swap_operator(3).real.copy(), True),
+    "nan-at-zero": (_swap_with(3, 0, 1, np.nan), False),
+    "nan-at-one": (_swap_with(3, 1, 3, np.nan), False),
+    "subnormal-at-zero": (_swap_with(3, 0, 1, 5e-324), False),
+    "imaginary-at-zero": (_swap_with(3, 0, 1, 1e-300j), False),
+    "imaginary-at-one": (_swap_with(3, 1, 3, 1 + 1e-300j), False),
+    "identity": (np.eye(9, dtype=complex), False),
+    "wrong-shape": (swap_operator(3)[:8, :8], False),
+}
 
 
 def make_setup(d=4, hseed=1, rseed=2, shots=400, sseed=3):
@@ -134,6 +174,13 @@ class TestObservableType:
         with pytest.raises(ValueError):
             Observable(np.eye(2), copies=3)
 
+    @pytest.mark.parametrize("m", [np.array(1.0), np.ones(3), np.ones((2, 3)),
+                                   np.ones((2, 2, 2))], ids=lambda m: str(m.shape))
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_rejects_non_square_matrix(self, m, copies):
+        with pytest.raises(ValueError, match=re.escape(f"not of shape {m.shape}")):
+            Observable(m, copies=copies)
+
     def test_only_exact_swap_accepted(self):
         assert Observable(swap_operator(3), copies=2).copies == 2
         near = swap_operator(3)
@@ -142,6 +189,40 @@ class TestObservableType:
             Observable(near, copies=2)
         with pytest.raises(ValueError):
             Observable(swap_operator(3)[:8, :8], copies=2)
+
+    @pytest.mark.parametrize("m, accepted", SWAP_CASES.values(), ids=SWAP_CASES.keys())
+    def test_swap_verdict_matches_entry_count(self, m, accepted):
+        assert estimators._is_swap(m) == _is_swap_by_entry_count(m) == accepted
+        if accepted:
+            assert Observable(m, copies=2).copies == 2
+        else:
+            with pytest.raises(ValueError):
+                Observable(m, copies=2)
+
+    def test_canonical_swap_counts_words_only(self, monkeypatch):
+        counted = []
+        count = np.count_nonzero
+
+        def recording(a, *args, **kwargs):
+            counted.append(np.asarray(a).dtype)
+            return count(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", recording)
+        assert estimators._is_swap(swap_operator(4))
+        assert counted == [np.dtype(np.uint64)]
+
+    def test_swap_check_allocates_no_d4_array(self):
+        # beside the 1 MB SWAP of d = 16 the check makes only d^2-entry
+        # index and gather arrays (16 KB in all); a boolean mask of the
+        # entries would be 64 KB and a copy of the matrix 1 MB
+        s = swap_operator(16)
+        tracemalloc.start()
+        try:
+            Observable(s, copies=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.nbytes / 32
 
     def test_report_rejects_negative_error(self):
         with pytest.raises(ValueError):

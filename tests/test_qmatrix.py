@@ -31,6 +31,11 @@ class TestPredicates:
         assert not is_hermitian(np.array([[1, 1j], [1j, 2]]))
         assert not is_hermitian(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    def test_hermitian_refuses_non_matrix(self, shape):
+        # (2, 2, 2) has equal first axes and equals its all-axes transpose
+        assert not is_hermitian(np.ones(shape))
+
     def test_unitary(self):
         assert is_unitary(np.eye(3))
         theta = 0.7

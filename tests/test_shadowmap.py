@@ -29,12 +29,14 @@ from hamshadow.shadowmap import (
     _apply_packed,
     _inverse_one_norm,
     _invert_spd_in_place,
+    _mirror_upper,
     _pack,
     _packed_weights,
     _packing,
     _unpack,
     _window_superoperator,
     FiniteTimeChoi,
+    INVERSE_BLOCK,
     SINGULAR_CONDITION,
     apply_n_inverse,
     build_inverter,
@@ -525,6 +527,36 @@ class TestInPlaceInverse:
         assert np.array_equal(a, a.T)
         lu = np.linalg.inv(s)
         assert np.abs(a - lu).max() <= 1e-13 * np.abs(lu).max()
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_mirror_copies_upper_triangle(self, n):
+        # n = d^2 at d = 8, 32 and 64, against the mirror in INVERSE_BLOCK
+        # steps that symmetrized each diagonal block by a sum
+        a = np.random.default_rng(n).normal(size=(n, n))
+        a[np.tril_indices(n, -1)] = np.nan  # never read
+        expected = a.copy()
+        for k0 in range(0, n, INVERSE_BLOCK):
+            k = slice(k0, min(k0 + INVERSE_BLOCK, n))
+            expected[k.stop:, k] = expected[k, k.stop:].T
+            expected[k, k] = np.triu(expected[k, k]) + np.triu(expected[k, k], 1).T
+        _mirror_upper(a)
+        np.testing.assert_array_equal(a, expected)
+
+    @pytest.mark.parametrize("n, inverse_block, mirror_block", [
+        (64, None, None), (1024, None, None), (200, None, None), (23, 7, 5)])
+    def test_inverse_does_not_depend_on_mirror_block(self, n, inverse_block,
+                                                     mirror_block, monkeypatch):
+        if inverse_block is not None:
+            monkeypatch.setattr(shadowmap, "INVERSE_BLOCK", inverse_block)
+            monkeypatch.setattr(shadowmap, "MIRROR_BLOCK", mirror_block)
+        x = np.random.default_rng(n).normal(size=(n, n))
+        s = x @ x.T + n * np.eye(n)
+        a = s.copy()
+        _invert_spd_in_place(a)
+        monkeypatch.setattr(shadowmap, "MIRROR_BLOCK", shadowmap.INVERSE_BLOCK)
+        _invert_spd_in_place(s)
+        np.testing.assert_array_equal(a, s)
+        assert np.array_equal(a.view(np.uint64), s.view(np.uint64))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="the reference needs an extended long double")
