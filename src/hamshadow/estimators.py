@@ -71,6 +71,8 @@ class Observable:
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"observable {self.name} must be a square 2-D "
                              f"matrix, not of shape {shape}")
+        if shape[0] == 0:
+            raise ValueError(f"observable {self.name} is an empty 0 x 0 matrix")
         if self.copies not in (1, 2):
             raise ValueError("copies must be 1 or 2")
         if self.copies == 2:

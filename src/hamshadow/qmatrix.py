@@ -22,7 +22,7 @@ def as_complex(m) -> np.ndarray:
 
 def is_hermitian(m, tol: float = 1e-10) -> bool:
     m = as_complex(m)
-    return (m.ndim == 2 and m.shape[0] == m.shape[1]
+    return (m.ndim == 2 and m.shape[0] == m.shape[1] and m.size > 0
             and np.max(np.abs(m - m.conj().T)) <= tol)
 
 

@@ -31,7 +31,10 @@ SIGMA_BLOCK_ENTRIES = 2**14  # complex sigma-hat entries per packing step
 INVERSE_BLOCK = 96
 # columns per block of the inverse's final copy of its upper triangle into
 # the lower one, a strided copy: 64 columns took 32 ms at d = 64 against
-# 71 ms in INVERSE_BLOCK's 96, and 1.5 against 2.1 ms at d = 32
+# 71 ms in INVERSE_BLOCK's 96, and 1.5 against 2.1 ms at d = 32. Also the
+# rows per block of _symmetric_half_product's read of R^-1: on one
+# observable the whole _apply_packed took 12.0 ms at d = 64 against 14.7 ms
+# in 96-row blocks, and 0.64 against 0.60 ms at d = 32
 MIRROR_BLOCK = 64
 # entries d^4 of the real d^2 x d^2 array finite_time_choi holds: 2 GiB, so
 # d = 128 builds and d = 256 (32 GiB) is refused before anything is allocated
@@ -97,6 +100,11 @@ class FiniteTimeChoi:
     stored, in the array that held R (finite_time_choi inverts it in
     place); it is applied to the Hermitian and anti-Hermitian halves of a
     complex input. R itself is rebuilt by _window_superoperator.
+
+    packed_inverse is S^-1 W, with S^-1 symmetric and the packed weights w
+    all 1 or 2, so (R^-1 / w)^T equals R^-1 / w bit for bit (R^-1 / w
+    divides column j by w_j, exactly). _apply_packed relies on this: it
+    reads only the upper block triangle of R^-1.
     """
 
     packed_inverse: np.ndarray         # real d^2 x d^2 R^-1, acts on _pack(sigma)
@@ -168,10 +176,18 @@ class ShadowInverter:
     def moments(self) -> MomentTable:
         return moment_table(self.hamiltonian)
 
+    @functools.cached_property
+    def recovers_all(self) -> bool:
+        """Every eigenframe entry is recovered: always in the ideal and
+        finite-time modes."""
+        return bool(self.recovered.all())
+
     def require_recovered(self, a: np.ndarray) -> None:
         """ValueError if the eigenframe observable a, or a matrix of a stack,
         is nonzero beyond ZERO_DIAG_TOL on an entry this inverter does not
-        recover."""
+        recover. An inverter that recovers every entry reads nothing of a."""
+        if self.recovers_all:
+            return
         big = (np.abs(a) > ZERO_DIAG_TOL).reshape(-1, self.dim, self.dim).any(axis=0)
         dropped = np.argwhere(big & ~self.recovered)
         if len(dropped):
@@ -185,7 +201,7 @@ class ShadowInverter:
     def require_whole_state(self):
         """Refuse an inverter that drops any entry, as the purity needs every
         entry of the state."""
-        if not self.recovered.all():
+        if not self.recovers_all:
             raise IncompleteInverterError(
                 f"the {self.mode} inverter recovers {self.recovered.sum()} of the "
                 f"{self.recovered.size} eigenframe entries; the purity needs all of them")
@@ -329,19 +345,54 @@ def _packed_weights(d: int) -> np.ndarray:
     return np.where(sign == 0, 1.0, 2.0)
 
 
-def _apply_packed(m: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Packed real map m on one complex d x d matrix or a (..., d, d) stack.
-
-    sigma = H + iK with Hermitian halves H = (sigma + sigma^dag)/2 and
-    K = (sigma - sigma^dag)/2i; both go through one real GEMM with m and
-    are unpacked.
-    """
+def _packed_halves(sigma: np.ndarray) -> np.ndarray:
+    """Packed coordinates of the Hermitian halves H = (sigma + sigma^dag)/2
+    and K = (sigma - sigma^dag)/2i of sigma = H + iK, one complex d x d
+    matrix or a (..., d, d) stack: shape (2, rows, d^2)."""
     d = sigma.shape[-1]
     t, _, _ = _packing(d)
     flat = sigma.reshape(-1, d * d)
     dag = flat.conj()[:, t]
-    halves = _pack(np.stack([(flat + dag) / 2, (flat - dag) / 2j]))
-    h, k = _unpack(halves @ m.T)
+    return _pack(np.stack([(flat + dag) / 2, (flat - dag) / 2j]))
+
+
+def _symmetric_half_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x @ m.T for packed real rows x, shape (rows, d^2), and a packed map m
+    with (m / w)^T == m / w, reading only the upper block triangle of m.
+
+    With that symmetry m[c, i] = m[i, c] w_i / w_c. So row block I of m, in
+    blocks of MIRROR_BLOCK rows, writes x[:, I0:] @ m[I, I0:].T into its
+    own columns and adds (x[:, I] * w[I]) @ m[I, I1:] to a sum over the
+    columns after it, which is divided by w once at the end; both
+    rescalings are exact, as w holds only 1s and 2s. The blocks below the
+    diagonal blocks are never read. On the two rows of one observable the
+    pass is memory-bound, so the bytes of m it reads set its time.
+    """
+    n = len(m)
+    w = _packed_weights(math.isqrt(n))
+    xw = x * w
+    out = np.empty(x.shape)
+    after = np.zeros(x.shape)
+    for i0 in range(0, n, MIRROR_BLOCK):
+        i1 = min(i0 + MIRROR_BLOCK, n)
+        rows = m[i0:i1, i0:]
+        np.matmul(x[:, i0:], rows.T, out=out[:, i0:i1])
+        after[:, i1:] += xw[:, i0:i1] @ rows[:, i1 - i0:]
+    after /= w
+    out += after
+    return out
+
+
+def _apply_packed(m: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Packed real map m on one complex d x d matrix or a (..., d, d) stack.
+
+    m must be symmetric under the packed weights, as R^-1 is (see
+    FiniteTimeChoi): the two Hermitian halves of sigma go through one
+    _symmetric_half_product with m and are unpacked.
+    """
+    halves = _packed_halves(sigma)
+    mapped = _symmetric_half_product(m, halves.reshape(-1, halves.shape[-1]))
+    h, k = _unpack(mapped.reshape(halves.shape))
     return (h + 1j * k).reshape(sigma.shape)
 
 
@@ -396,15 +447,20 @@ def inverted_snapshot_moments(inv: ShadowInverter,
     """Sum of rho-hat_k = N^-1(sigma-hat_k) over the amplitude rows z_k, in
     the eigenframe, and Tr(rho-hat_k^2) of each row.
 
-    Ideal and pseudo-inverse modes use the closed form in q_k = |z_k|^2:
-    S = N^-1(Z^dag Z), one GEMM and one d x d inversion, and
+    In every mode S = N^-1(Z^dag Z), one application of the inverse (in
+    finite-time mode the half read of _apply_packed), as
+    sum_k sigma-hat_k = Z^dag Z. Ideal and pseudo-inverse modes form Z^dag Z
+    by one GEMM and use the closed form in q_k = |z_k|^2:
     Tr(rho-hat_k^2) = ||M q_k||^2 + q_k^T (1/D^2) q_k with the inverter's
     divisor D and diagonal_map M, so no rho-hat_k is formed. In finite-time
-    mode one real GEMM per block of PACKED_BLOCK_ENTRIES entries maps the packed
-    sigma-hat_k of that block to every packed rho-hat_k, and Tr(rho-hat_k^2)
-    is a w-weighted squared row norm. That block is 256 rows at d = 32,
-    since 64-row blocks ran the GEMMs about a third slower. Every block
-    reuses one packed sigma-hat and one rho-hat buffer, squared in place.
+    mode one real GEMM per block of PACKED_BLOCK_ENTRIES entries maps the
+    packed sigma-hat_k of that block to every packed rho-hat_k, and
+    Tr(rho-hat_k^2) is a w-weighted squared row norm. That GEMM reads the
+    whole mirrored R^-1. The block is 256 rows at d = 32, since 64-row
+    blocks ran the GEMMs about a third slower. Every block reuses one
+    packed sigma-hat and one rho-hat buffer, squared in place, and adds
+    its rows' share of Z^dag Z, so no conjugate copy of all of Z is made
+    (one raised the peak memory of a window purity run by 0.3 MB).
     """
     k, d = z.shape
     if inv.mode != "finite-time":
@@ -416,20 +472,20 @@ def inverted_snapshot_moments(inv: ShadowInverter,
         return s, tr_sq
     r_inv_t = inv.finite.packed_inverse.T
     w = _packed_weights(d)
-    s = np.zeros(d * d)
     tr_sq = np.empty(k)
     rows = max(1, min(k, PACKED_BLOCK_ENTRIES // d**2))
     # fresh 2 MB arrays per block would each be a new mmap whose pages
     # fault in again
     sig_buf, rho_buf = np.empty((rows, d * d)), np.empty((rows, d * d))
+    gram = np.zeros((d, d), dtype=complex)
     for start in range(0, k, rows):
         blk = slice(start, start + rows)
         n = min(rows, k - start)
+        gram += z[blk].conj().T @ z[blk]
         rhos = np.matmul(_packed_sigmas(z[blk], sig_buf[:n]), r_inv_t,
                          out=rho_buf[:n])
-        s += rhos.sum(axis=0)
         tr_sq[blk] = np.square(rhos, out=rhos) @ w
-    return _unpack(s).reshape(d, d), tr_sq
+    return apply_n_inverse(inv, gram), tr_sq
 
 
 def _modulus_sums(re: np.ndarray, im: np.ndarray) -> np.ndarray:

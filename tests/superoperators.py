@@ -4,7 +4,8 @@ The package applies only the inverse map. The forward map N here is the
 oracle it is checked against: the ideal closed form, or in finite-time
 mode the packed real window superoperator R, rebuilt from the inverter's
 Hamiltonian and window. inverse_one_norm_by_columns is the oracle of the
-1-norm behind the finite-time condition number.
+1-norm behind the finite-time condition number, and apply_packed_dense
+the oracle of the package's half read of the packed inverse.
 """
 
 import math
@@ -16,9 +17,9 @@ from hamshadow.qmatrix import SpectralHamiltonian
 from hamshadow.shadowmap import (
     BLOCK_ENTRIES,
     ShadowInverter,
-    _apply_packed,
     _apply_to_diagonal,
     _pack,
+    _packed_halves,
     _packing,
     _unpack,
     _window_superoperator,
@@ -71,6 +72,19 @@ def inverse_one_norm_by_columns(r_inv: np.ndarray) -> float:
     return norm
 
 
+def apply_packed_dense(m: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Any packed real map m on one complex d x d matrix or a (..., d, d)
+    stack, by the full product of its two packed Hermitian halves with m.
+
+    shadowmap._apply_packed reads only half of a map that is symmetric
+    under the packed weights; this reads all of m, so it also applies the
+    forward R and maps with no symmetry.
+    """
+    halves = _packed_halves(sigma)
+    h, k = _unpack(halves @ m.T)
+    return (h + 1j * k).reshape(sigma.shape)
+
+
 def packed_forward(inv: ShadowInverter) -> np.ndarray:
     """Real d^2 x d^2 R of a finite-time inverter, on packed coordinates."""
     return _window_superoperator(inv.hamiltonian, *inv.window)[0]
@@ -84,7 +98,7 @@ def apply_n(inv: ShadowInverter, sigma) -> np.ndarray:
     """
     sigma = as_complex(sigma)
     if inv.mode == "finite-time":
-        return _apply_packed(packed_forward(inv), sigma)
+        return apply_packed_dense(packed_forward(inv), sigma)
     i = np.arange(inv.dim)
     out = inv.x_h * sigma
     out[..., i, i] = _apply_to_diagonal(inv.x_h, sigma)

@@ -29,7 +29,6 @@ from hamshadow.estimators import (
 from hamshadow.models import pauli_tensor
 from hamshadow.sampler import TimeModel, load_snapshots, run_batch
 from hamshadow.shadowmap import (
-    _apply_packed,
     apply_n_inverse,
     build_inverter,
     hamiltonian_fingerprint,
@@ -42,7 +41,7 @@ from hamshadow.variance import (
 from moments import DiagonalDesign
 from snapfiles import HEADER_EDITS, b64, edit_file
 from states import exact_average_state
-from superoperators import dense_window_superoperator
+from superoperators import apply_packed_dense, dense_window_superoperator
 
 DATA = Path(__file__).parent / "data"
 
@@ -750,7 +749,7 @@ class TestRecordChoosesTheMap:
         h, rho, o, truth = resonant_case()
         v = h.eigenbasis
         r, _ = dense_window_superoperator(h, LONG_WINDOW.t_min, LONG_WINDOW.t_max)
-        mean_sigma = _apply_packed(r, v.conj().T @ rho @ v)  # eigenframe
+        mean_sigma = apply_packed_dense(r, v.conj().T @ rho @ v)  # eigenframe
 
         def mean(inv):
             return np.trace(v.conj().T @ o @ v

@@ -181,6 +181,15 @@ class TestObservableType:
         with pytest.raises(ValueError, match=re.escape(f"not of shape {m.shape}")):
             Observable(m, copies=copies)
 
+    def test_rejects_empty_observable(self):
+        with pytest.raises(ValueError, match="observable O is an empty 0 x 0"):
+            Observable(np.zeros((0, 0)))
+
+    def test_rejects_empty_swap(self):
+        # a 0 x 0 matrix would pass the SWAP check as the SWAP of d = 0
+        with pytest.raises(ValueError, match="observable SWAP is an empty 0 x 0"):
+            Observable(np.zeros((0, 0)), copies=2, name="SWAP")
+
     def test_only_exact_swap_accepted(self):
         assert Observable(swap_operator(3), copies=2).copies == 2
         near = swap_operator(3)

@@ -36,6 +36,9 @@ class TestPredicates:
         # (2, 2, 2) has equal first axes and equals its all-axes transpose
         assert not is_hermitian(np.ones(shape))
 
+    def test_hermitian_refuses_empty_matrix(self):
+        assert not is_hermitian(np.zeros((0, 0)))
+
     def test_unitary(self):
         assert is_unitary(np.eye(3))
         theta = 0.7

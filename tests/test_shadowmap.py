@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -26,13 +27,14 @@ from hamshadow.rdu import ENERGY_RESOLUTION
 from hamshadow.sampler import Snapshot, TimeModel, run_batch
 from hamshadow.shadowmap import (
     IncompleteInverterError,
-    _apply_packed,
     _inverse_one_norm,
     _invert_spd_in_place,
     _mirror_upper,
     _pack,
     _packed_weights,
+    _packed_halves,
     _packing,
+    _symmetric_half_product,
     _unpack,
     _window_superoperator,
     FiniteTimeChoi,
@@ -43,11 +45,13 @@ from hamshadow.shadowmap import (
     diagnose_detection,
     finite_time_choi,
     hamiltonian_fingerprint,
+    inverted_snapshot_moments,
 )
 
 from states import build_estimator
 from superoperators import (
     apply_n,
+    apply_packed_dense,
     dense_window_superoperator,
     forward_superoperator,
     inverse_one_norm_by_columns,
@@ -488,6 +492,27 @@ def rydberg_chain(atoms, seed):
     return rydberg_hamiltonian(RydbergParams(random_positions(atoms, seed=seed)))
 
 
+def long_double_spd_inverse(s):
+    """Inverse of the symmetric positive-definite s, read from its upper
+    triangle, by an unblocked Cholesky factorisation s = L L^T and
+    L^-T L^-1 in long double; doubles, symmetric bit for bit."""
+    a = np.triu(s).astype(np.longdouble)
+    a += np.triu(a, 1).T
+    n = len(a)
+    low = np.zeros_like(a)
+    for j in range(n):
+        v = a[j:, j] - low[j:, :j] @ low[j, :j]
+        low[j, j] = np.sqrt(v[0])
+        low[j + 1:, j] = v[1:] / low[j, j]
+    low_inv = np.zeros_like(a)
+    for i in range(n):
+        low_inv[i, :i + 1] = -(low[i, :i] @ low_inv[:i, :i + 1])
+        low_inv[i, i] += 1
+        low_inv[i, :i + 1] /= low[i, i]
+    upper = np.triu(low_inv.T @ low_inv).astype(float)
+    return upper + np.triu(upper, 1).T
+
+
 class TestInPlaceInverse:
     @pytest.mark.parametrize("h", [
         gue_hamiltonian(2, 5),
@@ -561,29 +586,27 @@ class TestInPlaceInverse:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="the reference needs an extended long double")
     def test_fig4b_estimates_match_refined_inverse(self):
-        # the reference inverse: LU's, refined by two steps of
-        # X <- X + X (I - R X) in long double, so it does not depend on the
-        # inverse under test. Relative gaps of the GHZ fidelity on
-        # dt = 5, 10 and 20 us, with 1 | 2 BLAS threads: the Cholesky inverse
-        # 2.6e-10 | 2.8e-10, 7.4e-10 | 7.5e-10, 9.8e-11 | 1.3e-10; the
-        # Gauss-Jordan sweep it replaced 1.4e-9 | 7.4e-10, 3.5e-9 | 1.6e-9,
-        # 6.2e-10 | 1.7e-10. A rounding change of the reference alone moves
-        # the estimates by about 1e-10.
+        # the reference inverse: an unblocked Cholesky inverse of S = W R in
+        # long double, so it does not depend on the inverse under test, and
+        # symmetric, so it is in the form the apply path reads half of.
+        # Relative gaps of the GHZ fidelity on dt = 5, 10 and 20 us, with
+        # 1 | 2 BLAS threads: 9.1e-11 | 9.1e-11, 5.1e-10 | 5.1e-10,
+        # 1.2e-10 | 1.2e-10. The LU inverse refined in long double, which
+        # this reference replaced, is accurate on one side only: made
+        # symmetric by the mean of R^-1 / w and its transpose, its own
+        # estimates moved by up to 2.8e-8. A rounding change of the
+        # reference alone moves the estimates by about 1e-10.
         h = cli._rydberg_setup(4, 7)
         rho = ghz_state(4)
         fidelity = Observable(rho, name="fidelity")
+        w = _packed_weights(h.dim)
         gaps = []
         for dt in (5.0, 10.0, 20.0):
             tm = TimeModel("uniform-window", t_min=2.0, t_max=2.0 + dt)
             inv = build_inverter(h, mode="finite-time", t_min=tm.t_min,
                                  t_max=tm.t_max)
-            r = _window_superoperator(h, tm.t_min, tm.t_max)[0]
-            r_ld = r.astype(np.longdouble)
-            eye = np.eye(len(r), dtype=np.longdouble)
-            x = np.linalg.inv(r)
-            for _ in range(2):
-                x_ld = x.astype(np.longdouble)
-                x = (x_ld + x_ld @ (eye - r_ld @ x_ld)).astype(float)
+            s = w[:, None] * _window_superoperator(h, tm.t_min, tm.t_max)[0]
+            x = long_double_spd_inverse(s) * w
             refined = replace(inv, finite=FiniteTimeChoi(x, inv.finite.condition_number))
             snaps = run_batch(h, rho, tm, 4000, 7)
             value = estimate_linear(inv, snaps, fidelity).value
@@ -670,7 +693,7 @@ class TestPackedCoordinates:
         m = np.random.default_rng(43).normal(size=(d * d, d * d))
         m[:, np.eye(d, dtype=bool).reshape(-1)] *= diagonal_scale
         units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
-        dense = _apply_packed(m, units).reshape(d * d, -1).T
+        dense = apply_packed_dense(m, units).reshape(d * d, -1).T
         norm = _inverse_one_norm(m)
         assert norm == pytest.approx(np.linalg.norm(dense, 1), rel=1e-13)
         assert norm == pytest.approx(inverse_one_norm_by_columns(m), rel=1e-13)
@@ -720,6 +743,111 @@ class TestPackedCoordinates:
 
 
 MODES = ["ideal", "finite-time", "pseudo-inverse"]
+
+
+# window inverters on [2, 22] us, by d: GUE spectra at d = 2, 4 and 8, and
+# the 3- and 5-atom chains at d = 8 and 32
+WINDOW_CASES = {
+    "gue-d2": (gue_hamiltonian, 2, 5),
+    "gue-d4": (gue_hamiltonian, 4, 5),
+    "gue-d8": (gue_hamiltonian, 8, 1),
+    "chain-d8": (rydberg_chain, 3, 1),
+    "chain-d32": (rydberg_chain, 5, 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def window_inverter(case):
+    build, size, seed = WINDOW_CASES[case]
+    h = build(size, seed)
+    return build_inverter(h, mode="finite-time", t_min=2.0, t_max=22.0)
+
+
+def packed_rows(d, shape, seed):
+    """Packed Hermitian halves of a complex d x d matrix or stack, as rows."""
+    g = np.random.default_rng(seed)
+    sigma = g.normal(size=(*shape, d, d)) + 1j * g.normal(size=(*shape, d, d))
+    return sigma, _packed_halves(sigma).reshape(-1, d * d)
+
+
+def product_bound(x, m):
+    """Entrywise bound on the gap of two computed x @ m.T: each is within
+    n eps |x| |m|^T of the exact product, and the w rescalings are exact."""
+    n = len(m)
+    return 2 * n * np.finfo(float).eps * (np.abs(x) @ np.abs(m).T)
+
+
+class TestSymmetricHalfRead:
+    # up to d = 8 (n = 64) the default is one block, the full product; 3-row
+    # blocks split every case, with a ragged last block
+    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("case", list(WINDOW_CASES))
+    def test_matches_full_product(self, case, shape, block, monkeypatch):
+        inv = window_inverter(case)
+        m = inv.finite.packed_inverse
+        if block:
+            monkeypatch.setattr(shadowmap, "MIRROR_BLOCK", block)
+        sigma, x = packed_rows(inv.dim, shape, 50)
+        half = _symmetric_half_product(m, x)
+        bound = product_bound(x, m)
+        assert np.all(np.abs(half - x @ m.T) <= bound)
+        # and through the complex apply path, on one matrix and on stacks
+        out = apply_n_inverse(inv, sigma)
+        assert out.shape == sigma.shape
+        np.testing.assert_allclose(out, apply_packed_dense(m, sigma), rtol=0,
+                                   atol=2 * bound.max())
+
+    @pytest.mark.parametrize("case", list(WINDOW_CASES))
+    def test_inverse_is_symmetric_under_weights(self, case):
+        # (R^-1 / w)^T == R^-1 / w bit for bit, which the half read needs
+        inv = window_inverter(case)
+        s = inv.finite.packed_inverse / _packed_weights(inv.dim)
+        np.testing.assert_array_equal(s.view(np.uint64), s.T.view(np.uint64))
+
+    @pytest.mark.parametrize("case", ["gue-d4", "chain-d32"])
+    def test_lower_triangle_is_not_read(self, case, monkeypatch):
+        # NaN below the diagonal blocks leaves every bit of the result; in
+        # blocks of one row that is the whole strictly lower triangle
+        m = window_inverter(case).finite.packed_inverse
+        _, x = packed_rows(window_inverter(case).dim, (2,), 51)
+        n = len(m)
+        for block in (shadowmap.MIRROR_BLOCK, 1):
+            monkeypatch.setattr(shadowmap, "MIRROR_BLOCK", block)
+            row_block = np.arange(n) // block
+            poisoned = m.copy()
+            poisoned[row_block[:, None] > row_block[None, :]] = np.nan
+            np.testing.assert_array_equal(_symmetric_half_product(poisoned, x),
+                                          _symmetric_half_product(m, x))
+
+    @pytest.mark.parametrize("case", ["gue-d8", "chain-d32"])
+    def test_block_sizes_agree(self, case, monkeypatch):
+        m = window_inverter(case).finite.packed_inverse
+        _, x = packed_rows(window_inverter(case).dim, (3,), 52)
+        bound = product_bound(x, m)
+        results = {}
+        for block in (1, 7, len(m)):
+            monkeypatch.setattr(shadowmap, "MIRROR_BLOCK", block)
+            results[block] = _symmetric_half_product(m, x)
+        # one block of all n rows is the full product itself
+        np.testing.assert_array_equal(results[len(m)], x @ m.T)
+        for block in (1, 7):
+            assert np.all(np.abs(results[block] - results[len(m)]) <= bound)
+
+    def test_purity_sum_is_one_application(self, monkeypatch):
+        # S = N^-1(Z^dag Z) by one half read, not a sum over the rows; Z^dag Z
+        # is summed over the 100-row blocks of the per-shot GEMM
+        monkeypatch.setattr(shadowmap, "PACKED_BLOCK_ENTRIES", 100 * 64)
+        inv = window_inverter("chain-d8")
+        g = np.random.default_rng(53)
+        z = g.normal(size=(300, 8)) + 1j * g.normal(size=(300, 8))
+        s, _ = inverted_snapshot_moments(inv, z)
+        gram = sum(z[k:k + 100].conj().T @ z[k:k + 100] for k in (0, 100, 200))
+        np.testing.assert_array_equal(s, apply_n_inverse(inv, gram))
+        rows = apply_packed_dense(inv.finite.packed_inverse,
+                                  np.conj(z)[:, :, None] * z[:, None, :])
+        np.testing.assert_allclose(s, rows.sum(axis=0), rtol=0,
+                                   atol=1e-12 * np.abs(s).max())
 
 
 def inverter_in_mode(mode):
@@ -818,6 +946,17 @@ class TestRecoveredEntries:
         np.testing.assert_allclose(
             np.einsum(pair, apply_n_inverse(inv, a_s), sigmas),
             np.einsum(pair, a_s, apply_n_inverse(inv, sigmas)), rtol=1e-12)
+
+    def test_full_record_reads_no_observable(self):
+        # only the pseudo-inverse drops entries; the other modes refuse
+        # nothing, so they return before reading a
+        assert inverter_in_mode("ideal").recovers_all
+        assert inverter_in_mode("finite-time").recovers_all
+        assert not inverter_in_mode("pseudo-inverse").recovers_all
+        for mode in ("ideal", "finite-time"):
+            inverter_in_mode(mode).require_recovered(None)
+        with pytest.raises(ValueError, match="zero diagonal"):
+            inverter_in_mode("pseudo-inverse").require_recovered(np.eye(4))
 
     def test_adjoint_names_the_first_dropped_entry(self):
         # an observable is transformed by the inverse only where it vanishes
