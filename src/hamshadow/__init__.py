@@ -14,6 +14,7 @@ from .qmatrix import (
     partial_trace,
     swap_operator,
 )
+from .times import TimeModel
 from .rdu import (
     DegeneracySpec,
     frame_potential_finite_time,
@@ -30,7 +31,6 @@ from .shadowmap import (
 from .sampler import (
     Snapshot,
     SnapshotSet,
-    TimeModel,
     load_snapshots,
     run_batch,
     save_snapshots,

@@ -34,7 +34,6 @@ from .rdu import (
 )
 from .sampler import (
     SHOT_LIMIT,
-    TimeModel,
     load_snapshots,
     run_batch,
     save_snapshots,
@@ -49,6 +48,7 @@ from .shadowmap import (
     hamiltonian_fingerprint,
     snapshot_sigmas,
 )
+from .times import KIND_FIELDS, TimeModel
 from .variance import (
     empirical_variance,
     purity_variance_proxy,
@@ -165,15 +165,21 @@ def build_state(cfg: dict, h: SpectralHamiltonian) -> np.ndarray:
 
 
 def build_time_model(cfg: dict) -> TimeModel:
+    """The configured kind and the fields KIND_FIELDS says it reads; any
+    other key, an unknown kind or a field of another type is a ConfigError."""
     t = cfg.get("time_model")
     if t is None:
         raise ConfigError("config.time_model is required for this command")
-    _require_keys(t, {"kind", "t_min", "t_max", "k"}, {"kind"},
-                  "config.time_model")
+    _require_keys(t, {"kind", *(key for f in KIND_FIELDS.values() for key in f)},
+                  {"kind"}, "config.time_model")
+    kind = t["kind"]
+    if not (isinstance(kind, str) and kind in KIND_FIELDS):
+        raise ConfigError(f"bad time_model section: unknown time model {kind!r}")
+    fields = KIND_FIELDS[kind]
+    _require_keys(t, {"kind", *fields}, set(), f"config.time_model of kind {kind}")
     try:
-        return TimeModel(t["kind"], t_min=float(t.get("t_min", 0.0)),
-                         t_max=float(t.get("t_max", 0.0)),
-                         k=_config_int("k", t.get("k", 2), 1))
+        return TimeModel(kind, **{key: _config_field(key, t[key], fields[key])
+                                  for key in fields if key in t})
     except (ConfigError, TypeError, ValueError) as e:
         raise ConfigError(f"bad time_model section: {e}")
 
@@ -254,6 +260,15 @@ def _config_int(name: str, value, minimum: int) -> int:
     return value
 
 
+def _config_field(name: str, value, kind: type):
+    """A positive int, or a float from anything float() reads but a bool."""
+    if kind is int:
+        return _config_int(name, value, 1)
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_snapshot_window(cfg: dict, recorded: TimeModel) -> None:
     """ConfigError unless the snapshots were drawn on a uniform window that
     the config declares too.
@@ -261,7 +276,7 @@ def _check_snapshot_window(cfg: dict, recorded: TimeModel) -> None:
     The finite-time inverse is unbiased only for the window that produced
     the data, so any other recorded ensemble is refused.
     """
-    if recorded.kind != "uniform-window":
+    if recorded.column != "times":
         raise ConfigError("--finite-time needs uniform-window snapshots; the "
                           f"file declares {recorded.describe()!r}")
     declared = build_time_model(cfg)
@@ -278,7 +293,7 @@ def _inverter(h: SpectralHamiltonian, tm: TimeModel) -> ShadowInverter:
     k = 1 design is refused: its 2-point phase grid is not a 2-design, and
     the ideal map is biased on it.
     """
-    if tm.kind == "uniform-window":
+    if tm.column == "times":
         return build_inverter(h, mode="finite-time", t_min=tm.t_min, t_max=tm.t_max)
     if tm.kind == "design" and tm.k < 2:
         raise ConfigError(f"{tm.describe()} snapshots cannot be inverted: a "
@@ -421,7 +436,7 @@ def estimate(config_path, snap_path, out_path, finite_time):
     if snaps.hamiltonian_fingerprint != hamiltonian_fingerprint(h):
         _fail(EXIT_FINGERPRINT,
               "snapshot fingerprint does not match the configured Hamiltonian")
-    if finite_time or snaps.time_model.kind == "uniform-window":
+    if finite_time or snaps.time_model.column == "times":
         _check_snapshot_window(cfg, snaps.time_model)
     if batches > len(snaps) and not all(isinstance(o, Purity) for o in obs):
         raise ConfigError(f"estimators.batches={batches} exceeds the "

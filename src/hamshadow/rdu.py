@@ -1,10 +1,10 @@
-"""Frame potentials of random diagonal unitaries, and the package's energy
-resolution.
+"""Frame potentials of random diagonal unitaries.
 
 Frame potentials, both exact: the ideal closed form and the
-finite-window value. The moment maps, finite phase designs and
-Monte-Carlo loop these values are checked against are test oracles and
-live with the tests.
+finite-window value. The window frame potential takes any window that
+times.check_window admits, as only its length D enters. The moment maps,
+finite phase designs and Monte-Carlo loop these values are checked
+against are test oracles and live with the tests.
 
 The finite-window frame potential F_k = E|Tr(U_t^dag U_s)|^{2k} over t, s
 uniform on [t_min, t_max] is the one-dimensional integral
@@ -30,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .times import check_window
+
 MAX_FP_TERMS = 10**8  # terms panels x nodes x d of S(tau) in frame_potential_finite_time
 QUAD_NODES = 20  # Gauss-Legendre nodes per panel of the window frame potential
 QUAD_HALF_PHASE = 6.0  # radians of the top frequency per half panel
 QUAD_CHUNK_ENTRIES = 2**16  # complex panel phases, or S values, per chunk
-ENERGY_RESOLUTION = 1e-9  # energies, and residual phase rates, this close are equal
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,6 @@ def frame_potential_rdu_exact(k: int, d: int) -> float:
     if d < 1:
         raise ValueError("dimension must be positive")
     return float((d, 2 * d * d - d, 6 * d**3 - 9 * d**2 + 4 * d)[k - 1])
-
-
-def check_window(t_min: float, t_max: float) -> None:
-    """ValueError unless t_min and t_max are finite and t_max > t_min."""
-    if not (math.isfinite(t_min) and math.isfinite(t_max)):
-        raise ValueError(f"window bounds must be finite, got [{t_min}, {t_max}]")
-    if not t_max > t_min:
-        raise ValueError("t_max must exceed t_min")
 
 
 def frame_potential_finite_time(spec: DegeneracySpec, k: int,

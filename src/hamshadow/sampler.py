@@ -2,7 +2,9 @@
 
 Each shot evolves the target state under the Hamiltonian for a random
 time (or with ideal random phases), samples a bitstring from the Born
-distribution, and records a snapshot. Shot i draws from the Philox
+distribution, and records a snapshot. The law of that evolution is a
+``times.TimeModel``; this module reads only what the model draws and
+which column its records hold, never its kind. Shot i draws from the Philox
 stream of ``substream(seed, i)``, so a batch is a pure function of its
 arguments regardless of evaluation order. That stream is computed in
 closed form for a block of shots at once: the SeedSequence keys, the
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmatrix import SpectralHamiltonian, _sealed, as_complex, is_hermitian
-from .rdu import check_window
 from .shadowmap import hamiltonian_fingerprint
+from .times import TimeModel
 
 BORN_TOL = 1e-9
 # Complex entries of the (d, shots x rank) matrix that one chunk of shots
@@ -203,21 +205,20 @@ def _evolution_draws(seed: int, shots: np.ndarray, tm: TimeModel,
     """(x, u): width evolution draws (n, width) and the outcome variate (n,)
     that substream(seed, i) makes for each shot i in shots.
 
-    x is what ``width`` draws of rng.uniform(t_min, t_max) (uniform-window),
-    rng.uniform(0, 2 pi) (ideal-rdu) or the design grid
-    2 pi rng.integers(0, k + 1) / (k + 1) give, in any split into calls;
+    x is what ``width`` draws of rng.uniform(*tm.bounds) give, or of
+    2 pi rng.integers(0, span) / span for a grid of span = tm.grid phases,
+    in any split into calls;
     u is the rng.random() after them. Integers take the 32-bit halves of
     each 64-bit word, low half first, and random() takes a fresh word. A
     shot whose integers Lemire's method would reject is drawn from its own
     substream instead.
     """
     k0, k1 = _philox_keys(seed, shots)
-    if tm.kind != "design":
-        low, high = ((tm.t_min, tm.t_max) if tm.kind == "uniform-window"
-                     else (0.0, 2 * np.pi))
+    span = tm.grid
+    if span is None:
+        low, high = tm.bounds
         u = _doubles(_philox(k0, k1, -(-(width + 1) // 4))[:, :width + 1])
         return low + (high - low) * u[:, :width], u[:, width]
-    span = tm.k + 1
     used = -(-width // 2)
     out = _philox(k0, k1, -(-(used + 1) // 4))
     halves = np.stack([out[:, :used] & _M32, out[:, :used] >> 32], axis=2)
@@ -229,60 +230,6 @@ def _evolution_draws(seed: int, shots: np.ndarray, tm: TimeModel,
         x[j] = 2 * np.pi * rng.integers(0, span, size=width) / span
         u[j] = rng.random()
     return x, u
-
-
-# the fields each kind of TimeModel reads, in describe() order, and their types
-_KIND_FIELDS = {"uniform-window": {"t_min": float, "t_max": float},
-                "ideal-rdu": {}, "design": {"k": int}}
-
-
-@dataclass(frozen=True)
-class TimeModel:
-    """How the random evolution is drawn for each shot.
-
-    kind is "uniform-window" (t uniform in [t_min, t_max] us),
-    "ideal-rdu" (iid uniform phases, no time), or "design" (phases from
-    the finite k-design grid).
-    """
-
-    kind: str
-    t_min: float = 0.0
-    t_max: float = 0.0
-    k: int = 2
-
-    def __post_init__(self):
-        if self.kind not in _KIND_FIELDS:
-            raise ValueError(f"unknown time model {self.kind!r}")
-        if self.kind == "uniform-window":
-            check_window(self.t_min, self.t_max)
-            if not self.t_min >= 0:
-                raise ValueError("uniform-window requires t_min >= 0")
-        if self.kind == "design" and self.k not in (1, 2, 3):
-            raise ValueError("design order must be 1, 2, or 3")
-        # fields as describe() writes and parse() reads them: the ones the
-        # kind does not read take their defaults
-        window = self.kind == "uniform-window"
-        object.__setattr__(self, "t_min", float(self.t_min) if window else 0.0)
-        object.__setattr__(self, "t_max", float(self.t_max) if window else 0.0)
-        object.__setattr__(self, "k", int(self.k) if self.kind == "design" else 2)
-
-    def describe(self) -> str:
-        return " ".join([self.kind, *(f"{key}={getattr(self, key)!r}"
-                                      for key in _KIND_FIELDS[self.kind])])
-
-    @staticmethod
-    def parse(text: str) -> "TimeModel":
-        """The model whose describe() is text; ValueError on any other text."""
-        kind, *tokens = text.split(" ")
-        types = _KIND_FIELDS.get(kind, {})  # TimeModel refuses an unknown kind
-        fields = [token.partition("=") for token in tokens]
-        if [(key, sep) for key, sep, _ in fields] != [(key, "=") for key in types]:
-            form = " ".join([kind, *(f"{key}=<{key}>" for key in types)])
-            raise ValueError(f"time model {text!r} is not of the form {form!r}")
-        tm = TimeModel(kind, **{key: types[key](value) for key, _, value in fields})
-        if tm.describe() != text:  # float() and int() also read "1", "2e1", "+2"
-            raise ValueError(f"time model {text!r} is not as describe() writes it")
-        return tm
 
 
 @dataclass(frozen=True)
@@ -333,10 +280,11 @@ class SnapshotSet:
     _amplitudes: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        timed = self.time_model.kind == "uniform-window"
+        column = self.time_model.column
+        timed = column == "times"
         if (self.times is None) == timed or (self.phases is None) != timed:
             raise ValueError(f"time_model={self.time_model.describe()} records "
-                             f"{'times' if timed else 'phases'} and nothing else")
+                             f"{column} and nothing else")
         pattern, kind = _HEADER_FIELDS["fingerprint"]  # as a file's header holds it
         if not re.fullmatch(pattern, self.hamiltonian_fingerprint):
             raise ValueError(f"the fingerprint is not {kind}")
@@ -353,7 +301,7 @@ class SnapshotSet:
         if timed and not np.all((lo <= evolution) & (evolution <= hi)):
             raise ValueError(f"a time lies outside the window [{lo!r}, {hi!r}] us")
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "times" if timed else "phases", evolution)
+        object.__setattr__(self, column, evolution)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -490,7 +438,7 @@ def _sample(h: SpectralHamiltonian, rho, tm: TimeModel, num_shots: int,
         raise ValueError("num_shots must be below 2**32, so that each shot "
                          "index is one spawn-key word")
     v = h.eigenbasis
-    window = tm.kind == "uniform-window"
+    window = tm.column == "times"
     width = 1 if window else h.dim
     w, l = _factor_state(v.conj().T @ rho @ v)
     factor = _born_factor(v, l)
@@ -523,11 +471,6 @@ def born_probabilities(h: SpectralHamiltonian, rho_h: np.ndarray,
     return p[0] if phases.ndim == 1 else p
 
 
-def _evolution_columns(tm: TimeModel, records) -> dict:
-    """The times (K,) or phases (K, d) keyword of SnapshotSet for tm."""
-    return {"times" if tm.kind == "uniform-window" else "phases": _read_only(records)}
-
-
 def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
               num_shots: int, seed: int) -> SnapshotSet:
     """Deterministic batch: shot i uses substream (seed, i)."""
@@ -538,9 +481,9 @@ def run_batch(h: SpectralHamiltonian, rho, tm: TimeModel,
         raise ValueError(f"state of shape {rho.shape} does not match the "
                          f"Hamiltonian's dimension {h.dim}")
     x, bits = _sample(h, rho, tm, num_shots, seed)
-    window = tm.kind == "uniform-window"
+    records = x[:, 0] if tm.column == "times" else x
     return SnapshotSet(_read_only(bits), hamiltonian_fingerprint(h), int(seed),
-                       tm, **_evolution_columns(tm, x[:, 0] if window else x))
+                       tm, **{tm.column: _read_only(records)})
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +534,7 @@ def save_snapshots(path, snaps: SnapshotSet) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(f"{_VERSION_PREFIX}v2\n")
         f.writelines(f"# {field}\n" for field in _record_fields(snaps))
-        if snaps.time_model.kind == "uniform-window":
+        if snaps.time_model.column == "times":
             f.writelines(f"t_us={t!r} b={b}\n"
                          for t, b in zip(snaps.times.tolist(), bits))
         else:
@@ -665,7 +608,7 @@ def load_snapshots(path) -> SnapshotSet:
         size = st.st_size if stat.S_ISREG(st.st_mode) else math.inf  # a pipe's is 0
         lines = enumerate(f, start=1)
         version, fingerprint, seed, tm, shots = _parse_header(path, lines)
-        window = tm.kind == "uniform-window"
+        window = tm.column == "times"
         want, other = ("t_us", "phases") if window else ("phases", "t_us")
         decode = float if window else _PHASE_DECODERS[version]
         match = re.compile(_ROWS[version, want]).fullmatch
@@ -713,7 +656,7 @@ def load_snapshots(path) -> SnapshotSet:
         raise ValueError(f"{path}: no snapshot rows")
     col = np.array(times, dtype=float) if window else phases.astype(float, copy=False)
     return SnapshotSet(_read_only(np.array(bits, dtype=np.int64)), fingerprint,
-                       seed, tm, **_evolution_columns(tm, col))
+                       seed, tm, **{tm.column: _read_only(col)})
 
 
 def write_manifest(path, snaps: SnapshotSet, extra: dict | None = None) -> None:

@@ -8,6 +8,8 @@ that map, decides whether it is invertible, and applies its inverse to
 one matrix or a stack of them. Every inverse is its own adjoint under
 Tr(A B), so the same apply path maps snapshots and observables. Estimates
 need only the inverse; the forward map is kept with the tests as an oracle.
+The finite-time map weights each element by the characteristic function of
+the time model's law (times.TimeModel), which it reads from the model.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmatrix import SpectralHamiltonian, as_complex
-from .rdu import ENERGY_RESOLUTION, check_window
+from .times import ENERGY_RESOLUTION, TimeModel
 
 SINGULAR_CONDITION = 1e12
 BLOCK_ENTRIES = 2**14  # entries per block of the d^4 passes of finite_time_choi
@@ -278,8 +280,9 @@ def build_inverter(h: SpectralHamiltonian, mode: str = "ideal",
     if mode == "finite-time":
         if t_min is None or t_max is None:
             raise ValueError("finite-time mode needs t_min and t_max")
-        finite = finite_time_choi(h, t_min, t_max)
-        window = (float(t_min), float(t_max))
+        tm = TimeModel("uniform-window", t_min=t_min, t_max=t_max)
+        finite = finite_time_choi(h, tm)
+        window = (tm.t_min, tm.t_max)
     else:
         divisor = np.where(recovered & ~np.eye(len(x_h), dtype=bool), x_h, np.inf)
         diag_map = np.linalg.inv(x_h) if mode == "ideal" else np.zeros_like(x_h)
@@ -543,21 +546,21 @@ def _inverse_one_norm(r_inv: np.ndarray) -> float:
     return float(np.concatenate([pair_sums / 2, diag_sums]).max())
 
 
-def _window_superoperator(h: SpectralHamiltonian, t_min: float,
-                          t_max: float) -> tuple[np.ndarray, np.ndarray]:
+def _window_superoperator(h: SpectralHamiltonian,
+                          tm: TimeModel) -> tuple[np.ndarray, np.ndarray]:
     """Packed real R of the window-corrected superoperator G of N, and the
     absolute column sums of G, whose maximum is ||G||_1.
 
     R satisfies _pack(G vec(sigma)) = R _pack(sigma) for Hermitian sigma.
-    Each element of G carries the uniform-window average of the residual
-    phase e^{-i w t} with w = E_p + E_n - E_q - E_m; resonant elements (|w|
+    Each element of G carries the average of the residual phase e^{-i w t}
+    over the times tm draws, its characteristic function chi(w), with
+    w = E_p + E_n - E_q - E_m. Resonant elements (tm's chi is 1 where |w| is
     below ENERGY_RESOLUTION) keep weight 1 at every window length, where
     ideal phases keep only (p, q) = (m, n) and m = n, p = q.
     Only the rows (m, n), m <= n, of G are formed, BLOCK_ENTRIES entries at
     a time: row (n, m) is the conjugate of row (m, n) with its columns
     permuted by t, so one row gives both packed rows of R.
     """
-    check_window(t_min, t_max)
     d = h.dim
     e = h.energies
     v = h.eigenbasis
@@ -566,24 +569,16 @@ def _window_superoperator(h: SpectralHamiltonian, t_min: float,
     # P_b[q, p] = conj(P_b[p, q]), so G's rows are sum_b P_b[m, n] P_b[q, p]
     p = (v.conj()[:, :, None] * v[:, None, :]).reshape(d, d * d)
     p_conj = p.conj()
-    # w = gap(m, n) - gap(p, q) with gap(m, n) = E_n - E_m, so e^{-i w t}
-    # is the outer product of e^{-i gap t} and its conjugate
+    # w = gap(m, n) - gap(p, q) with gap(m, n) = E_n - E_m
     gap = (e[None, :] - e[:, None]).reshape(-1)
-    ph_min, ph_max = np.exp(-1j * np.multiply.outer((t_min, t_max), gap))
-    conj_min, conj_max = ph_min.conj(), ph_max.conj()
-    dt = t_max - t_min
+    chi = tm.difference_characteristic(gap)
     r = np.empty((d * d, d * d))
     col_sums = np.zeros(d * d)
     rows_upper = np.flatnonzero(upper)
     rows = max(1, BLOCK_ENTRIES // (d * d))
     for start in range(0, len(rows_upper), rows):
         j = rows_upper[start:start + rows]
-        omega = gap[j, None] - gap
-        small = np.abs(omega) < ENERGY_RESOLUTION
-        weight = np.outer(ph_max[j], conj_max)
-        weight -= np.outer(ph_min[j], conj_min)
-        weight /= -1j * np.where(small, 1.0, omega) * dt
-        weight[small] = 1.0
+        weight = chi(j)
         g = p.T[j] @ p_conj
         g *= weight
         # packed input coordinate (m, n) stands for |m><n| + |n><m| (m < n),
@@ -664,14 +659,13 @@ def _mirror_upper(a: np.ndarray) -> None:
         np.copyto(diag, diag.T, where=np.tri(len(diag), k=-1, dtype=bool))
 
 
-def finite_time_choi(h: SpectralHamiltonian, t_min: float,
-                     t_max: float) -> FiniteTimeChoi:
+def finite_time_choi(h: SpectralHamiltonian, tm: TimeModel) -> FiniteTimeChoi:
     """Inverse of the packed real window-corrected superoperator of N.
 
     G is the average of sum_b |sigma-hat_b(t)>><<sigma-hat_b(t)| over the
-    outcomes b and the window times t, a Gram average, so it is Hermitian
-    positive semidefinite under Tr(A^dag B), and positive definite when the
-    window map is invertible. In packed coordinates that pairing is
+    outcomes b and the times t that tm draws, a Gram average, so it is
+    Hermitian positive semidefinite under Tr(A^dag B), and positive
+    definite when the window map is invertible. In packed coordinates that pairing is
     sum w a b, so S = W R is symmetric positive definite, and it is formed
     exactly in place, as w holds only 1s and 2s (the similarity
     W^1/2 R W^-1/2 would round by sqrt 2). _invert_spd_in_place overwrites
@@ -687,7 +681,7 @@ def finite_time_choi(h: SpectralHamiltonian, t_min: float,
         raise ValueError(f"the finite-time superoperator of d = {h.dim} holds "
                          f"d^4 = {entries} doubles ({entries / 2**27:g} GiB), "
                          f"above MAX_WINDOW_ENTRIES = {MAX_WINDOW_ENTRIES}")
-    r, col_sums = _window_superoperator(h, t_min, t_max)
+    r, col_sums = _window_superoperator(h, tm)
     w = _packed_weights(h.dim)
     r *= w[:, None]  # S = W R, exactly, as w holds 1s and 2s
     # exact 1-norm condition number from the inverse the apply path needs

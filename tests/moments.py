@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from hamshadow.rdu import (
-    ENERGY_RESOLUTION,
     MAX_FP_TERMS,
     QUAD_HALF_PHASE,
     QUAD_NODES,
     DegeneracySpec,
-    check_window,
 )
 from hamshadow.sampler import substream
+from hamshadow.times import ENERGY_RESOLUTION, check_window
 
 MAX_DESIGN_SIZE = 2**24
 

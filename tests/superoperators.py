@@ -25,6 +25,20 @@ from hamshadow.shadowmap import (
     _window_superoperator,
     apply_n_inverse,
 )
+from hamshadow.times import TimeModel
+
+
+def uniform_window(t_min: float, t_max: float) -> TimeModel:
+    """The time model of t uniform on [t_min, t_max] us."""
+    return TimeModel("uniform-window", t_min=t_min, t_max=t_max)
+
+
+def window_characteristic(w: np.ndarray, t_min: float, t_max: float) -> np.ndarray:
+    """The window average of e^{-i w t} in closed form, with no resonance
+    rule: e^{-i w t_c} sinc(w D / 2 pi) for the window centre t_c and
+    length D."""
+    centre, length = (t_min + t_max) / 2, t_max - t_min
+    return np.exp(-1j * w * centre) * np.sinc(w * length / (2 * np.pi))
 
 
 def dense_window_superoperator(h: SpectralHamiltonian, t_min: float,
@@ -32,10 +46,9 @@ def dense_window_superoperator(h: SpectralHamiltonian, t_min: float,
     """R and the absolute column sums of G, from the definition of G.
 
     G[(m, n), (p, q)] = sum_b P_b[m, n] P_b[q, p] times the window average
-    of e^{-i w t}, w = E_p + E_n - E_q - E_m, which is e^{-i w t_c} times
-    sinc(w D / 2 pi) for the window centre t_c and length D; column j of R
-    is the packed image of the Hermitian matrix that packed coordinate j
-    stands for.
+    of e^{-i w t}, w = E_p + E_n - E_q - E_m (window_characteristic);
+    column j of R is the packed image of the Hermitian matrix that packed
+    coordinate j stands for.
     """
     e, v = h.energies, h.eigenbasis
     d = len(e)
@@ -43,9 +56,7 @@ def dense_window_superoperator(h: SpectralHamiltonian, t_min: float,
     outcomes = np.einsum("bmn,bqp->mnpq", p, p)
     w = (e[None, None, :, None] + e[None, :, None, None]
          - e[None, None, None, :] - e[:, None, None, None])
-    centre, length = (t_min + t_max) / 2, t_max - t_min
-    average = np.exp(-1j * w * centre) * np.sinc(w * length / (2 * np.pi))
-    g = (outcomes * average).reshape(d * d, d * d)
+    g = (outcomes * window_characteristic(w, t_min, t_max)).reshape(d * d, d * d)
     r = np.column_stack([_pack(g @ unit) for unit in _unpack(np.eye(d * d))])
     return r, np.abs(g).sum(axis=0)
 
@@ -87,7 +98,7 @@ def apply_packed_dense(m: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def packed_forward(inv: ShadowInverter) -> np.ndarray:
     """Real d^2 x d^2 R of a finite-time inverter, on packed coordinates."""
-    return _window_superoperator(inv.hamiltonian, *inv.window)[0]
+    return _window_superoperator(inv.hamiltonian, uniform_window(*inv.window))[0]
 
 
 def apply_n(inv: ShadowInverter, sigma) -> np.ndarray:

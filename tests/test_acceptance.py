@@ -30,9 +30,10 @@ from hamshadow.models import (
     thermal_state,
 )
 from hamshadow.qmatrix import evolve, partial_trace, swap_operator
-from hamshadow.sampler import TimeModel, run_batch
+from hamshadow.sampler import run_batch
 from hamshadow.shadowmap import apply_n_inverse, build_inverter, diagnose_detection
 from hamshadow.variance import variance_approx_linear, variance_exact
+from hamshadow.times import TimeModel
 
 from haar import global_shadow_values
 from moments import diagonal_design, frame_potential_mc_loop, rdu_sampler

@@ -27,7 +27,7 @@ from hamshadow.estimators import (
     estimate_purity,
 )
 from hamshadow.models import pauli_tensor
-from hamshadow.sampler import TimeModel, load_snapshots, run_batch
+from hamshadow.sampler import load_snapshots, run_batch
 from hamshadow.shadowmap import (
     apply_n_inverse,
     build_inverter,
@@ -37,6 +37,7 @@ from hamshadow.variance import (
     purity_variance_report,
     variance_report,
 )
+from hamshadow.times import TimeModel
 
 from moments import DiagonalDesign
 from snapfiles import HEADER_EDITS, b64, edit_file
@@ -232,6 +233,9 @@ class TestConfigSections:
         ("state", {"kind": "ghz", "n": None}),
         ("state", {"kind": "nope"}),
         ("time_model", {"kind": "uniform-window", "t_min": None, "t_max": 3}),
+        # float() read a boolean bound as 1.0
+        ("time_model", {"kind": "uniform-window", "t_min": True, "t_max": 3}),
+        ("time_model", {"kind": "uniform-window", "t_min": 0, "t_max": True}),
     ])
     def test_malformed_value_code_2(self, tmp_path, section, value):
         # a null value ended in a TypeError traceback, exit 1
@@ -267,6 +271,33 @@ class TestConfigSections:
         assert res.output.startswith(f"config error: bad {section} section: "
                                      f"{message} integer, got ")
         assert not (tmp_path / "snaps.txt").exists()
+
+    @pytest.mark.parametrize("time_model, keys", [
+        ({"kind": "ideal-rdu", "t_min": 2, "t_max": 22}, "['t_max', 't_min']"),
+        ({"kind": "uniform-window", "t_min": 2, "t_max": 22, "k": 3}, "['k']"),
+        ({"kind": "design", "k": 2, "t_min": 0}, "['t_min']"),
+    ], ids=["ideal-rdu-window", "uniform-window-k", "design-t_min"])
+    def test_time_model_key_its_kind_does_not_read_code_2(self, tmp_path,
+                                                          time_model, keys):
+        # accepted before, and dropped: ideal phases ran with no warning
+        p = write_cfg(tmp_path / "cfg.yaml", base_cfg(tmp_path, time_model=time_model))
+        res = CliRunner().invoke(main, ["simulate", "--config", p])
+        assert res.exit_code == 2, res.output
+        assert res.output == ("config error: unknown keys in config.time_model of "
+                              f"kind {time_model['kind']}: {keys}\n")
+        assert not (tmp_path / "snaps.txt").exists()
+
+    @pytest.mark.parametrize("time_model, message", [
+        ({"kind": "nope", "t_min": 2}, "bad time_model section: unknown time model 'nope'"),
+        ({"kind": "design", "seed": 2}, "unknown keys in config.time_model: ['seed']"),
+        ({"kind": "nope"}, "bad time_model section: unknown time model 'nope'"),
+        ({"t_min": 2}, "missing keys in config.time_model: ['kind']"),
+    ], ids=["unknown-kind-key", "other-key", "unknown-kind", "no-kind"])
+    def test_time_model_refusal_names_it(self, tmp_path, time_model, message):
+        # an unknown kind is named before the keys it would not read
+        with pytest.raises(cli.ConfigError) as e:
+            cli.build_time_model(base_cfg(tmp_path, time_model=time_model))
+        assert str(e.value) == message
 
     def test_output_reports_key_code_2(self, tmp_path):
         # accepted before, though nothing wrote a reports file

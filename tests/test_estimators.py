@@ -28,7 +28,8 @@ from hamshadow.models import (
     random_pure_state,
 )
 from hamshadow.qmatrix import SpectralHamiltonian, swap_operator
-from hamshadow.sampler import SnapshotSet, TimeModel, run_batch, substream
+from hamshadow.sampler import SnapshotSet, run_batch, substream
+from hamshadow.times import TimeModel
 
 from haar import baseline_global_shadow, global_shadow_values, haar_unitary
 from moments import diagonal_design

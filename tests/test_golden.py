@@ -23,7 +23,8 @@ from click.testing import CliRunner
 
 from hamshadow.cli import main
 from hamshadow.models import gue_hamiltonian
-from hamshadow.sampler import TimeModel, load_snapshots, run_batch, save_snapshots
+from hamshadow.sampler import load_snapshots, run_batch, save_snapshots
+from hamshadow.times import TimeModel
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 V1 = Path(__file__).parent / "data" / "v1"

@@ -15,8 +15,9 @@ from hypothesis.extra import numpy as hnp
 from hamshadow.estimators import _quadratic_values, snapshot_amplitudes
 from hamshadow.models import gue_hamiltonian
 from hamshadow.qmatrix import hermitian_spectral
-from hamshadow.sampler import SnapshotSet, TimeModel, load_snapshots, save_snapshots
+from hamshadow.sampler import SnapshotSet, load_snapshots, save_snapshots
 from hamshadow.shadowmap import apply_n_inverse, build_inverter, diagnose_detection
+from hamshadow.times import TimeModel
 
 from moments import diagonal_design
 from states import exact_average_state

@@ -14,7 +14,7 @@ from hamshadow.rdu import (
     frame_potential_finite_time,
     frame_potential_rdu_exact,
 )
-from hamshadow.sampler import TimeModel
+from hamshadow.times import TimeModel
 
 from moments import (
     DiagonalDesign,

@@ -18,7 +18,6 @@ from hamshadow.sampler import (
     CHUNK_ENTRIES,
     Snapshot,
     SnapshotSet,
-    TimeModel,
     _evolution_draws,
     _factor_state,
     _unit_phasors,
@@ -30,6 +29,7 @@ from hamshadow.sampler import (
     write_manifest,
 )
 from hamshadow.shadowmap import hamiltonian_fingerprint
+from hamshadow.times import TimeModel
 
 # ---------------------------------------------------------------------------
 # Oracle: each shot drawn from its own numpy Generator, substream(seed, i).

@@ -23,8 +23,7 @@ from hamshadow.estimators import (
     transformed_observable,
 )
 from hamshadow.qmatrix import SpectralHamiltonian, hermitian_spectral
-from hamshadow.rdu import ENERGY_RESOLUTION
-from hamshadow.sampler import Snapshot, TimeModel, run_batch
+from hamshadow.sampler import Snapshot, run_batch
 from hamshadow.shadowmap import (
     IncompleteInverterError,
     _inverse_one_norm,
@@ -47,6 +46,7 @@ from hamshadow.shadowmap import (
     hamiltonian_fingerprint,
     inverted_snapshot_moments,
 )
+from hamshadow.times import ENERGY_RESOLUTION, TimeModel
 
 from states import build_estimator
 from superoperators import (
@@ -58,6 +58,7 @@ from superoperators import (
     inverse_superoperator,
     packed_forward,
     shadow_map_forward,
+    uniform_window,
 )
 
 
@@ -329,12 +330,21 @@ class TestFiniteTimeMap:
         h = hamiltonian_from_unitary(gue_hamiltonian(4, 14).eigenbasis,
                                      [0.0, 0.0, 1.0, 2.0])
         with pytest.raises(np.linalg.LinAlgError):
-            finite_time_choi(h, 0.0, 10.0)
+            finite_time_choi(h, uniform_window(0.0, 10.0))
 
     @pytest.mark.parametrize("t_max", [np.inf, np.nan])
     def test_non_finite_window_refused(self, t_max):
         with pytest.raises(ValueError, match="finite"):
-            finite_time_choi(gue_hamiltonian(4, 1), 2.0, t_max)
+            build_inverter(gue_hamiltonian(4, 1), mode="finite-time", t_min=2.0,
+                           t_max=t_max)
+
+    def test_negative_window_refused_as_time_model_refuses_it(self):
+        # built before, though no snapshot record can carry this window
+        with pytest.raises(ValueError, match=r"^uniform-window requires t_min >= 0$"):
+            TimeModel("uniform-window", t_min=-1.0, t_max=5.0)
+        with pytest.raises(ValueError, match=r"^uniform-window requires t_min >= 0$"):
+            build_inverter(gue_hamiltonian(4, 1), mode="finite-time", t_min=-1.0,
+                           t_max=5.0)
 
     def test_memory_guard_refuses_before_allocating(self, monkeypatch):
         # the guard is lowered so that d = 16 (d^4 = 65536) stands for an
@@ -351,10 +361,10 @@ class TestFiniteTimeMap:
 
     def test_memory_guard_admits_its_limit(self, monkeypatch):
         monkeypatch.setattr(shadowmap, "MAX_WINDOW_ENTRIES", 4**4)
-        assert finite_time_choi(gue_hamiltonian(4, 5), 2.0, 22.0).packed_inverse.shape \
-            == (16, 16)
+        fin = finite_time_choi(gue_hamiltonian(4, 5), uniform_window(2.0, 22.0))
+        assert fin.packed_inverse.shape == (16, 16)
         with pytest.raises(ValueError, match="MAX_WINDOW_ENTRIES = 256"):
-            finite_time_choi(gue_hamiltonian(5, 5), 2.0, 22.0)
+            finite_time_choi(gue_hamiltonian(5, 5), uniform_window(2.0, 22.0))
 
     def test_memory_guard_default_admits_seven_atoms_only(self):
         assert 128**4 * 8 == 2 * 2**30 and 128**4 <= shadowmap.MAX_WINDOW_ENTRIES
@@ -390,7 +400,7 @@ class TestFiniteTimeMap:
     ], ids=["gue2", "gue5", "gue8", "rydberg2", "rydberg4", "rydberg8",
             "spaced4", "spaced7"])
     def test_packed_superoperator_matches_dense_definition(self, h):
-        r, col_sums = _window_superoperator(h, 2.0, 22.0)
+        r, col_sums = _window_superoperator(h, uniform_window(2.0, 22.0))
         r_ref, col_sums_ref = dense_window_superoperator(h, 2.0, 22.0)
         np.testing.assert_allclose(r, r_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(col_sums, col_sums_ref, rtol=1e-13, atol=0)
@@ -421,7 +431,7 @@ class TestFiniteTimeMap:
         h = hermitian_spectral(np.diag([0.0, 1.0, 2.5, 4.1]))
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
-            finite_time_choi(h, 0.0, 10.0)
+            finite_time_choi(h, uniform_window(0.0, 10.0))
 
     def test_singular_pivot_block_reports_infinite_cond(self):
         # d = 16: R is 256 x 256, three blocks, and the off-diagonal rows of
@@ -429,7 +439,7 @@ class TestFiniteTimeMap:
         h = hermitian_spectral(np.diag(np.sqrt(np.arange(1.0, 17.0))))
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
-            finite_time_choi(h, 0.0, 10.0)
+            finite_time_choi(h, uniform_window(0.0, 10.0))
 
     def test_non_finite_inverse_reports_infinite_cond(self, monkeypatch):
         # a nan in diagonal packed row (0, 0), at off-diagonal column (0, 1)
@@ -437,21 +447,21 @@ class TestFiniteTimeMap:
                             lambda a: a.__setitem__((0, 1), np.nan))
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
-            finite_time_choi(gue_hamiltonian(4, 5), 2.0, 22.0)
+            finite_time_choi(gue_hamiltonian(4, 5), uniform_window(2.0, 22.0))
 
     def test_indefinite_map_reports_infinite_cond(self, monkeypatch):
         # W R stays symmetric and invertible, and an LU inverse would pass
         # the 1-norm gate, but its last diagonal entry is negated: W R is
         # not positive definite, so the Cholesky of the last block fails
         h = gue_hamiltonian(12, 5)
-        r, col_sums = _window_superoperator(h, 2.0, 22.0)
+        r, col_sums = _window_superoperator(h, uniform_window(2.0, 22.0))
         r[-1, -1] *= -1
         assert col_sums.max() * _inverse_one_norm(np.linalg.inv(r)) < SINGULAR_CONDITION
         monkeypatch.setattr(shadowmap, "_window_superoperator",
                             lambda *args: (r.copy(), col_sums))
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
-            finite_time_choi(h, 2.0, 22.0)
+            finite_time_choi(h, uniform_window(2.0, 22.0))
 
     # d = 4: flat index 5 is (1, 1), 6 is (1, 2) and 9 is (2, 1); each entry
     # reaches _inverse_one_norm by another branch than the test above
@@ -466,7 +476,7 @@ class TestFiniteTimeMap:
                             lambda a: a.__setitem__(entry, value))
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"numerically singular \(cond=inf, 1-norm\)"):
-            finite_time_choi(gue_hamiltonian(4, 5), 2.0, 22.0)
+            finite_time_choi(gue_hamiltonian(4, 5), uniform_window(2.0, 22.0))
 
 
 RYDBERG_WINDOWS = [(2.0, 22.0), (2.0, 6.0), (2.0, 4.0)]
@@ -526,13 +536,13 @@ class TestInPlaceInverse:
     ], ids=["gue2", "gue5", "gue8", "gue12", "rydberg1", "rydberg3",
             "rydberg4", "rydberg5"])
     def test_matches_lu(self, h):
-        r, col_sums = _window_superoperator(h, 2.0, 22.0)
+        r, col_sums = _window_superoperator(h, uniform_window(2.0, 22.0))
         # the premise of the Cholesky inverse: W R is symmetric positive
         # definite
         wr = _packed_weights(h.dim)[:, None] * r
         np.testing.assert_allclose(wr, wr.T, rtol=0, atol=1e-15)
         assert np.linalg.eigvalsh(wr)[0] > 0
-        fin = finite_time_choi(h, 2.0, 22.0)
+        fin = finite_time_choi(h, uniform_window(2.0, 22.0))
         lu = np.linalg.inv(r)
         tol = 1e-15 * fin.condition_number
         eye = np.eye(len(r))
@@ -605,7 +615,7 @@ class TestInPlaceInverse:
             tm = TimeModel("uniform-window", t_min=2.0, t_max=2.0 + dt)
             inv = build_inverter(h, mode="finite-time", t_min=tm.t_min,
                                  t_max=tm.t_max)
-            s = w[:, None] * _window_superoperator(h, tm.t_min, tm.t_max)[0]
+            s = w[:, None] * _window_superoperator(h, tm)[0]
             x = long_double_spd_inverse(s) * w
             refined = replace(inv, finite=FiniteTimeChoi(x, inv.finite.condition_number))
             snaps = run_batch(h, rho, tm, 4000, 7)
@@ -620,9 +630,9 @@ class TestInPlaceInverse:
         for window, cond in zip(RYDBERG_WINDOWS, LU_VERDICTS[chain]):
             if cond is None:
                 with pytest.raises(np.linalg.LinAlgError):
-                    finite_time_choi(h, *window)
+                    finite_time_choi(h, uniform_window(*window))
             else:
-                assert finite_time_choi(h, *window).condition_number == \
+                assert finite_time_choi(h, uniform_window(*window)).condition_number == \
                     pytest.approx(cond, rel=2e-4)
 
     @pytest.mark.parametrize("chain", [c for c, conds in LU_VERDICTS.items()
@@ -631,8 +641,8 @@ class TestInPlaceInverse:
         h = rydberg_chain(*chain)
         for window, cond in zip(RYDBERG_WINDOWS, LU_VERDICTS[chain]):
             if cond is not None:
-                fin = finite_time_choi(h, *window)
-                col_sums = _window_superoperator(h, *window)[1]
+                fin = finite_time_choi(h, uniform_window(*window))
+                col_sums = _window_superoperator(h, uniform_window(*window))[1]
                 assert fin.condition_number == pytest.approx(
                     col_sums.max() * inverse_one_norm_by_columns(fin.packed_inverse),
                     rel=1e-13)
@@ -640,7 +650,7 @@ class TestInPlaceInverse:
     def test_selfcheck_chain_refused(self):
         # bench/selfcheck.py's wrong-window chain
         with pytest.raises(np.linalg.LinAlgError, match=r"cond=2\.69\de\+12"):
-            finite_time_choi(rydberg_chain(4, 3), 2.0, 4.0)
+            finite_time_choi(rydberg_chain(4, 3), uniform_window(2.0, 4.0))
 
 
 def hermitian_stack(shape, d, seed):
@@ -710,7 +720,7 @@ class TestPackedCoordinates:
         h = gue_hamiltonian(16, 5)
         tracemalloc.start()
         try:
-            finite_time_choi(h, 2.0, 22.0)
+            finite_time_choi(h, uniform_window(2.0, 22.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -723,7 +733,7 @@ class TestPackedCoordinates:
         h = rydberg_hamiltonian(RydbergParams(random_positions(5, seed=1)))
         tracemalloc.start()
         try:
-            r, _ = _window_superoperator(h, 2.0, 22.0)
+            r, _ = _window_superoperator(h, uniform_window(2.0, 22.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -735,7 +745,7 @@ class TestPackedCoordinates:
         h = rydberg_chain(5, 1)
         tracemalloc.start()
         try:
-            fin = finite_time_choi(h, 2.0, 22.0)
+            fin = finite_time_choi(h, uniform_window(2.0, 22.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

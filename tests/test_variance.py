@@ -15,7 +15,7 @@ from hamshadow.models import (
     random_pure_state,
 )
 from hamshadow.qmatrix import swap_operator
-from hamshadow.sampler import TimeModel, run_batch
+from hamshadow.sampler import run_batch
 from hamshadow import shadowmap, variance
 from hamshadow.shadowmap import IncompleteInverterError, build_inverter
 from hamshadow.variance import (
@@ -31,6 +31,7 @@ from hamshadow.variance import (
     variance_exact,
     variance_report,
 )
+from hamshadow.times import TimeModel
 
 from moments import diagonal_design
 
